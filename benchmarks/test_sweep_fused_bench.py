@@ -7,9 +7,10 @@ differ.  Per-point replay walks the fused action stream once per
 width; the fused pass carries all lane states through a single
 region-memoized walk and emits every width's ``SimStats`` at once.
 
-Snapshot (``results/BENCH_sweep_fused.json``): warm per-point
-(``REPRO_REPLAY_MULTI=0``, six vectorized replays) vs warm fused (two
-passes, one per binary) over the Fig. 8 axis, gated at >= 2x, with
+Snapshot (``results/BENCH_sweep_fused.json``): warm per-point (six
+K = 1 ``simulate_inorder`` calls, one vectorized replay each) vs warm
+fused (two passes, one per binary) over the Fig. 8 axis, gated at
+>= 2x, with
 store counters proving exactly one fused pass per program covers all
 three widths and the per-lane results bit-identical either way.
 
@@ -67,7 +68,6 @@ def test_sweep_fused_snapshot(tmp_path, monkeypatch):
     ``results/BENCH_sweep_fused.json`` and hold fused to >= 2x."""
     monkeypatch.setenv("REPRO_SHM", "0")
     monkeypatch.delenv(plane.PREFIX_ENV, raising=False)
-    monkeypatch.delenv("REPRO_REPLAY_MULTI", raising=False)
 
     programs = _programs()
     machines = [MachineConfig.paper_default(width=w) for w in _WIDTHS]
@@ -89,6 +89,19 @@ def test_sweep_fused_snapshot(tmp_path, monkeypatch):
         ]
         return runs, store.delta(mark)
 
+    def per_point():
+        mark = store.mark()
+        runs = [
+            [
+                store.simulate_inorder(
+                    program, machine, max_instructions=_BUDGET
+                )
+                for machine in machines
+            ]
+            for program in programs
+        ]
+        return runs, store.delta(mark)
+
     # Warm-up builds prep layers + region tables untimed; _best_of's
     # min then reports steady-state walls for both modes.
     fused_wall, (fused_runs, fused_delta) = _best_of(sweep)
@@ -97,9 +110,7 @@ def test_sweep_fused_snapshot(tmp_path, monkeypatch):
     assert "fused_fallbacks" not in fused_delta
     assert "fused_diverges" not in fused_delta
 
-    monkeypatch.setenv("REPRO_REPLAY_MULTI", "0")
-    pp_wall, (pp_runs, pp_delta) = _best_of(sweep)
-    monkeypatch.delenv("REPRO_REPLAY_MULTI")
+    pp_wall, (pp_runs, pp_delta) = _best_of(per_point)
     assert not any(name.startswith("fused_") for name in pp_delta)
     assert pp_delta.get("trace_replays") == len(programs) * len(_WIDTHS)
 
@@ -120,9 +131,9 @@ def test_sweep_fused_snapshot(tmp_path, monkeypatch):
             "binaries": ["baseline", "decomposed"],
         },
         "lever": (
-            "REPRO_REPLAY_MULTI (fused: one region-memoized trace walk "
-            "carrying every width's lane state; per-point: one "
-            "vectorized replay per width)"
+            "sweep fusion (fused: one region-memoized trace walk "
+            "carrying every width's lane state; per-point: one K = 1 "
+            "simulate_inorder call, one vectorized replay, per width)"
         ),
         "sweep": {
             "points": len(programs) * len(_WIDTHS),

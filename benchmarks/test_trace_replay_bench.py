@@ -100,30 +100,21 @@ def _captured_trace(program, machine):
     return result, trace
 
 
-def test_replay_scalar_oracle(benchmark, monkeypatch):
-    """The pre-vectorization replay loop (the PR 4 baseline)."""
-    program, machine = _micro_setup()
-    result, trace = _captured_trace(program, machine)
-    monkeypatch.setenv("REPRO_REPLAY_VECTORIZED", "0")
-    replayed = benchmark(lambda: replay_inorder(program, trace, machine))
-    assert replayed.stats == result.stats
-
-
-def test_replay_vectorized(benchmark, monkeypatch):
+def test_replay_vectorized(benchmark):
     """The vectorized replay kernel (prep amortised across rounds,
     exactly as a sweep amortises it across its points)."""
     program, machine = _micro_setup()
     result, trace = _captured_trace(program, machine)
-    monkeypatch.delenv("REPRO_REPLAY_VECTORIZED", raising=False)
     replayed = benchmark(lambda: replay_inorder(program, trace, machine))
     assert replayed.stats == result.stats
 
 
-def test_replay_vectorized_snapshot(monkeypatch):
-    """Archive scalar vs vectorized replay walls in
+def test_replay_vectorized_snapshot():
+    """Archive execute-driven vs vectorized replay walls in
     ``results/BENCH_replay_vectorized.json`` and hold the in-order
-    kernel to the >= 3x target over the scalar baseline."""
-    from repro.uarch import replay_ooo
+    kernel to the >= 3x target over the execute-driven reference
+    core it must reproduce."""
+    from repro.uarch import OutOfOrderCore, replay_ooo
 
     program, machine = _micro_setup()
     result, trace = _captured_trace(program, machine)
@@ -136,13 +127,17 @@ def test_replay_vectorized_snapshot(monkeypatch):
             best = min(best, time.perf_counter() - start)
         return best
 
-    monkeypatch.setenv("REPRO_REPLAY_VECTORIZED", "0")
-    scalar = best_of(lambda: replay_inorder(program, trace, machine))
-    scalar_ooo = best_of(
-        lambda: replay_ooo(program, trace, machine, window=64)
+    executed = best_of(
+        lambda: InOrderCore(machine).run(
+            program, max_instructions=_MICRO_BUDGET
+        )
+    )
+    executed_ooo = best_of(
+        lambda: OutOfOrderCore(machine, window=64).run(
+            program, max_instructions=_MICRO_BUDGET
+        )
     )
 
-    monkeypatch.delenv("REPRO_REPLAY_VECTORIZED")
     _, cold_trace = _captured_trace(program, machine)
     start = time.perf_counter()
     replayed = replay_inorder(program, cold_trace, machine)
@@ -161,18 +156,21 @@ def test_replay_vectorized_snapshot(monkeypatch):
             "width": 4,
             "trace_instructions": len(trace.pcs),
         },
-        "lever": "REPRO_REPLAY_VECTORIZED (0 = scalar oracle loop)",
+        "lever": (
+            "vectorized replay kernel vs the execute-driven reference "
+            "core (InOrderCore.run / OutOfOrderCore.run)"
+        ),
         "inorder": {
-            "scalar_ms": round(scalar * 1e3, 2),
+            "execute_driven_ms": round(executed * 1e3, 2),
             "vectorized_cold_ms": round(cold * 1e3, 2),
             "vectorized_warm_ms": round(warm * 1e3, 2),
-            "speedup_cold": round(scalar / cold, 2),
-            "speedup_warm": round(scalar / warm, 2),
+            "speedup_cold": round(executed / cold, 2),
+            "speedup_warm": round(executed / warm, 2),
         },
         "ooo": {
-            "scalar_ms": round(scalar_ooo * 1e3, 2),
+            "execute_driven_ms": round(executed_ooo * 1e3, 2),
             "vectorized_warm_ms": round(warm_ooo * 1e3, 2),
-            "speedup_warm": round(scalar_ooo / warm_ooo, 2),
+            "speedup_warm": round(executed_ooo / warm_ooo, 2),
         },
         "note": (
             "warm = replay prep cached on the trace, the steady state "

@@ -88,12 +88,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..branchpred import BranchStats, measure_trace
 from ..isa.decode import predecode
 from ..uarch import InOrderCore, MachineConfig, collect_branch_trace
+from ..uarch import replay_vec
 from ..uarch.ooo import OutOfOrderCore
-from ..uarch.replay import (
-    replay_inorder,
-    replay_inorder_sweep,
-    replay_ooo,
-)
+from ..uarch.replay import replay_inorder_sweep, replay_ooo
 from ..uarch.trace import (
     Trace,
     TraceCapture,
@@ -399,12 +396,6 @@ class ArtifactStore:
         """
         if not prep_cache_enabled():
             return
-        from ..uarch.replay import _vectorized_enabled
-
-        if not _vectorized_enabled():
-            return
-        from ..uarch import replay_vec
-
         key = replay_vec.prep_slice_key(program, trace, config)
         if key is None:
             return
@@ -658,14 +649,28 @@ class ArtifactStore:
     # -- simulation front doors --------------------------------------------
 
     def _trace_key(
-        self, program, max_instructions: int, pid: Optional[str]
-    ) -> str:
+        self, program, config: MachineConfig, max_instructions: int
+    ) -> Optional[str]:
+        """Content address of the trace a simulation of ``program``
+        under ``config`` captures or replays; ``None`` means run the
+        execute-driven reference core instead (the fast path is off,
+        or the predictor factory has no stable name to key on).
+
+        A baseline program's committed stream is predictor-independent,
+        so its key leaves the predictor out and one trace serves every
+        predictor; a decomposed program's key names it."""
         import hashlib
         import json
 
         from .engine import code_version
         from ..uarch.trace import TRACE_SCHEMA
 
+        if not replay_enabled():
+            return None
+        pid = predictor_id(config.predictor_factory)
+        if pid is None:
+            return None
+        has_decomposed = predecode(program).has_decomposed
         return hashlib.sha256(
             json.dumps(
                 {
@@ -673,7 +678,7 @@ class ArtifactStore:
                     "schema": TRACE_SCHEMA,
                     "program": content_digest(program),
                     "budget": max_instructions,
-                    "predictor": pid,
+                    "predictor": pid if has_decomposed else None,
                     "code": code_version(),
                 },
                 sort_keys=True,
@@ -686,7 +691,8 @@ class ArtifactStore:
         config: MachineConfig,
         max_instructions: int = 2_000_000,
     ):
-        """Simulate on the in-order core via the trace fast path.
+        """Simulate on the in-order core via the trace fast path: the
+        K = 1 case of :meth:`simulate_inorder_sweep`.
 
         First simulation of a program executes once *with capture* and
         stores the trace; every later simulation -- any width, ports,
@@ -695,33 +701,9 @@ class ArtifactStore:
         ``InOrderCore(config).run(program, ...)`` by construction and
         by the golden/equivalence suites.
         """
-        if not replay_enabled():
-            return InOrderCore(config).run(
-                program, max_instructions=max_instructions
-            )
-        pid = predictor_id(config.predictor_factory)
-        has_decomposed = predecode(program).has_decomposed
-        if has_decomposed and pid is None:
-            # Unnameable predictor steering a decomposed program: no
-            # safe content address; run execute-driven.
-            return InOrderCore(config).run(
-                program, max_instructions=max_instructions
-            )
-        key = self._trace_key(
-            program, max_instructions, pid if has_decomposed else None
+        [result] = self.simulate_inorder_sweep(
+            program, [config], max_instructions
         )
-        trace = self.load_trace(key)
-        if trace is not None:
-            self._bump("trace_replays")
-            self._ensure_prep(program, trace, config)
-            return replay_inorder(program, trace, config)
-        capture = TraceCapture()
-        result = InOrderCore(config).run(
-            program, max_instructions=max_instructions, capture=capture
-        )
-        trace = capture.finish(program, result, max_instructions, pid)
-        self.store_trace(key, trace)
-        self._bump("trace_captures")
         return result
 
     def simulate_inorder_sweep(
@@ -732,56 +714,38 @@ class ArtifactStore:
     ):
         """Simulate one program under a whole sweep axis at once.
 
-        The sweep front door over :meth:`simulate_inorder`: configs
-        are grouped by ``(trace key, prep slice key)`` -- the content
-        address of the shared replay-prep slice -- and each group of
-        K > 1 points is scored by **one fused pass** over the trace
-        (:func:`repro.uarch.replay.replay_inorder_sweep`), carrying
-        all K lanes' serial state through a single region-memoised
-        walk.  Counter movement proves what happened: ``fused_passes``
-        / ``fused_points`` on fusion, ``fused_fallbacks`` when fusion
-        declined, ``fused_diverges`` when a fused lane failed
-        validation and the per-point path transparently re-ran the
-        group.  Results are returned in config order and are
-        bit-identical to K independent :meth:`simulate_inorder` calls
-        -- fused, fallen back, or per-point.
+        Configs are grouped by trace key, then by prep slice key --
+        the content address of the shared replay-prep slice -- and
+        each group of K > 1 points is scored by **one fused pass**
+        over the trace (:func:`repro.uarch.replay.replay_inorder_sweep`),
+        carrying all K lanes' serial state through a single
+        region-memoised walk.  The first sight of a trace captures it
+        with the group's first member, whose execute-driven run is
+        that point's answer.  Configs without a trace key run on the
+        reference core and move no trace counter.  Counter movement
+        proves what happened: ``fused_passes`` / ``fused_points`` on
+        fusion, ``fused_fallbacks`` when fusion declined,
+        ``fused_diverges`` when a fused lane failed validation and the
+        per-point path transparently re-ran the group.  Results are
+        returned in config order and are bit-identical to K
+        independent ``InOrderCore(config).run`` calls.
         """
         configs = list(configs)
-        if not configs:
-            return []
-        if not replay_enabled():
-            return [
-                InOrderCore(config).run(
-                    program, max_instructions=max_instructions
-                )
-                for config in configs
-            ]
-        from ..uarch import replay_vec
-
-        has_decomposed = predecode(program).has_decomposed
         results: List = [None] * len(configs)
         trace_groups: "OrderedDict[str, List[int]]" = OrderedDict()
         for index, config in enumerate(configs):
-            pid = predictor_id(config.predictor_factory)
-            if has_decomposed and pid is None:
-                # Unnameable predictor steering a decomposed program:
-                # no safe content address; run execute-driven.
+            key = self._trace_key(program, config, max_instructions)
+            if key is None:
                 results[index] = InOrderCore(config).run(
                     program, max_instructions=max_instructions
                 )
-                continue
-            key = self._trace_key(
-                program, max_instructions, pid if has_decomposed else None
-            )
-            trace_groups.setdefault(key, []).append(index)
+            else:
+                trace_groups.setdefault(key, []).append(index)
 
         for key, members in trace_groups.items():
             trace = self.load_trace(key)
             if trace is None:
-                # First sight of this stream: capture with the first
-                # member (its execute-driven result is the answer for
-                # that point) and replay the rest from the new trace.
-                first = members[0]
+                first = members.pop(0)
                 capture = TraceCapture()
                 result = InOrderCore(configs[first]).run(
                     program,
@@ -797,16 +761,11 @@ class ArtifactStore:
                 self.store_trace(key, trace)
                 self._bump("trace_captures")
                 results[first] = result
-                members = members[1:]
-                if not members:
-                    continue
-            slice_groups: "OrderedDict[object, List[int]]" = OrderedDict()
+            slice_groups: "OrderedDict[str, List[int]]" = OrderedDict()
             for index in members:
                 skey = replay_vec.prep_slice_key(
                     program, trace, configs[index]
                 )
-                if skey is None:
-                    skey = ("unfused", index)
                 slice_groups.setdefault(skey, []).append(index)
             for group in slice_groups.values():
                 self._ensure_prep(program, trace, configs[group[0]])
@@ -840,27 +799,15 @@ class ArtifactStore:
         no capture hook) just executes; the common caller pattern
         simulates the in-order core first, which populates the store.
         """
-        if not replay_enabled():
+        key = self._trace_key(program, config, max_instructions)
+        trace = self.load_trace(key) if key is not None else None
+        if trace is None:
             return OutOfOrderCore(config, window=window).run(
                 program, max_instructions=max_instructions
             )
-        pid = predictor_id(config.predictor_factory)
-        has_decomposed = predecode(program).has_decomposed
-        if has_decomposed and pid is None:
-            return OutOfOrderCore(config, window=window).run(
-                program, max_instructions=max_instructions
-            )
-        key = self._trace_key(
-            program, max_instructions, pid if has_decomposed else None
-        )
-        trace = self.load_trace(key)
-        if trace is not None:
-            self._bump("trace_replays")
-            self._ensure_prep(program, trace, config)
-            return replay_ooo(program, trace, config, window=window)
-        return OutOfOrderCore(config, window=window).run(
-            program, max_instructions=max_instructions
-        )
+        self._bump("trace_replays")
+        self._ensure_prep(program, trace, config)
+        return replay_ooo(program, trace, config, window=window)
 
     def peek_trace(
         self,
@@ -870,15 +817,9 @@ class ArtifactStore:
     ) -> Optional[Trace]:
         """The stored trace a :meth:`simulate_inorder` call would replay
         (without counting a lookup); ``None`` when absent/disabled."""
-        if not replay_enabled():
+        key = self._trace_key(program, config, max_instructions)
+        if key is None:
             return None
-        pid = predictor_id(config.predictor_factory)
-        has_decomposed = predecode(program).has_decomposed
-        if has_decomposed and pid is None:
-            return None
-        key = self._trace_key(
-            program, max_instructions, pid if has_decomposed else None
-        )
         trace = self._lru_get(key)
         if trace is None and trace_cache_enabled():
             blob = self._read_verified(self.traces_dir / f"{key}.trace")

@@ -191,10 +191,9 @@ def run_seed(name: str, seed: int, config: RunConfig) -> Dict:
     (:meth:`ArtifactStore.simulate_inorder_sweep`): the first sight of
     a program executes once with capture, and the remaining widths are
     scored by one *fused* replay pass over the captured stream
-    (bit-identical to per-width replays; ``REPRO_REPLAY_MULTI=0``
-    forces the per-point path).  The per-job artifact counter movement
-    is reported under ``"artifacts"`` (manifest schema 4; fused-pass
-    counters since schema 8).
+    (bit-identical to per-width replays).  The per-job artifact
+    counter movement is reported under ``"artifacts"`` (manifest
+    schema 4; fused-pass counters since schema 8).
     """
     from .artifacts import get_store
 

@@ -41,6 +41,14 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if self.width not in (1, 2, 4, 8, 16):
             raise ValueError(f"unsupported width {self.width}")
+        # Zero ports of a class would stall issue forever; an empty
+        # fetch buffer has no entry to gate fetch on.
+        for name in ("int_ports", "mem_ports", "fp_ports",
+                     "fetch_buffer_entries"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)}"
+                )
 
     @classmethod
     def paper_default(cls, width: int = 4) -> "MachineConfig":

@@ -67,6 +67,8 @@ class OutOfOrderCore:
         config: Optional[MachineConfig] = None,
         window: int = 64,
     ) -> None:
+        if window < 1:
+            raise ValueError(f"OOO window must be at least 1, got {window}")
         self.config = config or MachineConfig()
         self.window = window
 

@@ -20,8 +20,10 @@ an already-seen ``(region content, entry scoreboard-source mask,
 canonical state)`` replays the memoised transition -- an integer
 dict hit -- instead of re-walking the region instruction by
 instruction.  The memo key is exact, so every lane's accumulators are
-**bit-identical** to the per-point kernel by construction; the golden
-suite and the fused equivalence tests hold it there.
+**bit-identical** to the per-point kernel by construction, and through
+it to the execute-driven reference core (:class:`InOrderCore`) that
+the golden suite pins; the fused equivalence tests and golden-pinned
+fused lanes hold it there.
 
 Lane layout: per-config serial state (issue frontier, width/port
 counters, fetch state, gate ring, scoreboard, miss heap) lives in
@@ -31,15 +33,26 @@ every lane at each region boundary.  Per-lane memo tables key on
 ``state_id * n_sites + site_id`` -- one int -- because transition
 deltas depend on the lane's width/port constants.
 
-Fallback rules (the caller sees ``None`` and runs per-point):
+Fallback rules (the caller sees ``None`` and runs per-point: on the
+per-point kernel, or on the reference core where that declines too):
 
-* K == 1 -- nothing to fuse;
-* any lane outside the vectorized path's own guards (degenerate
-  width/ports/fetch buffer, unnameable live predictor, ineligible
-  trace);
-* lanes that do not share one fused kernel table (different cache
-  geometry / BTB / RAS / predictor -- i.e. different prep slices);
+* any lane outside the vectorized path's own guards (unnameable live
+  predictor, empty or malformed trace);
+* lanes that do not share one fused kernel table (mixed recorded/live
+  prediction, different cache geometry / BTB / RAS / predictor --
+  i.e. different prep slices);
 * OOO cores (fusing the stamped-ring OOO kernel is future work).
+
+Degenerate machines (a port class or the fetch buffer below one) never
+reach this module: :class:`MachineConfig` rejects them when built.
+
+Why two serial in-order kernels remain: the sweep front door
+(:func:`repro.uarch.replay.replay_inorder_sweep`) sends a single point
+to the per-point kernel, because a K = 1 fused pass that builds its
+region table took a median 1.25x the per-point kernel's time on
+predictor-ladder traces (0.95-1.62x over four benchmarks x three
+predictors) -- and every ladder point is its own prep slice, so it
+always builds one.
 
 Lane-divergence containment: the fused pass re-checks cheap per-lane
 invariants (non-negative stall accumulators, the width bound
@@ -475,27 +488,21 @@ def replay_inorder_multi_stats(
     program,
     trace: Trace,
     configs: Sequence[MachineConfig],
-    recorded: bool,
+    recorded: Sequence[bool],
 ) -> Optional[List[SimStats]]:
-    """One fused pass over ``trace`` scoring every config lane.
+    """One fused pass over ``trace`` scoring every config lane
+    (``recorded`` holds each lane's prediction mode).
 
     Returns one :class:`SimStats` per config (bit-identical to
     ``replay_vec.replay_inorder_stats`` lane by lane), or ``None``
-    when the sweep is not fusable -- the caller then replays
-    per-point.  Raises :class:`FusedLaneDivergence` when a lane fails
-    validation (or the ``fused_diverge`` fault fires).
+    when the lanes do not share one fused kernel table -- the caller
+    then replays per-point.  Raises :class:`FusedLaneDivergence` when
+    a lane fails validation (or the ``fused_diverge`` fault fires).
     """
     k = len(configs)
-    if k <= 1:
-        return None
-    for config in configs:
-        if config.fetch_buffer_entries <= 0 or config.width <= 0:
-            return None
-        if min(config.int_ports, config.mem_ports, config.fp_ports) <= 0:
-            return None
     prepared_all = [
-        rv._prepare(program, trace, config, recorded, "inorder")
-        for config in configs
+        rv._prepare(program, trace, config, mode, "inorder")
+        for config, mode in zip(configs, recorded)
     ]
     if any(p is None for p in prepared_all):
         return None

@@ -1,9 +1,10 @@
 """Vectorized trace-replay kernels: precompute everything timing-free.
 
-The scalar replay loops (:mod:`repro.uarch.replay`) re-run the full
-timing machinery one instruction at a time.  The observation this
-module exploits: in recorded-prediction mode every *decision* the loop
-makes -- which instructions touch the I-cache, which cache level each
+The execute-driven cores (:mod:`repro.uarch.core`,
+:mod:`repro.uarch.ooo`) run the full timing machinery one instruction
+at a time.  The observation this module exploits: once the committed
+stream is known (a trace), every *decision* their loops make for
+timing -- which instructions touch the I-cache, which cache level each
 access hits, whether a BTB lookup hits, whether the RAS mispredicts a
 return, whether a branch redirects -- is independent of the clock.
 The global cache-access sequence (an instruction access at each fetch
@@ -35,13 +36,25 @@ with no precomputed fetch adjustment (``fetch_add[i] < 0``); the
 kernel's per-instruction work there collapses to list reads and
 integer compares.
 
-Bit-exactness contract: the kernels reproduce the scalar loops'
-``SimStats`` exactly (golden fingerprints in ``tests/golden`` plus
-the equivalence suite in ``tests/uarch``).  Anything the precompute
-cannot prove safe -- empty trace, a HALT anywhere but the stream end,
+Bit-exactness contract: the kernels reproduce the ``SimStats`` of
+the execute-driven reference core (:class:`InOrderCore` /
+:class:`OutOfOrderCore`) exactly -- golden fingerprints in
+``tests/golden`` plus the equivalence suite in ``tests/uarch``, which
+compares against that core directly.  Anything the precompute cannot
+prove safe -- empty trace, a HALT anywhere but the stream end,
 column/event count mismatches, a live replay under an unnameable
-predictor factory, degenerate gate sizes -- returns ``None`` and the
-caller falls back to the scalar oracle.
+predictor factory -- returns ``None``, and the caller
+(:mod:`repro.uarch.replay`) runs the reference core instead.
+Degenerate machines (a port class, the fetch buffer or the OOO window
+below one) are rejected up front -- by :class:`MachineConfig`,
+:class:`OutOfOrderCore` and ``replay_ooo`` -- so the kernels carry no
+guard for them.
+
+Two serial in-order kernels remain on purpose: this per-point one,
+and the sweep-fused one in :mod:`repro.uarch.replay_multi`.  A K = 1
+fused pass that builds its region table took a median 1.25x this
+kernel's time on predictor-ladder traces (0.95-1.62x), and every
+ladder point is its own prep slice, so single points stay here.
 """
 
 from __future__ import annotations
@@ -220,7 +233,7 @@ def _build_base(trace: Trace, decoded) -> Optional[Dict]:
     """Mode/geometry-independent gathers over the committed stream.
 
     Returns ``None`` when the trace violates an assumption the
-    vectorized path relies on (the scalar oracle then handles it)."""
+    vectorized path relies on (the reference core then runs)."""
     rows = decoded.rows
     nrows = len(rows)
     pcs_np = trace.column("pcs")
@@ -250,7 +263,7 @@ def _build_base(trace: Trace, decoded) -> Optional[Dict]:
     kind_s = kind_by_pc[pcs_np]
     halt_pos = np.flatnonzero(kind_s == K_HALT)
     if len(halt_pos) and (len(halt_pos) > 1 or halt_pos[0] != n - 1):
-        return None  # HALT anywhere but the end: oracle territory
+        return None  # HALT anywhere but the end: reference core
     halted = bool(len(halt_pos))
 
     ld_pos = np.flatnonzero(kind_s == K_LOAD)
@@ -432,7 +445,7 @@ def _build_stream(
     if base["halted"]:
         act[n - 1] = A_HALT
 
-    # Fetch-line resets (the scalar loops' ``current_line = -1``).
+    # Fetch-line resets (the cores' ``current_line = -1``).
     reset = np.zeros(n, bool)
     reset[jmp_pos] = True
     reset[call_pos] = True
@@ -675,7 +688,7 @@ def _build_kernel(
 def _prepare(program, trace: Trace, config: MachineConfig, recorded: bool,
              core: str):
     """Assemble (base, stream, mem, btb_bits, btb_misses) for one
-    replay, building/reusing cached layers; ``None`` -> scalar path."""
+    replay, building/reusing cached layers; ``None`` -> reference core."""
     decoded = predecode(program)
     source_id = id(decoded.rows)
     prep = trace._prep
@@ -747,7 +760,7 @@ def warm_replay_prep(
     for the layers its ``(mode, ras, geometry, btb)`` key adds, with
     the predictor-dependent ``pred_bits``/``streams`` layers re-run
     exactly when ``predictor_id`` changes.  Returns ``False`` when the
-    trace falls outside the vectorized path (the scalar oracle needs
+    trace falls outside the vectorized path (the reference core needs
     no prep).
     """
     return _prepare(program, trace, config, recorded, core) is not None
@@ -1176,14 +1189,11 @@ def attach_prep_slice(
 def replay_inorder_stats(
     program, trace: Trace, config: MachineConfig, recorded: bool
 ) -> Optional[SimStats]:
-    """In-order replay over precomputed tables; ``None`` -> use the
-    scalar oracle.  Mirrors ``replay.replay_inorder`` bit-exactly."""
-    if config.fetch_buffer_entries <= 0:
-        return None
+    """In-order replay over precomputed tables; ``None`` -> the caller
+    runs the reference core.  Mirrors ``InOrderCore.run``
+    bit-exactly."""
     width = config.width
     port_caps = (0, config.int_ports, config.mem_ports, config.fp_ports)
-    if width <= 0 or min(port_caps[1:]) <= 0:
-        return None  # degenerate caps: let the scalar loop spin/raise
     prepared = _prepare(program, trace, config, recorded, "inorder")
     if prepared is None:
         return None
@@ -1199,7 +1209,7 @@ def replay_inorder_stats(
     # In-order issue times are monotone non-decreasing (``prev_issue``
     # clamp), so occupancy only ever matters at the current issue cycle:
     # a bump past a full cycle always lands on an empty one, and the
-    # stamped rings of the scalar loop collapse to plain counters.
+    # stamped rings of the reference core collapse to plain counters.
     w_t = -1  # cycle the width counter refers to
     w_cnt = 0
     p_times = [-1, -1, -1, -1]  # per-FU port counters, indexed by fu
@@ -1431,12 +1441,10 @@ def replay_ooo_stats(
     recorded: bool,
     window: int,
 ) -> Optional[SimStats]:
-    """OOO replay over precomputed tables; ``None`` -> scalar oracle.
-    Mirrors ``replay.replay_ooo`` bit-exactly (hardcoded one-cycle
-    redirect bubbles, BTB consulted only by PREDICT, no prev-issue
-    clamp, completion-window gate)."""
-    if window <= 0:
-        return None
+    """OOO replay over precomputed tables; ``None`` -> the caller runs
+    the reference core.  Mirrors ``OutOfOrderCore.run`` bit-exactly
+    (hardcoded one-cycle redirect bubbles, BTB consulted only by
+    PREDICT, no prev-issue clamp, completion-window gate)."""
     prepared = _prepare(program, trace, config, recorded, "ooo")
     if prepared is None:
         return None

@@ -15,13 +15,13 @@ predictor-independent stream (``DecodedProgram.has_decomposed``).
 :class:`TraceCapture` records that invariant stream during one
 execute-driven run as compact columnar arrays (``array``/packed-bit
 columns); :class:`Trace` is the immutable result, serialisable to a
-zlib-compressed, per-column-checksummed binary container.  The replay
-loops (:mod:`repro.uarch.replay`) re-run only the *timing* machinery
-over a trace -- no register values, no memory contents, no evaluator
-calls -- and are bit-identical to execute-driven simulation (see
+zlib-compressed, per-column-checksummed binary container.  Replay
+(:mod:`repro.uarch.replay`) re-runs only the *timing* machinery over
+a trace -- no register values, no memory contents, no evaluator calls
+-- and is bit-identical to execute-driven simulation (see
 ``tests/golden`` and ``tests/uarch/test_trace_replay.py``).
 
-Columns (event-indexed, cursor-advanced by the replay loop):
+Columns (event-indexed, in committed-stream order):
 
 ========  ==================  =======================================
 column    type                one entry per
@@ -258,9 +258,8 @@ class Trace:
         ``views`` must carry every canonical column with the canonical
         dtype; ``backing`` is any object that must stay alive as long
         as the views do (e.g. the ``SharedMemory`` handle).  The views
-        behave exactly like owned columns: ``len``/indexing/iteration
-        in the scalar replay loops, and :meth:`column` returns them
-        directly.
+        behave exactly like owned columns: ``len``/indexing/iteration,
+        and :meth:`column` returns them directly.
         """
         missing = [name for name, _ in _COLUMNS if name not in views]
         if missing:

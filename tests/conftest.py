@@ -77,3 +77,24 @@ def tiny_program(*instructions, labels=None, data=None):
 def diamond_function():
     pattern = [1, 0, 1, 1, 0, 1, 0, 0] * 16
     return build_diamond(pattern)
+
+
+@pytest.fixture
+def kernel_declines(monkeypatch):
+    """One entry per vectorized replay-kernel call made during the test:
+    ``True`` where the kernel declined and the reference core answered
+    instead.  A replay that matches the reference core proves nothing
+    about the kernel unless this shows the kernel served it."""
+    from repro.uarch import replay_vec
+
+    declines = []
+    for name in ("replay_inorder_stats", "replay_ooo_stats"):
+        kernel = getattr(replay_vec, name)
+
+        def spy(*args, _kernel=kernel, **kwargs):
+            stats = _kernel(*args, **kwargs)
+            declines.append(stats is None)
+            return stats
+
+        monkeypatch.setattr(replay_vec, name, spy)
+    return declines

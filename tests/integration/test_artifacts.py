@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.branchpred import HybridPredictor
+from repro.branchpred import GSharePredictor, HybridPredictor
 from repro.experiments import ExperimentEngine, RunConfig
 from repro.experiments.artifacts import (
     ArtifactStore,
@@ -26,7 +26,7 @@ from repro.experiments.harness import (
     prepare_benchmark,
     run_seed,
 )
-from repro.uarch import MachineConfig
+from repro.uarch import InOrderCore, MachineConfig, OutOfOrderCore
 
 
 @pytest.fixture
@@ -98,6 +98,45 @@ class TestCaptureOnce:
             max_instructions=config.max_instructions,
         )
         assert store.delta(mark) == {}
+
+    def test_unnameable_predictor_runs_reference_core(self, store):
+        """A closure factory has no stable name to key a trace on, so
+        the front doors run the execute-driven core for it: the same
+        answer, with no capture and no replay, even though a baseline
+        trace of the program is already stored."""
+        config, baseline, _ = _quick_programs()
+        budget = config.max_instructions
+        store.simulate_inorder(
+            baseline, config.machine_for(4), max_instructions=budget
+        )
+        machines = [
+            config.machine_for(width).with_predictor(
+                lambda: GSharePredictor()
+            )
+            for width in (2, 4)
+        ]
+        mark = store.mark()
+        runs = store.simulate_inorder_sweep(
+            baseline, machines, max_instructions=budget
+        )
+        ooo = store.simulate_ooo(
+            baseline, machines[1], max_instructions=budget
+        )
+        delta = store.delta(mark)
+        assert "trace_captures" not in delta
+        assert "trace_replays" not in delta
+        expected = [
+            InOrderCore(machine).run(baseline, max_instructions=budget)
+            for machine in machines
+        ] + [
+            OutOfOrderCore(machines[1]).run(
+                baseline, max_instructions=budget
+            )
+        ]
+        for run, ref in zip(runs + [ooo], expected):
+            assert run.stats == ref.stats
+            assert run.registers == ref.registers
+            assert run.memory.snapshot() == ref.memory.snapshot()
 
 
 class TestIntegrity:

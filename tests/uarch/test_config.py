@@ -46,9 +46,22 @@ class TestTable1:
         assert h.dram_latency == 140
         assert h.miss_buffer_entries == 64
 
-    def test_unsupported_width_rejected(self):
-        with pytest.raises(ValueError):
-            MachineConfig(width=3)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("width", 3),
+            ("int_ports", 0),
+            ("mem_ports", 0),
+            ("fp_ports", 0),
+            ("fetch_buffer_entries", 0),
+            ("mem_ports", -1),
+        ],
+    )
+    def test_unsupported_width_rejected(self, field, value):
+        """Unsupported widths and degenerate machines (a port class or
+        the fetch buffer below one) fail at construction, not mid-run."""
+        with pytest.raises(ValueError, match=field):
+            MachineConfig(**{field: value})
 
 
 class TestVariants:

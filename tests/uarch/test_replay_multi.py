@@ -2,17 +2,16 @@
 
 The fused multi-config pass (:mod:`repro.uarch.replay_multi`) claims
 bit-exactness lane by lane against the per-point vectorized kernel --
-which the golden suite in turn holds to the execute-driven oracle.
-This file is the fast guard: for one workload per suite kind
+which the golden suite in turn holds to the execute-driven reference
+core.  This file is the fast guard: for one workload per suite kind
 (int2006/fp2006/int2000/fp2000), for baseline and decomposed
 programs, under recorded and live prediction, one fused width-sweep
 pass must reproduce the per-point replays' full ``SimStats`` and
 architectural state exactly.  It also pins the dispatch contract:
-``REPRO_REPLAY_MULTI=0`` (and the scalar-oracle knob beneath it)
-forces per-point replay, single points and mismatched prep slices
-fall back automatically, and the fused path really is the one running
-otherwise (the ``regions`` prep layer only materialises when a fused
-pass accepts the sweep).
+single points stay per-point, mismatched prep slices and mixed
+prediction modes fall back automatically, and the fused path really
+is the one running otherwise (the ``regions`` prep layer only
+materialises when a fused pass accepts the sweep).
 """
 
 from __future__ import annotations
@@ -127,34 +126,6 @@ def test_live_predictor_lanes_fuse(setup):
         fused,
         [replay_inorder(program, trace, machine) for machine in machines],
     )
-
-
-def test_multi_knob_forces_per_point(setup, monkeypatch):
-    programs, traces = setup
-    program = programs[("h264ref", "baseline")]
-    trace = traces[("h264ref", "baseline")]
-    machines = _sweep_machines()
-    fused, outcome = replay_inorder_sweep(program, trace, machines)
-    assert outcome == "fused"
-    monkeypatch.setenv("REPRO_REPLAY_MULTI", "0")
-    forced, outcome = replay_inorder_sweep(program, trace, machines)
-    assert outcome == "per_point"
-    _assert_equal_runs(fused, forced)
-
-
-def test_scalar_oracle_knob_disables_fusion(setup, monkeypatch):
-    """Fusion layers on the vectorized tables; forcing the scalar
-    oracle must force per-point scalar replay, same answers."""
-    programs, traces = setup
-    program = programs[("h264ref", "decomposed")]
-    trace = traces[("h264ref", "decomposed")]
-    machines = _sweep_machines(widths=(2, 4))
-    fused, outcome = replay_inorder_sweep(program, trace, machines)
-    assert outcome == "fused"
-    monkeypatch.setenv("REPRO_REPLAY_VECTORIZED", "0")
-    forced, outcome = replay_inorder_sweep(program, trace, machines)
-    assert outcome == "per_point"
-    _assert_equal_runs(fused, forced)
 
 
 def test_single_point_stays_per_point(setup):

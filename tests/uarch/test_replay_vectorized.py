@@ -1,13 +1,15 @@
-"""Vectorized-vs-scalar replay equivalence, tier-1 scale.
+"""Vectorized replay vs the execute-driven reference core, tier-1 scale.
 
-The golden suite already holds the default (vectorized) replay path
-to the execute-driven fingerprints; this file is the fast guard that
-compares the two replay implementations *directly* on a small
-workload -- in-order and OOO, recorded and live prediction -- and
-pins down the dispatch contract: the env knob forces the scalar
-oracle, and the fast path really is the one running otherwise
-(``trace._prep`` only materialises when a vectorized kernel accepts
-the trace).
+The golden suite already holds the vectorized replay path to the
+execute-driven fingerprints; this file is the fast guard that
+compares the kernels *directly* against the scalar reference cores
+(``InOrderCore`` / ``OutOfOrderCore``) on a small workload -- in-order
+and OOO, recorded and live prediction -- and checks that the kernel
+really is the one answering: a decline would run the reference core
+and match trivially, so every comparison also asserts (through the
+``kernel_declines`` spy) that the kernel served it.  The decline path
+itself (a live predictor without a stable name) must reproduce the
+reference core too.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from repro.ir import lower
 from repro.uarch import (
     InOrderCore,
     MachineConfig,
+    OutOfOrderCore,
     Trace,
     TraceCapture,
     TraceMismatch,
     predictor_id,
     replay_inorder,
+    replay_inorder_sweep,
     replay_ooo,
 )
 from repro.workloads import spec_benchmark
@@ -67,85 +71,126 @@ def setup():
     return programs, traces, machine
 
 
-def _scalar(monkeypatch, fn, *args, **kwargs):
-    monkeypatch.setenv("REPRO_REPLAY_VECTORIZED", "0")
-    try:
-        return fn(*args, **kwargs)
-    finally:
-        monkeypatch.delenv("REPRO_REPLAY_VECTORIZED")
+def _assert_same_run(replayed, executed):
+    assert dataclasses.asdict(replayed.stats) == dataclasses.asdict(
+        executed.stats
+    )
+    assert replayed.registers == executed.registers
+    assert replayed.memory.snapshot() == executed.memory.snapshot()
 
 
 @pytest.mark.parametrize("kind", ["baseline", "decomposed"])
 @pytest.mark.parametrize("width", [2, 8])
-def test_inorder_vectorized_matches_scalar(setup, monkeypatch, kind, width):
+def test_inorder_vectorized_matches_scalar(
+    setup, kernel_declines, kind, width
+):
     programs, traces, _ = setup
     config = MachineConfig.paper_default(width=width)
     fast = replay_inorder(programs[kind], traces[kind], config)
-    slow = _scalar(
-        monkeypatch, replay_inorder, programs[kind], traces[kind], config
-    )
-    assert dataclasses.asdict(fast.stats) == dataclasses.asdict(slow.stats)
-    assert fast.registers == slow.registers
-    # The comparison is meaningless if the fast path declined the
-    # trace and both runs were scalar: prep proves the kernel ran.
-    assert traces[kind]._prep is not None
+    slow = InOrderCore(config).run(programs[kind], max_instructions=_BUDGET)
+    _assert_same_run(fast, slow)
+    assert kernel_declines == [False]
 
 
 @pytest.mark.parametrize("kind", ["baseline", "decomposed"])
-def test_ooo_vectorized_matches_scalar(setup, monkeypatch, kind):
+def test_ooo_vectorized_matches_scalar(setup, kernel_declines, kind):
     programs, traces, machine = setup
     fast = replay_ooo(programs[kind], traces[kind], machine, window=32)
-    slow = _scalar(
-        monkeypatch,
-        replay_ooo,
-        programs[kind],
-        traces[kind],
-        machine,
-        window=32,
+    slow = OutOfOrderCore(machine, window=32).run(
+        programs[kind], max_instructions=_BUDGET
     )
-    assert dataclasses.asdict(fast.stats) == dataclasses.asdict(slow.stats)
-    assert traces[kind]._prep is not None
+    _assert_same_run(fast, slow)
+    assert kernel_declines == [False]
 
 
-def test_live_predictor_replay_matches_scalar(setup, monkeypatch):
+def test_live_predictor_replay_matches_scalar(setup, kernel_declines):
     """A baseline trace replayed under a *different* predictor runs
     the predictor live; the vectorized path batches that predictor
-    pass and must still agree with the scalar loop."""
+    pass and must still agree with the reference core."""
     programs, traces, _ = setup
     config = MachineConfig.paper_default(width=4).with_predictor(
         GSharePredictor
     )
     fast = replay_inorder(programs["baseline"], traces["baseline"], config)
-    slow = _scalar(
-        monkeypatch,
-        replay_inorder,
-        programs["baseline"],
-        traces["baseline"],
-        config,
+    slow = InOrderCore(config).run(
+        programs["baseline"], max_instructions=_BUDGET
     )
-    assert dataclasses.asdict(fast.stats) == dataclasses.asdict(slow.stats)
+    _assert_same_run(fast, slow)
+    assert kernel_declines == [False]
 
 
-def test_env_knob_forces_scalar_oracle(setup, monkeypatch):
-    """``REPRO_REPLAY_VECTORIZED=0`` must keep the fast path fully
-    out of the loop: no prep is ever attached to the trace."""
-    programs, traces, machine = setup
-    capture = TraceCapture()
-    result = InOrderCore(machine).run(
-        programs["baseline"], max_instructions=_BUDGET, capture=capture
-    )
-    fresh = Trace.from_bytes(
-        capture.finish(
-            programs["baseline"],
+#: A budget the h264ref stream outruns (it halts after ~12k
+#: instructions), so the decline path must honour the trace's budget.
+_TRUNCATED = 5_000
+
+
+class TestDeclineRunsReferenceCore:
+    """A live predictor without a stable name has no prep key, so the
+    kernels decline it; replay then runs the reference core on the
+    program at the trace's budget and must match it exactly."""
+
+    @pytest.fixture(scope="class")
+    def declined(self, setup):
+        programs, _, machine = setup
+        program = programs["baseline"]
+        capture = TraceCapture()
+        result = InOrderCore(machine).run(
+            program, max_instructions=_TRUNCATED, capture=capture
+        )
+        assert not result.stats.halted
+        trace = capture.finish(
+            program,
             result,
-            _BUDGET,
+            _TRUNCATED,
             predictor_id(machine.predictor_factory),
-        ).to_bytes()
-    )
-    monkeypatch.setenv("REPRO_REPLAY_VECTORIZED", "0")
-    replayed = replay_inorder(programs["baseline"], fresh, machine)
-    assert replayed.stats == result.stats
-    assert fresh._prep is None
+        )
+        config = machine.with_predictor(lambda: GSharePredictor())
+        assert predictor_id(config.predictor_factory) is None
+        return program, trace, config
+
+    def test_inorder(self, declined, kernel_declines):
+        program, trace, config = declined
+        replayed = replay_inorder(program, trace, config)
+        assert kernel_declines == [True]
+        _assert_same_run(
+            replayed,
+            InOrderCore(config).run(program, max_instructions=_TRUNCATED),
+        )
+
+    def test_ooo(self, declined, kernel_declines):
+        program, trace, config = declined
+        replayed = replay_ooo(program, trace, config, window=32)
+        assert kernel_declines == [True]
+        _assert_same_run(
+            replayed,
+            OutOfOrderCore(config, window=32).run(
+                program, max_instructions=_TRUNCATED
+            ),
+        )
+
+    def test_sweep_falls_back_per_point(self, declined, kernel_declines):
+        program, trace, config = declined
+        machines = [
+            dataclasses.replace(config, width=width) for width in (2, 8)
+        ]
+        runs, outcome = replay_inorder_sweep(program, trace, machines)
+        assert outcome == "fallback"
+        assert kernel_declines == [True, True]
+        for run, machine in zip(runs, machines):
+            _assert_same_run(
+                run,
+                InOrderCore(machine).run(
+                    program, max_instructions=_TRUNCATED
+                ),
+            )
+
+
+def test_degenerate_ooo_window_rejected(setup):
+    programs, traces, machine = setup
+    with pytest.raises(ValueError):
+        replay_ooo(programs["baseline"], traces["baseline"], machine, window=0)
+    with pytest.raises(ValueError):
+        OutOfOrderCore(machine, window=0)
 
 
 class TestMismatchMessages:

@@ -1,6 +1,6 @@
 """Trace capture -> serialise -> load -> replay must be invisible.
 
-The replay loops (:mod:`repro.uarch.replay`) claim bit-identity with
+Trace replay (:mod:`repro.uarch.replay`) claims bit-identity with
 execute-driven simulation.  These tests hold them to the same golden
 fingerprints as the simulator itself: for every SPEC-like workload,
 both program kinds, widths 2/4/8, a trace captured at one width --
@@ -78,9 +78,11 @@ def _capture(program, machine, max_instructions=generate.MAX_INSTRUCTIONS):
 
 
 @pytest.mark.parametrize("name", generate.workload_names())
-def test_replay_roundtrip_matches_golden(name, goldens):
+def test_replay_roundtrip_matches_golden(name, goldens, kernel_declines):
     """Capture once (width 2), serialise, reload, replay at 2/4/8:
-    every replayed run must hash to the execute-driven golden."""
+    every replayed run must hash to the execute-driven golden, served
+    by the vectorized kernel (a decline would run the execute-driven
+    core and match the golden trivially)."""
     for kind, program in _programs(name).items():
         result, trace = _capture(
             program, MachineConfig.paper_default(width=2)
@@ -100,12 +102,17 @@ def test_replay_roundtrip_matches_golden(name, goldens):
                 generate.fingerprint_run(replayed)
                 == goldens[f"{name}/{kind}/w{width}"]
             ), f"replay diverged for {name}/{kind}/w{width}"
+            assert kernel_declines == [False], (
+                f"kernel declined {name}/{kind}/w{width}"
+            )
+            kernel_declines.clear()
 
 
 @pytest.mark.parametrize("name", ["mcf", "h264ref"])
-def test_ooo_replay_matches_execute(name):
+def test_ooo_replay_matches_execute(name, kernel_declines):
     """The committed stream is core-independent: an in-order capture
-    replays bit-identically on the out-of-order core."""
+    replays bit-identically on the out-of-order core (on the OOO
+    kernel, not its decline path)."""
     for kind, program in _programs(name).items():
         machine = MachineConfig.paper_default(width=4)
         _, trace = _capture(program, machine)
@@ -116,6 +123,8 @@ def test_ooo_replay_matches_execute(name):
         replayed = replay_ooo(program, trace, machine, window=64)
         assert generate.fingerprint_run(replayed) == \
             generate.fingerprint_run(executed)
+        assert kernel_declines == [False], f"kernel declined {name}/{kind}"
+        kernel_declines.clear()
 
 
 def test_live_predictor_replay_of_baseline_trace():
