@@ -3,7 +3,8 @@
 Two layers:
 
 * pytest-benchmark microbenchmarks of one simulation -- execute-driven
-  vs trace replay of the same program on the same machine config;
+  vs trace replay of the same program on the same machine config, the
+  trace recorded by the timing-free capture;
 * an end-to-end snapshot (``results/BENCH_trace_replay.json``): two
   real machine-knob sweeps (DBB sizing and BTB sizing -- the sweeps
   whose points share one program and vary only timing structures) run
@@ -13,7 +14,7 @@ Two layers:
   pipeline) and then cold again with it on.  Both halves run
   back-to-back on the same machine; the JSON records walls, speedups,
   and the artifact counters proving the "after" half captured each
-  program once and replayed it everywhere else.  (The predictor
+  program once and replayed it at every point.  (The predictor
   sensitivity ladder is deliberately *not* benchmarked here: its
   profiles and compilations are predictor-keyed, so each rung's work
   is legitimately distinct and the store can only share the functional
@@ -31,8 +32,7 @@ from repro.uarch import (
     InOrderCore,
     MachineConfig,
     Trace,
-    TraceCapture,
-    predictor_id,
+    capture_trace,
     replay_inorder,
 )
 from repro.workloads import spec_benchmark
@@ -66,47 +66,32 @@ def test_execute_driven_simulation(benchmark):
     assert result.stats.halted
 
 
+def _captured_trace(program, machine):
+    return Trace.from_bytes(
+        capture_trace(
+            program, machine.predictor_factory, _MICRO_BUDGET
+        ).to_bytes()
+    )
+
+
+def _reference_run(program, machine):
+    return InOrderCore(machine).run(program, max_instructions=_MICRO_BUDGET)
+
+
 def test_trace_replay_simulation(benchmark):
     program, machine = _micro_setup()
-    capture = TraceCapture()
-    result = InOrderCore(machine).run(
-        program, max_instructions=_MICRO_BUDGET, capture=capture
-    )
-    trace = Trace.from_bytes(
-        capture.finish(
-            program,
-            result,
-            _MICRO_BUDGET,
-            predictor_id(machine.predictor_factory),
-        ).to_bytes()
-    )
+    trace = _captured_trace(program, machine)
     replayed = benchmark(lambda: replay_inorder(program, trace, machine))
-    assert replayed.stats == result.stats
-
-
-def _captured_trace(program, machine):
-    capture = TraceCapture()
-    result = InOrderCore(machine).run(
-        program, max_instructions=_MICRO_BUDGET, capture=capture
-    )
-    trace = Trace.from_bytes(
-        capture.finish(
-            program,
-            result,
-            _MICRO_BUDGET,
-            predictor_id(machine.predictor_factory),
-        ).to_bytes()
-    )
-    return result, trace
+    assert replayed.stats == _reference_run(program, machine).stats
 
 
 def test_replay_vectorized(benchmark):
     """The vectorized replay kernel (prep amortised across rounds,
     exactly as a sweep amortises it across its points)."""
     program, machine = _micro_setup()
-    result, trace = _captured_trace(program, machine)
+    trace = _captured_trace(program, machine)
     replayed = benchmark(lambda: replay_inorder(program, trace, machine))
-    assert replayed.stats == result.stats
+    assert replayed.stats == _reference_run(program, machine).stats
 
 
 def test_replay_vectorized_snapshot():
@@ -117,7 +102,8 @@ def test_replay_vectorized_snapshot():
     from repro.uarch import OutOfOrderCore, replay_ooo
 
     program, machine = _micro_setup()
-    result, trace = _captured_trace(program, machine)
+    trace = _captured_trace(program, machine)
+    result = _reference_run(program, machine)
 
     def best_of(fn, reps=7):
         best = float("inf")
@@ -127,18 +113,14 @@ def test_replay_vectorized_snapshot():
             best = min(best, time.perf_counter() - start)
         return best
 
-    executed = best_of(
-        lambda: InOrderCore(machine).run(
-            program, max_instructions=_MICRO_BUDGET
-        )
-    )
+    executed = best_of(lambda: _reference_run(program, machine))
     executed_ooo = best_of(
         lambda: OutOfOrderCore(machine, window=64).run(
             program, max_instructions=_MICRO_BUDGET
         )
     )
 
-    _, cold_trace = _captured_trace(program, machine)
+    cold_trace = _captured_trace(program, machine)
     start = time.perf_counter()
     replayed = replay_inorder(program, cold_trace, machine)
     cold = time.perf_counter() - start

@@ -12,8 +12,9 @@ Each sweep point is an independent engine job.  The TRAIN profile, the
 compiled programs, and (most importantly) the executed instruction
 streams are shared through the artifact store (:mod:`.artifacts`): the
 first sweep point of a benchmark captures each program's trace once,
-every other point replays it bit-identically, so an N-point sweep pays
-for roughly one execute-driven run per distinct program instead of N.
+timing-free, and every point replays it bit-identically, so an N-point
+sweep pays for one capture per distinct program instead of N
+execute-driven runs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..branchpred import HybridPredictor
 from ..compiler import compile_baseline, compile_decomposed
 from ..core import SelectionConfig, TransformConfig
 from ..ir import lower
-from ..uarch import InOrderCore, TraceCapture, predictor_id
+from ..uarch import capture_trace
 from ..workloads import spec_benchmark
 from .artifacts import get_store
 from .engine import ExperimentEngine, fingerprint, get_engine
@@ -190,17 +191,10 @@ def _dbb_job(payload) -> dict:
         decomposed.program, machine, max_instructions=config.max_instructions
     )
     if trace is None:  # replay disabled: capture one explicitly
-        capture = TraceCapture()
-        run = InOrderCore(machine).run(
+        trace = capture_trace(
             decomposed.program,
-            max_instructions=config.max_instructions,
-            capture=capture,
-        )
-        trace = capture.finish(
-            decomposed.program,
-            run,
+            machine.predictor_factory,
             config.max_instructions,
-            predictor_id(machine.predictor_factory),
         )
     return {
         "max_outstanding": trace.max_outstanding_predicts(

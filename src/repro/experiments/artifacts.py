@@ -9,10 +9,12 @@ replay-everywhere layer on top of the experiment cache:
 
 * **Traces** (``results/.cache/traces/<key>.trace``): the committed
   stream of one ``(program content, instruction budget[, predictor])``
-  execution, captured by :func:`simulate_inorder` on first need and
-  replayed (bit-identically) for every later simulation of the same
-  program -- across widths, ports, cache geometry, BTB/RAS/DBB sizing,
-  and (for baseline programs) across direction predictors.
+  execution, captured timing-free
+  (:func:`~repro.uarch.functional.capture_trace`) by the first
+  simulation that needs it and replayed (bit-identically) for every
+  simulation of the same program, the capturing one included -- across
+  widths, ports, cache geometry, BTB/RAS/DBB sizing, both cores, and
+  (for baseline programs) across direction predictors.
 * **Prep slices** (``.../preps/<key>.prep``): the derived replay-prep
   layers of one ``(trace content digest, prediction mode, config
   class)`` -- batched predictor bits, RAS/BTB miss sets, stream action
@@ -58,8 +60,9 @@ Environment knobs:
 
 Counter semantics (reported per job via :meth:`ArtifactStore.mark` /
 :meth:`ArtifactStore.delta`, aggregated by manifest schema 4):
-``trace_captures`` counts execute-driven capture runs,
-``trace_replays`` counts simulations served from a trace,
+``trace_captures`` counts timing-free trace captures (store misses),
+``trace_replays`` counts simulations served from a trace -- every
+trace-keyed simulation, including the one whose miss captured it,
 ``trace_hits``/``trace_misses`` count store lookups (memory or disk),
 ``profile_*``/``btrace_*``/``compile_*`` likewise;
 ``prep_hits``/``prep_misses`` count prep-slice lookups (shm or disk;
@@ -87,17 +90,16 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..branchpred import BranchStats, measure_trace
 from ..isa.decode import predecode
-from ..uarch import InOrderCore, MachineConfig, collect_branch_trace
+from ..uarch import (
+    InOrderCore,
+    MachineConfig,
+    capture_trace,
+    collect_branch_trace,
+)
 from ..uarch import replay_vec
 from ..uarch.ooo import OutOfOrderCore
 from ..uarch.replay import replay_inorder_sweep, replay_ooo
-from ..uarch.trace import (
-    Trace,
-    TraceCapture,
-    TraceError,
-    content_digest,
-    predictor_id,
-)
+from ..uarch.trace import Trace, TraceError, content_digest, predictor_id
 from . import faults, plane
 from .store import FileStore, quarantine_file
 
@@ -363,6 +365,20 @@ class ArtifactStore:
                     return trace
         self._bump("trace_misses")
         return None
+
+    def _trace_or_capture(
+        self, key: str, program, config: MachineConfig, max_instructions: int
+    ) -> Trace:
+        """The trace under ``key``; on a miss, capture it timing-free
+        under ``config``'s predictor and store it."""
+        trace = self.load_trace(key)
+        if trace is None:
+            trace = capture_trace(
+                program, config.predictor_factory, max_instructions
+            )
+            self.store_trace(key, trace)
+            self._bump("trace_captures")
+        return trace
 
     def store_trace(self, key: str, trace: Trace) -> None:
         self._lru_put(key, trace)
@@ -694,12 +710,12 @@ class ArtifactStore:
         """Simulate on the in-order core via the trace fast path: the
         K = 1 case of :meth:`simulate_inorder_sweep`.
 
-        First simulation of a program executes once *with capture* and
-        stores the trace; every later simulation -- any width, ports,
-        cache geometry, DBB/BTB/RAS sizing, and (for baseline
-        programs) any predictor -- replays it.  Bit-identical to
-        ``InOrderCore(config).run(program, ...)`` by construction and
-        by the golden/equivalence suites.
+        The first simulation of a program captures its trace
+        timing-free and stores it; every simulation -- that first one
+        included, and any width, ports, cache geometry, DBB/BTB/RAS
+        sizing, and (for baseline programs) any predictor -- replays
+        it.  Bit-identical to ``InOrderCore(config).run(program, ...)``
+        by construction and by the golden/equivalence suites.
         """
         [result] = self.simulate_inorder_sweep(
             program, [config], max_instructions
@@ -719,16 +735,18 @@ class ArtifactStore:
         each group of K > 1 points is scored by **one fused pass**
         over the trace (:func:`repro.uarch.replay.replay_inorder_sweep`),
         carrying all K lanes' serial state through a single
-        region-memoised walk.  The first sight of a trace captures it
-        with the group's first member, whose execute-driven run is
-        that point's answer.  Configs without a trace key run on the
-        reference core and move no trace counter.  Counter movement
-        proves what happened: ``fused_passes`` / ``fused_points`` on
-        fusion, ``fused_fallbacks`` when fusion declined,
-        ``fused_diverges`` when a fused lane failed validation and the
-        per-point path transparently re-ran the group.  Results are
-        returned in config order and are bit-identical to K
-        independent ``InOrderCore(config).run`` calls.
+        region-memoised walk.  A trace the store lacks is first
+        captured timing-free under the group's first config, and then
+        every member replays it: a cold axis costs one capture plus one
+        fused pass over all K points.  Configs without a trace key run
+        on the reference core and move no trace counter.  Counter
+        movement proves what happened: ``fused_passes`` /
+        ``fused_points`` on fusion, ``fused_fallbacks`` when fusion
+        declined, ``fused_diverges`` when a fused lane failed
+        validation and the per-point path transparently re-ran the
+        group.  Results are returned in config order and are
+        bit-identical to K independent ``InOrderCore(config).run``
+        calls.
         """
         configs = list(configs)
         results: List = [None] * len(configs)
@@ -743,24 +761,9 @@ class ArtifactStore:
                 trace_groups.setdefault(key, []).append(index)
 
         for key, members in trace_groups.items():
-            trace = self.load_trace(key)
-            if trace is None:
-                first = members.pop(0)
-                capture = TraceCapture()
-                result = InOrderCore(configs[first]).run(
-                    program,
-                    max_instructions=max_instructions,
-                    capture=capture,
-                )
-                trace = capture.finish(
-                    program,
-                    result,
-                    max_instructions,
-                    predictor_id(configs[first].predictor_factory),
-                )
-                self.store_trace(key, trace)
-                self._bump("trace_captures")
-                results[first] = result
+            trace = self._trace_or_capture(
+                key, program, configs[members[0]], max_instructions
+            )
             slice_groups: "OrderedDict[str, List[int]]" = OrderedDict()
             for index in members:
                 skey = replay_vec.prep_slice_key(
@@ -794,17 +797,20 @@ class ArtifactStore:
     ):
         """OOO twin of :meth:`simulate_inorder`.
 
-        The committed stream is core-independent, so an in-order
-        capture replays here too.  On a miss the OOO core (which has
-        no capture hook) just executes; the common caller pattern
-        simulates the in-order core first, which populates the store.
+        The committed stream is core-independent, so one trace serves
+        both cores: a miss captures it timing-free exactly as the
+        in-order front doors do (and a later in-order simulation of
+        the program replays it), then the OOO kernel replays it.
+        Without a trace key the OOO reference core runs instead.
         """
         key = self._trace_key(program, config, max_instructions)
-        trace = self.load_trace(key) if key is not None else None
-        if trace is None:
+        if key is None:
             return OutOfOrderCore(config, window=window).run(
                 program, max_instructions=max_instructions
             )
+        trace = self._trace_or_capture(
+            key, program, config, max_instructions
+        )
         self._bump("trace_replays")
         self._ensure_prep(program, trace, config)
         return replay_ooo(program, trace, config, window=window)

@@ -189,9 +189,9 @@ def run_seed(name: str, seed: int, config: RunConfig) -> Dict:
     The TRAIN profile comes from the shared artifact store and the
     width axis runs through the sweep front door
     (:meth:`ArtifactStore.simulate_inorder_sweep`): the first sight of
-    a program executes once with capture, and the remaining widths are
-    scored by one *fused* replay pass over the captured stream
-    (bit-identical to per-width replays).  The per-job artifact
+    a program captures its committed stream timing-free, and every
+    width is scored by one *fused* replay pass over it (bit-identical
+    to per-width execute-driven runs).  The per-job artifact
     counter movement is reported under ``"artifacts"`` (manifest
     schema 4; fused-pass counters since schema 8).
     """

@@ -68,8 +68,8 @@ class MotivationResult:
 def _motivation_job(payload) -> dict:
     """Both core types over one benchmark's binaries; engine-mappable.
 
-    The committed stream is core-independent, so the in-order runs
-    (which capture) feed the OOO runs (which replay the same traces).
+    The committed stream is core-independent, so the traces the
+    in-order runs capture also serve the OOO runs.
     """
     name, config, window = payload
     store = get_store()

@@ -100,8 +100,8 @@ FU_FP = 3
 
 
 def _int_binop(op):
-    """Evaluators replicating :func:`repro.uarch.core._evaluate` exactly,
-    including the int-vs-float wrap_int behaviour."""
+    """ADD/SUB/MUL/DIV evaluators shared by :func:`evaluate_code` and
+    the K_BINOP rows, including the int-vs-float wrap_int behaviour."""
 
     def add(a, b):
         if isinstance(a, int) and isinstance(b, int):
@@ -182,8 +182,8 @@ _NONZERO_SENSE = frozenset({Opcode.BNZ, Opcode.RESOLVE_NZ})
 
 
 def evaluate_code(op: Opcode, srcs, imm, regs):
-    """Generic straight-line evaluation (the pre-decoded twin of the
-    legacy ``_evaluate``); used for degenerate operand shapes and by
+    """Generic straight-line evaluation over the evaluator table the
+    K_BINOP rows bind; used for degenerate operand shapes and by
     callers that still hold an :class:`Instruction`."""
     if op is Opcode.LI:
         return imm if imm is not None else 0

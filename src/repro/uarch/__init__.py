@@ -1,5 +1,5 @@
 """Cycle-level in-order superscalar model plus a timing-free functional
-executor for profiling and differential testing."""
+executor for profiling, differential testing and trace capture."""
 
 from .config import MachineConfig
 from .core import InOrderCore, SimulationError, SimulationResult
@@ -8,6 +8,7 @@ from .functional import (
     FunctionalResult,
     always_not_taken,
     always_taken,
+    capture_trace,
     collect_branch_trace,
     execute,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "SimulationResult",
     "always_not_taken",
     "always_taken",
+    "capture_trace",
     "collect_branch_trace",
     "execute",
 ]

@@ -42,12 +42,7 @@ from typing import List, Optional, Tuple, Union
 
 from ..branchpred import BranchTargetBuffer, ReturnAddressStack
 from ..core.dbb import DecomposedBranchBuffer
-from ..isa import (
-    Instruction,
-    Memory,
-    Opcode,
-    Program,
-)
+from ..isa import Memory, Program
 from ..isa.decode import (
     K_BINOP,
     K_BRANCH,
@@ -123,7 +118,6 @@ class InOrderCore:
         program: Program,
         max_instructions: int = 2_000_000,
         trace=None,
-        capture=None,
     ) -> SimulationResult:
         """Simulate ``program``.
 
@@ -131,11 +125,6 @@ class InOrderCore:
         issue_cycle, complete_cycle)`` for every back-end instruction --
         a debugging/visualisation hook (PREDICTs do not reach the back
         end and are not traced).
-
-        ``capture``, if given, is a :class:`repro.uarch.trace.TraceCapture`
-        that records the committed instruction stream (pcs, branch
-        outcomes, load/store addresses...) for later trace replay; it
-        never changes the simulated result.
         """
         from ..memory import MemoryHierarchy
 
@@ -191,22 +180,6 @@ class InOrderCore:
         issued_stamp = [-1] * _RING
         port_cnt = (None, [0] * _RING, [0] * _RING, [0] * _RING)
         port_stamp = (None, [-1] * _RING, [-1] * _RING, [-1] * _RING)
-
-        # Capture appends as pre-bound locals; ``cap_pc`` doubles as the
-        # is-capturing flag so the disabled case costs one None test per
-        # committed instruction.
-        if capture is not None:
-            cap_pc = capture.pcs.append
-            cap_branch_pred = capture.branch_pred.append
-            cap_branch_taken = capture.branch_taken.append
-            cap_predict_taken = capture.predict_taken.append
-            cap_resolve_diverted = capture.resolve_diverted.append
-            cap_load_addr = capture.load_addrs.append
-            cap_load_suppressed = capture.load_suppressed.append
-            cap_store_addr = capture.store_addrs.append
-            cap_ret_target = capture.ret_targets.append
-        else:
-            cap_pc = None
 
         fetch_cycle = 0
         fetch_slots = 0
@@ -278,8 +251,6 @@ class InOrderCore:
             fetched += 1
 
             committed += 1
-            if cap_pc is not None:
-                cap_pc(pc)
             if row[10]:  # hoisted
                 hoisted_committed += 1
 
@@ -290,8 +261,6 @@ class InOrderCore:
                     branch_id = row[6]
                     prediction = predictor_lookup(branch_id)
                     dbb_insert(prediction, branch_id)
-                    if cap_pc is not None:
-                        cap_predict_taken(1 if prediction.taken else 0)
                     if prediction.taken:
                         target = row[5]
                         if btb_lookup(pc) is None:
@@ -388,14 +357,9 @@ class InOrderCore:
                     else:
                         complete = access_data(address << 3, issue)
                     speculative_loads += 1
-                    if cap_pc is not None:
-                        cap_load_addr(address)
-                        cap_load_suppressed(1 if suppressed else 0)
                 else:
                     value = mem_load(address)
                     complete = access_data(address << 3, issue)
-                    if cap_pc is not None:
-                        cap_load_addr(address)
                 dest = row[1]
                 regs[dest] = value
                 reg_ready[dest] = complete
@@ -407,9 +371,6 @@ class InOrderCore:
                 prediction = predictor_lookup(branch_id)
                 taken = (regs[row[4]] != 0) == row[12]
                 predictor_update(prediction, taken)
-                if cap_pc is not None:
-                    cap_branch_pred(1 if prediction.taken else 0)
-                    cap_branch_taken(1 if taken else 0)
                 actual_target = row[5] if taken else next_pc
                 if prediction.taken != taken:
                     cond_mispredicts += 1
@@ -437,8 +398,6 @@ class InOrderCore:
                 access_data(address << 3, issue)
                 stores += 1
                 complete = issue + 1
-                if cap_pc is not None:
-                    cap_store_addr(address)
             elif kind == K_CONST:
                 dest = row[1]
                 regs[dest] = row[3]
@@ -454,8 +413,6 @@ class InOrderCore:
             elif kind == K_RESOLVE:
                 resolves += 1
                 diverted = (regs[row[4]] != 0) == row[12]
-                if cap_pc is not None:
-                    cap_resolve_diverted(1 if diverted else 0)
                 predicted_dir = row[11]
                 actual_taken = (
                     (not predicted_dir) if diverted else predicted_dir
@@ -487,8 +444,6 @@ class InOrderCore:
                 next_pc = row[5]
             elif kind == K_RET:
                 actual = regs[row[4]]
-                if cap_pc is not None:
-                    cap_ret_target(actual)
                 predicted = ras_pop()
                 if predicted != actual:
                     ras_mispredicts += 1
@@ -552,16 +507,3 @@ def _evaluate_row(row, regs: List[Value]) -> Value:
         return evaluate_code(row[12], row[2], row[3], regs)
     except KeyError:
         raise SimulationError(f"unhandled opcode {row[12]}") from None
-
-
-def _evaluate(op: Opcode, inst: Instruction, regs: List[Value]) -> Value:
-    """Evaluate one ALU/FP/compare/move instruction.
-
-    Kept as the generic (non-pre-decoded) evaluation entry point; the
-    dispatch itself now lives in :mod:`repro.isa.decode` so the fast
-    paths and this helper cannot drift apart.
-    """
-    try:
-        return evaluate_code(op, inst.srcs, inst.imm, regs)
-    except KeyError:
-        raise SimulationError(f"unhandled opcode {op}") from None

@@ -1,7 +1,7 @@
 """Trace replay: re-time a committed stream, bit-exactly.
 
 A trace (:mod:`repro.uarch.trace`) carries everything architectural
-about one execute-driven run -- control flow, branch/divert outcomes,
+about one run of a program -- control flow, branch/divert outcomes,
 load/store addresses, the final register file and memory image.  The
 functions here re-time that stream under another machine
 configuration without re-executing the program.

@@ -12,9 +12,12 @@ program, whose PREDICT instructions architecturally steer the
 committed path; a baseline program (no PREDICT/RESOLVE) commits a
 predictor-independent stream (``DecodedProgram.has_decomposed``).
 
-:class:`TraceCapture` records that invariant stream during one
-execute-driven run as compact columnar arrays (``array``/packed-bit
-columns); :class:`Trace` is the immutable result, serialisable to a
+Because of that invariance the stream is recorded without any timing
+at all: :func:`repro.uarch.functional.capture_trace` walks the program
+in order, driving only the direction predictor and the DBB in the
+execute-driven core's call order, and fills a :class:`TraceCapture`
+with compact columnar arrays (``array``/packed-bit columns).
+:class:`Trace` is the immutable result, serialisable to a
 zlib-compressed, per-column-checksummed binary container.  Replay
 (:mod:`repro.uarch.replay`) re-runs only the *timing* machinery over
 a trace -- no register values, no memory contents, no evaluator calls
@@ -155,11 +158,12 @@ def predictor_id(factory) -> Optional[str]:
 
 
 class TraceCapture:
-    """Mutable column builder handed to ``InOrderCore.run(capture=...)``.
+    """Mutable column builder filled by
+    :func:`repro.uarch.functional.capture_trace`.
 
-    The core appends raw events (ints; bit columns take 0/1); the
-    harness then calls :meth:`finish` with the finished run to build an
-    immutable :class:`Trace` carrying the final architectural state.
+    The capture loop appends raw events (ints; bit columns take 0/1),
+    then calls :meth:`finish` with the run's final architectural state
+    to build an immutable :class:`Trace`.
     """
 
     __slots__ = tuple(name for name, _ in _COLUMNS)
@@ -178,16 +182,18 @@ class TraceCapture:
     def finish(
         self,
         program,
-        result,
+        registers,
+        memory,
+        halted: bool,
         max_instructions: int,
         predictor: Optional[str],
     ) -> "Trace":
         """Freeze the capture into a :class:`Trace`.
 
-        ``result`` is the :class:`~repro.uarch.core.SimulationResult`
-        of the capturing run; its architectural outcome (registers,
-        memory snapshot, suppressed faults, halted) travels in the
-        trace so replay can return a complete result.
+        ``registers``, ``memory`` and ``halted`` are the capturing
+        run's architectural outcome; they travel in the trace (with
+        the memory's suppressed-fault count) so replay can return a
+        complete result.
         """
         decoded = predecode(program)
         meta = {
@@ -198,10 +204,10 @@ class TraceCapture:
             "predictor": predictor,
             "has_decomposed": decoded.has_decomposed,
             "committed": len(self.pcs),
-            "halted": bool(result.stats.halted),
-            "faults_suppressed": result.memory.faults_suppressed,
-            "registers": list(result.registers),
-            "memory": [[a, v] for a, v in result.memory.snapshot()],
+            "halted": bool(halted),
+            "faults_suppressed": memory.faults_suppressed,
+            "registers": list(registers),
+            "memory": [[a, v] for a, v in memory.snapshot()],
         }
         return Trace(
             meta,

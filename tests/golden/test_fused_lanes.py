@@ -21,11 +21,9 @@ from repro.compiler import (
 )
 from repro.ir import lower
 from repro.uarch import (
-    InOrderCore,
     MachineConfig,
     Trace,
-    TraceCapture,
-    predictor_id,
+    capture_trace,
     replay_inorder_sweep,
 )
 from repro.workloads import spec_benchmark
@@ -53,25 +51,17 @@ def test_fused_lanes_match_goldens(name, goldens):
         "baseline": compile_baseline(ref, profile=profile).program,
         "decomposed": compile_decomposed(ref, profile=profile).program,
     }
-    capture_machine = MachineConfig.paper_default(width=4)
+    machines = [
+        MachineConfig.paper_default(width=w) for w in generate.WIDTHS
+    ]
     for kind, program in programs.items():
-        capture = TraceCapture()
-        result = InOrderCore(capture_machine).run(
-            program,
-            max_instructions=generate.MAX_INSTRUCTIONS,
-            capture=capture,
-        )
         trace = Trace.from_bytes(
-            capture.finish(
+            capture_trace(
                 program,
-                result,
+                machines[0].predictor_factory,
                 generate.MAX_INSTRUCTIONS,
-                predictor_id(capture_machine.predictor_factory),
             ).to_bytes()
         )
-        machines = [
-            MachineConfig.paper_default(width=w) for w in generate.WIDTHS
-        ]
         runs, outcome = replay_inorder_sweep(program, trace, machines)
         assert outcome == "fused"
         for width, run in zip(generate.WIDTHS, runs):

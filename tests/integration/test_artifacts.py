@@ -139,6 +139,70 @@ class TestCaptureOnce:
             assert run.memory.snapshot() == ref.memory.snapshot()
 
 
+class TestColdPaths:
+    """A store miss captures timing-free and then replays: no front
+    door runs the execute-driven core for a nameable predictor."""
+
+    def test_cold_sweep_never_runs_reference_core(
+        self, store, monkeypatch
+    ):
+        config, baseline, _ = _quick_programs()
+        machines = [config.machine_for(w) for w in (2, 4, 8)]
+        expected = [
+            InOrderCore(machine).run(
+                baseline, max_instructions=config.max_instructions
+            )
+            for machine in machines
+        ]
+        core_runs = []
+        original = InOrderCore.run
+
+        def spy(self, *args, **kwargs):
+            core_runs.append(self.config.width)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(InOrderCore, "run", spy)
+        mark = store.mark()
+        runs = store.simulate_inorder_sweep(
+            baseline, machines, max_instructions=config.max_instructions
+        )
+        delta = store.delta(mark)
+        assert core_runs == []
+        assert delta.get("trace_captures") == 1
+        assert delta.get("trace_replays") == 3
+        assert delta.get("fused_passes") == 1
+        assert delta.get("fused_points") == 3
+        for run, ref in zip(runs, expected):
+            assert run.stats == ref.stats
+            assert run.registers == ref.registers
+            assert run.memory.snapshot() == ref.memory.snapshot()
+
+    def test_cold_ooo_captures_then_replays(self, store):
+        config, _, decomposed = _quick_programs()
+        machine = config.machine_for(4)
+        budget = config.max_instructions
+        mark = store.mark()
+        run = store.simulate_ooo(
+            decomposed, machine, max_instructions=budget
+        )
+        delta = store.delta(mark)
+        assert delta.get("trace_captures") == 1
+        assert delta.get("trace_replays") == 1
+        ref = OutOfOrderCore(machine).run(
+            decomposed, max_instructions=budget
+        )
+        assert run.stats == ref.stats
+        assert run.registers == ref.registers
+        assert run.memory.snapshot() == ref.memory.snapshot()
+
+        # The OOO miss stored the trace the in-order core replays.
+        mark = store.mark()
+        store.simulate_inorder(decomposed, machine, max_instructions=budget)
+        delta = store.delta(mark)
+        assert "trace_captures" not in delta
+        assert delta.get("trace_replays") == 1
+
+
 class TestIntegrity:
     def test_truncated_trace_quarantined_and_recaptured(
         self, store, tmp_path
@@ -163,7 +227,8 @@ class TestIntegrity:
         delta = fresh.delta(mark)
         assert delta.get("trace_quarantined") == 1
         assert delta.get("trace_captures") == 1
-        assert "trace_replays" not in delta
+        # The recapture is timing-free; the answer is its replay.
+        assert delta.get("trace_replays") == 1
         assert list((tmp_path / "quarantine").iterdir())
         assert result.stats.committed > 0
         # The recaptured artifact is valid again.
@@ -213,9 +278,10 @@ class TestSweepCapturesOnce:
         manifest = engine.manifest(config)
         artifacts = manifest["totals"]["artifacts"]
         # One REF seed, two program variants (baseline + decomposed):
-        # 2 captures at the first width, 2 replays at the second.
+        # 2 timing-free captures, then both widths of both variants
+        # replay.
         assert artifacts["trace_captures"] == 2
-        assert artifacts["trace_replays"] == 2
+        assert artifacts["trace_replays"] == 4
         assert artifacts["profile_misses"] == 1
 
     def test_warm_cache_run_skips_all_work(self, tmp_path):
@@ -451,19 +517,11 @@ class TestTraceLru:
 
     @staticmethod
     def _trace_for(program, machine, budget):
-        from repro.uarch import InOrderCore, Trace, TraceCapture
-        from repro.uarch.trace import predictor_id
+        from repro.uarch import Trace, capture_trace
 
-        capture = TraceCapture()
-        result = InOrderCore(machine).run(
-            program, max_instructions=budget, capture=capture
-        )
         return Trace.from_bytes(
-            capture.finish(
-                program,
-                result,
-                budget,
-                predictor_id(machine.predictor_factory),
+            capture_trace(
+                program, machine.predictor_factory, budget
             ).to_bytes()
         )
 

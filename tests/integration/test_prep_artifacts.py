@@ -46,9 +46,8 @@ class TestPrepPersistence:
     def test_replay_builds_and_persists_slice(self, store, tmp_path):
         config, baseline, _ = _quick_programs()
         machine = config.machine_for(4)
-        store.simulate_inorder(
-            baseline, machine, max_instructions=config.max_instructions
-        )
+        # A cold call captures the trace and then replays it: that
+        # replay builds the slice.
         mark = store.mark()
         store.simulate_inorder(
             baseline, machine, max_instructions=config.max_instructions
@@ -120,9 +119,7 @@ class TestPrepPersistence:
         match the scalar execute-driven reference cores exactly."""
         config, baseline, _ = _quick_programs()
         machine = config.machine_for(4)
-        store.simulate_inorder(
-            baseline, machine, max_instructions=config.max_instructions
-        )
+        # One cold call captures, replays and persists the slice.
         store.simulate_inorder(
             baseline, machine, max_instructions=config.max_instructions
         )

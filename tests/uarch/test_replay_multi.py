@@ -28,11 +28,9 @@ from repro.compiler import (
 )
 from repro.ir import lower
 from repro.uarch import (
-    InOrderCore,
     MachineConfig,
     Trace,
-    TraceCapture,
-    predictor_id,
+    capture_trace,
     replay_inorder,
     replay_inorder_sweep,
 )
@@ -64,15 +62,8 @@ def setup():
             ("decomposed", compile_decomposed(ref, profile=profile)),
         ):
             program = compiled.program
-            capture = TraceCapture()
-            result = InOrderCore(machine).run(
-                program, max_instructions=_BUDGET, capture=capture
-            )
-            trace = capture.finish(
-                program,
-                result,
-                _BUDGET,
-                predictor_id(machine.predictor_factory),
+            trace = capture_trace(
+                program, machine.predictor_factory, _BUDGET
             )
             programs[(name, kind)] = program
             traces[(name, kind)] = Trace.from_bytes(trace.to_bytes())

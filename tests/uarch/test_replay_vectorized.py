@@ -30,8 +30,8 @@ from repro.uarch import (
     MachineConfig,
     OutOfOrderCore,
     Trace,
-    TraceCapture,
     TraceMismatch,
+    capture_trace,
     predictor_id,
     replay_inorder,
     replay_inorder_sweep,
@@ -60,13 +60,7 @@ def setup():
     machine = MachineConfig.paper_default(width=4)
     traces = {}
     for kind, program in programs.items():
-        capture = TraceCapture()
-        result = InOrderCore(machine).run(
-            program, max_instructions=_BUDGET, capture=capture
-        )
-        trace = capture.finish(
-            program, result, _BUDGET, predictor_id(machine.predictor_factory)
-        )
+        trace = capture_trace(program, machine.predictor_factory, _BUDGET)
         traces[kind] = Trace.from_bytes(trace.to_bytes())
     return programs, traces, machine
 
@@ -133,17 +127,10 @@ class TestDeclineRunsReferenceCore:
     def declined(self, setup):
         programs, _, machine = setup
         program = programs["baseline"]
-        capture = TraceCapture()
-        result = InOrderCore(machine).run(
-            program, max_instructions=_TRUNCATED, capture=capture
+        trace = capture_trace(
+            program, machine.predictor_factory, _TRUNCATED
         )
-        assert not result.stats.halted
-        trace = capture.finish(
-            program,
-            result,
-            _TRUNCATED,
-            predictor_id(machine.predictor_factory),
-        )
+        assert not trace.meta["halted"]
         config = machine.with_predictor(lambda: GSharePredictor())
         assert predictor_id(config.predictor_factory) is None
         return program, trace, config

@@ -1,15 +1,18 @@
 """Trace capture -> serialise -> load -> replay must be invisible.
 
 Trace replay (:mod:`repro.uarch.replay`) claims bit-identity with
-execute-driven simulation.  These tests hold them to the same golden
-fingerprints as the simulator itself: for every SPEC-like workload,
-both program kinds, widths 2/4/8, a trace captured at one width --
-and round-tripped through the binary container -- must replay to the
+execute-driven simulation, and the timing-free capture
+(:func:`repro.uarch.capture_trace`) claims to record exactly the
+stream the execute-driven core commits.  These tests hold the pair to
+the same golden fingerprints as the simulator itself: for every
+SPEC-like workload, both program kinds, widths 2/4/8, a captured trace
+-- round-tripped through the binary container -- must replay to the
 exact fingerprints ``tests/golden/sim_goldens.json`` records for
-execute-driven runs.  Plus: cross-core replay (in-order capture ->
-OOO replay), live-predictor replay of baseline traces, the
-``TraceMismatch`` guard for decomposed programs, and container
-corruption detection.
+execute-driven runs.  Plus: every predictor of the sensitivity ladder,
+budget truncation and pc escapes against the core directly, cross-core
+replay (one capture -> OOO replay), live-predictor replay of baseline
+traces, the ``TraceMismatch`` guard for decomposed programs, and
+container corruption detection.
 """
 
 from __future__ import annotations
@@ -24,17 +27,19 @@ from repro.compiler import (
     compile_decomposed,
     profile_program,
 )
+from repro.experiments.sensitivity import LADDER
 from repro.ir import lower
+from repro.isa import Instruction, Opcode, assemble
 from repro.isa.decode import predecode
 from repro.uarch import (
     InOrderCore,
     MachineConfig,
     OutOfOrderCore,
+    SimulationError,
     Trace,
-    TraceCapture,
     TraceError,
     TraceMismatch,
-    predictor_id,
+    capture_trace,
     replay_inorder,
     replay_ooo,
 )
@@ -64,40 +69,34 @@ def _programs(name: str):
 
 
 def _capture(program, machine, max_instructions=generate.MAX_INSTRUCTIONS):
-    capture = TraceCapture()
-    result = InOrderCore(machine).run(
-        program, max_instructions=max_instructions, capture=capture
+    return capture_trace(
+        program, machine.predictor_factory, max_instructions
     )
-    trace = capture.finish(
-        program,
-        result,
-        max_instructions,
-        predictor_id(machine.predictor_factory),
+
+
+def _assert_same_run(replayed, executed):
+    assert replayed.stats == executed.stats
+    assert replayed.registers == executed.registers
+    assert replayed.memory.snapshot() == executed.memory.snapshot()
+    assert (
+        replayed.memory.faults_suppressed
+        == executed.memory.faults_suppressed
     )
-    return result, trace
 
 
 @pytest.mark.parametrize("name", generate.workload_names())
 def test_replay_roundtrip_matches_golden(name, goldens, kernel_declines):
-    """Capture once (width 2), serialise, reload, replay at 2/4/8:
-    every replayed run must hash to the execute-driven golden, served
-    by the vectorized kernel (a decline would run the execute-driven
-    core and match the golden trivially)."""
+    """Capture once, serialise, reload, replay at 2/4/8: every
+    replayed run must hash to the execute-driven golden, served by the
+    vectorized kernel (a decline would run the execute-driven core and
+    match the golden trivially)."""
     for kind, program in _programs(name).items():
-        result, trace = _capture(
-            program, MachineConfig.paper_default(width=2)
-        )
-        # The capturing run itself is unperturbed by capture.
-        assert (
-            generate.fingerprint_run(result)
-            == goldens[f"{name}/{kind}/w2"]
-        )
+        trace = _capture(program, MachineConfig.paper_default())
         # Full container round-trip before any replay.
         trace = Trace.from_bytes(trace.to_bytes())
         for width in generate.WIDTHS:
-            replayed = replay_inorder(
-                program, trace, MachineConfig.paper_default(width=width)
-            )
+            machine = MachineConfig.paper_default(width=width)
+            replayed = replay_inorder(program, trace, machine)
             assert (
                 generate.fingerprint_run(replayed)
                 == goldens[f"{name}/{kind}/w{width}"]
@@ -106,16 +105,83 @@ def test_replay_roundtrip_matches_golden(name, goldens, kernel_declines):
                 f"kernel declined {name}/{kind}/w{width}"
             )
             kernel_declines.clear()
+        # And directly against the reference core, not only its hash.
+        _assert_same_run(
+            replayed,
+            InOrderCore(machine).run(
+                program, max_instructions=generate.MAX_INSTRUCTIONS
+            ),
+        )
+
+
+@pytest.fixture(scope="module")
+def bzip2_programs():
+    # bzip2 converts branches at golden scale, so its decomposed
+    # program really carries PREDICT/RESOLVE pairs.
+    programs = _programs("bzip2")
+    assert predecode(programs["decomposed"]).has_decomposed
+    return programs
+
+
+@pytest.mark.parametrize("kind", ["baseline", "decomposed"])
+@pytest.mark.parametrize(
+    "predictor", [factory for _, factory in LADDER],
+    ids=[label for label, _ in LADDER],
+)
+def test_capture_matches_core_for_every_ladder_predictor(
+    bzip2_programs, kernel_declines, kind, predictor
+):
+    """The capture drives each predictor (and, for PREDICT/RESOLVE,
+    the DBB) in the core's call order: replaying what it recorded
+    reproduces the core under that predictor exactly."""
+    program = bzip2_programs[kind]
+    machine = MachineConfig.paper_default(width=4).with_predictor(
+        predictor
+    )
+    trace = _capture(program, machine)
+    _assert_same_run(
+        replay_inorder(program, trace, machine),
+        InOrderCore(machine).run(
+            program, max_instructions=generate.MAX_INSTRUCTIONS
+        ),
+    )
+    assert kernel_declines == [False]
+
+
+def test_capture_truncated_by_budget(bzip2_programs, kernel_declines):
+    """A budget the program outruns: the capture stops at exactly the
+    budget, unhalted, in the state the core stops in."""
+    program = bzip2_programs["decomposed"]
+    machine = MachineConfig.paper_default(width=4)
+    budget = 5_000
+    trace = _capture(program, machine, max_instructions=budget)
+    executed = InOrderCore(machine).run(program, max_instructions=budget)
+    assert not executed.stats.halted
+    assert not trace.meta["halted"]
+    assert trace.committed == budget
+    _assert_same_run(replay_inorder(program, trace, machine), executed)
+    assert kernel_declines == [False]
+
+
+def test_capture_raises_when_pc_escapes():
+    """Falling off the end of the program is an error for the capture
+    exactly as for the core."""
+    program = assemble([Instruction(opcode=Opcode.LI, dest=1, imm=0)], {})
+    machine = MachineConfig.paper_default(width=4)
+    with pytest.raises(SimulationError):
+        InOrderCore(machine).run(program)
+    with pytest.raises(SimulationError):
+        _capture(program, machine)
 
 
 @pytest.mark.parametrize("name", ["mcf", "h264ref"])
 def test_ooo_replay_matches_execute(name, kernel_declines):
-    """The committed stream is core-independent: an in-order capture
-    replays bit-identically on the out-of-order core (on the OOO
-    kernel, not its decline path)."""
+    """The committed stream is core-independent: one capture replays
+    bit-identically on the out-of-order core too (on the OOO kernel,
+    not its decline path)."""
     for kind, program in _programs(name).items():
         machine = MachineConfig.paper_default(width=4)
-        _, trace = _capture(program, machine)
+        trace = _capture(program, machine)
         trace = Trace.from_bytes(trace.to_bytes())
         executed = OutOfOrderCore(machine, window=64).run(
             program, max_instructions=generate.MAX_INSTRUCTIONS
@@ -134,7 +200,7 @@ def test_live_predictor_replay_of_baseline_trace():
     program = _programs("h264ref")["baseline"]
     hybrid = MachineConfig.paper_default(width=4)
     assert hybrid.predictor_factory is HybridPredictor
-    _, trace = _capture(program, hybrid)
+    trace = _capture(program, hybrid)
     gshare = hybrid.with_predictor(GSharePredictor)
     executed = InOrderCore(gshare).run(
         program, max_instructions=generate.MAX_INSTRUCTIONS
@@ -150,7 +216,7 @@ def test_decomposed_trace_guards_predictor_identity():
     program = _programs("bzip2")["decomposed"]
     assert predecode(program).has_decomposed
     machine = MachineConfig.paper_default(width=4)
-    _, trace = _capture(program, machine)
+    trace = _capture(program, machine)
     # Same predictor: legal (recorded-bits mode).
     replay_inorder(program, trace, machine)
     with pytest.raises(TraceMismatch):
@@ -164,14 +230,14 @@ def test_trace_rejects_wrong_program():
     # digest genuinely differs from the baseline's.
     programs = _programs("bzip2")
     machine = MachineConfig.paper_default(width=4)
-    _, trace = _capture(programs["baseline"], machine)
+    trace = _capture(programs["baseline"], machine)
     with pytest.raises(TraceMismatch):
         replay_inorder(programs["decomposed"], trace, machine)
 
 
 def test_container_detects_corruption():
     program = _programs("mcf")["baseline"]
-    _, trace = _capture(program, MachineConfig.paper_default(width=2))
+    trace = _capture(program, MachineConfig.paper_default(width=2))
     blob = trace.to_bytes()
     with pytest.raises(TraceError):
         Trace.from_bytes(blob[: len(blob) // 2])  # truncated
@@ -188,8 +254,8 @@ def test_max_outstanding_predicts_is_size_independent():
     program that converts branches, zero for baseline."""
     programs = _programs("bzip2")
     machine = MachineConfig.paper_default(width=4)
-    _, dec_trace = _capture(programs["decomposed"], machine)
-    _, base_trace = _capture(programs["baseline"], machine)
+    dec_trace = _capture(programs["decomposed"], machine)
+    base_trace = _capture(programs["baseline"], machine)
     assert dec_trace.max_outstanding_predicts(
         programs["decomposed"]
     ) >= 1
