@@ -16,7 +16,7 @@ three widths and the per-lane results bit-identical either way.
 
 Correctness (all workload kinds, live predictors, fallback rules,
 golden lanes) is pinned by ``tests/uarch/test_replay_multi.py`` and
-``tests/golden/test_fused_lanes.py``.
+the golden round-trips in ``tests/uarch/test_trace_replay.py``.
 """
 
 import dataclasses

@@ -15,11 +15,13 @@ in ``tests/uarch`` compare the kernels against it directly.
 
 The fast path is the vectorized kernel (:mod:`.replay_vec`); a sweep
 axis of K > 1 configurations sharing one kernel table is scored by one
-fused pass (:mod:`.replay_multi`).  A single point stays on the
-per-point kernel: a K = 1 fused pass that must first build its region
-table took a median 1.25x its time (0.95-1.62x over the Sec. 5.3
-ladder's four benchmarks x three predictors, 2-vCPU Xeon host), which
-is why two serial in-order kernels remain.
+fused pass (:mod:`.replay_multi`).  A single point still runs on the
+per-point kernel, so two serial in-order kernels remain, although a
+K = 1 fused pass that first builds its region table now takes a
+median 0.56x its time (0.34-0.99x over the Sec. 5.3 ladder's four
+benchmarks x five predictors x both binaries, prep slice attached,
+2-vCPU Xeon host).  Sending single points to the fused walk, and
+retiring the per-point in-order kernel, is the next step.
 
 When a kernel declines -- an empty or malformed trace, a live
 predictor without a stable name -- the replay runs the reference core
@@ -144,8 +146,7 @@ def replay_inorder_sweep(
     (:mod:`.replay_multi`) scores them all.  Anything else replays
     per point, so the results are *always* bit-identical to K
     independent :func:`replay_inorder` calls.  A single point stays on
-    the per-point kernel: a K = 1 fused pass costs more whenever it
-    must build its region table first.
+    the per-point kernel (see the module docstring).
 
     Returns ``(results, outcome)`` where ``outcome`` is ``"fused"``
     (one pass scored every lane), ``"fallback"`` (the lanes do not

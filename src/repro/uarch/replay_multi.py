@@ -47,12 +47,13 @@ Degenerate machines (a port class or the fetch buffer below one) never
 reach this module: :class:`MachineConfig` rejects them when built.
 
 Why two serial in-order kernels remain: the sweep front door
-(:func:`repro.uarch.replay.replay_inorder_sweep`) sends a single point
-to the per-point kernel, because a K = 1 fused pass that builds its
-region table took a median 1.25x the per-point kernel's time on
-predictor-ladder traces (0.95-1.62x over four benchmarks x three
-predictors) -- and every ladder point is its own prep slice, so it
-always builds one.
+(:func:`repro.uarch.replay.replay_inorder_sweep`) still sends a single
+point to the per-point kernel, although a K = 1 fused pass that builds
+its region table takes a median 0.56x the per-point kernel's time on
+predictor-ladder traces (0.34-0.99x over four benchmarks x five
+predictors x both binaries) -- and every ladder point is its own prep
+slice, so it always builds one.  Making this walk the only in-order
+kernel is the next step.
 
 Lane-divergence containment: the fused pass re-checks cheap per-lane
 invariants (non-negative stall accumulators, the width bound
@@ -68,6 +69,8 @@ from __future__ import annotations
 
 import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .config import MachineConfig
 from .stats import SimStats
@@ -101,6 +104,11 @@ _REDIRECTS = frozenset(
 
 # ------------------------------------------------------------ region table
 
+#: Fused action code -> whether it ends a region (one lookup cuts the
+#: whole stream).
+_REDIRECT_LUT = np.zeros(256, bool)
+_REDIRECT_LUT[sorted(_REDIRECTS)] = True
+
 
 def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
     """Cut the fused stream at every redirect, intern region contents
@@ -122,52 +130,96 @@ def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
     it -- hence shared by every lane, and stale scoreboard *times*
     never consult it (a ``reg_ready`` at or below the lane's issue
     frontier can never win the operand-ready max).
+
+    Built from the arrays: a region's key is the bytes of its rows in
+    an ``(n, 4)`` table of (action, fetch add, latency, operand
+    signature), where the per-pc signature interns (fu, dest, src0,
+    rest) -- so two occurrences share an id exactly when their column
+    tuples are equal, and the tuples are built once per distinct
+    region.  Each distinct region also reduces to the registers it
+    writes and those whose last write in it is a load, which carries
+    the entry mask across an occurrence in one step.
     """
     act = kernel["act"]
     lat = kernel["lat"]
     add = mem["fetch_add"]
-    fu = base["fu_list"]
-    dest = base["dest_list"]
-    s0 = base["src0_list"]
-    rest = base["rest_list"]
+    pcs = base["pcs_np"]
     n = len(act)
 
-    cuts = [0]
-    cuts_append = cuts.append
-    redirects = _REDIRECTS
-    for i, a in enumerate(act):
-        if a in redirects:
-            cuts_append(i + 1)
-    if cuts[-1] != n:
-        cuts_append(n)
+    ends = np.flatnonzero(_REDIRECT_LUT[act]) + 1
+    if not len(ends) or ends[-1] != n:
+        ends = np.append(ends, n)
+    bounds = np.concatenate(([0], ends)).tolist()
+
+    fu_by_pc = base["fu_by_pc"]
+    dest_by_pc = base["dest_by_pc"]
+    src0_by_pc = base["src0_by_pc"]
+    rest_by_pc = base["rest_by_pc"]
+    # Two pcs share a signature exactly when their (fu, dest, src0,
+    # rest) columns are equal.
+    signatures: Dict[tuple, int] = {}
+    sig_by_pc = np.array(
+        [
+            signatures.setdefault(operands, len(signatures))
+            for operands in zip(
+                fu_by_pc.tolist(), dest_by_pc.tolist(), src0_by_pc,
+                rest_by_pc,
+            )
+        ],
+        np.int64,
+    )
+
+    rows = np.empty((n, 4), np.int64)
+    rows[:, 0] = act
+    rows[:, 1] = add
+    rows[:, 2] = lat
+    rows[:, 3] = sig_by_pc[pcs]
+    row_bytes = rows.strides[0]
+    buf = rows.tobytes()
+    del rows
 
     ALU = rv.F_ALU
     CALL = rv.F_CALL
     LD_HIT = rv.F_LD_HIT
     LD_MISS = rv.F_LD_MISS
 
-    intern: Dict[tuple, int] = {}
+    intern: Dict[bytes, int] = {}
     contents: List[tuple] = []
+    written: List[int] = []
+    loaded: List[int] = []
     site_intern: Dict[Tuple[int, int], int] = {}
     site_rids: List[int] = []
     site_masks: List[int] = []
     sites: List[int] = []
     mask = 0
-    for s, e in zip(cuts[:-1], cuts[1:]):
-        key = (
-            tuple(act[s:e]),
-            tuple(add[s:e]),
-            tuple(lat[s:e]),
-            tuple(fu[s:e]),
-            tuple(dest[s:e]),
-            tuple(s0[s:e]),
-            tuple(rest[s:e]),
-        )
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        key = buf[s * row_bytes : e * row_bytes]
         rid = intern.get(key)
         if rid is None:
             rid = len(contents)
             intern[key] = rid
-            contents.append(key)
+            region_pcs = pcs[s:e]
+            pc_list = region_pcs.tolist()
+            content = (
+                tuple(act[s:e].tolist()),
+                tuple(add[s:e].tolist()),
+                tuple(lat[s:e].tolist()),
+                tuple(fu_by_pc[region_pcs].tolist()),
+                tuple(dest_by_pc[region_pcs].tolist()),
+                tuple([src0_by_pc[pc] for pc in pc_list]),
+                tuple([rest_by_pc[pc] for pc in pc_list]),
+            )
+            contents.append(content)
+            w = ld = 0
+            for a, d in zip(content[0], content[4]):
+                if a == ALU or a == CALL:
+                    w |= 1 << d
+                    ld &= ~(1 << d)
+                elif a == LD_HIT or a == LD_MISS:
+                    w |= 1 << d
+                    ld |= 1 << d
+            written.append(w)
+            loaded.append(ld)
         site_key = (rid, mask)
         sid = site_intern.get(site_key)
         if sid is None:
@@ -176,12 +228,7 @@ def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
             site_rids.append(rid)
             site_masks.append(mask)
         sites.append(sid)
-        for i in range(s, e):
-            a = act[i]
-            if a == ALU or a == CALL:
-                mask &= ~(1 << dest[i])
-            elif a == LD_HIT or a == LD_MISS:
-                mask |= 1 << dest[i]
+        mask = (mask & ~written[rid]) | loaded[rid]
     return {
         "contents": contents,
         "sites": sites,
@@ -192,22 +239,13 @@ def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
 
 def _regions_for(prepared, trace: Trace):
     """The shared region table for one fused kernel, cached as its own
-    prep layer (same key shape as the kernel layer it derives from)."""
-    base, stream, mem, kernel, _ = prepared
-    prep = trace._prep
-    # Recover the kernel's cache key by identity: the kernels dict is
-    # small (one entry per sweep class), so a linear scan is free and
-    # avoids re-deriving the mode/geometry key here.
-    for key, cached in prep.kernels.items():
-        if cached is kernel:
-            regions = prep.regions.get(key)
-            if regions is None:
-                regions = _build_regions(base, mem, kernel)
-                prep.regions[key] = regions
-            return regions
-    # Kernel not cached on the trace (cannot happen via _prepare, which
-    # always plants it) -- build unshared rather than fail.
-    return _build_regions(base, mem, kernel)
+    prep layer under the kernel's key."""
+    base, _, mem, kernel, _, kernel_key = prepared
+    regions = trace._prep.regions.get(kernel_key)
+    if regions is None:
+        regions = _build_regions(base, mem, kernel)
+        trace._prep.regions[kernel_key] = regions
+    return regions
 
 
 # ----------------------------------------------- canonical state handling
@@ -228,13 +266,10 @@ def _regions_for(prepared, trace: Trace):
 
 def _canon(state) -> tuple:
     fc, fs, pi, wt, wc, pts, pcs, rr, ring, rp, heap = state
-    fb = len(ring)
     fcrel = fc - pi
     rel_ring = tuple(
-        (ring[(rp + j) % fb] - pi)
-        if ring[(rp + j) % fb] > fc
-        else fcrel
-        for j in range(fb)
+        (gate - pi) if gate > fc else fcrel
+        for gate in ring[rp:] + ring[:rp]
     )
     actives = tuple(
         (i, rr[i] - pi) for i in range(65) if rr[i] > pi
@@ -265,11 +300,13 @@ def _materialize(c: tuple, pi: int):
     return (pi + fcrel, fs, pi, wt, wc, pts, pcs, rr, ring, 0, heap)
 
 
-def _step_region(content, entry_mask: int, state, consts):
+def _step_region(content, entry_rfl: List[int], state, consts):
     """Walk one region from a materialised absolute state: the exact
     per-instruction body of ``replay_vec.replay_inorder_stats``, with
     the stamped gate ring always consulted (its entries start at 0 and
     the gate test is strict, so an unfilled ring never gates).
+    ``entry_rfl`` is the site's entry mask as a 65-entry
+    ``reg_from_load`` list; the walk updates a copy.
 
     Returns ``(state', d_load_use, d_resolution, max_complete,
     halted)``.
@@ -277,7 +314,7 @@ def _step_region(content, entry_mask: int, state, consts):
     width, port_caps, front_depth, fb, taken_bubble, miss_bubble, \
         mb_entries = consts
     fc, fs, pi, wt, wc, pts, pcs, rr, ring, rp, heap = state
-    rfl = [(entry_mask >> i) & 1 for i in range(65)]
+    rfl = entry_rfl[:]
     lus = 0
     rst = 0
     maxc = -1
@@ -510,7 +547,7 @@ def replay_inorder_multi_stats(
     if any(p[3] is not kernel0 for p in prepared_all[1:]):
         return None  # mismatched prep slices: not one shared kernel
     prepared = prepared_all[0]
-    base, stream, mem, kernel, btb_misses = prepared
+    base, stream, mem, kernel, btb_misses, _ = prepared
     regions = _regions_for(prepared, trace)
 
     contents = regions["contents"]
@@ -518,6 +555,8 @@ def replay_inorder_multi_stats(
     site_rids = regions["site_rids"]
     site_masks = regions["site_masks"]
     n_sites = len(site_rids)
+    # Site id -> its entry mask as a reg_from_load list, on first miss.
+    site_rfls: List[Optional[List[int]]] = [None] * n_sites
 
     state_ids: Dict[tuple, int] = {}
     states: List[tuple] = []
@@ -557,11 +596,13 @@ def replay_inorder_multi_stats(
             if t is None:
                 pi = pis[li]
                 st = _materialize(states[cid], pi)
+                rfl = site_rfls[sid]
+                if rfl is None:
+                    mask = site_masks[sid]
+                    rfl = [(mask >> i) & 1 for i in range(65)]
+                    site_rfls[sid] = rfl
                 st2, dlus, drst, maxc, halted = _step_region(
-                    contents[site_rids[sid]],
-                    site_masks[sid],
-                    st,
-                    consts[li],
+                    contents[site_rids[sid]], rfl, st, consts[li]
                 )
                 pi2 = st2[2]
                 ecid = intern_state(_canon(st2))

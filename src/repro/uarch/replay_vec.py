@@ -50,11 +50,12 @@ below one) are rejected up front -- by :class:`MachineConfig`,
 :class:`OutOfOrderCore` and ``replay_ooo`` -- so the kernels carry no
 guard for them.
 
-Two serial in-order kernels remain on purpose: this per-point one,
-and the sweep-fused one in :mod:`repro.uarch.replay_multi`.  A K = 1
-fused pass that builds its region table took a median 1.25x this
-kernel's time on predictor-ladder traces (0.95-1.62x), and every
-ladder point is its own prep slice, so single points stay here.
+Two serial in-order kernels remain: this per-point one, and the
+sweep-fused one in :mod:`repro.uarch.replay_multi`.  Single points
+still run here, although a K = 1 fused pass that builds its region
+table now takes a median 0.56x this kernel's time on predictor-ladder
+traces (0.34-0.99x); retiring this in-order kernel for the fused walk
+is the next step.
 """
 
 from __future__ import annotations
@@ -165,14 +166,21 @@ class ReplayPrep:
 
     Layers and their keys (finer layers reuse coarser ones):
 
-    * ``base``       -- per decoded-rows identity: gathers, positions
+    * ``base``       -- per decoded-rows identity: gathers, positions,
+      per-pc operand tables
     * ``pred_bits``  -- per mode ("recorded" or ("live", pid))
     * ``ras_bits``   -- per ``ras_entries``
     * ``streams``    -- per (mode, ras): action codes, resets, counters
     * ``mems``       -- per (stream, cache geometry): hit levels
     * ``btbs``       -- per (core, mode, btb_entries): miss bits
+    * ``kernels``    -- per (core, stream, geometry, btb_entries): the
+      fused action and latency arrays
     * ``regions``    -- per kernel key: the sweep-fused replay's
       interned region table (:mod:`.replay_multi`)
+
+    Layers hold arrays; the per-instruction Python lists the per-point
+    kernels iterate are added to ``base``, ``mems`` and ``kernels``
+    entries on first per-point use (:func:`_point_columns`).
     """
 
     __slots__ = (
@@ -293,26 +301,28 @@ def _build_base(trace: Trace, decoded) -> Optional[Dict]:
     sup_per_load = np.zeros(len(ld_pos), np.uint8)
     sup_per_load[spec_mask] = trace.column("load_suppressed")
 
-    pcs_list = pcs_np.tolist()
     srcs_by_pc = [row[2] for row in rows]
-    # Scoreboard columns, specialised for the dominant 0/1-source
+    # Scoreboard operands, specialised for the dominant 0/1-source
     # case: first source (register 64 is a never-written sentinel
     # whose ready time stays 0) plus the remaining-sources tuple.
+    # Kept per pc: the per-point kernels gather them per instruction
+    # on first use (:func:`_point_columns`), the fused pass once per
+    # distinct region.
     src0_by_pc = [s[0] if s else 64 for s in srcs_by_pc]
     rest_by_pc = [s[1:] for s in srcs_by_pc]
 
     return {
         "n": n,
         "pcs_np": pcs_np,
-        "pcs_list": pcs_list,
         "kind_s": kind_s,
         # 64-byte fetch lines, fixed shift as in core/replay.
         "line_s": pcs_np.astype(np.int64) >> 4,
         "lat_np": lat_by_pc[pcs_np],
-        "fu_list": fu_by_pc[pcs_np].tolist(),
-        "dest_list": dest_by_pc[pcs_np].tolist(),
-        "src0_list": [src0_by_pc[pc] for pc in pcs_list],
-        "rest_list": [rest_by_pc[pc] for pc in pcs_list],
+        "fu_by_pc": fu_by_pc,
+        "dest_by_pc": dest_by_pc,
+        "src0_by_pc": src0_by_pc,
+        "rest_by_pc": rest_by_pc,
+        "bid_by_pc": [row[6] for row in rows],
         "ld_pos": ld_pos,
         "st_pos": st_pos,
         "br_pos": br_pos,
@@ -328,10 +338,7 @@ def _build_base(trace: Trace, decoded) -> Optional[Dict]:
         "div_np": trace.column("resolve_diverted"),
         "load_addrs_np": trace.column("load_addrs"),
         "store_addrs_np": trace.column("store_addrs"),
-        "ret_targets_list": trace.column("ret_targets").tolist(),
-        "bid_list": [
-            rows[pc][6] for pc in pcs_np[br_pos].tolist()
-        ],
+        "ret_targets_np": trace.column("ret_targets"),
         "halted": halted,
         "hoisted": int(np.count_nonzero(hoist_by_pc[pcs_np])),
         "issued": int(np.count_nonzero(kind_s < K_NOP)),
@@ -354,10 +361,12 @@ def _pred_bits_for(
             predictor = config.predictor_factory()
             lookup = predictor.lookup
             update = predictor.update
+            bid_by_pc = base["bid_by_pc"]
+            br_pcs = base["pcs_np"][base["br_pos"]].tolist()
             takens = base["br_taken_np"].tolist()
             out = np.empty(len(takens), np.uint8)
-            for j, (bid, tk) in enumerate(zip(base["bid_list"], takens)):
-                prediction = lookup(bid)
+            for j, (pc, tk) in enumerate(zip(br_pcs, takens)):
+                prediction = lookup(bid_by_pc[pc])
                 update(prediction, tk == 1)
                 out[j] = 1 if prediction.taken else 0
             bits = out
@@ -383,24 +392,30 @@ def _ras_bits(prep: ReplayPrep, base: Dict, entries: int) -> np.ndarray:
                     np.ones(n_ret, np.uint8),
                 ]
             )
+            # A CALL pushes its return address, a RET compares the
+            # popped one with its actual target.
+            ev_addr = np.concatenate(
+                [
+                    base["pcs_np"][call_pos].astype(np.int64) + 1,
+                    base["ret_targets_np"].astype(np.int64),
+                ]
+            )
             order = np.argsort(ev_pos, kind="stable")
-            positions = ev_pos[order].tolist()
             is_ret = ev_is_ret[order].tolist()
-            pcs_list = base["pcs_list"]
-            targets = base["ret_targets_list"]
+            addrs = ev_addr[order].tolist()
             stack: List[int] = []
             missed: List[int] = []
             ret_i = 0
-            for pos, ret in zip(positions, is_ret):
+            for ret, addr in zip(is_ret, addrs):
                 if ret:
                     predicted = stack.pop() if stack else None
-                    if predicted != targets[ret_i]:
+                    if predicted != addr:
                         missed.append(ret_i)
                     ret_i += 1
                 else:
                     if len(stack) >= entries:
                         del stack[0]
-                    stack.append(pcs_list[pos] + 1)
+                    stack.append(addr)
             bits[missed] = True
         prep.ras_bits[entries] = bits
     return bits
@@ -614,7 +629,7 @@ def _build_mem(base: Dict, stream: Dict, config: MachineConfig) -> Dict:
     load_lat_np = np.where(lvl < 0, l1_lat, data_lut[np.maximum(lvl, 0)])
     store_lat_np = data_lut[np.array(store_level, np.int64)]
     return {
-        "fetch_add": fetch_add_np.tolist(),
+        "fetch_add": fetch_add_np,
         "icache_misses": int(np.count_nonzero(miss_mask)),
         "icache_under": int(
             np.count_nonzero(miss_mask & stream["acc_prev_misp"])
@@ -682,13 +697,46 @@ def _build_kernel(
     # kind keeps its row latency (branch mispredict redirects use it).
     lat_k[base["ld_pos"]] = mem["load_lat_np"]
     lat_k[base["st_pos"]] = mem["store_lat_np"]
-    return {"act": act_k.tolist(), "lat": lat_k.tolist()}
+    return {"act": act_k, "lat": lat_k}
+
+
+def _point_columns(base: Dict, mem: Dict, kernel: Dict) -> Tuple:
+    """The seven per-instruction columns the per-point kernels zip --
+    fused action, fetch add, fused latency, FU, dest, first source,
+    remaining sources -- as Python lists, which the serial loops
+    iterate far faster than arrays.  Each list is built on first
+    per-point use from the layer it derives from and cached there, so
+    a sweep pays once per layer and the fused pass, which reads the
+    arrays a region at a time, never builds them."""
+    operands = base.get("operand_lists")
+    if operands is None:
+        pcs = base["pcs_np"]
+        pcs_list = pcs.tolist()
+        src0_by_pc = base["src0_by_pc"]
+        rest_by_pc = base["rest_by_pc"]
+        operands = (
+            base["fu_by_pc"][pcs].tolist(),
+            base["dest_by_pc"][pcs].tolist(),
+            [src0_by_pc[pc] for pc in pcs_list],
+            [rest_by_pc[pc] for pc in pcs_list],
+        )
+        base["operand_lists"] = operands
+    fetch_add = mem.get("fetch_add_list")
+    if fetch_add is None:
+        fetch_add = mem["fetch_add_list"] = mem["fetch_add"].tolist()
+    act_lat = kernel.get("lists")
+    if act_lat is None:
+        act_lat = kernel["lists"] = (
+            kernel["act"].tolist(), kernel["lat"].tolist()
+        )
+    return (act_lat[0], fetch_add, act_lat[1]) + operands
 
 
 def _prepare(program, trace: Trace, config: MachineConfig, recorded: bool,
              core: str):
-    """Assemble (base, stream, mem, btb_bits, btb_misses) for one
-    replay, building/reusing cached layers; ``None`` -> reference core."""
+    """Assemble (base, stream, mem, kernel, btb_misses, kernel_key) for
+    one replay, building/reusing cached layers; ``None`` -> reference
+    core."""
     decoded = predecode(program)
     source_id = id(decoded.rows)
     prep = trace._prep
@@ -738,7 +786,7 @@ def _prepare(program, trace: Trace, config: MachineConfig, recorded: bool,
     if kernel is None:
         kernel = _build_kernel(base, stream, mem, btb_events, btb_bits)
         prep.kernels[kernel_key] = kernel
-    return base, stream, mem, kernel, btb_misses
+    return base, stream, mem, kernel, btb_misses, kernel_key
 
 
 # ------------------------------------------------------- prep reuse API
@@ -1098,6 +1146,36 @@ def _parse_prep_container(buf) -> Tuple[Dict, Dict[str, np.ndarray]]:
     return header, arrays
 
 
+def _lengths_match(
+    trace: Trace, arrays: Dict[str, np.ndarray], recorded: bool
+) -> bool:
+    """Whether every column of a slice has the length ``trace``
+    implies: one entry per instruction, load, store, RET or branch,
+    and bits as long as their event positions.  The per-point kernels
+    zip their columns, so a short one would end a replay early rather
+    than fail."""
+    n = trace.committed
+    loads = len(trace.column("load_addrs"))
+    stores = len(trace.column("store_addrs"))
+    expected = {
+        "act": n,
+        "fetch_add": n,
+        "load_lat": loads,
+        "load_miss": loads,
+        "store_lat": stores,
+        "store_miss": stores,
+        "ras_bits": len(trace.column("ret_targets")),
+        "acc_prev_misp": len(arrays["acc_pos"]),
+        "btb_io_bits": len(arrays["btb_io_events"]),
+        "btb_ooo_bits": len(arrays["btb_ooo_events"]),
+    }
+    if not recorded:
+        expected["pred_bits"] = len(trace.column("branch_pred"))
+    return all(
+        len(arrays[name]) == count for name, count in expected.items()
+    )
+
+
 def attach_prep_slice(
     program, trace: Trace, config: MachineConfig, buf
 ) -> bool:
@@ -1106,7 +1184,8 @@ def attach_prep_slice(
     Validates the container *and* its key fields against what this
     (program, trace, config) would compute -- a slice for a different
     trace digest, mode, or config class is rejected (``False``), as is
-    any structural corruption, and the caller rebuilds from scratch.
+    any structural corruption or a column whose length does not fit
+    the trace, and the caller rebuilds from scratch.
     The planted arrays are zero-copy views over ``buf``; prep layers
     are read-only to the kernels, so a shared-memory buffer may back
     any number of attached traces at once."""
@@ -1127,6 +1206,8 @@ def attach_prep_slice(
         return False
     recorded = mode == "recorded"
     if not recorded and "pred_bits" not in arrays:
+        return False
+    if not _lengths_match(trace, arrays, recorded):
         return False
     counters = header["counters"]
     try:
@@ -1161,8 +1242,7 @@ def attach_prep_slice(
         "taken_redirects_ooo": counter_values["taken_redirects_ooo"],
     }
     prep.mems[mem_key] = {
-        # The serial kernels iterate this column as a plain list.
-        "fetch_add": arrays["fetch_add"].tolist(),
+        "fetch_add": arrays["fetch_add"],
         "icache_misses": counter_values["icache_misses"],
         "icache_under": counter_values["icache_under"],
         "load_lat_np": arrays["load_lat"],
@@ -1197,7 +1277,7 @@ def replay_inorder_stats(
     prepared = _prepare(program, trace, config, recorded, "inorder")
     if prepared is None:
         return None
-    base, stream, mem, kernel, btb_misses = prepared
+    base, stream, mem, kernel, btb_misses, _ = prepared
 
     n = base["n"]
     front_depth = config.front_end_stages
@@ -1256,13 +1336,7 @@ def replay_inorder_stats(
     PRED_TAKEN_MISSBTB = F_PREDICT_TAKEN_MISSBTB
 
     for a, add, lat, fu, dest, s0, rest in zip(
-        kernel["act"],
-        mem["fetch_add"],
-        kernel["lat"],
-        base["fu_list"],
-        base["dest_list"],
-        base["src0_list"],
-        base["rest_list"],
+        *_point_columns(base, mem, kernel)
     ):
         # ---------------- fetch timing ----------------
         if add:  # I$ miss at a line change (hits add zero)
@@ -1448,7 +1522,7 @@ def replay_ooo_stats(
     prepared = _prepare(program, trace, config, recorded, "ooo")
     if prepared is None:
         return None
-    base, stream, mem, kernel, _ = prepared
+    base, stream, mem, kernel, _, _ = prepared
 
     n = base["n"]
     width = config.width
@@ -1497,13 +1571,7 @@ def replay_ooo_stats(
     PRED_TAKEN_MISSBTB = F_PREDICT_TAKEN_MISSBTB
 
     for a, add, lat, fu, dest, s0, rest in zip(
-        kernel["act"],
-        mem["fetch_add"],
-        kernel["lat"],
-        base["fu_list"],
-        base["dest_list"],
-        base["src0_list"],
-        base["rest_list"],
+        *_point_columns(base, mem, kernel)
     ):
         # ---- fetch (same model as the in-order core) ----
         if add:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
+import struct
 
 import pytest
 
@@ -329,6 +331,52 @@ class TestPrepIntegrity:
         assert delta.get("prep_builds") == 1
         assert result.cycles == second.cycles
         assert result.stats == second.stats
+
+    @pytest.mark.parametrize(
+        "column", ["fetch_add", "act", "load_lat", "btb_io_bits"]
+    )
+    def test_short_column_is_quarantined(self, store, tmp_path, column):
+        """A well-formed container, digest-verified, whose column is
+        one element short of what the trace implies: the per-point
+        kernel would zip it and stop early, so attach must refuse it."""
+        config, baseline, machine, result, blob_path = self._seed(
+            store, tmp_path
+        )
+        short = _shorten_column(blob_path.read_bytes(), column)
+        blob_path.write_bytes(short)
+        sidecar = blob_path.parent / (blob_path.name + ".sum")
+        sidecar.write_text(hashlib.sha256(short).hexdigest())
+        fresh = ArtifactStore(cache_dir=tmp_path)
+        mark = fresh.mark()
+        second = fresh.simulate_inorder(
+            baseline, machine, max_instructions=config.max_instructions
+        )
+        delta = fresh.delta(mark)
+        assert "prep_hits" not in delta
+        assert delta.get("prep_quarantined") == 1
+        assert delta.get("prep_builds") == 1
+        assert result.stats == second.stats
+
+
+def _shorten_column(blob: bytes, name: str) -> bytes:
+    """``blob`` with column ``name`` one element short: the header's
+    descriptor shrinks and is space-padded back to its old length, so
+    every column keeps its offset and the container still parses."""
+    magic_len = len(replay_vec._PREP_MAGIC)
+    (header_len,) = struct.unpack_from("<I", blob, magic_len)
+    start = magic_len + 4
+    header = json.loads(blob[start : start + header_len])
+    (descriptor,) = [d for d in header["arrays"] if d["name"] == name]
+    assert descriptor["count"] >= 1
+    descriptor["nbytes"] -= descriptor["nbytes"] // descriptor["count"]
+    descriptor["count"] -= 1
+    encoded = json.dumps(header, sort_keys=True).encode()
+    assert len(encoded) <= header_len
+    return (
+        blob[:start]
+        + encoded.ljust(header_len)
+        + blob[start + header_len :]
+    )
 
 
 @pytest.mark.skipif(

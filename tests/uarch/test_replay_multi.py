@@ -11,7 +11,9 @@ architectural state exactly.  It also pins the dispatch contract:
 single points stay per-point, mismatched prep slices and mixed
 prediction modes fall back automatically, and the fused path really
 is the one running otherwise (the ``regions`` prep layer only
-materialises when a fused pass accepts the sweep).
+materialises when a fused pass accepts the sweep).  And it holds the
+array-built region table equal to the per-instruction build it
+replaced.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ from repro.uarch import (
     capture_trace,
     replay_inorder,
     replay_inorder_sweep,
+    replay_multi,
+    replay_vec,
 )
+from repro.uarch.replay import _check_and_mode
 from repro.workloads import BENCHMARKS, spec_benchmark
 
 _BUDGET = 60_000
@@ -168,4 +173,102 @@ def test_mixed_modes_fall_back(setup):
     _assert_equal_runs(
         runs,
         [replay_inorder(program, trace, machine) for machine in machines],
+    )
+
+
+# ------------------------------------------------- region table reference
+
+
+def _reference_regions(base, mem, kernel):
+    """The per-instruction region build the array build replaced,
+    over the per-point kernels' list columns: cut after every
+    redirect, intern each region's 7 column tuples, and carry the
+    entry reg-from-load mask instruction by instruction."""
+    act, add, lat, fu, dest, s0, rest = replay_vec._point_columns(
+        base, mem, kernel
+    )
+    n = len(act)
+    cuts = [0]
+    for i, a in enumerate(act):
+        if a in replay_multi._REDIRECTS:
+            cuts.append(i + 1)
+    if cuts[-1] != n:
+        cuts.append(n)
+
+    intern = {}
+    contents = []
+    site_intern = {}
+    site_rids = []
+    site_masks = []
+    sites = []
+    mask = 0
+    for s, e in zip(cuts[:-1], cuts[1:]):
+        key = (
+            tuple(act[s:e]),
+            tuple(add[s:e]),
+            tuple(lat[s:e]),
+            tuple(fu[s:e]),
+            tuple(dest[s:e]),
+            tuple(s0[s:e]),
+            tuple(rest[s:e]),
+        )
+        rid = intern.get(key)
+        if rid is None:
+            rid = len(contents)
+            intern[key] = rid
+            contents.append(key)
+        site_key = (rid, mask)
+        sid = site_intern.get(site_key)
+        if sid is None:
+            sid = len(site_rids)
+            site_intern[site_key] = sid
+            site_rids.append(rid)
+            site_masks.append(mask)
+        sites.append(sid)
+        for i in range(s, e):
+            a = act[i]
+            if a == replay_vec.F_ALU or a == replay_vec.F_CALL:
+                mask &= ~(1 << dest[i])
+            elif a == replay_vec.F_LD_HIT or a == replay_vec.F_LD_MISS:
+                mask |= 1 << dest[i]
+    return {
+        "contents": contents,
+        "sites": sites,
+        "site_rids": site_rids,
+        "site_masks": site_masks,
+    }
+
+
+def _assert_region_table_matches_reference(program, trace, machine):
+    recorded = _check_and_mode(program, trace, machine)
+    prepared = replay_vec._prepare(
+        program, trace, machine, recorded, "inorder"
+    )
+    assert prepared is not None
+    base, _, mem, kernel, _, _ = prepared
+    table = replay_multi._build_regions(base, mem, kernel)
+    reference = _reference_regions(base, mem, kernel)
+    assert len(reference["sites"]) > 1
+    assert table == reference
+
+
+@pytest.mark.parametrize("name", _PICKS)
+@pytest.mark.parametrize("kind", ["baseline", "decomposed"])
+def test_region_table_matches_reference(setup, name, kind):
+    programs, traces = setup
+    _assert_region_table_matches_reference(
+        programs[(name, kind)],
+        traces[(name, kind)],
+        MachineConfig.paper_default(width=4),
+    )
+
+
+def test_live_region_table_matches_reference(setup):
+    programs, traces = setup
+    _assert_region_table_matches_reference(
+        programs[("h264ref", "baseline")],
+        traces[("h264ref", "baseline")],
+        MachineConfig.paper_default(width=4).with_predictor(
+            GSharePredictor
+        ),
     )
