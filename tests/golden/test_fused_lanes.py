@@ -1,11 +1,13 @@
 """Sweep-fused replay lanes pinned to the simulator goldens.
 
-``tests/uarch/test_replay_multi.py`` proves fused == per-point replay;
-this file closes the loop to the *execute-driven* oracle: a fused
-width sweep over a captured trace must land, lane by lane, on the same
-``sim_goldens.json`` fingerprints the golden suite pins for the
-execute path.  One workload per suite kind keeps it tier-1 sized; the
-full 330-fingerprint sweep stays with ``test_bit_exactness.py``.
+``tests/uarch/test_replay_multi.py`` proves fused == per-point replay,
+and ``tests/uarch/test_trace_replay.py`` runs one narrowest-first fused
+width sweep per workload over a trace round-tripped through the binary
+container.  This file covers the other two inputs a sweep can get: the
+capture as built in memory, and the lanes in widest-first order.  Each
+lane must still land on the ``sim_goldens.json`` fingerprint the golden
+suite pins for the execute path.  One workload per suite kind keeps it
+tier-1 sized.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.compiler import (
 from repro.ir import lower
 from repro.uarch import (
     MachineConfig,
-    Trace,
     capture_trace,
     replay_inorder_sweep,
 )
@@ -51,20 +52,17 @@ def test_fused_lanes_match_goldens(name, goldens):
         "baseline": compile_baseline(ref, profile=profile).program,
         "decomposed": compile_decomposed(ref, profile=profile).program,
     }
-    machines = [
-        MachineConfig.paper_default(width=w) for w in generate.WIDTHS
-    ]
+    widths = tuple(reversed(generate.WIDTHS))
+    machines = [MachineConfig.paper_default(width=w) for w in widths]
     for kind, program in programs.items():
-        trace = Trace.from_bytes(
-            capture_trace(
-                program,
-                machines[0].predictor_factory,
-                generate.MAX_INSTRUCTIONS,
-            ).to_bytes()
+        trace = capture_trace(
+            program,
+            machines[0].predictor_factory,
+            generate.MAX_INSTRUCTIONS,
         )
         runs, outcome = replay_inorder_sweep(program, trace, machines)
         assert outcome == "fused"
-        for width, run in zip(generate.WIDTHS, runs):
+        for width, run in zip(widths, runs):
             key = f"{name}/{kind}/w{width}"
             assert generate.fingerprint_run(run) == goldens[key], (
                 f"fused replay lane diverged from golden for {key}"
