@@ -1,14 +1,18 @@
-"""Sweep-fused replay benchmark: one trace pass scores a width axis.
+"""Sweep-fused replay benchmark: one K-lane walk vs K one-lane walks.
 
 The scenario the fused engine exists for: the Fig. 8 width sweep,
 where every width of one program replays the *same* captured trace
 and only the lane constants (width, ports, front-end, bubbles)
-differ.  Per-point replay walks the fused action stream once per
-width; the fused pass carries all lane states through a single
-region-memoized walk and emits every width's ``SimStats`` at once.
+differ.  The region walk (:mod:`repro.uarch.replay_multi`) is the one
+in-order replay kernel, so both sides walk the same cached region
+table: per-point replay runs a one-lane walk per width, and the fused
+pass carries all lane states through a single walk and emits every
+width's ``SimStats`` at once.  The ratio is what lane fusion alone
+saves (one pass over the region stream, one canonical-state table),
+not a difference between kernels.
 
 Snapshot (``results/BENCH_sweep_fused.json``): warm per-point (six
-K = 1 ``simulate_inorder`` calls, one vectorized replay each) vs warm
+K = 1 ``simulate_inorder`` calls, one one-lane walk each) vs warm
 fused (two passes, one per binary) over the Fig. 8 axis, gated at
 >= 2x, with
 store counters proving exactly one fused pass per program covers all
@@ -131,9 +135,10 @@ def test_sweep_fused_snapshot(tmp_path, monkeypatch):
             "binaries": ["baseline", "decomposed"],
         },
         "lever": (
-            "sweep fusion (fused: one region-memoized trace walk "
+            "lane fusion (fused: one region-memoized trace walk "
             "carrying every width's lane state; per-point: one K = 1 "
-            "simulate_inorder call, one vectorized replay, per width)"
+            "simulate_inorder call, a one-lane walk of the same "
+            "region table, per width)"
         ),
         "sweep": {
             "points": len(programs) * len(_WIDTHS),
@@ -148,9 +153,10 @@ def test_sweep_fused_snapshot(tmp_path, monkeypatch):
         "gate": 2.0,
         "note": (
             "warm walls (traces captured, preps and region tables "
-            "built); fused_pass counters prove one fused pass per "
-            "binary covers all three widths with per-lane results "
-            "bit-identical to per-point replay"
+            "built); both sides walk the same region table, so the "
+            "ratio measures lane fusion alone; fused_pass counters "
+            "prove one fused pass per binary covers all three widths "
+            "with per-lane results bit-identical to per-point replay"
         ),
     }
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -94,6 +94,18 @@ def test_replay_vectorized(benchmark):
     assert replayed.stats == _reference_run(program, machine).stats
 
 
+def _interleaved_best(fns, reps=7):
+    """Min-of-``reps`` wall of each of ``fns``, sampled round-robin so
+    that a slow stretch of the host hits every side alike."""
+    best = [float("inf")] * len(fns)
+    for _ in range(reps):
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best
+
+
 def test_replay_vectorized_snapshot():
     """Archive execute-driven vs vectorized replay walls in
     ``results/BENCH_replay_vectorized.json`` and hold the in-order
@@ -105,29 +117,24 @@ def test_replay_vectorized_snapshot():
     trace = _captured_trace(program, machine)
     result = _reference_run(program, machine)
 
-    def best_of(fn, reps=7):
-        best = float("inf")
-        for _ in range(reps):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    executed = best_of(lambda: _reference_run(program, machine))
-    executed_ooo = best_of(
-        lambda: OutOfOrderCore(machine, window=64).run(
-            program, max_instructions=_MICRO_BUDGET
-        )
-    )
-
     cold_trace = _captured_trace(program, machine)
     start = time.perf_counter()
     replayed = replay_inorder(program, cold_trace, machine)
     cold = time.perf_counter() - start
     assert replayed.stats == result.stats
-    warm = best_of(lambda: replay_inorder(program, trace, machine))
-    warm_ooo = best_of(
-        lambda: replay_ooo(program, trace, machine, window=64)
+    executed, warm = _interleaved_best(
+        [
+            lambda: _reference_run(program, machine),
+            lambda: replay_inorder(program, trace, machine),
+        ]
+    )
+    executed_ooo, warm_ooo = _interleaved_best(
+        [
+            lambda: OutOfOrderCore(machine, window=64).run(
+                program, max_instructions=_MICRO_BUDGET
+            ),
+            lambda: replay_ooo(program, trace, machine, window=64),
+        ]
     )
 
     snapshot = {
@@ -154,19 +161,21 @@ def test_replay_vectorized_snapshot():
             "vectorized_warm_ms": round(warm_ooo * 1e3, 2),
             "speedup_warm": round(executed_ooo / warm_ooo, 2),
         },
+        "gate": 3.0,
         "note": (
             "warm = replay prep cached on the trace, the steady state "
             "of a sweep replaying one capture across many configs; "
-            "cold pays one precompute pass"
+            "cold pays one precompute pass; warm walls are min-of-7, "
+            "core and replay samples alternating"
         ),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_replay_vectorized.json").write_text(
         json.dumps(snapshot, indent=2) + "\n"
     )
-    assert snapshot["inorder"]["speedup_warm"] >= 3.0, (
+    assert snapshot["inorder"]["speedup_warm"] >= snapshot["gate"], (
         f"in-order replay speedup {snapshot['inorder']['speedup_warm']}x "
-        "< 3x target"
+        f"< {snapshot['gate']}x target"
     )
 
 

@@ -743,7 +743,7 @@ class ArtifactStore:
         movement proves what happened: ``fused_passes`` /
         ``fused_points`` on fusion, ``fused_fallbacks`` when fusion
         declined, ``fused_diverges`` when a fused lane failed
-        validation and the per-point path transparently re-ran the
+        validation and the reference core transparently re-ran the
         group.  Results are returned in config order and are
         bit-identical to K independent ``InOrderCore(config).run``
         calls.

@@ -118,7 +118,7 @@ CACHE_SCHEMA = 1
 #: mirrors: a fused width sweep shows one ``fused_passes`` per
 #: (trace, prep slice) group covering K ``fused_points``, and any
 #: nonzero ``fused_diverges`` records a detected lane divergence
-#: that degraded to (bit-identical) per-point replay.
+#: that degraded to the (bit-identical) reference core.
 MANIFEST_SCHEMA = 8
 
 #: Repo-level results directory (works for the src-layout checkout).

@@ -40,10 +40,10 @@ Kinds:
   points of a fused batch*: simulates a mid-batch OOM kill and
   exercises spool recovery (completed points absorbed, only the
   unfinished remainder retried).
-* ``fused_diverge`` -- the sweep-fused replay pass
+* ``fused_diverge`` -- the in-order region walk
   (:mod:`repro.uarch.replay_multi`) corrupts one seeded config lane's
   stat accumulators right before lane validation: exercises
-  divergence detection, the automatic per-point fallback, and the
+  divergence detection, the automatic reference-core fallback, and the
   ``fused_diverges`` artifact counter that surfaces the degradation
   in the run manifest.
 
@@ -273,10 +273,10 @@ def fuse_diverge_lane(label: str, lanes: int) -> Optional[int]:
 
     Returns the seed-chosen lane index to corrupt, or ``None`` when
     the fault does not fire.  Attempt-independent, like the other
-    data-corruption kinds: a fused pass over the same trace and sweep
-    always diverges (and always on the same lane), so the per-point
-    fallback -- not a retry of the fused pass -- is what restores the
-    results.
+    data-corruption kinds: a walk over the same trace and sweep always
+    diverges (and always on the same lane), one-lane walks included,
+    so running the reference core -- not a retry of the walk -- is
+    what restores the results.
     """
     plan = plan_from_env()
     if plan is None or lanes <= 0:

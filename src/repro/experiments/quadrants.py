@@ -21,8 +21,8 @@ from ..compiler import (
     profile_program,
 )
 from ..ir import lower
-from ..uarch import InOrderCore, MachineConfig
 from ..workloads import BranchSiteSpec, WorkloadSpec
+from .artifacts import get_store
 from .harness import RunConfig
 
 #: One representative branch per Figure 1 quadrant.
@@ -92,6 +92,7 @@ def _workload(name: str, site: BranchSiteSpec, iterations: int) -> WorkloadSpec:
 def run(config: Optional[RunConfig] = None) -> QuadrantResult:
     config = config or RunConfig()
     machine = config.machine_for(4)
+    store = get_store()
     rows: List[QuadrantRow] = []
     for name, site in QUADRANTS.items():
         spec = _workload(name, site, config.iterations)
@@ -104,14 +105,12 @@ def run(config: Optional[RunConfig] = None) -> QuadrantResult:
         predicated = compile_predicated(ref, profile=profile)
         decomposed = compile_decomposed(ref, profile=profile)
 
-        base_run = InOrderCore(machine).run(
-            baseline.program, max_instructions=config.max_instructions
-        )
-        pred_run = InOrderCore(machine).run(
-            predicated.program, max_instructions=config.max_instructions
-        )
-        dec_run = InOrderCore(machine).run(
-            decomposed.program, max_instructions=config.max_instructions
+        base_run, pred_run, dec_run = (
+            store.simulate_inorder(
+                compiled.program, machine,
+                max_instructions=config.max_instructions,
+            )
+            for compiled in (baseline, predicated, decomposed)
         )
         rows.append(
             QuadrantRow(

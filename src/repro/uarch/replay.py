@@ -13,15 +13,12 @@ configuration for the trace's instruction budget.  The 330 golden
 fingerprints in ``tests/golden`` pin that core, and the replay suites
 in ``tests/uarch`` compare the kernels against it directly.
 
-The fast path is the vectorized kernel (:mod:`.replay_vec`); a sweep
-axis of K > 1 configurations sharing one kernel table is scored by one
-fused pass (:mod:`.replay_multi`).  A single point still runs on the
-per-point kernel, so two serial in-order kernels remain, although a
-K = 1 fused pass that first builds its region table now takes a
-median 0.56x its time (0.34-0.99x over the Sec. 5.3 ladder's four
-benchmarks x five predictors x both binaries, prep slice attached,
-2-vCPU Xeon host).  Sending single points to the fused walk, and
-retiring the per-point in-order kernel, is the next step.
+The fast path precomputes every clock-independent decision once
+(:mod:`.replay_vec`) and leaves one serial kernel per core.  In-order
+replay has one: the region walk of :mod:`.replay_multi`, which scores
+a sweep axis of K configurations sharing one kernel table in one
+fused pass, and a single point as K = 1.  The OOO kernel runs per
+point.
 
 When a kernel declines -- an empty or malformed trace, a live
 predictor without a stable name -- the replay runs the reference core
@@ -109,16 +106,23 @@ def _final_state(program, trace: Trace, stats: SimStats) -> SimulationResult:
     )
 
 
+def _reference_inorder(
+    program, trace: Trace, config: MachineConfig
+) -> SimulationResult:
+    """The execute-driven core at the trace's instruction budget."""
+    return InOrderCore(config).run(
+        program, max_instructions=trace.meta["budget"]
+    )
+
+
 def _replay_inorder(
     program, trace: Trace, config: MachineConfig, recorded: bool
 ) -> SimulationResult:
-    """One in-order replay on the vectorized kernel, or on the
-    reference core when the kernel declines."""
+    """One in-order replay as a one-lane region walk, or on the
+    reference core when the walk declines or its lane diverges."""
     stats = replay_vec.replay_inorder_stats(program, trace, config, recorded)
     if stats is None:
-        return InOrderCore(config).run(
-            program, max_instructions=trace.meta["budget"]
-        )
+        return _reference_inorder(program, trace, config)
     return _final_state(program, trace, stats)
 
 
@@ -143,15 +147,16 @@ def replay_inorder_sweep(
     When K > 1 and every configuration shares one fused kernel table
     (they differ only in width, ports, front-end depth or bubble
     counts, under one prediction mode), one fused pass
-    (:mod:`.replay_multi`) scores them all.  Anything else replays
-    per point, so the results are *always* bit-identical to K
-    independent :func:`replay_inorder` calls.  A single point stays on
-    the per-point kernel (see the module docstring).
+    (:mod:`.replay_multi`) scores them all.  Otherwise each point is
+    its own one-lane walk, as :func:`replay_inorder` runs it.  A lane
+    that fails validation voids the pass, and every configuration
+    then runs on the reference core.  Either way the results are
+    bit-identical to K independent :func:`replay_inorder` calls.
 
     Returns ``(results, outcome)`` where ``outcome`` is ``"fused"``
     (one pass scored every lane), ``"fallback"`` (the lanes do not
     share a kernel, or the kernel declined the trace), ``"diverged"``
-    (a fused lane failed validation and the per-point path re-ran the
+    (a fused lane failed validation and the reference core re-ran the
     sweep), or ``"per_point"`` (a single point).
     """
     configs = [config or MachineConfig() for config in configs]
@@ -163,17 +168,19 @@ def replay_inorder_sweep(
                 program, trace, configs, recorded
             )
         except replay_multi.FusedLaneDivergence:
-            outcome = "diverged"
-        else:
-            if stats_list is not None:
-                return (
-                    [
-                        _final_state(program, trace, stats)
-                        for stats in stats_list
-                    ],
-                    "fused",
-                )
-            outcome = "fallback"
+            return (
+                [
+                    _reference_inorder(program, trace, config)
+                    for config in configs
+                ],
+                "diverged",
+            )
+        if stats_list is not None:
+            return (
+                [_final_state(program, trace, stats) for stats in stats_list],
+                "fused",
+            )
+        outcome = "fallback"
     return (
         [
             _replay_inorder(program, trace, config, mode)

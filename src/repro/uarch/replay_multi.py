@@ -1,29 +1,28 @@
-"""Sweep-fused multi-config replay: one trace pass scores K configs.
+"""The in-order replay kernel: a region walk scoring K configs.
 
-After the prep-slice work, every point of a width/ports/front-end
-sweep already shares one fused kernel table (``prep_config_class``
-deliberately excludes width, ports, front-end depth and bubbles) --
-yet each point still burns its own serial walk of the fused action
-codes.  This module collapses those K walks into **one fused pass**
-over a run-length *region* view of the stream.
+Every point of a width/ports/front-end sweep shares one fused kernel
+table (``prep_config_class`` deliberately excludes width, ports,
+front-end depth and bubbles), so one walk of the fused action codes
+scores K configurations at once: **one fused pass** over a
+run-length *region* view of the stream.  A single point is the
+K = 1 case (:func:`repro.uarch.replay_vec.replay_inorder_stats`).
 
-The trick is that the serial in-order kernel
-(:func:`repro.uarch.replay_vec.replay_inorder_stats`) is translation
--invariant in time: shift every clock-coupled quantity (fetch cycle,
-scoreboard entries, issue-ring stamps, miss-buffer deadlines) by a
-constant and the deltas it produces are unchanged.  So the stream is
-cut into *regions* at every front-end redirect, region contents are
-interned (identical code stretches recur constantly in loop-heavy
-traces), and each lane's clock-coupled state between regions is
-*canonicalised relative to its own issue frontier*.  A lane entering
-an already-seen ``(region content, entry scoreboard-source mask,
-canonical state)`` replays the memoised transition -- an integer
-dict hit -- instead of re-walking the region instruction by
-instruction.  The memo key is exact, so every lane's accumulators are
-**bit-identical** to the per-point kernel by construction, and through
-it to the execute-driven reference core (:class:`InOrderCore`) that
-the golden suite pins; the fused equivalence tests and golden-pinned
-fused lanes hold it there.
+The trick is that in-order timing is translation-invariant: shift
+every clock-coupled quantity (fetch cycle, scoreboard entries,
+issue-ring stamps, miss-buffer deadlines) by a constant and the
+deltas it produces are unchanged.  So the stream is cut into
+*regions* at every front-end redirect, region contents are interned
+(identical code stretches recur constantly in loop-heavy traces), and
+each lane's clock-coupled state between regions is *canonicalised
+relative to its own issue frontier*.  A lane entering an already-seen
+``(region content, entry scoreboard-source mask, canonical state)``
+replays the memoised transition -- an integer dict hit -- instead of
+re-walking the region instruction by instruction.  The memo key is
+exact, so every lane's accumulators are **bit-identical** to a walk
+of the whole stream, and through it to the execute-driven reference
+core (:class:`InOrderCore`) that the golden suite pins; the
+equivalence tests in ``tests/uarch`` and the golden-pinned lanes in
+``tests/golden`` hold it there.
 
 Lane layout: per-config serial state (issue frontier, width/port
 counters, fetch state, gate ring, scoreboard, miss heap) lives in
@@ -33,8 +32,9 @@ every lane at each region boundary.  Per-lane memo tables key on
 ``state_id * n_sites + site_id`` -- one int -- because transition
 deltas depend on the lane's width/port constants.
 
-Fallback rules (the caller sees ``None`` and runs per-point: on the
-per-point kernel, or on the reference core where that declines too):
+Fallback rules (the caller sees ``None``: a sweep replays each point
+as a one-lane walk, and a point the walk declines runs on the
+reference core):
 
 * any lane outside the vectorized path's own guards (unnameable live
   predictor, empty or malformed trace);
@@ -46,23 +46,15 @@ per-point kernel, or on the reference core where that declines too):
 Degenerate machines (a port class or the fetch buffer below one) never
 reach this module: :class:`MachineConfig` rejects them when built.
 
-Why two serial in-order kernels remain: the sweep front door
-(:func:`repro.uarch.replay.replay_inorder_sweep`) still sends a single
-point to the per-point kernel, although a K = 1 fused pass that builds
-its region table takes a median 0.56x the per-point kernel's time on
-predictor-ladder traces (0.34-0.99x over four benchmarks x five
-predictors x both binaries) -- and every ladder point is its own prep
-slice, so it always builds one.  Making this walk the only in-order
-kernel is the next step.
-
-Lane-divergence containment: the fused pass re-checks cheap per-lane
+Lane-divergence containment: the walk re-checks cheap per-lane
 invariants (non-negative stall accumulators, the width bound
 ``cycles * width >= issued``) and raises
-:class:`FusedLaneDivergence` on violation; the artifact store catches
-it, falls back to per-point replay, and counts the degradation
-(``fused_diverges``).  The ``fused_diverge`` fault kind corrupts one
-seeded lane's accumulators right before validation to prove that
-whole chain end to end.
+:class:`FusedLaneDivergence` on violation.  The replay front door
+then discards the pass and runs every config on the reference core,
+the one independent in-order timing model left; the artifact store
+counts the degradation (``fused_diverges``).  The ``fused_diverge``
+fault kind corrupts one seeded lane's accumulators right before
+validation to prove that whole chain end to end.
 """
 
 from __future__ import annotations
@@ -79,8 +71,8 @@ from . import replay_vec as rv
 
 
 class FusedLaneDivergence(RuntimeError):
-    """A fused lane's accumulators failed the sanity invariants; the
-    caller must discard the fused pass and replay per-point."""
+    """A lane's accumulators failed the sanity invariants; the caller
+    must discard the pass and run the reference core instead."""
 
 
 #: Fused action codes that redirect the front end: region boundaries.
@@ -301,10 +293,12 @@ def _materialize(c: tuple, pi: int):
 
 
 def _step_region(content, entry_rfl: List[int], state, consts):
-    """Walk one region from a materialised absolute state: the exact
-    per-instruction body of ``replay_vec.replay_inorder_stats``, with
-    the stamped gate ring always consulted (its entries start at 0 and
-    the gate test is strict, so an unfilled ring never gates).
+    """Walk one region from a materialised absolute state, one
+    instruction at a time, as ``InOrderCore.run`` times it: in-order
+    issue times never decrease, so the core's stamped width and port
+    rings collapse to counters at the current issue cycle, and the
+    fetch-buffer gate ring is always consulted (its entries start at 0
+    and the gate test is strict, so an unfilled ring never gates).
     ``entry_rfl`` is the site's entry mask as a 65-entry
     ``reg_from_load`` list; the walk updates a copy.
 
@@ -531,10 +525,10 @@ def replay_inorder_multi_stats(
     (``recorded`` holds each lane's prediction mode).
 
     Returns one :class:`SimStats` per config (bit-identical to
-    ``replay_vec.replay_inorder_stats`` lane by lane), or ``None``
-    when the lanes do not share one fused kernel table -- the caller
-    then replays per-point.  Raises :class:`FusedLaneDivergence` when
-    a lane fails validation (or the ``fused_diverge`` fault fires).
+    ``InOrderCore.run`` lane by lane), or ``None`` when a lane is
+    outside the vectorized path's guards or the lanes do not share one
+    fused kernel table.  Raises :class:`FusedLaneDivergence` when a
+    lane fails validation (or the ``fused_diverge`` fault fires).
     """
     k = len(configs)
     prepared_all = [
@@ -671,8 +665,9 @@ def _maybe_inject_divergence(
     trace: Trace, k: int, lcs: List[int], luss: List[int]
 ) -> None:
     """Apply the seeded ``fused_diverge`` fault: corrupt one lane's
-    accumulators right before validation, so the detection + per-point
-    fallback + manifest accounting chain is exercised end to end."""
+    accumulators right before validation, so the detection +
+    reference-core fallback + manifest accounting chain is exercised
+    end to end."""
     import os
 
     if not os.environ.get("REPRO_FAULT_INJECT"):

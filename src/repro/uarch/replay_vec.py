@@ -50,12 +50,10 @@ below one) are rejected up front -- by :class:`MachineConfig`,
 :class:`OutOfOrderCore` and ``replay_ooo`` -- so the kernels carry no
 guard for them.
 
-Two serial in-order kernels remain: this per-point one, and the
-sweep-fused one in :mod:`repro.uarch.replay_multi`.  Single points
-still run here, although a K = 1 fused pass that builds its region
-table now takes a median 0.56x this kernel's time on predictor-ladder
-traces (0.34-0.99x); retiring this in-order kernel for the fused walk
-is the next step.
+The in-order serial kernel is the region walk in
+:mod:`repro.uarch.replay_multi`, for one point as for a sweep axis:
+:func:`replay_inorder_stats` is its one-lane entry.  The OOO kernel
+lives here and runs per point.
 """
 
 from __future__ import annotations
@@ -83,7 +81,6 @@ from ..isa.decode import (
     predecode,
 )
 from .config import MachineConfig
-from .core import _RING, _RING_MASK
 from .ooo import _RING as _OOO_RING, _RING_MASK as _OOO_RING_MASK
 from .stats import SimStats
 from .trace import Trace, predictor_id
@@ -175,12 +172,12 @@ class ReplayPrep:
     * ``btbs``       -- per (core, mode, btb_entries): miss bits
     * ``kernels``    -- per (core, stream, geometry, btb_entries): the
       fused action and latency arrays
-    * ``regions``    -- per kernel key: the sweep-fused replay's
+    * ``regions``    -- per kernel key: the in-order region walk's
       interned region table (:mod:`.replay_multi`)
 
-    Layers hold arrays; the per-instruction Python lists the per-point
-    kernels iterate are added to ``base``, ``mems`` and ``kernels``
-    entries on first per-point use (:func:`_point_columns`).
+    Layers hold arrays; the per-instruction Python lists the OOO
+    kernel iterates are added to ``base``, ``mems`` and ``kernels``
+    entries on its first use (:func:`_point_columns`).
     """
 
     __slots__ = (
@@ -305,9 +302,9 @@ def _build_base(trace: Trace, decoded) -> Optional[Dict]:
     # Scoreboard operands, specialised for the dominant 0/1-source
     # case: first source (register 64 is a never-written sentinel
     # whose ready time stays 0) plus the remaining-sources tuple.
-    # Kept per pc: the per-point kernels gather them per instruction
-    # on first use (:func:`_point_columns`), the fused pass once per
-    # distinct region.
+    # Kept per pc: the OOO kernel gathers them per instruction on
+    # first use (:func:`_point_columns`), the in-order region walk once
+    # per distinct region.
     src0_by_pc = [s[0] if s else 64 for s in srcs_by_pc]
     rest_by_pc = [s[1:] for s in srcs_by_pc]
 
@@ -701,13 +698,13 @@ def _build_kernel(
 
 
 def _point_columns(base: Dict, mem: Dict, kernel: Dict) -> Tuple:
-    """The seven per-instruction columns the per-point kernels zip --
-    fused action, fetch add, fused latency, FU, dest, first source,
-    remaining sources -- as Python lists, which the serial loops
-    iterate far faster than arrays.  Each list is built on first
-    per-point use from the layer it derives from and cached there, so
-    a sweep pays once per layer and the fused pass, which reads the
-    arrays a region at a time, never builds them."""
+    """The seven per-instruction columns the OOO kernel zips -- fused
+    action, fetch add, fused latency, FU, dest, first source, remaining
+    sources -- as Python lists, which its serial loop iterates far
+    faster than arrays.  Each list is built on first use from the
+    layer it derives from and cached there, so a sweep pays once per
+    layer; the in-order region walk reads the arrays a region at a
+    time and never builds them."""
     operands = base.get("operand_lists")
     if operands is None:
         pcs = base["pcs_np"]
@@ -1151,9 +1148,9 @@ def _lengths_match(
 ) -> bool:
     """Whether every column of a slice has the length ``trace``
     implies: one entry per instruction, load, store, RET or branch,
-    and bits as long as their event positions.  The per-point kernels
-    zip their columns, so a short one would end a replay early rather
-    than fail."""
+    and bits as long as their event positions.  The OOO kernel zips
+    its columns, so a short one would end a replay early rather than
+    fail."""
     n = trace.committed
     loads = len(trace.column("load_addrs"))
     stores = len(trace.column("store_addrs"))
@@ -1269,243 +1266,19 @@ def attach_prep_slice(
 def replay_inorder_stats(
     program, trace: Trace, config: MachineConfig, recorded: bool
 ) -> Optional[SimStats]:
-    """In-order replay over precomputed tables; ``None`` -> the caller
-    runs the reference core.  Mirrors ``InOrderCore.run``
-    bit-exactly."""
-    width = config.width
-    port_caps = (0, config.int_ports, config.mem_ports, config.fp_ports)
-    prepared = _prepare(program, trace, config, recorded, "inorder")
-    if prepared is None:
+    """One in-order replay: a one-lane region walk
+    (:func:`repro.uarch.replay_multi.replay_inorder_multi_stats`).
+    ``None`` when the walk declines or its lane fails validation ->
+    the caller runs the reference core."""
+    from . import replay_multi  # it imports this module at load time
+
+    try:
+        stats = replay_multi.replay_inorder_multi_stats(
+            program, trace, [config], [recorded]
+        )
+    except replay_multi.FusedLaneDivergence:
         return None
-    base, stream, mem, kernel, btb_misses, _ = prepared
-
-    n = base["n"]
-    front_depth = config.front_end_stages
-    fetch_buffer = config.fetch_buffer_entries
-    taken_bubble = config.taken_redirect_bubble
-    miss_bubble = taken_bubble + config.btb_miss_bubble
-    mb_entries = config.hierarchy.miss_buffer_entries
-
-    # In-order issue times are monotone non-decreasing (``prev_issue``
-    # clamp), so occupancy only ever matters at the current issue cycle:
-    # a bump past a full cycle always lands on an empty one, and the
-    # stamped rings of the reference core collapse to plain counters.
-    w_t = -1  # cycle the width counter refers to
-    w_cnt = 0
-    p_times = [-1, -1, -1, -1]  # per-FU port counters, indexed by fu
-    p_cnts = [0, 0, 0, 0]
-
-    reg_ready = [0] * 65  # slot 64: the zero-source sentinel
-    reg_from_load = [False] * 65
-
-    heap: List[int] = []  # outstanding data-miss completion times
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    # Fetch-buffer gate as a circular list: once full, the slot about
-    # to be overwritten is the issue time from ``fetch_buffer`` ago.
-    gate_ring = [0] * fetch_buffer
-    gate_pos = 0
-    gate_full = False
-
-    fetch_cycle = 0
-    fetch_slots = 0
-    prev_issue = 0
-    last_cycle = 0
-    load_use_stall = 0
-    resolution_stall = 0
-
-    # Hoist the dispatch constants into locals (the loop reads them
-    # every instruction; LOAD_FAST beats LOAD_GLOBAL).
-    ALU = F_ALU
-    LD_HIT = F_LD_HIT
-    ST_HIT = F_ST_HIT
-    JMP = F_JMP
-    BR_NONE = F_BR_NONE
-    BR_TAKEN = F_BR_TAKEN
-    BR_TAKEN_MISSBTB = F_BR_TAKEN_MISSBTB
-    BR_MISP = F_BR_MISP
-    RS_NONE = F_RS_NONE
-    RS_MISP = F_RS_MISP
-    LD_MISS = F_LD_MISS
-    ST_MISS = F_ST_MISS
-    CALL = F_CALL
-    RET_OK = F_RET_OK
-    PRED_NONE = F_PREDICT_NONE
-    PRED_TAKEN = F_PREDICT_TAKEN
-    PRED_TAKEN_MISSBTB = F_PREDICT_TAKEN_MISSBTB
-
-    for a, add, lat, fu, dest, s0, rest in zip(
-        *_point_columns(base, mem, kernel)
-    ):
-        # ---------------- fetch timing ----------------
-        if add:  # I$ miss at a line change (hits add zero)
-            fetch_cycle += add
-            fetch_slots = 0
-        if fetch_slots >= width:
-            fetch_cycle += 1
-            fetch_slots = 0
-        if gate_full:
-            gate = gate_ring[gate_pos]
-            if gate > fetch_cycle:
-                fetch_cycle = gate
-                fetch_slots = 0
-        fetch_slots += 1
-
-        # ------------- front-end-only kinds (PREDICT / HALT) -------
-        if a >= PRED_NONE:
-            if last_cycle < fetch_cycle:
-                last_cycle = fetch_cycle
-            if a == PRED_NONE:
-                continue
-            if a == PRED_TAKEN:
-                fetch_cycle += taken_bubble
-                fetch_slots = 0
-                continue
-            if a == PRED_TAKEN_MISSBTB:
-                fetch_cycle += miss_bubble
-                fetch_slots = 0
-                continue
-            break  # F_HALT
-
-        # ---------------- issue-slot computation ----------------
-        bt0 = fetch_cycle + front_depth
-        base_t = prev_issue if prev_issue > bt0 else bt0
-        if rest:
-            operand_ready = base_t
-            wait_from_load = False
-            ready = reg_ready[s0]
-            if ready > operand_ready:
-                operand_ready = ready
-                wait_from_load = reg_from_load[s0]
-            for reg in rest:
-                ready = reg_ready[reg]
-                if ready > operand_ready:
-                    operand_ready = ready
-                    wait_from_load = reg_from_load[reg]
-            if wait_from_load and operand_ready > base_t:
-                load_use_stall += operand_ready - base_t
-        else:  # 0/1-source fast path (most of the stream)
-            ready = reg_ready[s0]
-            if ready > base_t:
-                operand_ready = ready
-                if reg_from_load[s0]:
-                    load_use_stall += ready - base_t
-            else:
-                operand_ready = base_t
-
-        issue = operand_ready
-        if fu:
-            pt = p_times[fu]
-            pc = p_cnts[fu]
-            if (issue == w_t and w_cnt >= width) or (
-                issue == pt and pc >= port_caps[fu]
-            ):
-                issue += 1  # next cycle is empty: times are monotone
-            if issue == w_t:
-                w_cnt += 1
-            else:
-                w_t = issue
-                w_cnt = 1
-            if issue == pt:
-                p_cnts[fu] = pc + 1
-            else:
-                p_times[fu] = issue
-                p_cnts[fu] = 1
-        prev_issue = issue
-        gate_ring[gate_pos] = issue
-        gate_pos += 1
-        if gate_pos == fetch_buffer:
-            gate_pos = 0
-            gate_full = True
-
-        complete = issue + lat
-
-        # ---------------- re-time (precomputed decisions) --------
-        if a == ALU:
-            reg_ready[dest] = complete
-            reg_from_load[dest] = False
-        elif a == LD_HIT:
-            reg_ready[dest] = complete
-            reg_from_load[dest] = True
-        elif a <= RS_MISP:
-            if a == ST_HIT:
-                complete = issue + 1
-            elif a == JMP:
-                fetch_cycle += taken_bubble
-                fetch_slots = 0
-            else:  # branch / resolve band (BR_NONE..RS_MISP)
-                wait = issue - bt0
-                if wait > 0:
-                    resolution_stall += wait
-                if a == BR_TAKEN:
-                    fetch_cycle += taken_bubble
-                    fetch_slots = 0
-                elif a == BR_MISP or a == RS_MISP:
-                    fetch_cycle = complete + 1
-                    fetch_slots = 0
-                elif a == BR_TAKEN_MISSBTB:
-                    fetch_cycle += miss_bubble
-                    fetch_slots = 0
-                # BR_NONE / RS_NONE: correct, no redirect
-        elif a == LD_MISS:
-            while heap and heap[0] <= issue:
-                heappop(heap)
-            if len(heap) >= mb_entries:
-                complete = heap[0] + lat
-            else:
-                complete = issue + lat
-            heappush(heap, complete)
-            reg_ready[dest] = complete
-            reg_from_load[dest] = True
-        elif a == ST_MISS:
-            while heap and heap[0] <= issue:
-                heappop(heap)
-            if len(heap) >= mb_entries:
-                done = heap[0] + lat
-            else:
-                done = issue + lat
-            heappush(heap, done)
-            complete = issue + 1
-        elif a == CALL:
-            reg_ready[dest] = complete
-            reg_from_load[dest] = False
-            fetch_cycle += taken_bubble
-            fetch_slots = 0
-        elif a == RET_OK:
-            fetch_cycle += taken_bubble
-            fetch_slots = 0
-        else:  # RET_MISP or NOP
-            if a != F_NOP:
-                fetch_cycle = complete + 1
-                fetch_slots = 0
-
-        if complete > last_cycle:
-            last_cycle = complete
-
-    return SimStats.from_counts(
-        cycles=last_cycle + 1,
-        committed=n,
-        issued=base["issued"],
-        fetched=n,
-        loads=len(base["ld_pos"]),
-        stores=len(base["st_pos"]),
-        load_use_stall_cycles=load_use_stall,
-        cond_branches=len(base["br_pos"]),
-        cond_mispredicts=stream["cond_mispredicts"],
-        taken_redirects=stream["taken_redirects_inorder"],
-        btb_miss_bubbles=btb_misses,
-        predicts=len(base["pr_pos"]),
-        resolves=len(base["rs_pos"]),
-        resolve_mispredicts=stream["resolve_mispredicts"],
-        resolution_stall_cycles=resolution_stall,
-        hoisted_committed=base["hoisted"],
-        speculative_loads=base["speculative_loads"],
-        ras_mispredicts=stream["ras_mispredicts"],
-        icache_misses=mem["icache_misses"],
-        icache_misses_under_mispredict=mem["icache_under"],
-        halted=base["halted"],
-    )
+    return None if stats is None else stats[0]
 
 
 def replay_ooo_stats(

@@ -1,7 +1,8 @@
 """Sweep-fused replay lanes pinned to the simulator goldens.
 
-``tests/uarch/test_replay_multi.py`` proves fused == per-point replay,
-and ``tests/uarch/test_trace_replay.py`` runs one narrowest-first fused
+``tests/uarch/test_replay_multi.py`` holds fused lanes and one-lane
+walks to the execute-driven core, and
+``tests/uarch/test_trace_replay.py`` runs one narrowest-first fused
 width sweep per workload over a trace round-tripped through the binary
 container.  This file covers the other two inputs a sweep can get: the
 capture as built in memory, and the lanes in widest-first order.  Each

@@ -53,6 +53,26 @@ class TestFigures:
             run_figure("fig99")
 
 
+class TestQuadrants:
+    def test_replay_matches_reference_core(self, tmp_path, monkeypatch):
+        """Fig. 1b's nine runs (three binaries per quadrant, predicated
+        ones included) go through the store; replayed, they score and
+        render exactly as on the reference core."""
+        from repro.experiments.artifacts import default_store
+        from repro.experiments.quadrants import run as run_quadrants
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_TRACE_REPLAY", "0")
+        reference = run_quadrants(QUICK)
+        monkeypatch.delenv("REPRO_TRACE_REPLAY")
+        store = default_store()
+        mark = store.mark()
+        replayed = run_quadrants(QUICK)
+        assert store.delta(mark).get("trace_replays") == 9
+        assert replayed.rows == reference.rows
+        assert replayed.render() == reference.render()
+
+
 class TestPredVsBias:
     def test_curves_have_expected_shape(self):
         curve = run_pred_vs_bias("int2006", stream_length=600)

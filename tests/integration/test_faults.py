@@ -418,10 +418,10 @@ class TestInterruptResume:
 
 class TestFusedDivergence:
     """``fused_diverge`` faults corrupt one lane's accumulators inside
-    a fused sweep pass.  Lane validation must detect the damage, throw
-    the whole pass away, replay the sweep per-point (bit-identical to
-    an undisturbed run), and count the degradation so the manifest
-    records it."""
+    a region walk.  Lane validation must detect the damage, throw the
+    whole pass away, re-run the sweep on the reference core
+    (bit-identical to an undisturbed run), and count the degradation
+    so the manifest records it."""
 
     def _sweep_setup(self, tmp_path, monkeypatch):
         import dataclasses as dc
@@ -463,7 +463,7 @@ class TestFusedDivergence:
             program, machines, max_instructions=config.max_instructions
         )
         # Warm trace: all three lanes fuse, the injected lane trips
-        # validation, and the pass degrades to per-point replay.
+        # validation, and the pass degrades to the reference core.
         assert faulted.counters["fused_diverges"] == 1
         assert faulted.counters["fused_fallbacks"] == 1
         assert faulted.counters["fused_passes"] == 0
@@ -504,6 +504,53 @@ class TestFusedDivergence:
             assert a.ok and b.ok
             assert a.speedups == b.speedups
             assert vars(a.metrics) == vars(b.metrics)
+
+    def test_single_point_runs_reference_core(
+        self, tmp_path, monkeypatch, kernel_declines
+    ):
+        """A single point is a one-lane walk, so the fault trips it
+        too: the walk declines and the reference core answers,
+        bit-identical to a clean run."""
+        import dataclasses as dc
+
+        from repro.experiments.artifacts import ArtifactStore
+        from repro.uarch import InOrderCore
+
+        config, program, machines = self._sweep_setup(
+            tmp_path, monkeypatch
+        )
+        machine = machines[1]
+        core_calls = []
+        core_run = InOrderCore.run
+
+        def counted_run(core, *args, **kwargs):
+            core_calls.append(core.config)
+            return core_run(core, *args, **kwargs)
+
+        monkeypatch.setattr(InOrderCore, "run", counted_run)
+        clean = ArtifactStore(cache_dir=tmp_path).simulate_inorder(
+            program, machine, max_instructions=config.max_instructions
+        )
+        # Cold store: a timing-free capture, then the walk serves it.
+        assert kernel_declines == [False]
+        assert core_calls == []
+
+        monkeypatch.setenv(
+            "REPRO_FAULT_INJECT", "fused_diverge:1.0@seed=5"
+        )
+        faulted = ArtifactStore(cache_dir=tmp_path)
+        degraded = faulted.simulate_inorder(
+            program, machine, max_instructions=config.max_instructions
+        )
+        assert kernel_declines == [False, True]
+        assert core_calls == [machine]
+        # One point is never fusion: no fused counter moves.
+        assert faulted.counters["trace_replays"] == 1
+        assert faulted.counters["fused_diverges"] == 0
+        assert faulted.counters["fused_fallbacks"] == 0
+        assert dc.asdict(clean.stats) == dc.asdict(degraded.stats)
+        assert clean.registers == degraded.registers
+        assert clean.memory.snapshot() == degraded.memory.snapshot()
 
 
 class TestBenchmarkSweepAcceptance:

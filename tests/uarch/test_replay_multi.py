@@ -1,19 +1,23 @@
-"""Sweep-fused vs per-point replay equivalence, tier-1 scale.
+"""The in-order region walk vs the execute-driven core, tier-1 scale.
 
-The fused multi-config pass (:mod:`repro.uarch.replay_multi`) claims
-bit-exactness lane by lane against the per-point vectorized kernel --
-which the golden suite in turn holds to the execute-driven reference
-core.  This file is the fast guard: for one workload per suite kind
-(int2006/fp2006/int2000/fp2000), for baseline and decomposed
-programs, under recorded and live prediction, one fused width-sweep
-pass must reproduce the per-point replays' full ``SimStats`` and
-architectural state exactly.  It also pins the dispatch contract:
-single points stay per-point, mismatched prep slices and mixed
-prediction modes fall back automatically, and the fused path really
-is the one running otherwise (the ``regions`` prep layer only
-materialises when a fused pass accepts the sweep).  And it holds the
-array-built region table equal to the per-instruction build it
-replaced.
+The region walk (:mod:`repro.uarch.replay_multi`) is the only
+in-order replay kernel: one fused pass scores a width sweep, and
+:func:`replay_inorder` runs a single point as a one-lane walk.  So a
+fused-vs-``replay_inorder`` comparison only shows that lanes are
+independent; correctness is held against the reference core
+(``InOrderCore``) directly.  This file is the fast guard: for one
+workload per suite kind (int2006/fp2006/int2000/fp2000), for baseline
+and decomposed programs, under recorded and live prediction, one
+fused width-sweep pass must reproduce the one-lane replays and the
+core's full ``SimStats`` and architectural state exactly.  It also
+pins the dispatch contract: a single point keeps the ``"per_point"``
+outcome but is served by a one-lane walk (it builds the ``regions``
+prep layer and the kernel does not decline), mismatched prep slices
+and mixed prediction modes fall back to one-lane walks automatically,
+and the fused path really is the one running otherwise (the
+``regions`` prep layer only materialises when a walk accepts the
+point or sweep).  And it holds the array-built region table equal to
+the per-instruction build it replaced.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from repro.compiler import (
 )
 from repro.ir import lower
 from repro.uarch import (
+    InOrderCore,
     MachineConfig,
     Trace,
     capture_trace,
@@ -89,6 +94,13 @@ def _assert_equal_runs(fused, per_point):
         assert fast.memory.snapshot() == slow.memory.snapshot()
 
 
+def _core_runs(program, machines):
+    return [
+        InOrderCore(machine).run(program, max_instructions=_BUDGET)
+        for machine in machines
+    ]
+
+
 @pytest.mark.parametrize("name", _PICKS)
 @pytest.mark.parametrize("kind", ["baseline", "decomposed"])
 def test_fused_sweep_matches_per_point(setup, name, kind):
@@ -101,6 +113,9 @@ def test_fused_sweep_matches_per_point(setup, name, kind):
         replay_inorder(program, trace, machine) for machine in machines
     ]
     _assert_equal_runs(fused, per_point)
+    # Both sides walk the same regions; the core is the independent
+    # check.
+    _assert_equal_runs(fused, _core_runs(program, machines))
     # The regions layer only materialises when a fused pass ran.
     assert trace._prep is not None and len(trace._prep.regions) >= 1
 
@@ -122,17 +137,25 @@ def test_live_predictor_lanes_fuse(setup):
         fused,
         [replay_inorder(program, trace, machine) for machine in machines],
     )
+    _assert_equal_runs(fused, _core_runs(program, machines))
 
 
-def test_single_point_stays_per_point(setup):
+def test_single_point_stays_per_point(setup, kernel_declines):
+    """A single point keeps the ``"per_point"`` outcome (it is not
+    counted as fusion), but a one-lane region walk serves it: a fresh
+    trace gains exactly one regions layer, and the kernel does not
+    decline."""
     programs, traces = setup
     program = programs[("h264ref", "baseline")]
     trace = traces[("h264ref", "baseline")]
-    runs, outcome = replay_inorder_sweep(
-        program, trace, [MachineConfig.paper_default(width=4)]
-    )
+    trace = Trace.from_bytes(trace.to_bytes())
+    machine = MachineConfig.paper_default(width=4)
+    runs, outcome = replay_inorder_sweep(program, trace, [machine])
     assert outcome == "per_point"
     assert len(runs) == 1
+    assert len(trace._prep.regions) == 1
+    assert kernel_declines == [False]
+    _assert_equal_runs(runs, _core_runs(program, [machine]))
 
 
 def test_mismatched_slices_fall_back(setup):
@@ -181,9 +204,9 @@ def test_mixed_modes_fall_back(setup):
 
 def _reference_regions(base, mem, kernel):
     """The per-instruction region build the array build replaced,
-    over the per-point kernels' list columns: cut after every
-    redirect, intern each region's 7 column tuples, and carry the
-    entry reg-from-load mask instruction by instruction."""
+    over the list columns of :func:`replay_vec._point_columns`: cut
+    after every redirect, intern each region's 7 column tuples, and
+    carry the entry reg-from-load mask instruction by instruction."""
     act, add, lat, fu, dest, s0, rest = replay_vec._point_columns(
         base, mem, kernel
     )
