@@ -14,13 +14,14 @@ Two layers:
 * pytest-benchmark micros of one cold-store sweep point under a live
   (non-recorded) predictor -- prep cache off vs warm;
 * a snapshot (``results/BENCH_prep_cache.json``) of the full
-  multi-predictor sweep across a chain of fresh stores, gated at the
-  ISSUE's >= 1.3x, with the store counters proving the fleet-wide
-  build count is exactly one per (trace, predictor, config class)
-  and the results bit-identical either way.
+  multi-predictor sweep across a chain of fresh stores, warm and cold
+  sweeps sampled round-robin and gated at >= 1.3x, with the store
+  counters proving the fleet-wide build count is exactly one per
+  (trace, predictor, config class) and the results bit-identical
+  either way.
 
-Correctness (invalidation, quarantine, shm attach, scalar-oracle
-equality) is pinned by ``tests/integration/test_prep_artifacts.py``.
+Correctness (invalidation, quarantine, scalar-oracle equality) is
+pinned by ``tests/integration/test_prep_artifacts.py``.
 """
 
 import json
@@ -34,7 +35,6 @@ from repro.branchpred import (
     TagePredictor,
 )
 from repro.compiler import compile_baseline, profile_program
-from repro.experiments import plane
 from repro.experiments.artifacts import ArtifactStore
 from repro.ir import lower
 from repro.uarch import MachineConfig
@@ -88,9 +88,7 @@ def _fresh_point(cache_dir, program, machine):
 def test_point_replay_prep_cold(benchmark, tmp_path, monkeypatch):
     """Prep cache off: every fresh store re-runs the serial live
     predictor pass and cache-tag walk before it can replay."""
-    monkeypatch.setenv("REPRO_SHM", "0")
     monkeypatch.setenv("REPRO_PREP_CACHE", "0")
-    monkeypatch.delenv(plane.PREFIX_ENV, raising=False)
     program, machine = _seed_trace(tmp_path)
     live = machine.with_predictor(GSharePredictor)
     result = benchmark(
@@ -101,9 +99,7 @@ def test_point_replay_prep_cold(benchmark, tmp_path, monkeypatch):
 
 def test_point_replay_prep_warm(benchmark, tmp_path, monkeypatch):
     """Persisted preps: a fresh store attaches the finished layers."""
-    monkeypatch.setenv("REPRO_SHM", "0")
     monkeypatch.delenv("REPRO_PREP_CACHE", raising=False)
-    monkeypatch.delenv(plane.PREFIX_ENV, raising=False)
     program, machine = _seed_trace(tmp_path)
     live = machine.with_predictor(GSharePredictor)
     _, counters = _fresh_point(tmp_path, program, live)  # build once
@@ -114,21 +110,24 @@ def test_point_replay_prep_warm(benchmark, tmp_path, monkeypatch):
     assert result.cycles > 0
 
 
-def _best_of(fn, reps=3):
-    best, out = float("inf"), None
+def _interleaved_best(fns, reps=7):
+    """Min-of-``reps`` wall and last output of each of ``fns``, sampled
+    round-robin so that a slow stretch of the host hits every side
+    alike."""
+    best = [float("inf")] * len(fns)
+    outs = [None] * len(fns)
     for _ in range(reps):
-        start = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, out
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            outs[index] = fn()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best, outs
 
 
 def test_prep_cache_snapshot(tmp_path, monkeypatch):
     """Archive cold vs warm multi-predictor sweep walls in
     ``results/BENCH_prep_cache.json``, hold warm to the >= 1.3x
     target, and prove one build per (trace, predictor) fleet-wide."""
-    monkeypatch.setenv("REPRO_SHM", "0")
-    monkeypatch.delenv(plane.PREFIX_ENV, raising=False)
     monkeypatch.delenv("REPRO_PREP_CACHE", raising=False)
     program, machine = _seed_trace(tmp_path)
     machines = _sweep_machines(machine)
@@ -153,18 +152,28 @@ def test_prep_cache_snapshot(tmp_path, monkeypatch):
     assert build_totals.get("prep_builds") == len(machines) - 1
     assert build_totals.get("prep_hits") == 1
 
-    # Warm pass(es): the whole fleet reuses those builds forever.
-    warm_wall, (warm_results, warm_totals) = _best_of(sweep)
+    def cold_sweep():
+        # Prep cache off for this sample only: the same chain, every
+        # prep layer rebuilt per point and nothing persisted.
+        monkeypatch.setenv("REPRO_PREP_CACHE", "0")
+        try:
+            return sweep()
+        finally:
+            monkeypatch.delenv("REPRO_PREP_CACHE")
+
+    # Warm passes reuse those builds forever; cold passes rebuild.
+    # Alternate the two so host noise lands on both sides alike.
+    (warm_wall, cold_wall), (warm, cold) = _interleaved_best(
+        [sweep, cold_sweep]
+    )
+    warm_results, warm_totals = warm
+    cold_results, cold_totals = cold
     assert "prep_builds" not in warm_totals
     assert "prep_misses" not in warm_totals
     assert warm_totals.get("prep_hits") == len(machines)
-
-    monkeypatch.setenv("REPRO_PREP_CACHE", "0")
-    cold_wall, (cold_results, cold_totals) = _best_of(sweep)
     assert not any(
         name.startswith("prep_") for name in cold_totals
     )
-    monkeypatch.delenv("REPRO_PREP_CACHE", raising=False)
 
     assert [r.stats for r in cold_results] == [
         r.stats for r in warm_results
@@ -184,8 +193,10 @@ def test_prep_cache_snapshot(tmp_path, monkeypatch):
         "lever": (
             "REPRO_PREP_CACHE (warm: fresh store per point attaching "
             "persisted preps/ slices; cold: same chain rebuilding "
-            "every prep layer per point)"
+            "every prep layer per point; min of 7 samples per side, "
+            "taken alternately)"
         ),
+        "gate": 1.3,
         "sweep": {
             "points": len(machines),
             "cold_wall_s": round(cold_wall, 3),
@@ -209,7 +220,7 @@ def test_prep_cache_snapshot(tmp_path, monkeypatch):
     (RESULTS_DIR / "BENCH_prep_cache.json").write_text(
         json.dumps(snapshot, indent=2) + "\n"
     )
-    assert snapshot["sweep"]["speedup"] >= 1.3, (
+    assert snapshot["sweep"]["speedup"] >= snapshot["gate"], (
         f"warm prep sweep speedup {snapshot['sweep']['speedup']}x "
-        "< 1.3x target"
+        f"< {snapshot['gate']}x target"
     )

@@ -33,7 +33,6 @@ from repro.compiler import (
     compile_decomposed,
     profile_program,
 )
-from repro.experiments import plane
 from repro.experiments.artifacts import ArtifactStore
 from repro.ir import lower
 from repro.uarch import MachineConfig
@@ -67,12 +66,9 @@ def _best_of(fn, reps=3):
     return best, out
 
 
-def test_sweep_fused_snapshot(tmp_path, monkeypatch):
+def test_sweep_fused_snapshot(tmp_path):
     """Archive warm per-point vs fused Fig. 8 width-sweep walls in
     ``results/BENCH_sweep_fused.json`` and hold fused to >= 2x."""
-    monkeypatch.setenv("REPRO_SHM", "0")
-    monkeypatch.delenv(plane.PREFIX_ENV, raising=False)
-
     programs = _programs()
     machines = [MachineConfig.paper_default(width=w) for w in _WIDTHS]
     store = ArtifactStore(cache_dir=tmp_path)

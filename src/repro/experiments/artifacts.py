@@ -20,9 +20,9 @@ replay-everywhere layer on top of the experiment cache:
   class)`` -- batched predictor bits, RAS/BTB miss sets, stream action
   codes and the cache-tag pre-pass outputs
   (:mod:`repro.uarch.replay_vec`) -- serialised as numpy columns in a
-  versioned container.  Built at most once fleet-wide, attached
-  zero-copy from the shared-memory plane by pool siblings and from
-  the digest-verified blob store by later runs and other hosts.
+  versioned container.  Built at most once fleet-wide and attached
+  from the digest-verified blob store by pool siblings, later runs
+  and other hosts.
 * **Branch traces** (``.../profiles/<key>.btrace``): the functional
   TRAIN branch-outcome stream, predictor-independent, shared by every
   predictor a sensitivity ladder measures it with.
@@ -65,20 +65,14 @@ Counter semantics (reported per job via :meth:`ArtifactStore.mark` /
 trace-keyed simulation, including the one whose miss captured it,
 ``trace_hits``/``trace_misses`` count store lookups (memory or disk),
 ``profile_*``/``btrace_*``/``compile_*`` likewise;
-``prep_hits``/``prep_misses`` count prep-slice lookups (shm or disk;
-layers already on the in-process trace object move no counter),
+``prep_hits``/``prep_misses`` count prep-slice lookups on disk
+(layers already on the in-process trace object move no counter),
 ``prep_builds`` counts slices computed from scratch -- in a warm
 fleet exactly one per ``(trace, predictor, config class)`` --
-``prep_quarantined`` counts corrupt slice blobs sidelined,
-``shm_prep_publishes``/``shm_prep_attaches`` the prep traffic on the
-shared-memory plane;
-``shm_publishes``/``shm_attaches`` count shared-memory trace-plane
-traffic (:mod:`.plane`) -- a publish is one worker exporting decoded
-columns for the whole pool, an attach is a zero-copy map that skipped
-the disk read + inflate entirely; ``store_*`` count the durable blob
-layer underneath (:mod:`.store`): fsync'd puts, transient-I/O
-retries, and digest-verification failures (torn transfers quarantined
-on read).
+``prep_quarantined`` counts corrupt slice blobs sidelined;
+``store_*`` count the durable blob layer underneath (:mod:`.store`):
+fsync'd puts, transient-I/O retries, and digest-verification failures
+(torn transfers quarantined on read).
 """
 
 from __future__ import annotations
@@ -100,7 +94,7 @@ from ..uarch import replay_vec
 from ..uarch.ooo import OutOfOrderCore
 from ..uarch.replay import replay_inorder_sweep, replay_ooo
 from ..uarch.trace import Trace, TraceError, content_digest, predictor_id
-from . import faults, plane
+from . import faults
 from .store import FileStore, quarantine_file
 
 #: Bump when a JSON artifact layout changes.
@@ -126,10 +120,6 @@ _COUNTER_NAMES = (
     "profile_misses",
     "compile_hits",
     "compile_misses",
-    "shm_publishes",
-    "shm_attaches",
-    "shm_prep_publishes",
-    "shm_prep_attaches",
     "store_puts",
     "store_put_retries",
     "store_get_retries",
@@ -324,24 +314,13 @@ class ArtifactStore:
             self._trace_lru_bytes -= evicted_bytes
 
     def load_trace(self, key: str) -> Optional[Trace]:
-        """Memory-first lookup: in-process LRU, then the shared-memory
-        trace plane (zero-copy map, populated by whichever pool worker
-        decoded the trace first), then the disk container.  A disk hit
-        publishes to the plane so siblings skip the inflate; a corrupt
-        disk trace is quarantined and reported as a miss (the caller
-        recaptures transparently)."""
+        """Memory-first lookup: in-process LRU, then the
+        digest-verified disk container.  A corrupt disk trace is
+        quarantined and reported as a miss (the caller recaptures
+        transparently)."""
         trace = self._lru_get(key)
         if trace is not None:
             self._bump("trace_hits")
-            return trace
-        trace = plane.attach_trace(key)
-        if trace is not None:
-            self._bump("trace_hits")
-            self._bump("shm_attaches")
-            # The attached trace enters the LRU so replay prep layers
-            # accumulate on it across sweep points, same as a decoded
-            # one -- only the column memory is shared, not copied.
-            self._lru_put(key, trace)
             return trace
         if trace_cache_enabled():
             path = self.traces_dir / f"{key}.trace"
@@ -354,8 +333,6 @@ class ArtifactStore:
                 else:
                     self._bump("trace_hits")
                     self._lru_put(key, trace)
-                    if plane.publish_trace(key, trace) is not None:
-                        self._bump("shm_publishes")
                     try:
                         # Refresh mtime so age-based pruning (``repro
                         # cache prune --max-age``) keeps hot traces.
@@ -382,8 +359,6 @@ class ArtifactStore:
 
     def store_trace(self, key: str, trace: Trace) -> None:
         self._lru_put(key, trace)
-        if plane.publish_trace(key, trace) is not None:
-            self._bump("shm_publishes")
         if not trace_cache_enabled():
             return
         blob = trace.to_bytes()
@@ -399,15 +374,13 @@ class ArtifactStore:
 
         Lookup order mirrors :meth:`load_trace`: layers already on the
         trace object (no counter movement -- in-process memoisation is
-        not a cache event), then the shared-memory plane (zero-copy
-        attach published by a sibling worker), then the digest-verified
-        blob store (``preps/<key>.prep``, shared across runs and --
-        through the queue backend's shared cache root -- across
-        hosts).  A miss builds every layer once, publishes the slice
-        to the plane and persists it, so the fleet-wide build count
-        per ``(trace content, predictor, config class)`` is exactly
-        one.  Corrupt blobs are quarantined by the store layer and
-        rebuilt transparently -- never a wrong answer, at worst a
+        not a cache event), then the digest-verified blob store
+        (``preps/<key>.prep``, shared across pool workers, runs and --
+        through the queue backend's shared cache root -- hosts).  A
+        miss builds every layer and persists the slice, so every later
+        lookup in any process, run or host attaches it instead of
+        building.  Corrupt blobs are quarantined by the store layer
+        and rebuilt transparently -- never a wrong answer, at worst a
         recompute.
         """
         if not prep_cache_enabled():
@@ -417,13 +390,6 @@ class ArtifactStore:
             return
         if replay_vec.prep_slice_ready(program, trace, config):
             return
-        buf = plane.attach_prep(key)
-        if buf is not None and replay_vec.attach_prep_slice(
-            program, trace, config, buf
-        ):
-            self._bump("prep_hits")
-            self._bump("shm_prep_attaches")
-            return
         if trace_cache_enabled():
             path = self.preps_dir / f"{key}.prep"
             blob = self._read_verified(path, counter="prep_quarantined")
@@ -432,8 +398,6 @@ class ArtifactStore:
                     program, trace, config, blob
                 ):
                     self._bump("prep_hits")
-                    if plane.publish_prep(key, blob) is not None:
-                        self._bump("shm_prep_publishes")
                     try:
                         # Keep hot slices out of --max-age pruning's
                         # reach, same as disk trace hits.
@@ -449,8 +413,6 @@ class ArtifactStore:
         if blob is None:
             return  # outside the vectorized path: no prep to share
         self._bump("prep_builds")
-        if plane.publish_prep(key, blob) is not None:
-            self._bump("shm_prep_publishes")
         if trace_cache_enabled():
             self._write_atomic(self.preps_dir / f"{key}.prep", blob)
 

@@ -5,9 +5,8 @@ schedules jobs -- cache lookups, artifact-group leadership, retries
 with backoff, journalling -- but delegates the *mechanics* of running
 a submission to a :class:`Backend`:
 
-* :class:`LocalPoolBackend` -- today's supervised
-  ``ProcessPoolExecutor``/warm-worker plane, unchanged in behaviour:
-  fused batch submissions, broken-pool detection and respawn, the
+* :class:`LocalPoolBackend` -- the supervised ``ProcessPoolExecutor``:
+  one job per submission, broken-pool detection and respawn, the
   per-job deadline watchdog that kills the pool and requeues innocent
   in-flight jobs at no attempt cost.
 * :class:`QueueBackend` -- a multi-worker work queue over a shared
@@ -92,7 +91,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from . import faults
 
@@ -174,7 +173,7 @@ class BackendEvent:
 class Backend(abc.ABC):
     """Execution mechanics behind the engine's generic driver.
 
-    The engine submits ``(ids, attempt)`` work units while
+    The engine submits one job at a time while
     :meth:`has_capacity` allows, then folds the :class:`BackendEvent`
     stream from :meth:`poll` back into job state.  Implementations own
     their worker lifecycle entirely (spawn, death detection, respawn,
@@ -183,22 +182,17 @@ class Backend(abc.ABC):
 
     name = "abstract"
 
-    def batch_cap(self, requested: int) -> int:
-        """Fused-batch size this backend wants (0 = per-point jobs)."""
-        return requested
-
     @abc.abstractmethod
     def submit(
         self,
-        ids: Sequence[int],
         attempt: int,
         worker,
-        items: Sequence[tuple],
-        spool: Optional[pathlib.Path],
+        payload: Any,
+        label: str,
     ) -> Optional[Any]:
-        """Dispatch one submission; an opaque handle, or ``None`` when
-        the backend cannot accept it right now (the engine re-offers
-        it on a later pass)."""
+        """Dispatch one job; an opaque handle, or ``None`` when the
+        backend cannot accept it right now (the engine re-offers it on
+        a later pass)."""
 
     @abc.abstractmethod
     def poll(self) -> List[BackendEvent]:
@@ -231,8 +225,7 @@ class Backend(abc.ABC):
 class LocalPoolBackend(Backend):
     """Supervised ``ProcessPoolExecutor`` execution (the default).
 
-    Behaviour is the engine's historical parallel path, verbatim:
-    fused batches, lazy pool (re)spawn, broken-pool drain (every
+    One job per future: lazy pool (re)spawn, broken-pool drain (every
     future on a dead pool settles as a charged ``broken-pool`` infra
     fault), and the per-job deadline watchdog -- an expired submission
     is charged a ``timeout``, completed-in-the-meantime futures fold
@@ -257,14 +250,14 @@ class LocalPoolBackend(Backend):
             else 0.1
         )
         self._pool = None
-        #: future -> (deadline, label, points, attempt)
+        #: future -> (deadline, label, attempt)
         self._meta: Dict[Any, tuple] = {}
         self.pool_respawns = 0
 
     def has_capacity(self) -> bool:
         return len(self._meta) < self.max_workers
 
-    def submit(self, ids, attempt, worker, items, spool):
+    def submit(self, attempt, worker, payload, label):
         from . import engine as _engine
 
         if self._pool is None:
@@ -276,20 +269,9 @@ class LocalPoolBackend(Backend):
                 initargs=(self.worker_env,),
             )
         try:
-            if len(items) == 1:
-                payload, label = items[0]
-                future = self._pool.submit(
-                    _engine._run_timed, worker, payload, label, attempt
-                )
-            else:
-                label = items[0][1]
-                future = self._pool.submit(
-                    _engine._run_job_batch,
-                    worker,
-                    list(items),
-                    attempt,
-                    str(spool),
-                )
+            future = self._pool.submit(
+                _engine._run_timed, worker, payload, label, attempt
+            )
         except Exception:
             # The pool broke between loops; kill it so outstanding
             # futures settle (as broken-pool infra faults on the next
@@ -297,11 +279,9 @@ class LocalPoolBackend(Backend):
             self._respawn()
             return None
         deadline = (
-            time.monotonic() + self.timeout * len(items)
-            if self.timeout
-            else None
+            time.monotonic() + self.timeout if self.timeout else None
         )
-        self._meta[future] = (deadline, label, len(items), attempt)
+        self._meta[future] = (deadline, label, attempt)
         return future
 
     def _respawn(self) -> None:
@@ -352,7 +332,7 @@ class LocalPoolBackend(Backend):
             now = time.monotonic()
             expired = {
                 future
-                for future, (deadline, _, _, _) in self._meta.items()
+                for future, (deadline, _, _) in self._meta.items()
                 if deadline is not None
                 and now >= deadline
                 and not future.done()
@@ -363,13 +343,10 @@ class LocalPoolBackend(Backend):
                 # meantime ones fold normally, innocents requeue
                 # uncharged.
                 for future in list(self._meta):
-                    deadline, label, points, attempt = self._meta.pop(
-                        future
-                    )
+                    deadline, label, attempt = self._meta.pop(future)
                     if future in expired:
                         exc = TimeoutError(
-                            f"job {label!r} (batch of {points}) "
-                            f"exceeded {self.timeout * points:g}s "
+                            f"job {label!r} exceeded {self.timeout:g}s "
                             f"(attempt {attempt})"
                         )
                         events.append(
@@ -806,10 +783,9 @@ class QueueBackend(Backend):
     External workers started with ``repro worker <run-dir>`` join the
     same fleet; the parent only *requires* its own spawns.
 
-    Submissions are per-point (``batch_cap`` 0): group fusing trades
-    placement flexibility away, and a queue's unit of failover is the
-    job.  The warm-artifact story survives because workers share the
-    content-addressed store (and the shm plane on one host).
+    Every submission is one job, the queue's unit of failover.  Workers
+    stay warm across jobs because they share the content-addressed
+    store.
     """
 
     name = "queue"
@@ -888,19 +864,14 @@ class QueueBackend(Backend):
                 f"{self.counters['io_errors']} operations"
             )
 
-    def batch_cap(self, requested: int) -> int:
-        return 0  # per-point jobs: failover granularity is the job
-
     def has_capacity(self) -> bool:
         return not self._stopping  # the directory buffers arbitrarily
 
-    def submit(self, ids, attempt, worker, items, spool):
-        payload, label = items[0]
+    def submit(self, attempt, worker, payload, label):
         job_id = f"{self._seq:05d}-{secrets.token_hex(3)}"
         self._seq += 1
         record = {
             "job_id": job_id,
-            "ids": list(ids),
             "label": label,
             "attempt": attempt,
             "max_attempts": attempt + self.retries,

@@ -1,7 +1,7 @@
 """Housekeeping for the on-disk cache (``repro cache``).
 
 The experiment cache root (``results/.cache/`` or ``REPRO_CACHE_DIR``)
-accumulates four kinds of state:
+accumulates seven kinds of state:
 
 * ``results`` -- cached job result JSONs in the cache root (the result
   cache, keyed by job fingerprint);
@@ -13,9 +13,6 @@ accumulates four kinds of state:
   :mod:`repro.uarch.replay_vec`);
 * ``profiles`` -- TRAIN branch traces and measured profiles
   (``profiles/<key>.btrace`` / ``.json``);
-* ``batches``  -- per-batch envelope spools (``batches/<nonce>.jsonl``);
-  normally deleted the moment a batch settles, so anything found here
-  is the residue of a run that died mid-flight;
 * ``queue``    -- queue-backend run directories (``queue/<run-id>/``:
   pending/claimed/done job records, leases, worker health); removed
   when a run closes cleanly, so leftovers are the residue of a run
@@ -35,10 +32,9 @@ recursive glob walks run *directories*, which are never counted and
 never unlinked.  :func:`verify` offline re-hashes every sidecarred
 blob (``repro cache verify``);
 :func:`artifact_counters` reads the hit/miss counters a schema>=4 run
-manifest aggregated; :func:`batch_totals` reads the schema-5 batch
-and shared-memory accounting; :func:`backend_totals` reads the
-schema-6 execution-backend health block (lease/failover counters,
-per-worker records).
+manifest aggregated; :func:`backend_totals` reads the schema-6
+execution-backend health block (lease/failover counters, per-worker
+records).
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ SECTIONS: Tuple[Tuple[str, str, str], ...] = (
     ("traces", "traces", "*.trace"),
     ("preps", "preps", "*.prep"),
     ("profiles", "profiles", "*"),
-    ("batches", "batches", "*.jsonl"),
     ("queue", "queue", "**/*"),
     ("quarantine", "quarantine", "*"),
 )
@@ -348,29 +343,6 @@ def artifact_counters(
     return artifacts if isinstance(artifacts, dict) else None
 
 
-def batch_totals(
-    manifest_path: Optional[pathlib.Path] = None,
-) -> Optional[Dict[str, int]]:
-    """Schema-5 batch/shared-memory accounting of the last manifest:
-    fused batch submissions, points run inside them, and shm segments
-    unlinked at run end.  ``None`` for older manifests."""
-    if manifest_path is None:
-        from .engine import RESULTS_DIR
-
-        manifest_path = RESULTS_DIR / "run_manifest.json"
-    try:
-        manifest = json.loads(pathlib.Path(manifest_path).read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(manifest, dict) or manifest.get("schema", 0) < 5:
-        return None
-    totals = manifest.get("totals", {})
-    return {
-        name: totals.get(name, 0)
-        for name in ("batches", "batch_points", "shm_segments_cleaned")
-    }
-
-
 def backend_totals(
     manifest_path: Optional[pathlib.Path] = None,
 ) -> Optional[Dict]:
@@ -439,11 +411,6 @@ def render_report(
         lines.append(
             "no artifact counters (no schema-4 run manifest found)"
         )
-    batches = batch_totals(manifest_path)
-    if batches is not None:
-        lines.append("last run batch dispatch (manifest schema 5):")
-        for name in ("batches", "batch_points", "shm_segments_cleaned"):
-            lines.append(f"  {name:<20} {batches[name]}")
     backend = backend_totals(manifest_path)
     if backend is not None:
         lines.append(

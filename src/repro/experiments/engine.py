@@ -37,16 +37,13 @@ re-running a figure after touching only a report renderer is instant.
   ``progress(done, total, label)`` callback, and a machine-readable
   manifest (:meth:`ExperimentEngine.write_manifest`) recording config,
   timings, per-job status/attempts/error, and cache hit/miss counts.
-* **Warm-worker plane**: on the parallel path the engine exports a
-  run-scoped shared-memory prefix so workers publish decoded traces
-  once per machine (:mod:`.plane`) and map them zero-copy thereafter;
-  follower sweep points of one artifact group are *fused into batches*
-  (:func:`_run_job_batch`) so one worker submission loads/maps the
-  trace once and reuses the layered replay prep across every point.
-  Each batch point spools its envelope to disk the moment it finishes,
-  so a crash mid-batch retries only the unfinished remainder and
-  ``--resume`` replays completed points from the journal individually
-  -- per-point isolation, caching, and journalling are unchanged.
+* **Artifact groups**: jobs that share content-addressed artifacts
+  (traces, profiles, prep slices) run leader-first -- the leader
+  captures and persists them, then its followers are released to
+  replay from the store.  Every pool submission is one job; traces and
+  prep slices cross processes only through the digest-verified blob
+  store (:mod:`.store`), and each worker keeps a warm in-process store
+  for its whole lifetime.
 * Fault injection: see :mod:`.faults` (``REPRO_FAULT_INJECT``) for the
   deterministic harness that exercises all of the above in tests.
 
@@ -55,11 +52,8 @@ Environment knobs: ``REPRO_JOBS`` (worker count), ``REPRO_CACHE=0``
 ``results/.cache/``), ``REPRO_RETRIES`` (infrastructure-fault retries,
 default 2), ``REPRO_JOB_TIMEOUT`` (per-job seconds, 0 = off),
 ``REPRO_RETRY_BACKOFF`` (base backoff seconds, default 0.5),
-``REPRO_FAULT_INJECT`` (fault plan), ``REPRO_SHM=0`` (disable the
-shared-memory trace plane), ``REPRO_BATCH`` (0 = per-job dispatch,
-1 = fuse each whole artifact group, N>1 = cap fused batches at N
-points; default 1), ``REPRO_BACKEND`` (``local`` = supervised pool,
-``queue`` = lease-based multi-worker work queue -- see
+``REPRO_FAULT_INJECT`` (fault plan), ``REPRO_BACKEND`` (``local`` =
+supervised pool, ``queue`` = lease-based multi-worker work queue -- see
 :mod:`.backends`, which also reads ``REPRO_QUEUE_WORKERS``/
 ``REPRO_LEASE_TTL``/``REPRO_QUEUE_POLL``/``REPRO_QUEUE_GRACE_S``).
 """
@@ -87,7 +81,7 @@ from typing import (
 )
 
 from . import backends as backends_mod
-from . import faults, plane
+from . import faults
 from .store import quarantine_file
 
 #: Bump when the cached-result layout changes.
@@ -99,15 +93,13 @@ CACHE_SCHEMA = 1
 #: attempt counts, failure tracebacks, and the run id / robustness knobs;
 #: v4 adds per-job and total artifact counters (trace capture/replay,
 #: shared profile and compile hits -- see :mod:`.artifacts`); v5 adds
-#: batch accounting (``batches``/``batch_points``), shared-memory plane
-#: counters, per-job ``worker_pid``/``batched``, and a per-worker
-#: artifact-counter breakdown (``workers``); v6 adds the execution
+#: per-job ``worker_pid`` and a per-worker artifact-counter breakdown
+#: (``workers``); v6 adds the execution
 #: backend block (``backend``: requested backend, degradations,
 #: lease/heartbeat/failover counters, per-queue-worker health records
 #: -- see :mod:`.backends`); v7 adds the persisted replay-prep slice
 #: counters to the per-job/total artifact blocks (``prep_hits``/
-#: ``prep_misses``/``prep_builds``/``prep_quarantined`` plus
-#: ``shm_prep_publishes``/``shm_prep_attaches`` -- see
+#: ``prep_misses``/``prep_builds``/``prep_quarantined`` -- see
 #: :mod:`.artifacts`): a warm fleet shows exactly one ``prep_builds``
 #: per (trace, predictor, config class) and hits everywhere else;
 #: v8 adds the sweep-fused replay counters to the per-job/total
@@ -118,8 +110,12 @@ CACHE_SCHEMA = 1
 #: mirrors: a fused width sweep shows one ``fused_passes`` per
 #: (trace, prep slice) group covering K ``fused_points``, and any
 #: nonzero ``fused_diverges`` records a detected lane divergence
-#: that degraded to the (bit-identical) reference core.
-MANIFEST_SCHEMA = 8
+#: that degraded to the (bit-identical) reference core; v9 drops
+#: ``totals.shm_segments_cleaned`` and the per-job ``batched`` flag
+#: with the shared-memory trace plane and fused batch dispatch
+#: (``totals.batches``/``totals.batch_points`` stay, always 0, for
+#: readers of older layouts).
+MANIFEST_SCHEMA = 9
 
 #: Repo-level results directory (works for the src-layout checkout).
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "results"
@@ -267,52 +263,14 @@ def _run_timed(
     }
 
 
-def _run_job_batch(
-    worker: Callable[[Any], Dict],
-    items: Sequence[tuple],
-    attempt: int,
-    spool_path: str,
-) -> Dict:
-    """Run a fused batch of sweep points in one worker submission.
-
-    ``items`` is ``[(payload, label), ...]`` -- every point of one
-    artifact group, so the first point's trace load warms the
-    worker-resident store (or maps the shared-memory segment) and every
-    later point replays from it, layered prep included.  Points run
-    through :func:`_run_timed` individually: one point raising never
-    takes down its batch-mates.
-
-    Each envelope is appended (and flushed) to ``spool_path`` *before*
-    the next point starts.  If the worker dies mid-batch the parent
-    reads the spool, absorbs the completed prefix, and requeues only
-    the remainder -- the crash-retry granularity stays per-point, as in
-    the unbatched engine.  The ``batch_die`` fault kind injects exactly
-    that death, between points, deterministically.
-    """
-    envelopes: List[Dict] = []
-    with open(spool_path, "w") as spool:
-        for payload, label in items:
-            if faults.should_batch_die(label, attempt):
-                os._exit(faults.DIE_EXIT_STATUS)
-            envelope = _run_timed(worker, payload, label, attempt)
-            envelopes.append(envelope)
-            spool.write(json.dumps(envelope) + "\n")
-            spool.flush()
-            # fsync: the spool is read back after this process is
-            # SIGKILLed -- a page-cache-only tail would replay short.
-            os.fsync(spool.fileno())
-    return {"status": "batch", "envelopes": envelopes}
-
-
 def _pool_worker_init(env: Dict[str, str]) -> None:
     """Pool initializer: pin the artifact environment in the worker and
     build the worker-resident store before the first job arrives.
 
-    The store (and everything it memoises) lives for the worker's whole
-    lifetime, across batches; after a watchdog kill-and-respawn the
-    fresh workers run this again and transparently repopulate -- their
-    first trace load maps the shared-memory segment a previous
-    incarnation published instead of re-inflating from disk.
+    The store (and everything it memoises: the hot-trace LRU, prep
+    layers, profiles, compiles) lives for the worker's whole lifetime,
+    across jobs; after a watchdog kill-and-respawn the fresh workers
+    run this again and repopulate from the on-disk store.
     """
     for name, value in env.items():
         if value:
@@ -366,30 +324,6 @@ def _env_retry_backoff() -> float:
     return max(0.0, float(raw)) if raw else 0.5
 
 
-def _env_batch() -> int:
-    """``REPRO_BATCH``: 0 = per-job dispatch (no fusing), 1 = fuse each
-    whole artifact group into one submission (default), N>1 = cap fused
-    batches at N points."""
-    raw = os.environ.get("REPRO_BATCH", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 1
-
-
-def _fuse(members: Sequence[int], cap: int) -> List[tuple]:
-    """Chunk a released follower group into batch id-tuples."""
-    if cap == 0:
-        return [(i,) for i in members]
-    if cap == 1:
-        return [tuple(members)]
-    return [
-        tuple(members[j : j + cap]) for j in range(0, len(members), cap)
-    ]
-
-
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Terminate a pool's workers and abandon it without waiting.
 
@@ -414,7 +348,7 @@ class _JobState:
 
     __slots__ = (
         "result", "wall_s", "source", "profile", "status", "error",
-        "attempts", "artifacts", "worker_pid", "batched",
+        "attempts", "artifacts", "worker_pid",
     )
 
     def __init__(self) -> None:
@@ -430,8 +364,6 @@ class _JobState:
         #: Worker-process artifact-counter movement (from the envelope).
         self.artifacts: Optional[Dict] = None
         self.worker_pid: Optional[int] = None
-        #: Ran as part of a fused batch submission.
-        self.batched = False
 
 
 class ExperimentEngine:
@@ -501,12 +433,6 @@ class ExperimentEngine:
         self.cache_misses = 0
         self.journal_hits = 0
         self.cache_quarantined = 0
-        #: Fused batch submissions absorbed (full or spool-recovered).
-        self.batches = 0
-        #: Sweep points that ran inside fused batches.
-        self.batch_points = 0
-        #: Shared-memory segments unlinked at run end.
-        self.shm_segments_cleaned = 0
         #: Times a queue run degraded to the local backend mid-map.
         self.backend_degraded = 0
         #: Lease/heartbeat/failover counters summed over every backend
@@ -514,9 +440,6 @@ class ExperimentEngine:
         self.backend_totals: Dict[str, int] = {}
         #: Per-queue-worker health records (latest heartbeat wins).
         self.backend_workers: Dict[str, Dict] = {}
-        #: Prefix of the most recent parallel map's shm segments (kept
-        #: after cleanup so tests can assert the namespace is empty).
-        self.last_shm_prefix: Optional[str] = None
         #: One record per executed/looked-up job, in submission order.
         self.records: List[Dict] = []
         #: Records of the most recent :meth:`map` call, payload-aligned.
@@ -564,9 +487,9 @@ class ExperimentEngine:
         Keyed by pid (as a string, for JSON); each bucket carries the
         job count plus the summed counters of every job that executed
         in that worker this run.  Shows at a glance how warm each
-        worker ran -- e.g. one worker publishing a trace
-        (``shm_publishes``) and its siblings mapping it
-        (``shm_attaches``).
+        worker ran -- e.g. one worker capturing a trace
+        (``trace_captures``) and its siblings reading it from the
+        store (``trace_hits``).
         """
         per: Dict[str, Dict[str, int]] = {}
         for record in self.records:
@@ -630,11 +553,12 @@ class ExperimentEngine:
                 "journal_hits": self.journal_hits,
                 "quarantined": self.cache_quarantined,
                 "artifacts": artifact_totals,
-                "batches": self.batches,
-                "batch_points": self.batch_points,
+                # Always 0 (every submission is one point); kept for
+                # readers of the v5 layout, such as bench/child.py.
+                "batches": 0,
+                "batch_points": 0,
                 "fused_passes": artifact_totals.get("fused_passes", 0),
                 "fused_points": artifact_totals.get("fused_points", 0),
-                "shm_segments_cleaned": self.shm_segments_cleaned,
                 "ok": counts["ok"],
                 "failed": counts["failed"],
                 "timeout": counts["timeout"],
@@ -821,15 +745,10 @@ class ExperimentEngine:
         content-addressed artifacts (traces/profiles), so the first
         pending job of each group runs as the *leader* -- it captures
         and persists the shared artifacts -- and the rest of the group
-        is held back until the leader finishes, then fanned out to
-        replay from the warm store.  On the parallel path released
-        followers are additionally *fused* into batched submissions
-        (``REPRO_BATCH``, default: one batch per group) that map the
-        trace once and reuse the layered replay prep across points,
-        and decoded traces travel between workers through the
-        shared-memory plane (``REPRO_SHM``).  Only the parallel path
-        reorders; ``jobs=1`` already runs in payload order.  Result
-        order is unaffected.
+        is held back until the leader finishes, then fanned out, one
+        submission per follower, to replay from the warm store.  Only
+        the parallel path reorders; ``jobs=1`` already runs in payload
+        order.  Result order is unaffected.
 
         ``worker`` must be a top-level function returning a
         JSON-serialisable dict (so results can cross process boundaries
@@ -864,8 +783,6 @@ class ExperimentEngine:
         # spawn, the serial path reads it directly).
         previous_root = os.environ.get("REPRO_CACHE_DIR")
         os.environ["REPRO_CACHE_DIR"] = str(self.cache_dir)
-        previous_prefix = os.environ.get(plane.PREFIX_ENV)
-        shm_prefix: Optional[str] = None
 
         def tick(i: int) -> None:
             progress_done[0] += 1
@@ -895,15 +812,6 @@ class ExperimentEngine:
 
         try:
             if pending and self.jobs > 1:
-                if plane.shm_enabled() and plane.shm_available():
-                    # Run-scoped shared-memory namespace: workers
-                    # publish/attach decoded traces under this prefix
-                    # for the duration of the call, and the cleanup
-                    # below (which also covers KeyboardInterrupt)
-                    # unlinks every segment when the run ends.
-                    shm_prefix = plane.new_prefix()
-                    os.environ[plane.PREFIX_ENV] = shm_prefix
-                    plane.register_run(shm_prefix)
                 self._run_parallel(
                     worker, payloads, labels, keys, states, pending, tick,
                     groups=groups,
@@ -925,13 +833,6 @@ class ExperimentEngine:
                 os.environ.pop("REPRO_CACHE_DIR", None)
             else:
                 os.environ["REPRO_CACHE_DIR"] = previous_root
-            if shm_prefix is not None:
-                if previous_prefix is None:
-                    os.environ.pop(plane.PREFIX_ENV, None)
-                else:
-                    os.environ[plane.PREFIX_ENV] = previous_prefix
-                self.last_shm_prefix = shm_prefix
-                self.shm_segments_cleaned += plane.cleanup_run(shm_prefix)
 
         self._finalise(labels, keys, states)
         return [
@@ -950,7 +851,6 @@ class ExperimentEngine:
         keys: Sequence[str],
         states: Sequence[_JobState],
         tick: Callable[[int], None],
-        batched: bool = False,
     ) -> None:
         """Fold one worker envelope into the job state; persist it."""
         state = states[i]
@@ -958,7 +858,6 @@ class ExperimentEngine:
         state.wall_s = envelope.get("wall_s", 0.0)
         state.artifacts = envelope.get("artifacts")
         state.worker_pid = envelope.get("worker_pid")
-        state.batched = batched
         if envelope.get("status") == "ok":
             state.result = envelope.get("result")
             state.profile = envelope.get("profile")
@@ -1035,10 +934,7 @@ class ExperimentEngine:
             self._absorb(i, 0, envelope, labels, keys, states, tick)
 
     def _worker_env(self) -> Dict[str, str]:
-        return {
-            "REPRO_CACHE_DIR": str(self.cache_dir),
-            plane.PREFIX_ENV: os.environ.get(plane.PREFIX_ENV, ""),
-        }
+        return {"REPRO_CACHE_DIR": str(self.cache_dir)}
 
     def _run_parallel(
         self, worker, payloads, labels, keys, states, pending, tick,
@@ -1098,37 +994,31 @@ class ExperimentEngine:
     ) -> None:
         """Generic driver: scheduling policy over a :class:`Backend`.
 
-        Queue entries are ``(ids, attempt, not_before)`` where ``ids``
-        is a tuple of payload indices: a single-element tuple is a
-        plain job, a longer one a fused batch (:func:`_run_job_batch`).
-        The backend turns submissions into :class:`BackendEvent`\\ s:
-        ``done`` envelopes are absorbed (batch or single), ``error``
-        is a deterministic failure (never retried), ``infra`` recovers
-        any spooled batch points then retries the remainder with the
-        attempt charged and exponential-backoff-with-jitter delay, and
-        ``requeue`` (an innocent victim of a pool kill) retries
-        uncharged.
+        Queue entries are ``(i, attempt, not_before)`` for one payload
+        index ``i``; every submission is one job.  The backend turns
+        submissions into :class:`BackendEvent`\\ s: ``done`` envelopes
+        are absorbed, ``error`` is a deterministic failure (never
+        retried), ``infra`` retries with the attempt charged and
+        exponential-backoff-with-jitter delay, and ``requeue`` (an
+        innocent victim of a pool kill) retries uncharged.
 
         Artifact groups (see :meth:`map`): the first pending member of
         each group enters the queue as leader; the rest wait in
-        ``held`` and are released the moment the leader reaches a
-        terminal status (ok *or* failed -- followers of a failed
-        leader still run, they just find a cold artifact store).  On
-        release the group's followers are fused into batches of up to
-        ``REPRO_BATCH`` points (backends may override: the queue
-        backend forces per-point jobs, its unit of failover).
+        ``held`` and are released -- one queue entry per follower --
+        the moment the leader reaches a terminal status (ok *or*
+        failed -- followers of a failed leader still run, they just
+        find a cold artifact store).
         """
-        batch_cap = backend.batch_cap(_env_batch())
         queue: List[tuple] = []
         held: Dict[Any, List[int]] = {}
         leaders: Dict[Any, int] = {}
         for i in pending:
             group = groups[i] if groups is not None else None
             if group is None:
-                queue.append(((i,), 0, 0.0))
+                queue.append((i, 0, 0.0))
             elif group not in leaders:
                 leaders[group] = i
-                queue.append(((i,), 0, 0.0))
+                queue.append((i, 0, 0.0))
             else:
                 held.setdefault(group, []).append(i)
         outstanding: Dict[Any, tuple] = {}
@@ -1137,94 +1027,51 @@ class ExperimentEngine:
             meta = outstanding.pop(event.handle, None)
             if meta is None:
                 return
-            ids, attempt, spool = meta
+            i, attempt = meta
             used = event.attempt if event.attempt is not None else attempt
             if event.kind == "done":
-                envelope = event.envelope or {}
-                if envelope.get("status") == "batch":
-                    self._discard_spool(spool)
-                    envelopes = envelope.get("envelopes") or []
-                    for j, env in enumerate(envelopes[: len(ids)]):
-                        self._absorb(
-                            ids[j], used, env, labels, keys, states,
-                            tick, batched=True,
-                        )
-                    for i in ids[len(envelopes):]:
-                        states[i].attempts = attempt + 1
-                        self._fail(
-                            i,
-                            "failed",
-                            {
-                                "type": "IncompleteBatch",
-                                "message": "batch returned fewer "
-                                "envelopes than points",
-                                "traceback": "",
-                            },
-                            labels, keys, states,
-                        )
-                        tick(i)
-                    self.batches += 1
-                    self.batch_points += min(len(envelopes), len(ids))
-                else:
-                    self._discard_spool(spool)
-                    self._absorb(
-                        ids[0], used, envelope, labels, keys, states,
-                        tick,
-                    )
+                self._absorb(
+                    i, used, event.envelope or {}, labels, keys, states,
+                    tick,
+                )
             elif event.kind == "error":
                 # e.g. the envelope failed to unpickle: deterministic.
-                self._discard_spool(spool)
-                for i in ids:
-                    states[i].attempts = attempt + 1
-                    self._fail(
-                        i, "failed", _error_dict(event.error),
-                        labels, keys, states,
-                    )
-                    tick(i)
-            elif event.kind == "infra":
-                remaining = self._recover_batch(
-                    ids, attempt, spool, labels, keys, states, tick
+                states[i].attempts = attempt + 1
+                self._fail(
+                    i, "failed", _error_dict(event.error),
+                    labels, keys, states,
                 )
+                tick(i)
+            elif event.kind == "infra":
                 self._infra_fault(
-                    queue, remaining, attempt, event.fault, event.error,
+                    queue, i, attempt, event.fault, event.error,
                     labels, keys, states, tick,
                 )
             elif event.kind == "requeue":
-                remaining = self._recover_batch(
-                    ids, attempt, spool, labels, keys, states, tick
-                )
-                if remaining:
-                    queue.append((remaining, attempt, 0.0))
+                queue.append((i, attempt, 0.0))
 
         try:
             while queue or outstanding or held:
                 if held:
                     for group in list(held):
                         if states[leaders[group]].status != "pending":
-                            for ids in _fuse(held.pop(group), batch_cap):
-                                queue.append((ids, 0, 0.0))
+                            queue.extend((i, 0, 0.0) for i in held.pop(group))
                 now = time.monotonic()
                 deferred: List[tuple] = []
                 for entry in queue:
-                    ids, attempt, not_before = entry
+                    i, attempt, not_before = entry
                     if not_before > now or not backend.has_capacity():
                         deferred.append(entry)
                         continue
-                    spool = (
-                        self._new_spool() if len(ids) > 1 else None
-                    )
                     handle = backend.submit(
-                        ids, attempt, worker,
-                        [(payloads[i], labels[i]) for i in ids],
-                        spool,
+                        attempt, worker, payloads[i], labels[i]
                     )
                     if handle is None:
                         # Backend cannot take it right now (e.g. the
                         # pool broke between loops); re-offer uncharged.
-                        self._discard_spool(spool)
                         deferred.append(entry)
                         continue
-                    outstanding[handle] = (tuple(ids), attempt, spool)
+                    outstanding[handle] = (i, attempt)
                 queue[:] = deferred
 
                 if not outstanding:
@@ -1239,92 +1086,25 @@ class ExperimentEngine:
                     absorb_event(event)
         except (KeyboardInterrupt, backends_mod.BackendUnavailable):
             backend.cancel()
-            for _, _, spool in outstanding.values():
-                self._discard_spool(spool)
             raise
         else:
             backend.close()
         finally:
             self._merge_backend_health(backend.health())
 
-    # -- batch spools ------------------------------------------------------
-
-    def _new_spool(self) -> pathlib.Path:
-        """Fresh spool file for one fused batch submission."""
-        spool_dir = self.cache_dir / "batches"
-        spool_dir.mkdir(parents=True, exist_ok=True)
-        return spool_dir / f"{secrets.token_hex(8)}.jsonl"
-
-    @staticmethod
-    def _discard_spool(spool) -> None:
-        if spool is None:
-            return
-        try:
-            os.unlink(spool)
-        except OSError:
-            pass
-
-    def _recover_batch(
-        self, ids, attempt, spool, labels, keys, states, tick
-    ) -> tuple:
-        """Absorb the points a dead/expired batch already spooled.
-
-        Returns the unfinished tail of ``ids``.  The spool holds one
-        JSON envelope line per completed point, appended in batch
-        order; a torn final line (the worker died mid-append) is
-        ignored.  Completed points are absorbed exactly as if their
-        future had returned -- cached, journalled, ticked -- so the
-        retry re-runs *only* the remainder, and ``--resume`` sees each
-        point individually.
-        """
-        if spool is None:
-            return tuple(ids)
-        envelopes: List[Dict] = []
-        try:
-            raw = pathlib.Path(spool).read_text()
-        except OSError:
-            raw = ""
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                env = json.loads(line)
-            except ValueError:
-                break  # torn tail: the point was mid-write when it died
-            if not isinstance(env, dict):
-                break
-            envelopes.append(env)
-        self._discard_spool(spool)
-        done = min(len(envelopes), len(ids))
-        for j in range(done):
-            self._absorb(
-                ids[j], attempt, envelopes[j], labels, keys, states, tick,
-                batched=True,
-            )
-        if done:
-            self.batches += 1
-            self.batch_points += done
-        return tuple(ids[done:])
-
     def _infra_fault(
-        self, queue, ids, attempt, kind, exc, labels, keys, states, tick
+        self, queue, i, attempt, kind, exc, labels, keys, states, tick
     ) -> None:
         """A dead worker process or a timeout: retry with backoff until
-        the attempt budget runs out, then record the final status.
-        ``ids`` is the (possibly spool-reduced) tuple of points still
-        owed a result; empty means the batch actually finished."""
-        if not ids:
-            return
+        the attempt budget runs out, then record the final status."""
         if attempt < self.retries:
             not_before = time.monotonic() + self._backoff_delay(attempt)
-            queue.append((tuple(ids), attempt + 1, not_before))
+            queue.append((i, attempt + 1, not_before))
             return
         status = "timeout" if kind == "timeout" else "failed"
-        for i in ids:
-            states[i].attempts = attempt + 1
-            self._fail(i, status, _error_dict(exc), labels, keys, states)
-            tick(i)
+        states[i].attempts = attempt + 1
+        self._fail(i, status, _error_dict(exc), labels, keys, states)
+        tick(i)
 
     def _finalise(
         self,
@@ -1355,8 +1135,8 @@ class ExperimentEngine:
             # execution recorded, but no artifact work happened in
             # *this* run -- don't let stale counters inflate the
             # totals.  Executed jobs prefer the envelope-level delta
-            # (measured around the whole job in the worker process,
-            # shm traffic included) over whatever the worker function
+            # (measured around the whole job in the worker process)
+            # over whatever the worker function
             # chose to embed in its result.
             artifacts = None
             if state.source == "miss":
@@ -1378,7 +1158,6 @@ class ExperimentEngine:
                 "attempts": state.attempts,
                 "error": state.error,
                 "worker_pid": state.worker_pid,
-                "batched": state.batched,
                 "wall_s": wall,
                 "simulated_cycles": cycles,
                 "committed_instructions": committed,

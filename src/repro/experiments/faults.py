@@ -32,14 +32,6 @@ Kinds:
 * ``corrupt_trace`` -- the artifact store writes a truncated trace
   container (:mod:`.artifacts`): exercises trace checksum validation,
   quarantine, and transparent recapture on the next load.
-* ``shm_leak``      -- the shared-memory trace plane (:mod:`.plane`)
-  abandons an extra never-ready segment next to a published one:
-  simulates a worker killed between creating and filling a segment,
-  and exercises the engine's run-end ``/dev/shm`` sweep.
-* ``batch_die``     -- the worker process calls ``os._exit`` *between
-  points of a fused batch*: simulates a mid-batch OOM kill and
-  exercises spool recovery (completed points absorbed, only the
-  unfinished remainder retried).
 * ``fused_diverge`` -- the in-order region walk
   (:mod:`repro.uarch.replay_multi`) corrupts one seeded config lane's
   stat accumulators right before lane validation: exercises
@@ -69,11 +61,11 @@ Distributed kinds (exercised by the queue backend in
   duplicate must be discarded, not double-counted).
 
 Decisions are independent per kind.  ``crash``/``die``/``hang``/
-``batch_die``/``lease_expire``/``worker_vanish`` hash the attempt
-number too, so a retried job may (deterministically) succeed on a
-later attempt; ``corrupt_cache``/``corrupt_trace``/``shm_leak``/
-``fused_diverge``/``stale_heartbeat``/``torn_put``/``dup_complete``
-are attempt-independent.
+``lease_expire``/``worker_vanish`` hash the attempt number too, so a
+retried job may (deterministically) succeed on a later attempt;
+``corrupt_cache``/``corrupt_trace``/``fused_diverge``/
+``stale_heartbeat``/``torn_put``/``dup_complete`` are
+attempt-independent.
 """
 
 from __future__ import annotations
@@ -91,8 +83,6 @@ FAULT_KINDS = (
     "hang",
     "corrupt_cache",
     "corrupt_trace",
-    "shm_leak",
-    "batch_die",
     "fused_diverge",
     "lease_expire",
     "worker_vanish",
@@ -248,24 +238,6 @@ def should_corrupt_trace(key: str) -> bool:
     """Store-side decision: truncate this trace artifact on write?"""
     plan = plan_from_env()
     return plan is not None and plan.decide("corrupt_trace", key)
-
-
-def should_leak_shm(key: str) -> bool:
-    """Plane-side decision: abandon a stray segment for this trace?"""
-    plan = plan_from_env()
-    return plan is not None and plan.decide("shm_leak", key)
-
-
-def should_batch_die(label: str, attempt: int) -> bool:
-    """Batch-runner decision: ``os._exit`` before this batch point?
-
-    Unlike ``die`` (which fires at the top of a job), ``batch_die`` is
-    checked by the fused batch runner between points, *after* earlier
-    points have spooled their envelopes -- the partial-progress case
-    the recovery path exists for.
-    """
-    plan = plan_from_env()
-    return plan is not None and plan.decide("batch_die", label, attempt)
 
 
 def fuse_diverge_lane(label: str, lanes: int) -> Optional[int]:

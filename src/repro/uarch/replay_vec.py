@@ -786,60 +786,6 @@ def _prepare(program, trace: Trace, config: MachineConfig, recorded: bool,
     return base, stream, mem, kernel, btb_misses, kernel_key
 
 
-# ------------------------------------------------------- prep reuse API
-
-
-def warm_replay_prep(
-    program,
-    trace: Trace,
-    config: MachineConfig,
-    recorded: bool = True,
-    core: str = "inorder",
-) -> bool:
-    """Build (or reuse) every prep layer one replay of ``trace`` under
-    ``config`` would need, without running the replay.
-
-    The batched execution plane uses this contract implicitly -- the
-    layers live on the trace object, so any sweep point sharing the
-    trace (same worker LRU entry or shared-memory attach) pays only
-    for the layers its ``(mode, ras, geometry, btb)`` key adds, with
-    the predictor-dependent ``pred_bits``/``streams`` layers re-run
-    exactly when ``predictor_id`` changes.  Returns ``False`` when the
-    trace falls outside the vectorized path (the reference core needs
-    no prep).
-    """
-    return _prepare(program, trace, config, recorded, core) is not None
-
-
-def prep_layer_counts(trace: Trace) -> Dict[str, int]:
-    """Entry counts per cached prep layer (zeros when no prep yet).
-
-    Observability for tests and the batch benchmark: after N sweep
-    points of one trace that vary only BTB size, ``btbs`` should have
-    N entries while ``base``/``pred_bits``/``streams`` stay at 1 --
-    the signature of cross-point reuse.
-    """
-    prep = getattr(trace, "_prep", None)
-    if prep is None:
-        return {
-            name: 0
-            for name in (
-                "base", "pred_bits", "ras_bits", "streams", "mems",
-                "btbs", "kernels", "regions",
-            )
-        }
-    return {
-        "base": 1 if prep.base else 0,
-        "pred_bits": len(prep.pred_bits),
-        "ras_bits": len(prep.ras_bits),
-        "streams": len(prep.streams),
-        "mems": len(prep.mems),
-        "btbs": len(prep.btbs),
-        "kernels": len(prep.kernels),
-        "regions": len(prep.regions),
-    }
-
-
 # ------------------------------------------------- persisted prep slices
 
 #: Bump when the prep container layout, the layer contents, or the
@@ -1093,10 +1039,9 @@ class PrepSliceError(Exception):
 def _parse_prep_container(buf) -> Tuple[Dict, Dict[str, np.ndarray]]:
     """(header, name -> zero-copy array view) of one container.
 
-    ``buf`` may be ``bytes`` (a verified disk blob) or a memoryview
-    over a shared-memory segment; either way the returned arrays view
-    the buffer without copying.  Raises :class:`PrepSliceError` on any
-    structural problem."""
+    ``buf`` is a verified disk blob; the returned arrays view it
+    without copying.  Raises :class:`PrepSliceError` on any structural
+    problem."""
     if len(buf) < len(_PREP_MAGIC) + 4:
         raise PrepSliceError("truncated container")
     if bytes(buf[: len(_PREP_MAGIC)]) != _PREP_MAGIC:
@@ -1184,8 +1129,8 @@ def attach_prep_slice(
     any structural corruption or a column whose length does not fit
     the trace, and the caller rebuilds from scratch.
     The planted arrays are zero-copy views over ``buf``; prep layers
-    are read-only to the kernels, so a shared-memory buffer may back
-    any number of attached traces at once."""
+    are read-only to the kernels, so one buffer may back any number of
+    attached traces at once."""
     keys = _slice_keys(trace, config)
     if keys is None:
         return False

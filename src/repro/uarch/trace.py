@@ -233,7 +233,7 @@ class Trace:
     so the artifact store's LRU budget sees the true footprint.
     """
 
-    __slots__ = ("meta", "_views", "_prep", "_backing", "_digest") + tuple(
+    __slots__ = ("meta", "_views", "_prep", "_digest") + tuple(
         name for name, _ in _COLUMNS
     )
 
@@ -245,35 +245,9 @@ class Trace:
         self._views: Dict[str, np.ndarray] = {}
         #: Replay precompute cache (owned by repro.uarch.replay_vec).
         self._prep = None
-        #: Keep-alive for an external buffer the columns view into (a
-        #: ``multiprocessing.shared_memory`` handle when the trace was
-        #: attached through the shared trace plane); ``None`` for
-        #: traces that own their columns.
-        self._backing = None
         #: Lazily computed :meth:`content_digest` (columns are
         #: immutable after capture, so one hash serves forever).
         self._digest: Optional[str] = None
-
-    @classmethod
-    def from_views(
-        cls, meta: Dict, views: Dict[str, np.ndarray], backing=None
-    ) -> "Trace":
-        """Build a trace whose columns are externally-backed numpy
-        views (zero-copy attach -- see :mod:`repro.experiments.plane`).
-
-        ``views`` must carry every canonical column with the canonical
-        dtype; ``backing`` is any object that must stay alive as long
-        as the views do (e.g. the ``SharedMemory`` handle).  The views
-        behave exactly like owned columns: ``len``/indexing/iteration,
-        and :meth:`column` returns them directly.
-        """
-        missing = [name for name, _ in _COLUMNS if name not in views]
-        if missing:
-            raise TraceError(f"missing attached columns: {missing}")
-        trace = cls(meta, **{name: views[name] for name, _ in _COLUMNS})
-        trace._views = dict(views)
-        trace._backing = backing
-        return trace
 
     @property
     def committed(self) -> int:
@@ -291,13 +265,9 @@ class Trace:
         if view is None:
             for cname, typecode in _COLUMNS:
                 if cname == name:
-                    column = getattr(self, name)
-                    if isinstance(column, np.ndarray):
-                        view = column  # attached trace: already a view
-                    else:
-                        view = np.frombuffer(
-                            column, dtype=_NP_DTYPES[typecode]
-                        )
+                    view = np.frombuffer(
+                        getattr(self, name), dtype=_NP_DTYPES[typecode]
+                    )
                     break
             else:
                 raise KeyError(name)
@@ -348,9 +318,7 @@ class Trace:
         )
         for name, typecode in _COLUMNS:
             column = getattr(self, name)
-            if isinstance(column, np.ndarray):
-                raw = column.tobytes()
-            elif typecode == "bits":
+            if typecode == "bits":
                 raw = bytes(column)
             else:
                 raw = column.tobytes()
@@ -490,8 +458,7 @@ class Trace:
 
 
 def _pack_bits(bits) -> bytes:
-    """Pack a 0/1-per-byte column into 8 bits per byte (LSB first).
-    Accepts a ``bytearray`` or an already-viewed uint8 ndarray."""
+    """Pack a 0/1-per-byte column into 8 bits per byte (LSB first)."""
     flags = np.asarray(bits, dtype=np.uint8)
     return np.packbits(flags, bitorder="little").tobytes()
 

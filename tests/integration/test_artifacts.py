@@ -400,19 +400,23 @@ class TestDefaultStoreRerooting:
 class TestGroupScheduling:
     def test_group_followers_wait_for_leader(self, tmp_path):
         """With groups, the leader job finishes before any follower of
-        its group starts (so the leader's artifacts are on disk)."""
+        its group starts (so the leader's artifacts are on disk), and
+        the released followers run as separate pool jobs side by side
+        rather than one after the other in a single submission."""
         engine = ExperimentEngine(
             jobs=2, cache_dir=tmp_path, use_cache=False
         )
         results = engine.map(
             _stamp_job,
-            [("g", 0.2), ("g", 0.0), ("g", 0.0), ("solo", 0.0)],
+            [("g", 0.2), ("g", 0.3), ("g", 0.3), ("solo", 0.0)],
             labels=["lead", "f1", "f2", "solo"],
             groups=["g", "g", "g", "other"],
         )
         lead, f1, f2, solo = results
         assert f1["start"] >= lead["end"]
         assert f2["start"] >= lead["end"]
+        assert max(f1["start"], f2["start"]) < min(f1["end"], f2["end"])
+        assert not (tmp_path / "batches").exists()
 
     def test_groups_preserve_order_and_results(self, tmp_path):
         engine = ExperimentEngine(

@@ -134,7 +134,9 @@ class TestObservability:
 
     def test_manifest_schema4_health_fields(self, tmp_path):
         """Schema >= 4 fields: per-job status/attempts/error plus run
-        identity, robustness knobs, health totals, artifact counters."""
+        identity, robustness knobs, health totals, artifact counters;
+        the v5 worker fields; and the v9 removal of the plane and
+        batch-dispatch fields."""
         config = RunConfig.quick()
         engine = ExperimentEngine(
             jobs=1, cache_dir=tmp_path, use_cache=True, run_id="m3",
@@ -142,7 +144,7 @@ class TestObservability:
         )
         engine.run_benchmark("h264ref", config)
         manifest = engine.manifest(config)
-        assert manifest["schema"] == 8
+        assert manifest["schema"] == 9
         block = manifest["engine"]
         assert block["run_id"] == "m3"
         assert block["resume"] is False
@@ -156,11 +158,19 @@ class TestObservability:
         assert totals["journal_hits"] == totals["quarantined"] == 0
         # v4: per-job artifact counters aggregate into the totals.
         assert totals["artifacts"].get("trace_captures", 0) > 0
+        # v9: fused batch dispatch and the shm plane are gone; the two
+        # batch totals stay for older readers and always read 0.
+        assert totals["batches"] == totals["batch_points"] == 0
+        assert "shm_segments_cleaned" not in totals
         for record in manifest["jobs"]:
             assert record["status"] == "ok"
             assert record["attempts"] == 1
             assert record["error"] is None
             assert isinstance(record["artifacts"], dict)
+            assert isinstance(record["worker_pid"], int)
+            assert "batched" not in record
+        workers = manifest["workers"]
+        assert sum(v["jobs"] for v in workers.values()) == totals["jobs"]
         # Every completed job was checkpointed as it finished.
         journal = tmp_path / "runs" / "m3.jsonl"
         assert len(journal.read_text().splitlines()) == len(

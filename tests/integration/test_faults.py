@@ -82,6 +82,11 @@ class TestFaultPlan:
             parse_plan("meteor:0.5")
         with pytest.raises(ValueError):
             parse_plan("crash:1.5")
+        # The shared-memory plane and fused batch dispatch are gone,
+        # and so are the fault kinds that exercised them.
+        for retired in ("shm_leak:1.0", "batch_die:0.5"):
+            with pytest.raises(ValueError):
+                parse_plan(retired)
         assert parse_plan("") is None
         assert parse_plan("   ") is None
 
@@ -103,11 +108,6 @@ class TestFaultPlan:
         for label in ("a", "b", "c"):
             assert always.decide("crash", label, 0)
             assert not never.decide("crash", label, 0)
-
-    def test_plane_fault_kinds_parse(self):
-        plan = parse_plan("shm_leak:1.0,batch_die:0.5@seed=3")
-        assert plan.rates == {"shm_leak": 1.0, "batch_die": 0.5}
-        assert parse_plan(plan.spec()) == plan
 
 
 class TestWorkerExceptionIsolation:
@@ -157,8 +157,8 @@ class TestBrokenPool:
         assert record["error"]["type"] == "BrokenProcessPool"
 
     def test_mid_batch_death_spares_other_jobs(self, tmp_path):
-        """A pool death mid-batch must not lose the independent jobs
-        that were merely co-resident in the dying pool."""
+        """A pool death must not lose the independent jobs that were
+        merely co-resident in the dying pool."""
         payloads = [(str(tmp_path), 0), (str(tmp_path), 1)]
         engine = ExperimentEngine(jobs=2, use_cache=False, retries=3)
         results = engine.map(
@@ -277,55 +277,6 @@ class TestCrashInjectionSmoke:
                 assert record["error"]["type"] == "InjectedCrash"
                 assert record["attempts"] == 1  # deterministic: no retry
         assert [r is None for r in results] == expected
-
-
-class TestBatchDispatchFaults:
-    """Fused follower batches under injection: a worker death between
-    batch points loses only the unfinished tail (the spool absorbs the
-    completed prefix), and every point still checkpoints individually."""
-
-    def test_batch_die_retries_only_unfinished_points(
-        self, tmp_path, monkeypatch
-    ):
-        spec = "batch_die:0.4@seed=11"
-        payloads = list(range(10))
-        labels = [f"bd{i}" for i in payloads]
-        groups = ["g1"] * 5 + ["g2"] * 5
-        # Leaders (the first pending member of each group) run solo and
-        # cannot batch_die; the seed is chosen so at least one follower
-        # does on its first attempt.
-        plan = parse_plan(spec)
-        followers = labels[1:5] + labels[6:]
-        assert any(plan.decide("batch_die", l, 0) for l in followers)
-
-        monkeypatch.setenv("REPRO_FAULT_INJECT", spec)
-        engine = ExperimentEngine(
-            jobs=2, cache_dir=tmp_path, use_cache=True,
-            run_id="bd", retries=3,
-        )
-        results = engine.map(
-            _square_job, payloads, labels=labels, groups=groups
-        )
-        assert results == [
-            {
-                "value": i * i,
-                "simulated_cycles": 10,
-                "committed_instructions": 10,
-            }
-            for i in payloads
-        ]
-        assert all(r["status"] == "ok" for r in engine.records)
-        assert engine.batches >= 2
-        # The deaths charged retries to the unfinished points only;
-        # leaders (and spool-absorbed prefix points) stay at 1 attempt.
-        assert max(r["attempts"] for r in engine.records) >= 2
-        assert min(r["attempts"] for r in engine.records) == 1
-        # Per-point checkpointing survives batching: one journal line
-        # per sweep point, none duplicated.
-        journal = tmp_path / "runs" / "bd.jsonl"
-        assert len(journal.read_text().splitlines()) == 10
-        # Settled (and recovered) batches remove their spools.
-        assert list((tmp_path / "batches").glob("*.jsonl")) == []
 
 
 class TestInterruptResume:

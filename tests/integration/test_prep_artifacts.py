@@ -1,5 +1,5 @@
 """Persisted replay-prep slices: keying, invalidation, integrity,
-cross-process/shm reuse, and the sidecar-aware cache housekeeping.
+cross-process reuse, and the sidecar-aware cache housekeeping.
 
 The prep cache is a *derived* layer: every test here can assert
 bit-identical results because a lost or corrupted slice is never a
@@ -19,7 +19,7 @@ import struct
 import pytest
 
 from repro.branchpred import GSharePredictor
-from repro.experiments import RunConfig, cachectl, plane
+from repro.experiments import RunConfig, cachectl
 from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.harness import prepare_benchmark
 from repro.uarch import InOrderCore, OutOfOrderCore, replay_vec
@@ -377,77 +377,6 @@ def _shorten_column(blob: bytes, name: str) -> bytes:
         + encoded.ljust(header_len)
         + blob[start + header_len :]
     )
-
-
-@pytest.mark.skipif(
-    not plane.shm_available(), reason="no multiprocessing.shared_memory"
-)
-class TestPrepPlane:
-    @pytest.fixture
-    def prefix(self, monkeypatch):
-        value = plane.new_prefix()
-        monkeypatch.setenv(plane.PREFIX_ENV, value)
-        yield value
-        plane.cleanup_run(value)
-
-    def test_shm_prep_shared_without_disk(
-        self, store, tmp_path, monkeypatch, prefix
-    ):
-        # Disk persistence off: the only way a sibling store can skip
-        # the build is the run-scoped shared-memory plane.
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        config, baseline, _ = _quick_programs()
-        machine = config.machine_for(4)
-        store.simulate_inorder(
-            baseline, machine, max_instructions=config.max_instructions
-        )
-        first = store.simulate_inorder(
-            baseline, machine, max_instructions=config.max_instructions
-        )
-        assert store.counters.get("shm_prep_publishes") == 1
-        assert not _prep_files(tmp_path)
-        sibling = ArtifactStore(cache_dir=tmp_path)
-        mark = sibling.mark()
-        second = sibling.simulate_inorder(
-            baseline, machine, max_instructions=config.max_instructions
-        )
-        delta = sibling.delta(mark)
-        assert delta.get("shm_attaches") == 1
-        assert delta.get("prep_hits") == 1
-        assert delta.get("shm_prep_attaches") == 1
-        assert "prep_builds" not in delta
-        assert first.cycles == second.cycles
-        assert first.stats == second.stats
-        # Trace and prep segments both live under the run prefix, so
-        # the engine's end-of-run sweep collects them together.
-        assert len(plane.list_segments(prefix)) == 2
-
-    def test_disk_hit_republishes_to_plane(
-        self, store, tmp_path, prefix
-    ):
-        config, baseline, _ = _quick_programs()
-        machine = config.machine_for(4)
-        store.simulate_inorder(
-            baseline, machine, max_instructions=config.max_instructions
-        )
-        store.simulate_inorder(
-            baseline, machine, max_instructions=config.max_instructions
-        )
-        key = None
-        for path in _prep_files(tmp_path):
-            key = path.stem
-        assert key is not None
-        plane.cleanup_run(prefix)
-        plane.register_run(prefix)
-        fresh = ArtifactStore(cache_dir=tmp_path)
-        mark = fresh.mark()
-        fresh.simulate_inorder(
-            baseline, machine, max_instructions=config.max_instructions
-        )
-        delta = fresh.delta(mark)
-        assert delta.get("prep_hits") == 1
-        assert delta.get("shm_prep_publishes") == 1
-        assert plane.attach_prep(key) is not None
 
 
 class TestCacheCtlSidecars:
