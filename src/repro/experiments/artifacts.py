@@ -70,6 +70,8 @@ trace-keyed simulation, including the one whose miss captured it,
 ``prep_builds`` counts slices computed from scratch -- in a warm
 fleet exactly one per ``(trace, predictor, config class)`` --
 ``prep_quarantined`` counts corrupt slice blobs sidelined;
+``walk_diverges`` counts in-order region walks that failed validation
+and were re-run on the reference core;
 ``store_*`` count the durable blob layer underneath (:mod:`.store`):
 fsync'd puts, transient-I/O retries, and digest-verification failures
 (torn transfers quarantined on read).
@@ -92,7 +94,8 @@ from ..uarch import (
 )
 from ..uarch import replay_vec
 from ..uarch.ooo import OutOfOrderCore
-from ..uarch.replay import replay_inorder_sweep, replay_ooo
+from ..uarch.replay import replay_inorder, replay_ooo
+from ..uarch.replay_multi import WalkDivergence
 from ..uarch.trace import Trace, TraceError, content_digest, predictor_id
 from . import faults
 from .store import FileStore, quarantine_file
@@ -110,10 +113,7 @@ _COUNTER_NAMES = (
     "prep_misses",
     "prep_builds",
     "prep_quarantined",
-    "fused_passes",
-    "fused_points",
-    "fused_fallbacks",
-    "fused_diverges",
+    "walk_diverges",
     "btrace_hits",
     "btrace_misses",
     "profile_hits",
@@ -670,7 +670,7 @@ class ArtifactStore:
         max_instructions: int = 2_000_000,
     ):
         """Simulate on the in-order core via the trace fast path: the
-        K = 1 case of :meth:`simulate_inorder_sweep`.
+        one-config call of :meth:`simulate_inorder_sweep`.
 
         The first simulation of a program captures its trace
         timing-free and stores it; every simulation -- that first one
@@ -690,25 +690,19 @@ class ArtifactStore:
         configs: List[MachineConfig],
         max_instructions: int = 2_000_000,
     ):
-        """Simulate one program under a whole sweep axis at once.
+        """Simulate one program under a whole sweep axis.  (The one
+        in-order front door; ``bench/spans.py`` wraps it by name.)
 
-        Configs are grouped by trace key, then by prep slice key --
-        the content address of the shared replay-prep slice -- and
-        each group of K > 1 points is scored by **one fused pass**
-        over the trace (:func:`repro.uarch.replay.replay_inorder_sweep`),
-        carrying all K lanes' serial state through a single
-        region-memoised walk.  A trace the store lacks is first
-        captured timing-free under the group's first config, and then
-        every member replays it: a cold axis costs one capture plus one
-        fused pass over all K points.  Configs without a trace key run
-        on the reference core and move no trace counter.  Counter
-        movement proves what happened: ``fused_passes`` /
-        ``fused_points`` on fusion, ``fused_fallbacks`` when fusion
-        declined, ``fused_diverges`` when a fused lane failed
-        validation and the reference core transparently re-ran the
-        group.  Results are returned in config order and are
-        bit-identical to K independent ``InOrderCore(config).run``
-        calls.
+        Configs are grouped by trace key, so a trace the store lacks is
+        captured once, timing-free, under the group's first config:
+        a cold axis costs one capture plus one replay per point.  Each
+        point then attaches its prep slice and walks the trace's region
+        table, which every point sharing a kernel table reuses.  A walk
+        that fails validation is counted (``walk_diverges``) and that
+        point runs on the reference core at the trace's budget, as a
+        config without a trace key always does (moving no trace
+        counter).  Results are returned in config order and are
+        bit-identical to ``InOrderCore(config).run`` per config.
         """
         configs = list(configs)
         results: List = [None] * len(configs)
@@ -726,28 +720,17 @@ class ArtifactStore:
             trace = self._trace_or_capture(
                 key, program, configs[members[0]], max_instructions
             )
-            slice_groups: "OrderedDict[str, List[int]]" = OrderedDict()
             for index in members:
-                skey = replay_vec.prep_slice_key(
-                    program, trace, configs[index]
-                )
-                slice_groups.setdefault(skey, []).append(index)
-            for group in slice_groups.values():
-                self._ensure_prep(program, trace, configs[group[0]])
-                runs, outcome = replay_inorder_sweep(
-                    program, trace, [configs[i] for i in group]
-                )
-                self._bump("trace_replays", len(group))
-                if outcome == "fused":
-                    self._bump("fused_passes")
-                    self._bump("fused_points", len(group))
-                elif outcome == "diverged":
-                    self._bump("fused_diverges")
-                    self._bump("fused_fallbacks")
-                elif outcome == "fallback":
-                    self._bump("fused_fallbacks")
-                for index, run in zip(group, runs):
-                    results[index] = run
+                config = configs[index]
+                self._ensure_prep(program, trace, config)
+                self._bump("trace_replays")
+                try:
+                    results[index] = replay_inorder(program, trace, config)
+                except WalkDivergence:
+                    self._bump("walk_diverges")
+                    results[index] = InOrderCore(config).run(
+                        program, max_instructions=trace.meta["budget"]
+                    )
         return results
 
     def simulate_ooo(

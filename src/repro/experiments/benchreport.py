@@ -1,8 +1,8 @@
 """Consolidated benchmark index: the perf trajectory in one file.
 
 Every optimisation PR leaves a ``results/BENCH_<name>.json`` snapshot
-behind (replay vectorisation, trace replay, prep slices, sweep
-fusion...), each with its own shape.  This module folds
+behind (replay vectorisation, trace replay, prep slices...), each
+with its own shape.  This module folds
 them into one machine-readable ``results/BENCH_index.json`` -- name,
 headline speedup, gate (when the snapshot records the threshold its
 benchmark asserts), lever, and snapshot date -- so "how fast is the

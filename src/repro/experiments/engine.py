@@ -102,20 +102,18 @@ CACHE_SCHEMA = 1
 #: ``prep_misses``/``prep_builds``/``prep_quarantined`` -- see
 #: :mod:`.artifacts`): a warm fleet shows exactly one ``prep_builds``
 #: per (trace, predictor, config class) and hits everywhere else;
-#: v8 adds the sweep-fused replay counters to the per-job/total
-#: artifact blocks (``fused_passes``/``fused_points``/
-#: ``fused_fallbacks``/``fused_diverges`` -- see
-#: :meth:`.artifacts.ArtifactStore.simulate_inorder_sweep`) plus
-#: top-level ``totals.fused_passes``/``totals.fused_points``
-#: mirrors: a fused width sweep shows one ``fused_passes`` per
-#: (trace, prep slice) group covering K ``fused_points``, and any
-#: nonzero ``fused_diverges`` records a detected lane divergence
-#: that degraded to the (bit-identical) reference core; v9 drops
+#: v8 added the sweep-fused replay counters to the artifact blocks and
+#: two fusion mirrors to the totals; v9 drops
 #: ``totals.shm_segments_cleaned`` and the per-job ``batched`` flag
 #: with the shared-memory trace plane and fused batch dispatch
 #: (``totals.batches``/``totals.batch_points`` stay, always 0, for
-#: readers of older layouts).
-MANIFEST_SCHEMA = 9
+#: readers of older layouts); v10 drops v8's fusion counters and
+#: mirrors with lane fusion itself, and renames v8's divergence
+#: counter to ``walk_diverges``: every in-order point is its own
+#: region walk, and a nonzero ``walk_diverges`` records a walk that
+#: failed validation and degraded to the (bit-identical) reference
+#: core.
+MANIFEST_SCHEMA = 10
 
 #: Repo-level results directory (works for the src-layout checkout).
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "results"
@@ -557,8 +555,6 @@ class ExperimentEngine:
                 # readers of the v5 layout, such as bench/child.py.
                 "batches": 0,
                 "batch_points": 0,
-                "fused_passes": artifact_totals.get("fused_passes", 0),
-                "fused_points": artifact_totals.get("fused_points", 0),
                 "ok": counts["ok"],
                 "failed": counts["failed"],
                 "timeout": counts["timeout"],

@@ -32,12 +32,12 @@ Kinds:
 * ``corrupt_trace`` -- the artifact store writes a truncated trace
   container (:mod:`.artifacts`): exercises trace checksum validation,
   quarantine, and transparent recapture on the next load.
-* ``fused_diverge`` -- the in-order region walk
-  (:mod:`repro.uarch.replay_multi`) corrupts one seeded config lane's
-  stat accumulators right before lane validation: exercises
-  divergence detection, the automatic reference-core fallback, and the
-  ``fused_diverges`` artifact counter that surfaces the degradation
-  in the run manifest.
+* ``walk_diverge``  -- the in-order region walk
+  (:mod:`repro.uarch.replay_multi`) corrupts its stat accumulators
+  right before validation: exercises divergence detection, the
+  artifact store's per-point reference-core fallback, and the
+  ``walk_diverges`` artifact counter that surfaces the degradation in
+  the run manifest.
 
 Distributed kinds (exercised by the queue backend in
 :mod:`.backends`):
@@ -63,7 +63,7 @@ Distributed kinds (exercised by the queue backend in
 Decisions are independent per kind.  ``crash``/``die``/``hang``/
 ``lease_expire``/``worker_vanish`` hash the attempt number too, so a
 retried job may (deterministically) succeed on a later attempt;
-``corrupt_cache``/``corrupt_trace``/``fused_diverge``/
+``corrupt_cache``/``corrupt_trace``/``walk_diverge``/
 ``stale_heartbeat``/``torn_put``/``dup_complete`` are
 attempt-independent.
 """
@@ -83,7 +83,7 @@ FAULT_KINDS = (
     "hang",
     "corrupt_cache",
     "corrupt_trace",
-    "fused_diverge",
+    "walk_diverge",
     "lease_expire",
     "worker_vanish",
     "stale_heartbeat",
@@ -240,24 +240,15 @@ def should_corrupt_trace(key: str) -> bool:
     return plan is not None and plan.decide("corrupt_trace", key)
 
 
-def fuse_diverge_lane(label: str, lanes: int) -> Optional[int]:
-    """Fused-replay decision: corrupt one lane of this fused pass?
+def should_diverge_walk(label: str) -> bool:
+    """Replay-side decision: corrupt this region walk's accumulators?
 
-    Returns the seed-chosen lane index to corrupt, or ``None`` when
-    the fault does not fire.  Attempt-independent, like the other
-    data-corruption kinds: a walk over the same trace and sweep always
-    diverges (and always on the same lane), one-lane walks included,
-    so running the reference core -- not a retry of the walk -- is
-    what restores the results.
+    Attempt-independent, like the other data-corruption kinds: a walk
+    with the same label always diverges, so running the reference
+    core -- not a retry of the walk -- is what restores the results.
     """
     plan = plan_from_env()
-    if plan is None or lanes <= 0:
-        return None
-    if not plan.decide("fused_diverge", label):
-        return None
-    blob = f"{plan.seed}|fused_diverge_lane|{label}".encode()
-    digest = hashlib.sha256(blob).digest()
-    return int.from_bytes(digest[:8], "big") % lanes
+    return plan is not None and plan.decide("walk_diverge", label)
 
 
 def should_expire_lease(label: str, attempt: int) -> bool:

@@ -190,10 +190,10 @@ def run_seed(name: str, seed: int, config: RunConfig) -> Dict:
     width axis runs through the sweep front door
     (:meth:`ArtifactStore.simulate_inorder_sweep`): the first sight of
     a program captures its committed stream timing-free, and every
-    width is scored by one *fused* replay pass over it (bit-identical
-    to per-width execute-driven runs).  The per-job artifact
-    counter movement is reported under ``"artifacts"`` (manifest
-    schema 4; fused-pass counters since schema 8).
+    width replays it as its own walk of one shared region table
+    (bit-identical to per-width execute-driven runs).  The per-job
+    artifact counter movement is reported under ``"artifacts"``
+    (manifest schema 4).
     """
     from .artifacts import get_store
 

@@ -97,14 +97,12 @@ def _motivation_job(payload) -> dict:
         lambda: compile_decomposed(ref, profile=profile),
     )
 
-    # Sweep front door for the in-order runs (K=1 per program; OOO
-    # lanes are outside fused replay and keep their dedicated path).
-    [io_base] = store.simulate_inorder_sweep(
-        baseline.program, [machine],
+    io_base = store.simulate_inorder(
+        baseline.program, machine,
         max_instructions=config.max_instructions,
     )
-    [io_dec] = store.simulate_inorder_sweep(
-        decomposed.program, [machine],
+    io_dec = store.simulate_inorder(
+        decomposed.program, machine,
         max_instructions=config.max_instructions,
     )
     ooo_base = store.simulate_ooo(

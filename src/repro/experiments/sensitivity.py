@@ -154,15 +154,12 @@ def _sensitivity_job(payload) -> Dict:
         ),
     )
     machine = MachineConfig.paper_default().with_predictor(factory)
-    # Sweep front door (K=1 per program here: the ladder sweeps
-    # predictors across jobs, and each predictor is its own prep
-    # slice, so there is nothing to fuse within a job).
-    [base_run] = store.simulate_inorder_sweep(
-        baseline.program, [machine],
+    base_run = store.simulate_inorder(
+        baseline.program, machine,
         max_instructions=config.max_instructions,
     )
-    [dec_run] = store.simulate_inorder_sweep(
-        decomposed.program, [machine],
+    dec_run = store.simulate_inorder(
+        decomposed.program, machine,
         max_instructions=config.max_instructions,
     )
     total = base_run.stats.cond_branches or 1

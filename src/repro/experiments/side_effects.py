@@ -92,14 +92,12 @@ def _issue_job(payload) -> dict:
     mark = store.mark()
     machine = config.machine_for(4)
     baseline, decomposed = _compiled(name, config, store)
-    # Sweep front door (K=1 today; fuses for free once Fig. 14 grows
-    # a width axis).
-    [base_run] = store.simulate_inorder_sweep(
-        baseline.program, [machine],
+    base_run = store.simulate_inorder(
+        baseline.program, machine,
         max_instructions=config.max_instructions,
     )
-    [dec_run] = store.simulate_inorder_sweep(
-        decomposed.program, [machine],
+    dec_run = store.simulate_inorder(
+        decomposed.program, machine,
         max_instructions=config.max_instructions,
     )
     return {
@@ -191,8 +189,8 @@ def _icache_job(payload) -> dict:
     machine_32k = config.machine_for(4)
     machine_24k = machine_32k.with_icache_bytes(24 * 1024)
     baseline, decomposed = _compiled(name, config, store)
-    # One sweep call; the two geometries address different prep
-    # slices, so the front door replays them per-point automatically.
+    # One sweep call: one trace lookup, then a replay per geometry
+    # (each on its own prep slice and region table).
     run_32k, run_24k = store.simulate_inorder_sweep(
         baseline.program, [machine_32k, machine_24k],
         max_instructions=config.max_instructions,

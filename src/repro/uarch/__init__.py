@@ -12,7 +12,7 @@ from .functional import (
     collect_branch_trace,
     execute,
 )
-from .replay import replay_inorder, replay_inorder_sweep, replay_ooo
+from .replay import replay_inorder, replay_ooo
 from .stats import SimStats
 from .trace import (
     Trace,
@@ -40,7 +40,6 @@ __all__ = [
     "predictor_id",
     "render_timeline",
     "replay_inorder",
-    "replay_inorder_sweep",
     "replay_ooo",
     "SimulationError",
     "SimulationResult",

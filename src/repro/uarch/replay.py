@@ -14,11 +14,12 @@ fingerprints in ``tests/golden`` pin that core, and the replay suites
 in ``tests/uarch`` compare the kernels against it directly.
 
 The fast path precomputes every clock-independent decision once
-(:mod:`.replay_vec`) and leaves one serial kernel per core.  In-order
-replay has one: the region walk of :mod:`.replay_multi`, which scores
-a sweep axis of K configurations sharing one kernel table in one
-fused pass, and a single point as K = 1.  The OOO kernel runs per
-point.
+(:mod:`.replay_vec`) and leaves one serial kernel per core, run once
+per point.  In-order replay walks the trace's region table
+(:mod:`.replay_multi`), built once per kernel table and shared by
+every width, ports and front-end setting.  A walk that fails its
+validation raises :class:`~.replay_multi.WalkDivergence` to the
+caller; the artifact store counts it and runs the reference core.
 
 When a kernel declines -- an empty or malformed trace, a live
 predictor without a stable name -- the replay runs the reference core
@@ -47,7 +48,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..isa import Memory
-from . import replay_multi, replay_vec
+from . import replay_vec
 from .config import MachineConfig
 from .core import InOrderCore, SimulationResult
 from .ooo import OutOfOrderCore
@@ -106,88 +107,22 @@ def _final_state(program, trace: Trace, stats: SimStats) -> SimulationResult:
     )
 
 
-def _reference_inorder(
-    program, trace: Trace, config: MachineConfig
-) -> SimulationResult:
-    """The execute-driven core at the trace's instruction budget."""
-    return InOrderCore(config).run(
-        program, max_instructions=trace.meta["budget"]
-    )
-
-
-def _replay_inorder(
-    program, trace: Trace, config: MachineConfig, recorded: bool
-) -> SimulationResult:
-    """One in-order replay as a one-lane region walk, or on the
-    reference core when the walk declines or its lane diverges."""
-    stats = replay_vec.replay_inorder_stats(program, trace, config, recorded)
-    if stats is None:
-        return _reference_inorder(program, trace, config)
-    return _final_state(program, trace, stats)
-
-
 def replay_inorder(
     program,
     trace: Trace,
     config: Optional[MachineConfig] = None,
 ) -> SimulationResult:
-    """Replay ``trace`` on the in-order timing model."""
+    """Replay ``trace`` on the in-order timing model: one region walk,
+    or the reference core at the trace's budget when the walk
+    declines."""
     config = config or MachineConfig()
     recorded = _check_and_mode(program, trace, config)
-    return _replay_inorder(program, trace, config, recorded)
-
-
-def replay_inorder_sweep(
-    program,
-    trace: Trace,
-    configs,
-):
-    """Replay ``trace`` under every configuration of a sweep axis.
-
-    When K > 1 and every configuration shares one fused kernel table
-    (they differ only in width, ports, front-end depth or bubble
-    counts, under one prediction mode), one fused pass
-    (:mod:`.replay_multi`) scores them all.  Otherwise each point is
-    its own one-lane walk, as :func:`replay_inorder` runs it.  A lane
-    that fails validation voids the pass, and every configuration
-    then runs on the reference core.  Either way the results are
-    bit-identical to K independent :func:`replay_inorder` calls.
-
-    Returns ``(results, outcome)`` where ``outcome`` is ``"fused"``
-    (one pass scored every lane), ``"fallback"`` (the lanes do not
-    share a kernel, or the kernel declined the trace), ``"diverged"``
-    (a fused lane failed validation and the reference core re-ran the
-    sweep), or ``"per_point"`` (a single point).
-    """
-    configs = [config or MachineConfig() for config in configs]
-    recorded = [_check_and_mode(program, trace, config) for config in configs]
-    outcome = "per_point"
-    if len(configs) > 1:
-        try:
-            stats_list = replay_multi.replay_inorder_multi_stats(
-                program, trace, configs, recorded
-            )
-        except replay_multi.FusedLaneDivergence:
-            return (
-                [
-                    _reference_inorder(program, trace, config)
-                    for config in configs
-                ],
-                "diverged",
-            )
-        if stats_list is not None:
-            return (
-                [_final_state(program, trace, stats) for stats in stats_list],
-                "fused",
-            )
-        outcome = "fallback"
-    return (
-        [
-            _replay_inorder(program, trace, config, mode)
-            for config, mode in zip(configs, recorded)
-        ],
-        outcome,
-    )
+    stats = replay_vec.replay_inorder_stats(program, trace, config, recorded)
+    if stats is None:
+        return InOrderCore(config).run(
+            program, max_instructions=trace.meta["budget"]
+        )
+    return _final_state(program, trace, stats)
 
 
 def replay_ooo(

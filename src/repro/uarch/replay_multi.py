@@ -1,11 +1,13 @@
-"""The in-order replay kernel: a region walk scoring K configs.
+"""The in-order replay kernel: a region walk over the fused stream.
 
-Every point of a width/ports/front-end sweep shares one fused kernel
-table (``prep_config_class`` deliberately excludes width, ports,
-front-end depth and bubbles), so one walk of the fused action codes
-scores K configurations at once: **one fused pass** over a
-run-length *region* view of the stream.  A single point is the
-K = 1 case (:func:`repro.uarch.replay_vec.replay_inorder_stats`).
+Every in-order point replays through one walk of the fused action
+codes (:func:`replay_inorder_multi_stats`, entered through
+:func:`repro.uarch.replay_vec.replay_inorder_stats`).  The walk reads
+a run-length *region* view of the stream that is built once per
+fused kernel table and cached on the trace: ``prep_config_class``
+leaves width, ports, front-end depth and bubbles out of the kernel
+key, so every point of a width/ports/front-end sweep walks the same
+table.
 
 The trick is that in-order timing is translation-invariant: shift
 every clock-coupled quantity (fetch cycle, scoreboard entries,
@@ -13,54 +15,37 @@ issue-ring stamps, miss-buffer deadlines) by a constant and the
 deltas it produces are unchanged.  So the stream is cut into
 *regions* at every front-end redirect, region contents are interned
 (identical code stretches recur constantly in loop-heavy traces), and
-each lane's clock-coupled state between regions is *canonicalised
-relative to its own issue frontier*.  A lane entering an already-seen
+the walk's clock-coupled state between regions is *canonicalised
+relative to its own issue frontier*.  A walk entering an already-seen
 ``(region content, entry scoreboard-source mask, canonical state)``
 replays the memoised transition -- an integer dict hit -- instead of
 re-walking the region instruction by instruction.  The memo key is
-exact, so every lane's accumulators are **bit-identical** to a walk
-of the whole stream, and through it to the execute-driven reference
-core (:class:`InOrderCore`) that the golden suite pins; the
-equivalence tests in ``tests/uarch`` and the golden-pinned lanes in
+exact, so the walk's accumulators are **bit-identical** to a walk of
+the whole stream, and through it to the execute-driven reference core
+(:class:`InOrderCore`) that the golden suite pins; the equivalence
+tests in ``tests/uarch`` and the golden-pinned replays in
 ``tests/golden`` hold it there.
 
-Lane layout: per-config serial state (issue frontier, width/port
-counters, fetch state, gate ring, scoreboard, miss heap) lives in
-per-lane slots; the shared region table, interned canonical states
-and region stream are walked once, oldest region to newest, updating
-every lane at each region boundary.  Per-lane memo tables key on
-``state_id * n_sites + site_id`` -- one int -- because transition
-deltas depend on the lane's width/port constants.
+The walk declines (returns ``None``, and the caller runs the
+reference core) outside the vectorized path's own guards: an
+unnameable live predictor, an empty or malformed trace.  Degenerate
+machines (a port class or the fetch buffer below one) never reach
+this module: :class:`MachineConfig` rejects them when built.
 
-Fallback rules (the caller sees ``None``: a sweep replays each point
-as a one-lane walk, and a point the walk declines runs on the
-reference core):
-
-* any lane outside the vectorized path's own guards (unnameable live
-  predictor, empty or malformed trace);
-* lanes that do not share one fused kernel table (mixed recorded/live
-  prediction, different cache geometry / BTB / RAS / predictor --
-  i.e. different prep slices);
-* OOO cores (fusing the stamped-ring OOO kernel is future work).
-
-Degenerate machines (a port class or the fetch buffer below one) never
-reach this module: :class:`MachineConfig` rejects them when built.
-
-Lane-divergence containment: the walk re-checks cheap per-lane
-invariants (non-negative stall accumulators, the width bound
-``cycles * width >= issued``) and raises
-:class:`FusedLaneDivergence` on violation.  The replay front door
-then discards the pass and runs every config on the reference core,
-the one independent in-order timing model left; the artifact store
-counts the degradation (``fused_diverges``).  The ``fused_diverge``
-fault kind corrupts one seeded lane's accumulators right before
-validation to prove that whole chain end to end.
+Divergence containment: the walk re-checks cheap invariants
+(non-negative stall accumulators, the width bound
+``cycles * width >= issued``) and raises :class:`WalkDivergence` on
+violation.  The artifact store catches it per point, counts it
+(``walk_diverges``) and runs that point on the reference core, the
+one independent in-order timing model left.  The ``walk_diverge``
+fault kind corrupts the walk's accumulators right before validation
+to prove that whole chain end to end.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,9 +55,9 @@ from .trace import Trace
 from . import replay_vec as rv
 
 
-class FusedLaneDivergence(RuntimeError):
-    """A lane's accumulators failed the sanity invariants; the caller
-    must discard the pass and run the reference core instead."""
+class WalkDivergence(RuntimeError):
+    """The walk's accumulators failed the sanity invariants; the caller
+    must discard them and run the reference core instead."""
 
 
 #: Fused action codes that redirect the front end: region boundaries.
@@ -106,21 +91,21 @@ def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
     """Cut the fused stream at every redirect, intern region contents
     and occurrence sites.
 
-    Returns the shared (lane-independent) region table:
+    Returns the shared (config-independent) region table:
 
     * ``contents``   -- region id -> 7 column tuples (act, fetch_add,
       lat, fu, dest, src0, rest) for the region's instructions;
     * ``sites``      -- occurrence index -> site id, where a *site* is
       an interned ``(region id, entry scoreboard-source mask)`` pair:
-      two occurrences share a site exactly when a lane entering them
+      two occurrences share a site exactly when a walk entering them
       in the same canonical state must behave identically;
     * ``site_rids`` / ``site_masks`` -- site id -> components.
 
     The entry mask records which architectural registers were last
     written by a load at region entry (``reg_from_load``).  It is
     stream-determined -- ALU/CALL writes clear a bit, load writes set
-    it -- hence shared by every lane, and stale scoreboard *times*
-    never consult it (a ``reg_ready`` at or below the lane's issue
+    it -- hence shared by every config, and stale scoreboard *times*
+    never consult it (a ``reg_ready`` at or below the walk's issue
     frontier can never win the operand-ready max).
 
     Built from the arrays: a region's key is the bytes of its rows in
@@ -242,7 +227,7 @@ def _regions_for(prepared, trace: Trace):
 
 # ----------------------------------------------- canonical state handling
 
-# Lane state between regions is canonicalised relative to the lane's
+# Walk state between regions is canonicalised relative to the walk's
 # issue frontier ``pi`` (``prev_issue``): every absolute cycle in it
 # becomes a delta, dead entries collapse to sentinels, and the result
 # interns to a small integer id.  Canonical tuples:
@@ -476,10 +461,10 @@ def _step_region(content, entry_rfl: List[int], state, consts):
         lus, rst, maxc, halted
 
 
-# ------------------------------------------------------------- fused pass
+# ------------------------------------------------------------------- walk
 
 
-def _lane_consts(config: MachineConfig) -> tuple:
+def _walk_consts(config: MachineConfig) -> tuple:
     return (
         config.width,
         (0, config.int_ports, config.mem_ports, config.fp_ports),
@@ -491,61 +476,47 @@ def _lane_consts(config: MachineConfig) -> tuple:
     )
 
 
-def _validate_lanes(
-    configs: Sequence[MachineConfig],
-    lcs: List[int],
-    luss: List[int],
-    rsts: List[int],
-    issued: int,
+def _validate(
+    config: MachineConfig, lc: int, lus: int, rst: int, issued: int
 ) -> None:
-    """Cheap always-on lane invariants; violation means a lane's
-    accumulators cannot be trusted and the fused pass is void."""
-    for config, lc, lus, rst in zip(configs, lcs, luss, rsts):
-        if lus < 0 or rst < 0 or lc < 0:
-            raise FusedLaneDivergence(
-                f"negative accumulator in fused lane "
-                f"(width={config.width}): cycles-1={lc}, "
-                f"load_use={lus}, resolution={rst}"
-            )
-        if (lc + 1) * config.width < issued:
-            raise FusedLaneDivergence(
-                f"fused lane (width={config.width}) reports "
-                f"{lc + 1} cycles for {issued} issued instructions: "
-                f"below the width bound"
-            )
+    """Cheap always-on invariants; violation means the walk's
+    accumulators cannot be trusted."""
+    if lus < 0 or rst < 0 or lc < 0:
+        raise WalkDivergence(
+            f"negative accumulator in region walk "
+            f"(width={config.width}): cycles-1={lc}, "
+            f"load_use={lus}, resolution={rst}"
+        )
+    if (lc + 1) * config.width < issued:
+        raise WalkDivergence(
+            f"region walk (width={config.width}) reports "
+            f"{lc + 1} cycles for {issued} issued instructions: "
+            f"below the width bound"
+        )
 
 
 def replay_inorder_multi_stats(
     program,
     trace: Trace,
-    configs: Sequence[MachineConfig],
-    recorded: Sequence[bool],
-) -> Optional[List[SimStats]]:
-    """One fused pass over ``trace`` scoring every config lane
-    (``recorded`` holds each lane's prediction mode).
+    config: MachineConfig,
+    recorded: bool,
+) -> Optional[SimStats]:
+    """One region walk over ``trace`` scoring ``config`` (``recorded``
+    is its prediction mode).  The name predates single-config walks
+    and stays because ``bench/spans.py`` wraps it.
 
-    Returns one :class:`SimStats` per config (bit-identical to
-    ``InOrderCore.run`` lane by lane), or ``None`` when a lane is
-    outside the vectorized path's guards or the lanes do not share one
-    fused kernel table.  Raises :class:`FusedLaneDivergence` when a
-    lane fails validation (or the ``fused_diverge`` fault fires).
+    Returns :class:`SimStats` bit-identical to ``InOrderCore.run``, or
+    ``None`` when the point is outside the vectorized path's guards.
+    Raises :class:`WalkDivergence` when the walk fails validation (or
+    the ``walk_diverge`` fault fires).
     """
-    k = len(configs)
-    prepared_all = [
-        rv._prepare(program, trace, config, mode, "inorder")
-        for config, mode in zip(configs, recorded)
-    ]
-    if any(p is None for p in prepared_all):
+    prepared = rv._prepare(program, trace, config, recorded, "inorder")
+    if prepared is None:
         return None
-    kernel0 = prepared_all[0][3]
-    if any(p[3] is not kernel0 for p in prepared_all[1:]):
-        return None  # mismatched prep slices: not one shared kernel
-    prepared = prepared_all[0]
     base, stream, mem, kernel, btb_misses, _ = prepared
     regions = _regions_for(prepared, trace)
 
     contents = regions["contents"]
-    sites = regions["sites"]
     site_rids = regions["site_rids"]
     site_masks = regions["site_masks"]
     n_sites = len(site_rids)
@@ -563,119 +534,85 @@ def replay_inorder_multi_stats(
             states.append(c)
         return cid
 
-    consts = [_lane_consts(config) for config in configs]
-    pis = [0] * k
-    lcs = [0] * k
-    luss = [0] * k
-    rsts = [0] * k
-    halts = [False] * k
-    memos: List[Dict[int, tuple]] = [dict() for _ in range(k)]
-    cids = [
-        intern_state(
-            (0, 0, (-1, 0), ((-1, 0),) * 3, (0,) * c[3], (), ())
-        )
-        for c in consts
-    ]
-
-    lane_range = range(k)
-    for sid in sites:
-        key_base = sid  # key = cid * n_sites + sid
-        for li in lane_range:
-            if halts[li]:
-                continue
-            memo = memos[li]
-            cid = cids[li]
-            key = cid * n_sites + key_base
-            t = memo.get(key)
-            if t is None:
-                pi = pis[li]
-                st = _materialize(states[cid], pi)
-                rfl = site_rfls[sid]
-                if rfl is None:
-                    mask = site_masks[sid]
-                    rfl = [(mask >> i) & 1 for i in range(65)]
-                    site_rfls[sid] = rfl
-                st2, dlus, drst, maxc, halted = _step_region(
-                    contents[site_rids[sid]], rfl, st, consts[li]
-                )
-                pi2 = st2[2]
-                ecid = intern_state(_canon(st2))
-                memo[key] = (
-                    pi2 - pi, maxc - pi, dlus, drst, ecid, halted,
-                )
-                pis[li] = pi2
-                luss[li] += dlus
-                rsts[li] += drst
-                if maxc > lcs[li]:
-                    lcs[li] = maxc
-                cids[li] = ecid
-                halts[li] = halted
-            else:
-                dpi, relmax, dlus, drst, ecid, halted = t
-                pi = pis[li]
-                pis[li] = pi + dpi
-                luss[li] += dlus
-                rsts[li] += drst
-                m = pi + relmax
-                if m > lcs[li]:
-                    lcs[li] = m
-                cids[li] = ecid
-                halts[li] = halted
-        if halts[0]:
+    consts = _walk_consts(config)
+    # Transition memo keyed ``state_id * n_sites + site_id``: one int.
+    memo: Dict[int, tuple] = {}
+    cid = intern_state(
+        (0, 0, (-1, 0), ((-1, 0),) * 3, (0,) * consts[3], (), ())
+    )
+    pi = lc = lus = rst = 0
+    for sid in regions["sites"]:
+        key = cid * n_sites + sid
+        t = memo.get(key)
+        if t is None:
+            rfl = site_rfls[sid]
+            if rfl is None:
+                mask = site_masks[sid]
+                rfl = [(mask >> i) & 1 for i in range(65)]
+                site_rfls[sid] = rfl
+            st2, dlus, drst, m, halted = _step_region(
+                contents[site_rids[sid]],
+                rfl,
+                _materialize(states[cid], pi),
+                consts,
+            )
+            pi2 = st2[2]
+            cid = intern_state(_canon(st2))
+            memo[key] = (pi2 - pi, m - pi, dlus, drst, cid, halted)
+            pi = pi2
+        else:
+            dpi, relmax, dlus, drst, cid, halted = t
+            m = pi + relmax
+            pi += dpi
+        lus += dlus
+        rst += drst
+        if m > lc:
+            lc = m
+        if halted:
             break
 
-    if any(halts) != all(halts):
-        raise FusedLaneDivergence(
-            "fused lanes disagree on the halt position"
-        )
-
-    _maybe_inject_divergence(trace, k, lcs, luss)
-    _validate_lanes(configs, lcs, luss, rsts, base["issued"])
+    if _diverge_fault(trace, config):
+        lus = -1 - lus
+        lc //= 2
+    _validate(config, lc, lus, rst, base["issued"])
 
     n = base["n"]
-    return [
-        SimStats.from_counts(
-            cycles=lcs[li] + 1,
-            committed=n,
-            issued=base["issued"],
-            fetched=n,
-            loads=len(base["ld_pos"]),
-            stores=len(base["st_pos"]),
-            load_use_stall_cycles=luss[li],
-            cond_branches=len(base["br_pos"]),
-            cond_mispredicts=stream["cond_mispredicts"],
-            taken_redirects=stream["taken_redirects_inorder"],
-            btb_miss_bubbles=btb_misses,
-            predicts=len(base["pr_pos"]),
-            resolves=len(base["rs_pos"]),
-            resolve_mispredicts=stream["resolve_mispredicts"],
-            resolution_stall_cycles=rsts[li],
-            hoisted_committed=base["hoisted"],
-            speculative_loads=base["speculative_loads"],
-            ras_mispredicts=stream["ras_mispredicts"],
-            icache_misses=mem["icache_misses"],
-            icache_misses_under_mispredict=mem["icache_under"],
-            halted=base["halted"],
-        )
-        for li in lane_range
-    ]
+    return SimStats.from_counts(
+        cycles=lc + 1,
+        committed=n,
+        issued=base["issued"],
+        fetched=n,
+        loads=len(base["ld_pos"]),
+        stores=len(base["st_pos"]),
+        load_use_stall_cycles=lus,
+        cond_branches=len(base["br_pos"]),
+        cond_mispredicts=stream["cond_mispredicts"],
+        taken_redirects=stream["taken_redirects_inorder"],
+        btb_miss_bubbles=btb_misses,
+        predicts=len(base["pr_pos"]),
+        resolves=len(base["rs_pos"]),
+        resolve_mispredicts=stream["resolve_mispredicts"],
+        resolution_stall_cycles=rst,
+        hoisted_committed=base["hoisted"],
+        speculative_loads=base["speculative_loads"],
+        ras_mispredicts=stream["ras_mispredicts"],
+        icache_misses=mem["icache_misses"],
+        icache_misses_under_mispredict=mem["icache_under"],
+        halted=base["halted"],
+    )
 
 
-def _maybe_inject_divergence(
-    trace: Trace, k: int, lcs: List[int], luss: List[int]
-) -> None:
-    """Apply the seeded ``fused_diverge`` fault: corrupt one lane's
+def _diverge_fault(trace: Trace, config: MachineConfig) -> bool:
+    """Whether the seeded ``walk_diverge`` fault corrupts this walk's
     accumulators right before validation, so the detection +
     reference-core fallback + manifest accounting chain is exercised
     end to end."""
     import os
 
     if not os.environ.get("REPRO_FAULT_INJECT"):
-        return
+        return False
     from ..experiments import faults
 
-    label = f"{trace.meta.get('program', '?')}|K={k}"
-    lane = faults.fuse_diverge_lane(label, k)
-    if lane is not None:
-        luss[lane] = -1 - luss[lane]
-        lcs[lane] //= 2
+    return faults.should_diverge_walk(
+        f"{trace.meta.get('program', '?')}|w{config.width}"
+    )

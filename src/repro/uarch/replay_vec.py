@@ -22,19 +22,20 @@ So replay splits into two halves:
   pre-pass assigning a hit level to every I-cache/load/store access,
   and a BTB/RAS re-simulation over just their event streams.  The
   results are cached on ``trace._prep`` keyed by replay mode, RAS
-  size, cache geometry and BTB size, so a sweep pays once per layer
-  (``Trace.nbytes`` accounts for the cache; the artifact store's LRU
-  sees the footprint).
+  size, cache geometry and BTB size, so a sweep pays once per layer.
+  ``Trace.nbytes`` counts these layers, but the artifact store's LRU
+  charges a trace once, when it is stored or loaded, before any prep
+  attaches: the budget does not see them.
 * a **serial kernel** that only advances the genuinely
   clock-coupled state -- fetch cycle/slot arithmetic, the
   fetch-buffer/window gate, the register scoreboard, the issue-ring
   search and the miss-buffer heap -- driven by a flat per-stream
   action-code table instead of predecoded rows.
 
-Straight-line regions between redirects are exactly the stretches
-with no precomputed fetch adjustment (``fetch_add[i] < 0``); the
-kernel's per-instruction work there collapses to list reads and
-integer compares.
+``fetch_add`` holds the I-cache miss cycles each instruction adds
+to fetch, 0 for "keep fetching".  The in-order walk cuts the stream
+into regions at front-end redirects (``replay_multi._REDIRECTS``),
+not at fetch adjustments.
 
 Bit-exactness contract: the kernels reproduce the ``SimStats`` of
 the execute-driven reference core (:class:`InOrderCore` /
@@ -51,9 +52,9 @@ below one) are rejected up front -- by :class:`MachineConfig`,
 guard for them.
 
 The in-order serial kernel is the region walk in
-:mod:`repro.uarch.replay_multi`, for one point as for a sweep axis:
-:func:`replay_inorder_stats` is its one-lane entry.  The OOO kernel
-lives here and runs per point.
+:mod:`repro.uarch.replay_multi`, one walk per point:
+:func:`replay_inorder_stats` is its entry.  The OOO kernel lives here
+and also runs per point.
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ class ReplayPrep:
     * ``btbs``       -- per (core, mode, btb_entries): miss bits
     * ``kernels``    -- per (core, stream, geometry, btb_entries): the
       fused action and latency arrays
-    * ``regions``    -- per kernel key: the in-order region walk's
-      interned region table (:mod:`.replay_multi`)
+    * ``regions``    -- per kernel key: the interned region table
+      every in-order walk of that kernel shares (:mod:`.replay_multi`)
 
     Layers hold arrays; the per-instruction Python lists the OOO
     kernel iterates are added to ``base``, ``mems`` and ``kernels``
@@ -204,8 +205,8 @@ class ReplayPrep:
         self.regions: Dict = {}
 
     def nbytes(self) -> int:
-        """Approximate footprint for the artifact store's LRU budget
-        (ndarrays exactly; lists at pointer-size per slot)."""
+        """Approximate footprint, for :meth:`Trace.nbytes` (ndarrays
+        exactly; lists at pointer-size per slot)."""
 
         def _size(value) -> int:
             if isinstance(value, np.ndarray):
@@ -1211,19 +1212,17 @@ def attach_prep_slice(
 def replay_inorder_stats(
     program, trace: Trace, config: MachineConfig, recorded: bool
 ) -> Optional[SimStats]:
-    """One in-order replay: a one-lane region walk
+    """One in-order replay: the region walk
     (:func:`repro.uarch.replay_multi.replay_inorder_multi_stats`).
-    ``None`` when the walk declines or its lane fails validation ->
-    the caller runs the reference core."""
+    ``None`` when the walk declines -> the caller runs the reference
+    core; :class:`~repro.uarch.replay_multi.WalkDivergence` propagates.
+    A separate name from the walk's because ``bench/spans.py`` wraps
+    both."""
     from . import replay_multi  # it imports this module at load time
 
-    try:
-        stats = replay_multi.replay_inorder_multi_stats(
-            program, trace, [config], [recorded]
-        )
-    except replay_multi.FusedLaneDivergence:
-        return None
-    return None if stats is None else stats[0]
+    return replay_multi.replay_inorder_multi_stats(
+        program, trace, config, recorded
+    )
 
 
 def replay_ooo_stats(

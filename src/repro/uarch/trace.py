@@ -275,9 +275,11 @@ class Trace:
         return view
 
     def nbytes(self) -> int:
-        """In-memory footprint (for LRU budgeting): raw columns plus
-        any replay-preparation arrays cached on the trace.  Column
-        views are zero-copy and cost nothing extra."""
+        """In-memory footprint: raw columns plus any replay-preparation
+        arrays cached on the trace.  Column views are zero-copy and
+        cost nothing extra.  The artifact store's LRU charges this once,
+        when the trace is stored or loaded -- before any prep attaches
+        -- so its budget sees the columns, not the prep layers."""
         total = 0
         for name, typecode in _COLUMNS:
             column = getattr(self, name)

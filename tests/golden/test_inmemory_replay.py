@@ -1,14 +1,14 @@
-"""Sweep-fused replay lanes pinned to the simulator goldens.
+"""In-memory captures replayed onto the simulator goldens.
 
-``tests/uarch/test_replay_multi.py`` holds fused lanes and one-lane
-walks to the execute-driven core, and
-``tests/uarch/test_trace_replay.py`` runs one narrowest-first fused
-width sweep per workload over a trace round-tripped through the binary
-container.  This file covers the other two inputs a sweep can get: the
-capture as built in memory, and the lanes in widest-first order.  Each
-lane must still land on the ``sim_goldens.json`` fingerprint the golden
-suite pins for the execute path.  One workload per suite kind keeps it
-tier-1 sized.
+``tests/uarch/test_replay_multi.py`` holds the region walk to the
+execute-driven core, and ``tests/uarch/test_trace_replay.py`` replays
+widths 2/4/8 narrowest first over a trace round-tripped through the
+binary container.  This file covers the other two inputs a width
+sweep can get: the capture as built in memory, and the widths replayed
+widest first on one trace, so the narrower walks reuse the region
+table the widest one built.  Each replay must still land on the
+``sim_goldens.json`` fingerprint the golden suite pins for the
+execute path.  One workload per suite kind keeps it tier-1 sized.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ from repro.compiler import (
     profile_program,
 )
 from repro.ir import lower
-from repro.uarch import (
-    MachineConfig,
-    capture_trace,
-    replay_inorder_sweep,
-)
+from repro.uarch import MachineConfig, capture_trace, replay_inorder
 from repro.workloads import spec_benchmark
 
 from . import generate
@@ -42,7 +38,7 @@ def goldens():
 
 
 @pytest.mark.parametrize("name", _PICKS)
-def test_fused_lanes_match_goldens(name, goldens):
+def test_inmemory_replay_matches_goldens(name, goldens):
     spec = spec_benchmark(name, iterations=generate.ITERATIONS)
     profile = profile_program(
         lower(spec.build(seed=generate.TRAIN_SEED)),
@@ -61,10 +57,10 @@ def test_fused_lanes_match_goldens(name, goldens):
             machines[0].predictor_factory,
             generate.MAX_INSTRUCTIONS,
         )
-        runs, outcome = replay_inorder_sweep(program, trace, machines)
-        assert outcome == "fused"
-        for width, run in zip(widths, runs):
+        for width, machine in zip(widths, machines):
+            run = replay_inorder(program, trace, machine)
             key = f"{name}/{kind}/w{width}"
             assert generate.fingerprint_run(run) == goldens[key], (
-                f"fused replay lane diverged from golden for {key}"
+                f"in-memory replay diverged from golden for {key}"
             )
+        assert len(trace._prep.regions) == 1

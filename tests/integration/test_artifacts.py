@@ -170,12 +170,43 @@ class TestColdPaths:
         assert core_runs == []
         assert delta.get("trace_captures") == 1
         assert delta.get("trace_replays") == 3
-        assert delta.get("fused_passes") == 1
-        assert delta.get("fused_points") == 3
+        # Every width walks the one region table the first one built.
+        trace = store.peek_trace(
+            baseline, machines[0], config.max_instructions
+        )
+        assert len(trace._prep.regions) == 1
         for run, ref in zip(runs, expected):
             assert run.stats == ref.stats
             assert run.registers == ref.registers
             assert run.memory.snapshot() == ref.memory.snapshot()
+
+    def test_sweep_across_kernel_tables_matches_core(self, store):
+        """One sweep over points that share the trace but not the
+        kernel table -- a recorded 4-wide point, an 8-wide point with
+        a 1024-entry BTB (another prep slice) and a live gshare 8-wide
+        point -- walks each on its own region table, point by point
+        equal to the reference core."""
+        import dataclasses as dc
+
+        config, baseline, _ = _quick_programs()
+        budget = config.max_instructions
+        machines = [
+            config.machine_for(4),
+            dc.replace(config.machine_for(8), btb_entries=1024),
+            config.machine_for(8).with_predictor(GSharePredictor),
+        ]
+        runs = store.simulate_inorder_sweep(
+            baseline, machines, max_instructions=budget
+        )
+        assert store.counters["trace_captures"] == 1
+        assert store.counters["trace_replays"] == 3
+        for run, machine in zip(runs, machines):
+            ref = InOrderCore(machine).run(baseline, max_instructions=budget)
+            assert run.stats == ref.stats
+            assert run.registers == ref.registers
+            assert run.memory.snapshot() == ref.memory.snapshot()
+        trace = store.peek_trace(baseline, machines[0], budget)
+        assert len(trace._prep.regions) == 3
 
     def test_cold_ooo_captures_then_replays(self, store):
         config, _, decomposed = _quick_programs()

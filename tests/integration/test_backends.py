@@ -145,7 +145,7 @@ class TestQueueBackendClean:
         assert totals["jobs_done"] == 6
         assert len(engine.backend_workers) == 2
         manifest = engine.manifest()
-        assert manifest["schema"] == MANIFEST_SCHEMA == 9
+        assert manifest["schema"] == MANIFEST_SCHEMA == 10
         assert manifest["engine"]["backend"] == "queue"
         assert manifest["backend"]["name"] == "queue"
         assert manifest["backend"]["degraded"] == 0

@@ -144,7 +144,7 @@ class TestObservability:
         )
         engine.run_benchmark("h264ref", config)
         manifest = engine.manifest(config)
-        assert manifest["schema"] == 9
+        assert manifest["schema"] == 10
         block = manifest["engine"]
         assert block["run_id"] == "m3"
         assert block["resume"] is False

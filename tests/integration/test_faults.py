@@ -82,9 +82,9 @@ class TestFaultPlan:
             parse_plan("meteor:0.5")
         with pytest.raises(ValueError):
             parse_plan("crash:1.5")
-        # The shared-memory plane and fused batch dispatch are gone,
-        # and so are the fault kinds that exercised them.
-        for retired in ("shm_leak:1.0", "batch_die:0.5"):
+        # The shared-memory plane, fused batch dispatch and lane fusion
+        # are gone, and so are the fault kinds that exercised them.
+        for retired in ("shm_leak:1.0", "batch_die:0.5", "fused_diverge:1.0"):
             with pytest.raises(ValueError):
                 parse_plan(retired)
         assert parse_plan("") is None
@@ -368,16 +368,18 @@ class TestInterruptResume:
 
 
 class TestFusedDivergence:
-    """``fused_diverge`` faults corrupt one lane's accumulators inside
-    a region walk.  Lane validation must detect the damage, throw the
-    whole pass away, re-run the sweep on the reference core
-    (bit-identical to an undisturbed run), and count the degradation
-    so the manifest records it."""
+    """``walk_diverge`` faults corrupt a region walk's accumulators.
+    Validation must detect the damage and raise ``WalkDivergence``;
+    the artifact store catches it per point, re-runs that point on the
+    reference core (bit-identical to an undisturbed run), and counts
+    the degradation so the manifest records it.  (The class name
+    predates the removal of lane fusion.)"""
+
+    _FAULT = "walk_diverge:1.0@seed=5"
 
     def _sweep_setup(self, tmp_path, monkeypatch):
         import dataclasses as dc
 
-        from repro.experiments.artifacts import ArtifactStore
         from repro.experiments.harness import prepare_benchmark
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -400,24 +402,17 @@ class TestFusedDivergence:
         clean = store.simulate_inorder_sweep(
             program, machines, max_instructions=config.max_instructions
         )
-        # Cold store: a timing-free capture, then all three lanes
-        # score in one fused pass.
-        assert store.counters["fused_passes"] == 1
-        assert store.counters["fused_points"] == 3
-        assert store.counters["fused_diverges"] == 0
+        assert store.counters["walk_diverges"] == 0
 
-        monkeypatch.setenv(
-            "REPRO_FAULT_INJECT", "fused_diverge:1.0@seed=5"
-        )
+        monkeypatch.setenv("REPRO_FAULT_INJECT", self._FAULT)
         faulted = ArtifactStore(cache_dir=tmp_path)
         degraded = faulted.simulate_inorder_sweep(
             program, machines, max_instructions=config.max_instructions
         )
-        # Warm trace: all three lanes fuse, the injected lane trips
-        # validation, and the pass degrades to the reference core.
-        assert faulted.counters["fused_diverges"] == 1
-        assert faulted.counters["fused_fallbacks"] == 1
-        assert faulted.counters["fused_passes"] == 0
+        # Warm trace: every width's walk trips validation, and each
+        # point degrades to the reference core on its own.
+        assert faulted.counters["trace_replays"] == 3
+        assert faulted.counters["walk_diverges"] == 3
         for a, b in zip(clean, degraded):
             assert dc.asdict(a.stats) == dc.asdict(b.stats)
             assert a.registers == b.registers
@@ -426,12 +421,10 @@ class TestFusedDivergence:
     def test_manifest_records_degradation(self, tmp_path, monkeypatch):
         import dataclasses as dc
 
-        # Three widths, as in the paper's sweep: every width is a
-        # lane of the fused pass the fault trips.
+        # Three widths, as in the paper's sweep: the fault trips every
+        # width's walk.
         config = dc.replace(RunConfig.quick(), widths=(2, 4, 8))
-        monkeypatch.setenv(
-            "REPRO_FAULT_INJECT", "fused_diverge:1.0@seed=5"
-        )
+        monkeypatch.setenv("REPRO_FAULT_INJECT", self._FAULT)
         engine = ExperimentEngine(
             jobs=1, cache_dir=tmp_path, use_cache=False, run_id="fd"
         )
@@ -439,10 +432,10 @@ class TestFusedDivergence:
         assert all(o.ok for o in outcomes)
         manifest = engine.manifest(config)
         art = manifest["totals"]["artifacts"]
-        assert art.get("fused_diverges", 0) >= 1
-        assert art.get("fused_fallbacks", 0) >= 1
-        assert manifest["totals"]["fused_passes"] == 0
-        assert manifest["totals"]["fused_points"] == 0
+        assert art.get("walk_diverges", 0) >= 1
+
+        # Lane fusion's counters are gone from every block.
+        assert '"fused_' not in json.dumps(manifest)
 
         # The degraded sweep is invisible in the numbers: a clean run
         # scores identically.
@@ -450,8 +443,7 @@ class TestFusedDivergence:
         clean = ExperimentEngine(jobs=1, use_cache=False).run_benchmarks(
             ["h264ref"], config
         )
-        clean_manifest_free = clean  # same shapes, no faults
-        for a, b in zip(outcomes, clean_manifest_free):
+        for a, b in zip(outcomes, clean):
             assert a.ok and b.ok
             assert a.speedups == b.speedups
             assert vars(a.metrics) == vars(b.metrics)
@@ -459,9 +451,9 @@ class TestFusedDivergence:
     def test_single_point_runs_reference_core(
         self, tmp_path, monkeypatch, kernel_declines
     ):
-        """A single point is a one-lane walk, so the fault trips it
-        too: the walk declines and the reference core answers,
-        bit-identical to a clean run."""
+        """A single point is a region walk like any other: the fault
+        trips it, the store counts the divergence and the reference
+        core answers, bit-identical to a clean run."""
         import dataclasses as dc
 
         from repro.experiments.artifacts import ArtifactStore
@@ -486,22 +478,34 @@ class TestFusedDivergence:
         assert kernel_declines == [False]
         assert core_calls == []
 
-        monkeypatch.setenv(
-            "REPRO_FAULT_INJECT", "fused_diverge:1.0@seed=5"
-        )
+        monkeypatch.setenv("REPRO_FAULT_INJECT", self._FAULT)
         faulted = ArtifactStore(cache_dir=tmp_path)
         degraded = faulted.simulate_inorder(
             program, machine, max_instructions=config.max_instructions
         )
-        assert kernel_declines == [False, True]
         assert core_calls == [machine]
-        # One point is never fusion: no fused counter moves.
         assert faulted.counters["trace_replays"] == 1
-        assert faulted.counters["fused_diverges"] == 0
-        assert faulted.counters["fused_fallbacks"] == 0
+        assert faulted.counters["walk_diverges"] == 1
         assert dc.asdict(clean.stats) == dc.asdict(degraded.stats)
         assert clean.registers == degraded.registers
         assert clean.memory.snapshot() == degraded.memory.snapshot()
+
+    def test_replay_raises_walk_divergence(self, tmp_path, monkeypatch):
+        """Outside the store nothing catches a divergence:
+        ``replay_inorder`` raises it to the caller."""
+        from repro.uarch import capture_trace, replay_inorder
+        from repro.uarch.replay_multi import WalkDivergence
+
+        config, program, machines = self._sweep_setup(
+            tmp_path, monkeypatch
+        )
+        machine = machines[1]
+        trace = capture_trace(
+            program, machine.predictor_factory, config.max_instructions
+        )
+        monkeypatch.setenv("REPRO_FAULT_INJECT", self._FAULT)
+        with pytest.raises(WalkDivergence):
+            replay_inorder(program, trace, machine)
 
 
 class TestBenchmarkSweepAcceptance:

@@ -1,23 +1,20 @@
 """The in-order region walk vs the execute-driven core, tier-1 scale.
 
 The region walk (:mod:`repro.uarch.replay_multi`) is the only
-in-order replay kernel: one fused pass scores a width sweep, and
-:func:`replay_inorder` runs a single point as a one-lane walk.  So a
-fused-vs-``replay_inorder`` comparison only shows that lanes are
-independent; correctness is held against the reference core
-(``InOrderCore``) directly.  This file is the fast guard: for one
-workload per suite kind (int2006/fp2006/int2000/fp2000), for baseline
-and decomposed programs, under recorded and live prediction, one
-fused width-sweep pass must reproduce the one-lane replays and the
-core's full ``SimStats`` and architectural state exactly.  It also
-pins the dispatch contract: a single point keeps the ``"per_point"``
-outcome but is served by a one-lane walk (it builds the ``regions``
-prep layer and the kernel does not decline), mismatched prep slices
-and mixed prediction modes fall back to one-lane walks automatically,
-and the fused path really is the one running otherwise (the
-``regions`` prep layer only materialises when a walk accepts the
-point or sweep).  And it holds the array-built region table equal to
-the per-instruction build it replaced.
+in-order replay kernel: :func:`replay_inorder` runs every point as its
+own walk of the trace's region table, which is built once per fused
+kernel table and shared across widths.  Correctness is held against
+the reference core (``InOrderCore``) directly.  This file is the fast
+guard: for one workload per suite kind (int2006/fp2006/int2000/
+fp2000), for baseline and decomposed programs, under recorded and
+live prediction, a width sweep of per-point walks over one fresh
+trace must reproduce the core's full ``SimStats`` and architectural
+state exactly, with every walk served by the kernel (no decline) and
+every width walking one region table.  The artifact store's sweep
+over points on different kernel tables lives in
+``tests/integration/test_artifacts.py``.  And it holds the
+array-built region table equal to the per-instruction build it
+replaced.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from repro.uarch import (
     Trace,
     capture_trace,
     replay_inorder,
-    replay_inorder_sweep,
     replay_multi,
     replay_vec,
 )
@@ -80,122 +76,52 @@ def setup():
     return programs, traces
 
 
-def _sweep_machines(widths=_WIDTHS):
-    return [MachineConfig.paper_default(width=w) for w in widths]
+def _assert_width_sweep_matches_core(program, trace, machines, declines):
+    """Walk every machine over a fresh copy of ``trace``: each walk
+    must match the core, none may decline, and all of them must share
+    one region table."""
+    trace = Trace.from_bytes(trace.to_bytes())
+    runs = [replay_inorder(program, trace, machine) for machine in machines]
+    assert declines == [False] * len(machines)
+    assert len(trace._prep.regions) == 1
+    for run, machine in zip(runs, machines):
+        ref = InOrderCore(machine).run(program, max_instructions=_BUDGET)
+        assert dataclasses.asdict(run.stats) == dataclasses.asdict(ref.stats)
+        assert run.registers == ref.registers
+        assert run.memory.snapshot() == ref.memory.snapshot()
 
 
-def _assert_equal_runs(fused, per_point):
-    assert len(fused) == len(per_point)
-    for fast, slow in zip(fused, per_point):
-        assert dataclasses.asdict(fast.stats) == dataclasses.asdict(
-            slow.stats
-        )
-        assert fast.registers == slow.registers
-        assert fast.memory.snapshot() == slow.memory.snapshot()
-
-
-def _core_runs(program, machines):
-    return [
-        InOrderCore(machine).run(program, max_instructions=_BUDGET)
-        for machine in machines
-    ]
+# The two test names below predate the removal of lane fusion (one
+# pass scoring every width); each width is now its own walk.
 
 
 @pytest.mark.parametrize("name", _PICKS)
 @pytest.mark.parametrize("kind", ["baseline", "decomposed"])
-def test_fused_sweep_matches_per_point(setup, name, kind):
+def test_fused_sweep_matches_per_point(setup, kernel_declines, name, kind):
+    """Recorded prediction: widths 2/4/8 walk one region table."""
     programs, traces = setup
-    program, trace = programs[(name, kind)], traces[(name, kind)]
-    machines = _sweep_machines()
-    fused, outcome = replay_inorder_sweep(program, trace, machines)
-    assert outcome == "fused"
-    per_point = [
-        replay_inorder(program, trace, machine) for machine in machines
-    ]
-    _assert_equal_runs(fused, per_point)
-    # Both sides walk the same regions; the core is the independent
-    # check.
-    _assert_equal_runs(fused, _core_runs(program, machines))
-    # The regions layer only materialises when a fused pass ran.
-    assert trace._prep is not None and len(trace._prep.regions) >= 1
+    _assert_width_sweep_matches_core(
+        programs[(name, kind)],
+        traces[(name, kind)],
+        [MachineConfig.paper_default(width=w) for w in _WIDTHS],
+        kernel_declines,
+    )
 
 
-def test_live_predictor_lanes_fuse(setup):
+def test_live_predictor_lanes_fuse(setup, kernel_declines):
     """A baseline trace swept under a foreign predictor runs every
-    lane live; the fused pass shares the live prep slice and must
-    still match per-point replay exactly."""
+    width live, on the live prep slice's one region table."""
     programs, traces = setup
-    program = programs[("h264ref", "baseline")]
-    trace = traces[("h264ref", "baseline")]
-    machines = [
-        machine.with_predictor(GSharePredictor)
-        for machine in _sweep_machines()
-    ]
-    fused, outcome = replay_inorder_sweep(program, trace, machines)
-    assert outcome == "fused"
-    _assert_equal_runs(
-        fused,
-        [replay_inorder(program, trace, machine) for machine in machines],
-    )
-    _assert_equal_runs(fused, _core_runs(program, machines))
-
-
-def test_single_point_stays_per_point(setup, kernel_declines):
-    """A single point keeps the ``"per_point"`` outcome (it is not
-    counted as fusion), but a one-lane region walk serves it: a fresh
-    trace gains exactly one regions layer, and the kernel does not
-    decline."""
-    programs, traces = setup
-    program = programs[("h264ref", "baseline")]
-    trace = traces[("h264ref", "baseline")]
-    trace = Trace.from_bytes(trace.to_bytes())
-    machine = MachineConfig.paper_default(width=4)
-    runs, outcome = replay_inorder_sweep(program, trace, [machine])
-    assert outcome == "per_point"
-    assert len(runs) == 1
-    assert len(trace._prep.regions) == 1
-    assert kernel_declines == [False]
-    _assert_equal_runs(runs, _core_runs(program, [machine]))
-
-
-def test_mismatched_slices_fall_back(setup):
-    """Lanes on different prep slices (here: different BTB sizes)
-    cannot share one fused kernel; the sweep declines and replays
-    per-point, bit-identically."""
-    programs, traces = setup
-    program = programs[("h264ref", "baseline")]
-    trace = traces[("h264ref", "baseline")]
-    machines = [
-        MachineConfig.paper_default(width=4),
-        dataclasses.replace(
-            MachineConfig.paper_default(width=8), btb_entries=1024
-        ),
-    ]
-    runs, outcome = replay_inorder_sweep(program, trace, machines)
-    assert outcome == "fallback"
-    _assert_equal_runs(
-        runs,
-        [replay_inorder(program, trace, machine) for machine in machines],
-    )
-
-
-def test_mixed_modes_fall_back(setup):
-    """One recorded lane plus one live lane cannot fuse (different
-    prediction streams); the sweep falls back per-point."""
-    programs, traces = setup
-    program = programs[("h264ref", "baseline")]
-    trace = traces[("h264ref", "baseline")]
-    machines = [
-        MachineConfig.paper_default(width=4),
-        MachineConfig.paper_default(width=8).with_predictor(
-            GSharePredictor
-        ),
-    ]
-    runs, outcome = replay_inorder_sweep(program, trace, machines)
-    assert outcome == "fallback"
-    _assert_equal_runs(
-        runs,
-        [replay_inorder(program, trace, machine) for machine in machines],
+    _assert_width_sweep_matches_core(
+        programs[("h264ref", "baseline")],
+        traces[("h264ref", "baseline")],
+        [
+            MachineConfig.paper_default(width=w).with_predictor(
+                GSharePredictor
+            )
+            for w in _WIDTHS
+        ],
+        kernel_declines,
     )
 
 

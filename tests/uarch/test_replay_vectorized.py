@@ -34,7 +34,6 @@ from repro.uarch import (
     capture_trace,
     predictor_id,
     replay_inorder,
-    replay_inorder_sweep,
     replay_ooo,
 )
 from repro.workloads import spec_benchmark
@@ -154,22 +153,6 @@ class TestDeclineRunsReferenceCore:
                 program, max_instructions=_TRUNCATED
             ),
         )
-
-    def test_sweep_falls_back_per_point(self, declined, kernel_declines):
-        program, trace, config = declined
-        machines = [
-            dataclasses.replace(config, width=width) for width in (2, 8)
-        ]
-        runs, outcome = replay_inorder_sweep(program, trace, machines)
-        assert outcome == "fallback"
-        assert kernel_declines == [True, True]
-        for run, machine in zip(runs, machines):
-            _assert_same_run(
-                run,
-                InOrderCore(machine).run(
-                    program, max_instructions=_TRUNCATED
-                ),
-            )
 
 
 def test_degenerate_ooo_window_rejected(setup):

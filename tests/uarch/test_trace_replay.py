@@ -6,8 +6,8 @@ execute-driven simulation, and the timing-free capture
 stream the execute-driven core commits.  These tests hold the pair to
 the same golden fingerprints as the simulator itself: for every
 SPEC-like workload, both program kinds, widths 2/4/8, a captured trace
--- round-tripped through the binary container -- must replay, per
-point and as one sweep-fused pass, to the exact fingerprints
+-- round-tripped through the binary container -- must replay, one
+region walk per width, to the exact fingerprints
 ``tests/golden/sim_goldens.json`` records for execute-driven runs.
 Plus: every predictor of the sensitivity ladder, budget truncation
 and pc escapes against the core directly, cross-core replay (one
@@ -42,7 +42,6 @@ from repro.uarch import (
     TraceMismatch,
     capture_trace,
     replay_inorder,
-    replay_inorder_sweep,
     replay_ooo,
 )
 from repro.workloads import spec_benchmark
@@ -88,11 +87,10 @@ def _assert_same_run(replayed, executed):
 
 @pytest.mark.parametrize("name", generate.workload_names())
 def test_replay_roundtrip_matches_golden(name, goldens, kernel_declines):
-    """Capture once, serialise, reload, replay at 2/4/8 -- per point
-    and as one fused sweep: every replayed run must hash to the
-    execute-driven golden, served by the vectorized or fused kernel (a
-    decline would run the execute-driven core and match the golden
-    trivially)."""
+    """Capture once, serialise, reload, replay at 2/4/8: every
+    replayed run must hash to the execute-driven golden, served by the
+    region walk (a decline would run the execute-driven core and match
+    the golden trivially)."""
     for kind, program in _programs(name).items():
         trace = _capture(program, MachineConfig.paper_default())
         # Full container round-trip before any replay.
@@ -108,20 +106,6 @@ def test_replay_roundtrip_matches_golden(name, goldens, kernel_declines):
                 f"kernel declined {name}/{kind}/w{width}"
             )
             kernel_declines.clear()
-        # One fused pass over the widths must land every lane on its
-        # golden too, with no per-point kernel call behind it.
-        machines = [
-            MachineConfig.paper_default(width=width)
-            for width in generate.WIDTHS
-        ]
-        runs, outcome = replay_inorder_sweep(program, trace, machines)
-        assert outcome == "fused", f"{name}/{kind} did not fuse"
-        assert kernel_declines == []
-        for width, run in zip(generate.WIDTHS, runs):
-            assert (
-                generate.fingerprint_run(run)
-                == goldens[f"{name}/{kind}/w{width}"]
-            ), f"fused lane diverged for {name}/{kind}/w{width}"
         # And directly against the reference core, not only its hash.
         _assert_same_run(
             replayed,
