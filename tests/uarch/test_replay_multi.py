@@ -10,8 +10,9 @@ fp2000), for baseline and decomposed programs, under recorded and
 live prediction, a width sweep of per-point walks over one fresh
 trace must reproduce the core's full ``SimStats`` and architectural
 state exactly, with every walk served by the kernel (no decline) and
-every width walking one region table.  The artifact store's sweep
-over points on different kernel tables lives in
+every width walking one region table; points on different kernel
+tables (another BTB size, a live predictor) each walk their own.  The
+artifact store's sweep over such points lives in
 ``tests/integration/test_artifacts.py``.  And it holds the
 array-built region table equal to the per-instruction build it
 replaced.
@@ -76,14 +77,16 @@ def setup():
     return programs, traces
 
 
-def _assert_width_sweep_matches_core(program, trace, machines, declines):
+def _assert_width_sweep_matches_core(
+    program, trace, machines, declines, tables=1
+):
     """Walk every machine over a fresh copy of ``trace``: each walk
-    must match the core, none may decline, and all of them must share
-    one region table."""
+    must match the core, none may decline, and the walks must build
+    exactly ``tables`` region tables (one per kernel table)."""
     trace = Trace.from_bytes(trace.to_bytes())
     runs = [replay_inorder(program, trace, machine) for machine in machines]
     assert declines == [False] * len(machines)
-    assert len(trace._prep.regions) == 1
+    assert len(trace._prep.regions) == tables
     for run, machine in zip(runs, machines):
         ref = InOrderCore(machine).run(program, max_instructions=_BUDGET)
         assert dataclasses.asdict(run.stats) == dataclasses.asdict(ref.stats)
@@ -91,8 +94,9 @@ def _assert_width_sweep_matches_core(program, trace, machines, declines):
         assert run.memory.snapshot() == ref.memory.snapshot()
 
 
-# The two test names below predate the removal of lane fusion (one
-# pass scoring every width); each width is now its own walk.
+# The test names below predate the removal of lane fusion (one pass
+# scoring every width, with a per-point fallback for points that could
+# not share it); each point is now its own walk.
 
 
 @pytest.mark.parametrize("name", _PICKS)
@@ -122,6 +126,44 @@ def test_live_predictor_lanes_fuse(setup, kernel_declines):
             for w in _WIDTHS
         ],
         kernel_declines,
+    )
+
+
+def test_mismatched_slices_fall_back(setup, kernel_declines):
+    """Points on different prep slices (here: different BTB sizes)
+    share the trace but not the kernel table: each walks its own
+    region table, equal to the core."""
+    programs, traces = setup
+    _assert_width_sweep_matches_core(
+        programs[("h264ref", "baseline")],
+        traces[("h264ref", "baseline")],
+        [
+            MachineConfig.paper_default(width=4),
+            dataclasses.replace(
+                MachineConfig.paper_default(width=8), btb_entries=1024
+            ),
+        ],
+        kernel_declines,
+        tables=2,
+    )
+
+
+def test_mixed_modes_fall_back(setup, kernel_declines):
+    """One recorded point plus one live point (different prediction
+    streams) walk two region tables over one trace, each equal to the
+    core."""
+    programs, traces = setup
+    _assert_width_sweep_matches_core(
+        programs[("h264ref", "baseline")],
+        traces[("h264ref", "baseline")],
+        [
+            MachineConfig.paper_default(width=4),
+            MachineConfig.paper_default(width=8).with_predictor(
+                GSharePredictor
+            ),
+        ],
+        kernel_declines,
+        tables=2,
     )
 
 
