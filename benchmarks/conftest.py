@@ -10,25 +10,19 @@ numbers; ``REPRO_JOBS`` fans the simulation jobs over worker processes
 and ``results/.cache/`` memoises them across runs.
 """
 
-import os
 import pathlib
 
 import pytest
 
 from repro.experiments import RunConfig, default_engine
+from repro.experiments.settings import setting
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
-#: Default bench scale; REPRO_BENCH_ITERATIONS=600 reproduces the
+#: Bench scale; REPRO_BENCH_ITERATIONS=600 reproduces the
 #: EXPERIMENTS.md tables.
-BENCH_ITERATIONS = int(os.environ.get("REPRO_BENCH_ITERATIONS", "500"))
-BENCH_SEEDS = tuple(
-    range(1, 1 + int(os.environ.get("REPRO_BENCH_SEEDS", "1")))
-)
-
-#: Worker-process count for the experiment engine (``REPRO_JOBS`` wins;
-#: the default engine the runners use reads the same variable).
-BENCH_JOBS = int(os.environ.get("REPRO_JOBS", "0")) or os.cpu_count() or 1
+BENCH_ITERATIONS = setting("REPRO_BENCH_ITERATIONS")
+BENCH_SEEDS = tuple(range(1, 1 + setting("REPRO_BENCH_SEEDS")))
 
 
 def bench_config(**overrides) -> RunConfig:

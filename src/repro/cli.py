@@ -20,13 +20,13 @@ Commands mirror the paper's evaluation artifacts:
   "Execution backends")
 
 All commands accept ``--iterations N`` and ``--seeds K`` to trade fidelity
-for time, ``--jobs N`` to fan simulation jobs over worker processes
-(default: ``REPRO_JOBS`` or every core), ``--no-cache`` to bypass the
-``results/.cache/`` result cache, ``--no-trace-cache`` to keep captured
-instruction traces out of ``results/.cache/traces/`` (equivalent to
-``REPRO_TRACE_CACHE=0``; in-process capture/replay still applies), and
-``--profile`` (or ``REPRO_PROFILE=1``) to wrap every engine job in
-cProfile.  Engine-backed commands write a
+for time, ``--jobs N`` to fan simulation jobs over worker processes,
+``--no-cache`` to bypass the ``results/.cache/`` result cache, and
+``--profile`` to wrap every engine job in cProfile.  The engine flags
+(these three, ``--job-timeout``, ``--retries`` and ``--backend``)
+override the matching knobs of :data:`repro.experiments.settings.KNOBS`,
+which lists every environment knob with its default.  Engine-backed
+commands write a
 machine-readable ``results/run_manifest.json`` (config, per-job timings,
 status/attempts/error, simulated KIPS, cache hit/miss counts) next to the
 regenerated table; profiled runs additionally write
@@ -34,8 +34,7 @@ regenerated table; profiled runs additionally write
 
 Robustness (see EXPERIMENTS.md "Robustness"): a failed/hung job is
 isolated and reported instead of aborting the sweep; ``--job-timeout S``
-(or ``REPRO_JOB_TIMEOUT``) bounds each job, ``--retries N`` (or
-``REPRO_RETRIES``, default 2) retries infrastructure faults, every
+bounds each job, ``--retries N`` retries infrastructure faults, every
 completed job is checkpointed to ``results/.cache/runs/<run-id>.jsonl``,
 and ``--resume RUN_ID`` re-runs only the jobs an interrupted or
 partially-failed run didn't finish.  The exit status is 0 only when
@@ -70,9 +69,6 @@ def _progress(done: int, total: int, label: str) -> None:
 
 def _engine(args) -> ExperimentEngine:
     if args.engine is None:
-        if getattr(args, "no_trace_cache", False):
-            # Via the environment so the switch reaches pool workers.
-            os.environ["REPRO_TRACE_CACHE"] = "0"
         if getattr(args, "profile", False):
             # Via the environment so the switch reaches pool workers, and
             # with the cache off: a cache hit never runs the worker, so a
@@ -298,13 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="bypass the results/.cache/ result cache",
-    )
-    parser.add_argument(
-        "--no-trace-cache",
-        action="store_true",
-        help="do not persist captured instruction traces to "
-        "results/.cache/traces/ (REPRO_TRACE_CACHE=0); in-process "
-        "capture/replay still applies",
     )
     parser.add_argument(
         "--job-timeout",

@@ -43,20 +43,13 @@ cache -- and transparently recomputed.  The fault harness's
 ``corrupt_trace`` kind (:mod:`.faults`) writes deliberately truncated
 traces to exercise exactly that path.
 
-Environment knobs:
-
-* ``REPRO_TRACE_CACHE=0``  -- no disk persistence (in-process LRU and
-  capture/replay still apply within a worker).
-* ``REPRO_TRACE_REPLAY=0`` -- the whole artifact fast path off: fully
-  execute-driven simulation, and no shared profile/compile artifacts
-  either -- every job recomputes everything, exactly like the
-  pre-artifact-store pipeline (the before/after lever for
-  ``results/BENCH_trace_replay.json``).
-* ``REPRO_TRACE_LRU_MB``   -- in-process hot-trace LRU budget
-  (default 256 MiB).
-* ``REPRO_PREP_CACHE=0``   -- disable persisted replay-prep slices
-  (prep layers recompute per process, exactly the pre-slice
-  behaviour; results are bit-identical either way).
+Three knobs of :data:`.settings.KNOBS` steer this layer:
+``REPRO_TRACE_REPLAY=0`` turns the whole fast path off (every job
+recomputes everything on the execute-driven cores, the before/after
+lever for ``results/BENCH_trace_replay.json``), ``REPRO_PREP_CACHE=0``
+rebuilds prep layers per process instead of persisting slices (results
+are bit-identical either way), and ``REPRO_TRACE_LRU_MB`` budgets the
+in-process hot-trace LRU.
 
 Counter semantics (reported per job via :meth:`ArtifactStore.mark` /
 :meth:`ArtifactStore.delta`, aggregated by manifest schema 4):
@@ -98,6 +91,7 @@ from ..uarch.replay import replay_inorder, replay_ooo
 from ..uarch.replay_multi import WalkDivergence
 from ..uarch.trace import Trace, TraceError, content_digest, predictor_id
 from . import faults
+from .settings import cache_root, setting
 from .store import FileStore, quarantine_file
 
 #: Bump when a JSON artifact layout changes.
@@ -140,42 +134,6 @@ _STORE_COUNTER_MAP = {
 _PROFILE_MEMO_CAP = 128
 
 
-def _env_flag(name: str, default: bool = True) -> bool:
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in ("0", "false", "no", "off")
-
-
-def trace_cache_enabled() -> bool:
-    """Disk persistence of traces (``REPRO_TRACE_CACHE``)."""
-    return _env_flag("REPRO_TRACE_CACHE")
-
-
-def replay_enabled() -> bool:
-    """The whole artifact fast path (``REPRO_TRACE_REPLAY``): trace
-    capture/replay plus shared profile/compile artifacts.  Off, every
-    job recomputes everything -- the pre-artifact-store pipeline."""
-    return _env_flag("REPRO_TRACE_REPLAY")
-
-
-def prep_cache_enabled() -> bool:
-    """Persisted replay-prep slices (``REPRO_PREP_CACHE``): the
-    derived-layer cache that lets a replay skip the batched predictor
-    pass, the cache-tag pre-pass and the BTB re-simulation entirely
-    when any worker, run, or host already computed them for the same
-    ``(trace content, predictor, config class)``.  Off, prep layers
-    are recomputed per process exactly as before (results are
-    bit-identical either way)."""
-    return _env_flag("REPRO_PREP_CACHE")
-
-
-def _env_lru_bytes() -> int:
-    raw = os.environ.get("REPRO_TRACE_LRU_MB", "").strip()
-    mb = float(raw) if raw else 256.0
-    return max(0, int(mb * 1024 * 1024))
-
-
 class ArtifactStore:
     """Content-addressed artifact storage under one cache directory.
 
@@ -189,14 +147,7 @@ class ArtifactStore:
     """
 
     def __init__(self, cache_dir: Optional[pathlib.Path] = None) -> None:
-        if cache_dir is None:
-            from .engine import RESULTS_DIR
-
-            cache_dir = pathlib.Path(
-                os.environ.get("REPRO_CACHE_DIR", "")
-                or RESULTS_DIR / ".cache"
-            )
-        self.cache_dir = pathlib.Path(cache_dir)
+        self.cache_dir = cache_root(cache_dir)
         self.traces_dir = self.cache_dir / "traces"
         self.preps_dir = self.cache_dir / "preps"
         self.profiles_dir = self.cache_dir / "profiles"
@@ -215,7 +166,7 @@ class ArtifactStore:
             OrderedDict()
         )
         self._trace_lru_bytes = 0
-        self._lru_budget = _env_lru_bytes()
+        self._lru_budget = int(setting("REPRO_TRACE_LRU_MB") * 1024 * 1024)
         #: In-process memos (never persisted; values hold live objects).
         self._btrace_memo: Dict[str, List[Tuple[int, bool]]] = {}
         self._profile_memo: "OrderedDict[str, Dict[int, BranchStats]]" = (
@@ -322,24 +273,23 @@ class ArtifactStore:
         if trace is not None:
             self._bump("trace_hits")
             return trace
-        if trace_cache_enabled():
-            path = self.traces_dir / f"{key}.trace"
-            blob = self._read_verified(path)
-            if blob is not None:
+        path = self.traces_dir / f"{key}.trace"
+        blob = self._read_verified(path)
+        if blob is not None:
+            try:
+                trace = Trace.from_bytes(blob)
+            except TraceError:
+                self._quarantine(path)
+            else:
+                self._bump("trace_hits")
+                self._lru_put(key, trace)
                 try:
-                    trace = Trace.from_bytes(blob)
-                except TraceError:
-                    self._quarantine(path)
-                else:
-                    self._bump("trace_hits")
-                    self._lru_put(key, trace)
-                    try:
-                        # Refresh mtime so age-based pruning (``repro
-                        # cache prune --max-age``) keeps hot traces.
-                        os.utime(path)
-                    except OSError:
-                        pass
-                    return trace
+                    # Refresh mtime so age-based pruning (``repro
+                    # cache prune --max-age``) keeps hot traces.
+                    os.utime(path)
+                except OSError:
+                    pass
+                return trace
         self._bump("trace_misses")
         return None
 
@@ -359,8 +309,6 @@ class ArtifactStore:
 
     def store_trace(self, key: str, trace: Trace) -> None:
         self._lru_put(key, trace)
-        if not trace_cache_enabled():
-            return
         blob = trace.to_bytes()
         if faults.should_corrupt_trace(key):
             blob = blob[: max(1, len(blob) // 2)]
@@ -383,38 +331,34 @@ class ArtifactStore:
         and rebuilt transparently -- never a wrong answer, at worst a
         recompute.
         """
-        if not prep_cache_enabled():
+        if not setting("REPRO_PREP_CACHE"):
             return
         key = replay_vec.prep_slice_key(program, trace, config)
         if key is None:
             return
         if replay_vec.prep_slice_ready(program, trace, config):
             return
-        if trace_cache_enabled():
-            path = self.preps_dir / f"{key}.prep"
-            blob = self._read_verified(path, counter="prep_quarantined")
-            if blob is not None:
-                if replay_vec.attach_prep_slice(
-                    program, trace, config, blob
-                ):
-                    self._bump("prep_hits")
-                    try:
-                        # Keep hot slices out of --max-age pruning's
-                        # reach, same as disk trace hits.
-                        os.utime(path)
-                    except OSError:
-                        pass
-                    return
-                # Digest-verified bytes that still fail container/key
-                # validation: quarantine for inspection and rebuild.
-                self._quarantine(path, counter="prep_quarantined")
+        path = self.preps_dir / f"{key}.prep"
+        blob = self._read_verified(path, counter="prep_quarantined")
+        if blob is not None:
+            if replay_vec.attach_prep_slice(program, trace, config, blob):
+                self._bump("prep_hits")
+                try:
+                    # Keep hot slices out of --max-age pruning's
+                    # reach, same as disk trace hits.
+                    os.utime(path)
+                except OSError:
+                    pass
+                return
+            # Digest-verified bytes that still fail container/key
+            # validation: quarantine for inspection and rebuild.
+            self._quarantine(path, counter="prep_quarantined")
         self._bump("prep_misses")
         blob = replay_vec.build_prep_slice(program, trace, config)
         if blob is None:
             return  # outside the vectorized path: no prep to share
         self._bump("prep_builds")
-        if trace_cache_enabled():
-            self._write_atomic(self.preps_dir / f"{key}.prep", blob)
+        self._write_atomic(path, blob)
 
     # -- branch traces (functional TRAIN runs) -----------------------------
 
@@ -428,7 +372,7 @@ class ArtifactStore:
 
         from .engine import code_version
 
-        if not replay_enabled():
+        if not setting("REPRO_TRACE_REPLAY"):
             self._bump("btrace_misses")
             return collect_branch_trace(
                 program, max_instructions=max_instructions
@@ -450,43 +394,41 @@ class ArtifactStore:
             self._bump("btrace_hits")
             return memoed
         path = self.profiles_dir / f"{key}.btrace"
-        if trace_cache_enabled():
-            blob = self._read_verified(path)
-            if blob is not None:
-                try:
-                    payload = json.loads(zlib.decompress(blob))
-                    if payload["schema"] != ARTIFACT_SCHEMA:
-                        raise ValueError("wrong schema")
-                    events = [
-                        (int(b), bool(t))
-                        for b, t in zip(payload["ids"], payload["taken"])
-                    ]
-                    if len(events) != payload["count"]:
-                        raise ValueError("count mismatch")
-                except (ValueError, KeyError, TypeError, zlib.error):
-                    self._quarantine(path)
-                else:
-                    self._bump("btrace_hits")
-                    self._btrace_memo[key] = events
-                    return events
+        blob = self._read_verified(path)
+        if blob is not None:
+            try:
+                payload = json.loads(zlib.decompress(blob))
+                if payload["schema"] != ARTIFACT_SCHEMA:
+                    raise ValueError("wrong schema")
+                events = [
+                    (int(b), bool(t))
+                    for b, t in zip(payload["ids"], payload["taken"])
+                ]
+                if len(events) != payload["count"]:
+                    raise ValueError("count mismatch")
+            except (ValueError, KeyError, TypeError, zlib.error):
+                self._quarantine(path)
+            else:
+                self._bump("btrace_hits")
+                self._btrace_memo[key] = events
+                return events
         self._bump("btrace_misses")
         events = collect_branch_trace(
             program, max_instructions=max_instructions
         )
         self._btrace_memo[key] = events
-        if trace_cache_enabled():
-            blob = zlib.compress(
-                json.dumps(
-                    {
-                        "schema": ARTIFACT_SCHEMA,
-                        "count": len(events),
-                        "ids": [b for b, _ in events],
-                        "taken": [1 if t else 0 for _, t in events],
-                    }
-                ).encode(),
-                6,
-            )
-            self._write_atomic(path, blob)
+        blob = zlib.compress(
+            json.dumps(
+                {
+                    "schema": ARTIFACT_SCHEMA,
+                    "count": len(events),
+                    "ids": [b for b, _ in events],
+                    "taken": [1 if t else 0 for _, t in events],
+                }
+            ).encode(),
+            6,
+        )
+        self._write_atomic(path, blob)
         return events
 
     # -- measured profiles -------------------------------------------------
@@ -511,7 +453,7 @@ class ArtifactStore:
         from .engine import code_version
 
         pid = predictor_id(predictor_factory)
-        if pid is None or not replay_enabled():
+        if pid is None or not setting("REPRO_TRACE_REPLAY"):
             self._bump("profile_misses")
             events = self.branch_trace(program, max_instructions)
             return measure_trace(events, predictor_factory)
@@ -535,19 +477,18 @@ class ArtifactStore:
         events = self.branch_trace(program, max_instructions)
         profile = measure_trace(events, predictor_factory)
         self._memo_profile(key, profile)
-        if trace_cache_enabled():
-            self._write_atomic(
-                self.profiles_dir / f"{key}.json",
-                json.dumps(
-                    {
-                        "schema": ARTIFACT_SCHEMA,
-                        "stats": {
-                            str(b): [s.executions, s.taken, s.correct]
-                            for b, s in sorted(profile.items())
-                        },
-                    }
-                ).encode(),
-            )
+        self._write_atomic(
+            self.profiles_dir / f"{key}.json",
+            json.dumps(
+                {
+                    "schema": ARTIFACT_SCHEMA,
+                    "stats": {
+                        str(b): [s.executions, s.taken, s.correct]
+                        for b, s in sorted(profile.items())
+                    },
+                }
+            ).encode(),
+        )
         return profile
 
     def _memo_profile(
@@ -577,8 +518,6 @@ class ArtifactStore:
             self._profile_memo.move_to_end(key)
             self._bump("profile_hits")
             return memoed
-        if not trace_cache_enabled():
-            return None
         path = self.profiles_dir / f"{key}.json"
         blob = self._read_verified(path)
         if blob is None:
@@ -612,7 +551,7 @@ class ArtifactStore:
         objects, so this memo is in-process only; with ``jobs=N`` each
         worker process warms its own.
         """
-        if not replay_enabled():
+        if not setting("REPRO_TRACE_REPLAY"):
             self._bump("compile_misses")
             return build()
         cached = self._compile_memo.get(memo_key)
@@ -643,7 +582,7 @@ class ArtifactStore:
         from .engine import code_version
         from ..uarch.trace import TRACE_SCHEMA
 
-        if not replay_enabled():
+        if not setting("REPRO_TRACE_REPLAY"):
             return None
         pid = predictor_id(config.predictor_factory)
         if pid is None:
@@ -772,7 +711,7 @@ class ArtifactStore:
         if key is None:
             return None
         trace = self._lru_get(key)
-        if trace is None and trace_cache_enabled():
+        if trace is None:
             blob = self._read_verified(self.traces_dir / f"{key}.trace")
             if blob is None:
                 return None
@@ -787,19 +726,6 @@ _DEFAULT_STORE: Optional[ArtifactStore] = None
 _DEFAULT_STORE_DIR: Optional[str] = None
 
 
-def _configured_root() -> str:
-    """The cache root ``REPRO_CACHE_DIR`` currently points at, resolved."""
-    configured = os.environ.get("REPRO_CACHE_DIR", "")
-    if not configured:
-        from .engine import RESULTS_DIR
-
-        configured = str(RESULTS_DIR / ".cache")
-    try:
-        return str(pathlib.Path(configured).resolve())
-    except OSError:
-        return configured
-
-
 def default_store() -> ArtifactStore:
     """Process-wide store rooted at the engine's cache directory.
 
@@ -811,9 +737,13 @@ def default_store() -> ArtifactStore:
     of those no-op toggles.
     """
     global _DEFAULT_STORE, _DEFAULT_STORE_DIR
-    configured = _configured_root()
+    root = cache_root()
+    try:
+        configured = str(root.resolve())
+    except OSError:
+        configured = str(root)
     if _DEFAULT_STORE is None or _DEFAULT_STORE_DIR != configured:
-        _DEFAULT_STORE = ArtifactStore()
+        _DEFAULT_STORE = ArtifactStore(root)
         _DEFAULT_STORE_DIR = configured
     return _DEFAULT_STORE
 

@@ -59,11 +59,8 @@ claim), ``stale_heartbeat`` (health record stops renewing),
 ``dup_complete`` (completion published twice); ``torn_put`` lives in
 :mod:`.store`.
 
-Environment knobs: ``REPRO_BACKEND`` (``local``/``queue``),
-``REPRO_QUEUE_WORKERS`` (queue worker count, default = engine jobs),
-``REPRO_LEASE_TTL`` (seconds, default 30), ``REPRO_QUEUE_POLL``
-(poll interval, default 0.05), ``REPRO_QUEUE_GRACE_S`` (seconds the
-parent waits for a first live worker, default 5).
+The backend, worker-count, lease, poll and grace knobs are rows of
+:data:`.settings.KNOBS`.
 
 Known limitation: the queue path does not enforce the engine's
 per-job wall-clock timeout -- lease expiry is the liveness mechanism,
@@ -94,55 +91,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from . import faults
+from .settings import setting
 
 #: Recognised ``REPRO_BACKEND`` values.
 BACKEND_NAMES = ("local", "queue")
 
 #: Consecutive shared-directory I/O errors before the queue trips.
 IO_ERROR_TRIP = 5
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return float(raw) if raw else default
-    except ValueError:
-        return default
-
-
-def env_backend() -> str:
-    """``REPRO_BACKEND`` with validation (default ``local``)."""
-    raw = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if not raw:
-        return "local"
-    if raw not in BACKEND_NAMES:
-        raise ValueError(
-            f"REPRO_BACKEND={raw!r}; expected one of {BACKEND_NAMES}"
-        )
-    return raw
-
-
-def lease_ttl() -> float:
-    return max(0.05, _env_float("REPRO_LEASE_TTL", 30.0))
-
-
-def queue_poll() -> float:
-    return max(0.005, _env_float("REPRO_QUEUE_POLL", 0.05))
-
-
-def queue_grace() -> float:
-    return max(0.0, _env_float("REPRO_QUEUE_GRACE_S", 5.0))
-
-
-def env_queue_workers(default: int) -> int:
-    """Queue worker count; an explicit 0 means "spawn none, external
-    ``repro worker`` processes will join" (the run degrades to the
-    local pool if nobody heartbeats within the grace window)."""
-    raw = os.environ.get("REPRO_QUEUE_WORKERS", "").strip()
-    try:
-        return max(0, int(raw)) if raw else max(1, default)
-    except ValueError:
-        return max(1, default)
 
 
 class BackendUnavailable(RuntimeError):
@@ -709,9 +664,9 @@ def queue_worker_main(
     paths = QueuePaths(pathlib.Path(run_dir))
     meta = _read_json(paths.meta) or {}
     if ttl is None:
-        ttl = float(meta.get("ttl", 0) or 0) or lease_ttl()
+        ttl = float(meta.get("ttl", 0) or 0) or setting("REPRO_LEASE_TTL")
     if poll_s is None:
-        poll_s = float(meta.get("poll", 0) or 0) or queue_poll()
+        poll_s = float(meta.get("poll", 0) or 0) or setting("REPRO_QUEUE_POLL")
     if worker_id is None:
         worker_id = f"w-{os.getpid():d}-{secrets.token_hex(2)}"
     _pool_worker_init(env or {})
@@ -808,9 +763,11 @@ class QueueBackend(Backend):
         self.workers = max(0, workers)
         self.retries = max(0, retries)
         self.worker_env = dict(worker_env)
-        self.ttl = ttl if ttl is not None else lease_ttl()
-        self.poll_s = poll_s if poll_s is not None else queue_poll()
-        self.grace_s = queue_grace()
+        self.ttl = ttl if ttl is not None else setting("REPRO_LEASE_TTL")
+        self.poll_s = (
+            poll_s if poll_s is not None else setting("REPRO_QUEUE_POLL")
+        )
+        self.grace_s = setting("REPRO_QUEUE_GRACE_S")
         _atomic_json(
             self.paths, self.paths.meta,
             {

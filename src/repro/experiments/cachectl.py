@@ -40,11 +40,12 @@ records).
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from .settings import RESULTS_DIR, cache_root
 
 #: section name -> (subdirectory or "" for the cache root, glob pattern).
 SECTIONS: Tuple[Tuple[str, str, str], ...] = (
@@ -56,16 +57,6 @@ SECTIONS: Tuple[Tuple[str, str, str], ...] = (
     ("queue", "queue", "**/*"),
     ("quarantine", "quarantine", "*"),
 )
-
-
-def cache_root(cache_dir: Optional[pathlib.Path] = None) -> pathlib.Path:
-    if cache_dir is not None:
-        return pathlib.Path(cache_dir)
-    from .engine import RESULTS_DIR
-
-    return pathlib.Path(
-        os.environ.get("REPRO_CACHE_DIR", "") or RESULTS_DIR / ".cache"
-    )
 
 
 @dataclass
@@ -330,8 +321,6 @@ def artifact_counters(
     """The ``totals.artifacts`` counters of the last run manifest
     (schema >= 4), or ``None`` when absent/unreadable/older-schema."""
     if manifest_path is None:
-        from .engine import RESULTS_DIR
-
         manifest_path = RESULTS_DIR / "run_manifest.json"
     try:
         manifest = json.loads(pathlib.Path(manifest_path).read_text())
@@ -351,8 +340,6 @@ def backend_totals(
     the summed lease/completion/failover counters, and the per-worker
     health records.  ``None`` for older manifests."""
     if manifest_path is None:
-        from .engine import RESULTS_DIR
-
         manifest_path = RESULTS_DIR / "run_manifest.json"
     try:
         manifest = json.loads(pathlib.Path(manifest_path).read_text())

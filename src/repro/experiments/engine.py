@@ -23,7 +23,7 @@ re-running a figure after touching only a report renderer is instant.
   (status ``failed`` + traceback) instead of aborting the run; a worker
   process that dies (``BrokenProcessPool``, e.g. an OOM kill) is an
   infrastructure fault and is retried with exponential backoff + jitter
-  (``REPRO_RETRIES``, default 2); a job that exceeds the per-job
+  (``REPRO_RETRIES``); a job that exceeds the per-job
   timeout (``REPRO_JOB_TIMEOUT`` / ``--job-timeout``) is detected by a
   watchdog that kills and respawns the pool, resubmitting innocent
   in-flight jobs at no attempt cost.  Deterministic worker exceptions
@@ -47,15 +47,8 @@ re-running a figure after touching only a report renderer is instant.
 * Fault injection: see :mod:`.faults` (``REPRO_FAULT_INJECT``) for the
   deterministic harness that exercises all of the above in tests.
 
-Environment knobs: ``REPRO_JOBS`` (worker count), ``REPRO_CACHE=0``
-(disable the cache), ``REPRO_CACHE_DIR`` (relocate it from the default
-``results/.cache/``), ``REPRO_RETRIES`` (infrastructure-fault retries,
-default 2), ``REPRO_JOB_TIMEOUT`` (per-job seconds, 0 = off),
-``REPRO_RETRY_BACKOFF`` (base backoff seconds, default 0.5),
-``REPRO_FAULT_INJECT`` (fault plan), ``REPRO_BACKEND`` (``local`` =
-supervised pool, ``queue`` = lease-based multi-worker work queue -- see
-:mod:`.backends`, which also reads ``REPRO_QUEUE_WORKERS``/
-``REPRO_LEASE_TTL``/``REPRO_QUEUE_POLL``/``REPRO_QUEUE_GRACE_S``).
+Every environment knob, with its default, is a row of
+:data:`.settings.KNOBS`; the engine checks them all on construction.
 """
 
 from __future__ import annotations
@@ -82,6 +75,7 @@ from typing import (
 
 from . import backends as backends_mod
 from . import faults
+from .settings import RESULTS_DIR, cache_root, check_settings, setting
 from .store import quarantine_file
 
 #: Bump when the cached-result layout changes.
@@ -114,9 +108,6 @@ CACHE_SCHEMA = 1
 #: failed validation and degraded to the (bit-identical) reference
 #: core.
 MANIFEST_SCHEMA = 10
-
-#: Repo-level results directory (works for the src-layout checkout).
-RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "results"
 
 _CODE_VERSION: Optional[str] = None
 
@@ -162,12 +153,6 @@ def fingerprint(obj: Any) -> Any:
 
 #: Number of cumulative-time entries kept per profiled job.
 PROFILE_TOP = 20
-
-
-def _env_profile_enabled() -> bool:
-    return os.environ.get("REPRO_PROFILE", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
 
 
 def _profile_text(profiler) -> str:
@@ -235,7 +220,7 @@ def _run_timed(
         store = None
     try:
         faults.inject_worker_faults(label, attempt, in_process=in_process)
-        if _env_profile_enabled():
+        if setting("REPRO_PROFILE"):
             import cProfile
 
             profiler = cProfile.Profile()
@@ -289,37 +274,6 @@ def _seed_worker(payload) -> Dict:
 
     name, seed, config = payload
     return run_seed(name, seed, config)
-
-
-def _env_jobs() -> int:
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    return os.cpu_count() or 1
-
-
-def _env_cache_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE", "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
-
-
-def _env_retries() -> int:
-    raw = os.environ.get("REPRO_RETRIES", "").strip()
-    return max(0, int(raw)) if raw else 2
-
-
-def _env_job_timeout() -> Optional[float]:
-    raw = os.environ.get("REPRO_JOB_TIMEOUT", "").strip()
-    if not raw:
-        return None
-    value = float(raw)
-    return value if value > 0 else None
-
-
-def _env_retry_backoff() -> float:
-    raw = os.environ.get("REPRO_RETRY_BACKOFF", "").strip()
-    return max(0.0, float(raw)) if raw else 0.5
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -380,26 +334,26 @@ class ExperimentEngine:
         retries: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> None:
-        self.jobs = max(1, jobs) if jobs is not None else _env_jobs()
-        if cache_dir is not None:
-            self.cache_dir = pathlib.Path(cache_dir)
-        else:
-            self.cache_dir = pathlib.Path(
-                os.environ.get("REPRO_CACHE_DIR", "")
-                or RESULTS_DIR / ".cache"
-            )
+        check_settings()
+        if jobs is None:
+            jobs = setting("REPRO_JOBS") or os.cpu_count() or 1
+        self.jobs = max(1, jobs)
+        self.cache_dir = cache_root(cache_dir)
         self.use_cache = (
-            use_cache if use_cache is not None else _env_cache_enabled()
+            use_cache if use_cache is not None else setting("REPRO_CACHE")
         )
         self.progress = progress
         #: Journal identity; ``None`` disables journalling entirely.
         self.run_id = run_id
         self.resume = resume
         self.job_timeout = (
-            job_timeout if job_timeout is not None else _env_job_timeout()
+            job_timeout if job_timeout is not None
+            else setting("REPRO_JOB_TIMEOUT")
         )
-        self.retries = retries if retries is not None else _env_retries()
-        self.retry_backoff = _env_retry_backoff()
+        self.retries = (
+            retries if retries is not None else setting("REPRO_RETRIES")
+        )
+        self.retry_backoff = setting("REPRO_RETRY_BACKOFF")
         #: Execution backend (``local``/``queue``, see :mod:`.backends`).
         if backend is not None and backend not in backends_mod.BACKEND_NAMES:
             raise ValueError(
@@ -407,7 +361,7 @@ class ExperimentEngine:
                 f"{backends_mod.BACKEND_NAMES}"
             )
         self.backend = (
-            backend if backend is not None else backends_mod.env_backend()
+            backend if backend is not None else setting("REPRO_BACKEND")
         )
         #: When set (the CLI does), a partial manifest is written here if
         #: a run is interrupted mid-:meth:`map`.
@@ -947,9 +901,10 @@ class ExperimentEngine:
         supervised pool, unchanged.
         """
         if self.backend == "queue":
+            workers = setting("REPRO_QUEUE_WORKERS")
             backend = backends_mod.QueueBackend(
                 self.cache_dir / "queue",
-                workers=backends_mod.env_queue_workers(self.jobs),
+                workers=self.jobs if workers is None else workers,
                 retries=self.retries,
                 worker_env=self._worker_env(),
             )

@@ -10,7 +10,8 @@ predict the exact set of injected failures without flaky sleeps or real
 resource pressure.
 
 Activate via the environment (which is how the switch reaches
-``ProcessPoolExecutor`` workers)::
+``ProcessPoolExecutor`` workers; both fault knobs are rows of
+:data:`.settings.KNOBS`, and :func:`parse_plan` holds the grammar)::
 
     REPRO_FAULT_INJECT="crash:0.2,hang:0.1,corrupt_cache:0.1@seed=7"
 
@@ -23,7 +24,8 @@ Kinds:
   an OOM kill; surfaces as ``BrokenProcessPool``, an *infrastructure*
   fault the engine retries.
 * ``hang``          -- the worker sleeps ``REPRO_FAULT_HANG_S`` seconds
-  (default 3600): exercises the per-job timeout watchdog.  On the
+  (long, so a test's small ``REPRO_JOB_TIMEOUT`` fires first):
+  exercises the per-job timeout watchdog.  On the
   serial (``jobs=1``) path, where no watchdog can interrupt the main
   process, it degrades to raising :class:`InjectedHang` immediately,
   which the engine records as a ``timeout``.
@@ -76,6 +78,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from .settings import setting
+
 #: Recognised fault kinds (see the module docstring).
 FAULT_KINDS = (
     "crash",
@@ -90,15 +94,6 @@ FAULT_KINDS = (
     "torn_put",
     "dup_complete",
 )
-
-#: Environment variable holding the fault plan ("" / unset = no faults).
-ENV_VAR = "REPRO_FAULT_INJECT"
-
-#: How long an injected hang sleeps (seconds); tests pair a small
-#: ``REPRO_JOB_TIMEOUT`` with the large default so the watchdog always
-#: fires first.
-HANG_ENV_VAR = "REPRO_FAULT_HANG_S"
-DEFAULT_HANG_S = 3600.0
 
 #: Exit status an injected ``die`` uses (mirrors a SIGKILL-style death
 #: as far as ``ProcessPoolExecutor`` is concerned: the pool breaks).
@@ -187,12 +182,7 @@ def parse_plan(text: Optional[str]) -> Optional[FaultPlan]:
 
 
 def plan_from_env() -> Optional[FaultPlan]:
-    return parse_plan(os.environ.get(ENV_VAR))
-
-
-def hang_seconds() -> float:
-    raw = os.environ.get(HANG_ENV_VAR, "").strip()
-    return float(raw) if raw else DEFAULT_HANG_S
+    return setting("REPRO_FAULT_INJECT")
 
 
 def inject_worker_faults(
@@ -221,7 +211,7 @@ def inject_worker_faults(
                 f"injected hang (serial degradation) in {label!r} "
                 f"attempt {attempt}"
             )
-        time.sleep(hang_seconds())
+        time.sleep(setting("REPRO_FAULT_HANG_S"))
     if plan.decide("crash", label, attempt):
         raise InjectedCrash(
             f"injected crash in {label!r} attempt {attempt}"

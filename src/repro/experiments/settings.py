@@ -1,0 +1,176 @@
+"""Every ``REPRO_*`` environment knob, in one table.
+
+This module is the one place the program reads a ``REPRO_*`` variable.
+:func:`setting` reads the environment on every call and caches nothing
+(pool workers inherit the parent's environment; tests set knobs per
+test).  An unset or blank knob takes its default; a malformed value
+raises ``ValueError`` naming the variable, the value and the accepted
+form.  :func:`check_settings` also rejects any ``REPRO_*`` name the
+table lacks, and :class:`~.engine.ExperimentEngine` calls it on
+construction, so a typo or a bad value stops a run before its first
+job.  README's "Configuration" table is :func:`knob_table`'s output.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional
+
+#: Repo-level results directory (works for the src-layout checkout).
+RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "results"
+
+
+@dataclass(frozen=True)
+class Knob:
+    """``parse`` maps a stripped, non-blank value to a setting or raises
+    ``ValueError`` naming the accepted form."""
+
+    name: str
+    default: Any
+    parse: Callable[[str], Any]
+    doc: str
+
+
+def _flag(raw: str) -> bool:
+    word = raw.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("expected one of 1/0/true/false/yes/no/on/off")
+
+
+def _number(kind: type, floor: Optional[float] = None) -> Callable:
+    """Parser for an ``int`` or ``float`` knob; values below ``floor``
+    read as ``floor``."""
+
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            form = "an integer" if kind is int else "a number"
+            raise ValueError(f"expected {form}") from None
+        return value if floor is None else max(floor, value)
+
+    return parse
+
+
+def _timeout(raw: str) -> Optional[float]:
+    value = _number(float)(raw)
+    return value if value > 0 else None
+
+
+def _backend(raw: str) -> str:
+    from .backends import BACKEND_NAMES
+
+    if raw.lower() not in BACKEND_NAMES:
+        raise ValueError(f"expected one of {BACKEND_NAMES}")
+    return raw.lower()
+
+
+def _fault_plan(raw: str):
+    from .faults import parse_plan
+
+    return parse_plan(raw)
+
+
+KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
+    Knob("REPRO_JOBS", None, _number(int, 1),
+         "Worker processes (`--jobs`), at least 1; unset means every "
+         "core."),
+    Knob("REPRO_CACHE", True, _flag,
+         "The result cache (`--no-cache` turns it off)."),
+    Knob("REPRO_CACHE_DIR", None, str,
+         "Root of the result cache, traces, prep slices and queue "
+         "runs; unset means `results/.cache`."),
+    Knob("REPRO_RETRIES", 2, _number(int, 0),
+         "Retries for infrastructure faults, dead workers and "
+         "timeouts (`--retries`)."),
+    Knob("REPRO_RETRY_BACKOFF", 0.5, _number(float, 0.0),
+         "Base retry backoff in seconds, doubled per attempt, plus "
+         "jitter; 0 retries at once."),
+    Knob("REPRO_JOB_TIMEOUT", None, _timeout,
+         "Per-job wall-clock limit in seconds on the local pool "
+         "(`--job-timeout`); unset, 0 or less means none."),
+    Knob("REPRO_PROFILE", False, _flag,
+         "cProfile every engine job (`--profile`)."),
+    Knob("REPRO_BACKEND", "local", _backend,
+         "Parallel execution backend, `local` pool or lease-based "
+         "`queue` (`--backend`)."),
+    Knob("REPRO_QUEUE_WORKERS", None, _number(int, 0),
+         "Queue workers the engine spawns; unset means one per job "
+         "slot, 0 means external `repro worker` processes only."),
+    Knob("REPRO_LEASE_TTL", 30.0, _number(float, 0.05),
+         "Queue lease lifetime in seconds, at least 0.05."),
+    Knob("REPRO_QUEUE_POLL", 0.05, _number(float, 0.005),
+         "Queue poll interval in seconds, at least 0.005."),
+    Knob("REPRO_QUEUE_GRACE_S", 5.0, _number(float, 0.0),
+         "Seconds a queue run waits for its first live worker before "
+         "it falls back to the local pool."),
+    Knob("REPRO_TRACE_REPLAY", True, _flag,
+         "The artifact fast path: trace capture and replay, shared "
+         "profiles and compiles; off runs the execute-driven cores."),
+    Knob("REPRO_PREP_CACHE", True, _flag,
+         "Persisted replay-prep slices; off rebuilds the prep layers "
+         "in each process, bit-identically."),
+    Knob("REPRO_TRACE_LRU_MB", 256.0, _number(float, 0.0),
+         "In-process hot-trace LRU budget in MiB."),
+    Knob("REPRO_FAULT_INJECT", None, _fault_plan,
+         "Fault plan such as `crash:0.2,hang:0.1@seed=7`; the grammar "
+         "is in `experiments/faults.py`."),
+    Knob("REPRO_FAULT_HANG_S", 3600.0, _number(float),
+         "Seconds an injected `hang` sleeps."),
+    Knob("REPRO_BENCH_ITERATIONS", 500, _number(int),
+         "Workload iterations in `pytest benchmarks/`; 600 reproduces "
+         "EXPERIMENTS.md."),
+    Knob("REPRO_BENCH_SEEDS", 1, _number(int),
+         "REF seeds in `pytest benchmarks/`."),
+)}
+
+
+def setting(name: str) -> Any:
+    """The current value of knob ``name``."""
+    knob = KNOBS[name]
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return knob.default
+    try:
+        return knob.parse(raw)
+    except ValueError as exc:
+        raise ValueError(f"{name}={raw!r}: {exc}") from None
+
+
+def check_settings() -> None:
+    """Parse every ``REPRO_*`` variable that is set; raise
+    ``ValueError`` on a malformed value or a name the table lacks."""
+    for name in sorted(os.environ):
+        if name.startswith("REPRO_") and name not in KNOBS:
+            raise ValueError(
+                f"{name} is not a setting; the settings are "
+                f"{', '.join(KNOBS)}"
+            )
+        if name in KNOBS:
+            setting(name)
+
+
+def cache_root(cache_dir: Optional[pathlib.Path] = None) -> pathlib.Path:
+    """``cache_dir`` when given, else ``REPRO_CACHE_DIR``, else
+    ``results/.cache``."""
+    if cache_dir is None:
+        cache_dir = setting("REPRO_CACHE_DIR") or RESULTS_DIR / ".cache"
+    return pathlib.Path(cache_dir)
+
+
+def knob_table() -> str:
+    """The Markdown table of every knob (README's "Configuration")."""
+    rows = ["| Variable | Default | Meaning |", "|---|---|---|"]
+    for knob in KNOBS.values():
+        default = knob.default
+        if isinstance(default, bool):
+            shown = "on" if default else "off"
+        else:
+            shown = "unset" if default is None else f"`{default}`"
+        rows.append(f"| `{knob.name}` | {shown} | {knob.doc} |")
+    return "\n".join(rows)

@@ -25,10 +25,6 @@ Fault injection: the ``torn_put`` kind (:mod:`.faults`) truncates the
 blob *after* its digest was recorded, modelling a transfer that died
 mid-copy; the next verified ``get`` detects the tear, quarantines the
 blob, and reports a miss so the caller recomputes.
-
-Environment knobs: ``REPRO_STORE_RETRIES`` (transient-I/O retries per
-operation, default 2), ``REPRO_STORE_BACKOFF`` (base backoff seconds,
-default 0.05).
 """
 
 from __future__ import annotations
@@ -48,21 +44,10 @@ from . import faults
 #: cap are deleted on the next quarantine).
 QUARANTINE_CAP = 64
 
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return max(0, int(raw)) if raw else default
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return max(0.0, float(raw)) if raw else default
-    except ValueError:
-        return default
+#: Transient-I/O retries per store operation, and the first retry's
+#: backoff in seconds (doubled on each later retry).
+STORE_RETRIES = 2
+STORE_BACKOFF_S = 0.05
 
 
 def quarantine_file(
@@ -194,8 +179,6 @@ class FileStore(StoreProtocol):
             if quarantine_dir is not None
             else self.root / "quarantine"
         )
-        self.retries = _env_int("REPRO_STORE_RETRIES", 2)
-        self.backoff = _env_float("REPRO_STORE_BACKOFF", 0.05)
         self.counters: Dict[str, int] = {
             "puts": 0,
             "gets": 0,
@@ -228,10 +211,10 @@ class FileStore(StoreProtocol):
             except FileNotFoundError:
                 raise
             except OSError:
-                if attempt >= self.retries:
+                if attempt >= STORE_RETRIES:
                     raise
                 self._bump(counter)
-                time.sleep(self.backoff * (2 ** attempt))
+                time.sleep(STORE_BACKOFF_S * (2 ** attempt))
                 attempt += 1
 
     def put(self, name: str, blob: bytes) -> bool:

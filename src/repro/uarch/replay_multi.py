@@ -607,10 +607,6 @@ def _diverge_fault(trace: Trace, config: MachineConfig) -> bool:
     accumulators right before validation, so the detection +
     reference-core fallback + manifest accounting chain is exercised
     end to end."""
-    import os
-
-    if not os.environ.get("REPRO_FAULT_INJECT"):
-        return False
     from ..experiments import faults
 
     return faults.should_diverge_walk(

@@ -730,6 +730,19 @@ def _point_columns(base: Dict, mem: Dict, kernel: Dict) -> Tuple:
     return (act_lat[0], fetch_add, act_lat[1]) + operands
 
 
+def _geometry(config: MachineConfig) -> Tuple:
+    """The cache-hierarchy fields the memory prep layer depends on: one
+    tuple for the in-process layer keys and the persisted slice key,
+    so the two can never disagree about which fields count."""
+    h = config.hierarchy
+    return (
+        h.l1d_bytes, h.l1d_assoc, h.l1i_bytes, h.l1i_assoc,
+        h.l2_bytes, h.l2_assoc, h.l3_bytes, h.l3_assoc,
+        h.line_bytes, h.l1_latency, h.l2_latency, h.l3_latency,
+        h.dram_latency, bool(h.next_line_prefetch),
+    )
+
+
 def _prepare(program, trace: Trace, config: MachineConfig, recorded: bool,
              core: str):
     """Assemble (base, stream, mem, kernel, btb_misses, kernel_key) for
@@ -762,13 +775,7 @@ def _prepare(program, trace: Trace, config: MachineConfig, recorded: bool,
         stream = _build_stream(prep, base, mode_key, config.ras_entries)
         prep.streams[stream_key] = stream
 
-    h = config.hierarchy
-    geometry = (
-        h.l1d_bytes, h.l1d_assoc, h.l1i_bytes, h.l1i_assoc,
-        h.l2_bytes, h.l2_assoc, h.l3_bytes, h.l3_assoc,
-        h.line_bytes, h.l1_latency, h.l2_latency, h.l3_latency,
-        h.dram_latency, h.next_line_prefetch,
-    )
+    geometry = _geometry(config)
     mem_key = (stream_key, geometry)
     mem = prep.mems.get(mem_key)
     if mem is None:
@@ -835,15 +842,7 @@ def prep_config_class(config: MachineConfig) -> Tuple:
     RAS depth, the full cache geometry, and BTB capacity.  Width,
     ports, front-end depth and bubble counts only feed the serial
     kernels, so sweeps over them share one slice."""
-    h = config.hierarchy
-    return (
-        config.ras_entries,
-        h.l1d_bytes, h.l1d_assoc, h.l1i_bytes, h.l1i_assoc,
-        h.l2_bytes, h.l2_assoc, h.l3_bytes, h.l3_assoc,
-        h.line_bytes, h.l1_latency, h.l2_latency, h.l3_latency,
-        h.dram_latency, bool(h.next_line_prefetch),
-        config.btb_entries,
-    )
+    return (config.ras_entries, *_geometry(config), config.btb_entries)
 
 
 def prep_mode_key(trace: Trace, config: MachineConfig):
@@ -895,18 +894,11 @@ def _slice_keys(trace: Trace, config: MachineConfig):
     mode = prep_mode_key(trace, config)
     if mode is None:
         return None
-    h = config.hierarchy
-    geometry = (
-        h.l1d_bytes, h.l1d_assoc, h.l1i_bytes, h.l1i_assoc,
-        h.l2_bytes, h.l2_assoc, h.l3_bytes, h.l3_assoc,
-        h.line_bytes, h.l1_latency, h.l2_latency, h.l3_latency,
-        h.dram_latency, h.next_line_prefetch,
-    )
     stream_key = (mode, config.ras_entries)
     return (
         mode,
         stream_key,
-        (stream_key, geometry),
+        (stream_key, _geometry(config)),
         ("inorder", mode, config.btb_entries),
         ("ooo", mode, config.btb_entries),
     )

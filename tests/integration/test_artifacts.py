@@ -638,10 +638,11 @@ class TestTraceLru:
         assert first.stats == second.stats
 
     def test_lru_budget_defaults_when_unset(self, tmp_path, monkeypatch):
-        from repro.experiments.artifacts import ArtifactStore, _env_lru_bytes
+        from repro.experiments.artifacts import ArtifactStore
+        from repro.experiments.settings import setting
 
         monkeypatch.delenv("REPRO_TRACE_LRU_MB", raising=False)
-        assert _env_lru_bytes() == 256 * 1024 * 1024
+        assert setting("REPRO_TRACE_LRU_MB") == 256
         store = ArtifactStore(cache_dir=tmp_path)
         assert store._lru_budget == 256 * 1024 * 1024
 

@@ -13,12 +13,14 @@ import os
 import pytest
 
 from repro.experiments import ExperimentEngine, RunConfig
-from repro.experiments.backends import env_backend
 from repro.experiments.engine import MANIFEST_SCHEMA
 from repro.experiments.faults import parse_plan
+from repro.experiments.settings import setting
 from repro.experiments.store import (
     FileStore,
     QUARANTINE_CAP,
+    STORE_RETRIES,
+    fsync_write,
     quarantine_file,
 )
 
@@ -27,7 +29,7 @@ pytestmark = pytest.mark.chaos
 
 @pytest.fixture(autouse=True)
 def _fast_chaos_env(monkeypatch):
-    """Tight queue/store timings and no fault plan leaking in from the
+    """Tight queue timings and no fault plan leaking in from the
     caller's environment; tests that want injection set the knobs."""
     monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -35,7 +37,6 @@ def _fast_chaos_env(monkeypatch):
     monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
     monkeypatch.setenv("REPRO_LEASE_TTL", "0.4")
     monkeypatch.setenv("REPRO_QUEUE_POLL", "0.02")
-    monkeypatch.setenv("REPRO_STORE_BACKOFF", "0.01")
 
 
 # -- engine-mappable workers (top level so they pickle) --------------------
@@ -119,6 +120,44 @@ class TestStoreProtocol:
         assert "same-name.bin" in names
         assert all(n.startswith("same-name.bin") for n in names)
 
+    def test_transient_put_error_is_retried(self, tmp_path, monkeypatch):
+        calls = []
+
+        def flaky_write(path, blob):
+            calls.append(path)
+            if len(calls) == 1:
+                raise OSError("transient")
+            fsync_write(path, blob)
+
+        monkeypatch.setattr(
+            "repro.experiments.store.fsync_write", flaky_write
+        )
+        store = FileStore(tmp_path)
+        assert store.put("r.bin", b"payload")
+        assert store.counters["put_retries"] == 1
+        assert store.get("r.bin") == b"payload"
+
+    def test_persistent_put_error_gives_up(self, tmp_path, monkeypatch):
+        calls = []
+
+        def broken_write(path, blob):
+            calls.append(path)
+            raise OSError("mount gone")
+
+        monkeypatch.setattr(
+            "repro.experiments.store.fsync_write", broken_write
+        )
+        store = FileStore(tmp_path)
+        assert store.put("r.bin", b"payload") is False
+        assert len(calls) == STORE_RETRIES + 1
+        assert store.counters["put_retries"] == STORE_RETRIES
+        assert store.counters["puts"] == 0
+
+    def test_missing_blob_is_not_retried(self, tmp_path):
+        store = FileStore(tmp_path)
+        assert store.get("absent.bin") is None
+        assert store.counters["get_retries"] == 0
+
     def test_quarantine_retention_cap(self, tmp_path):
         qdir = tmp_path / "q"
         for i in range(QUARANTINE_CAP + 5):
@@ -154,14 +193,14 @@ class TestQueueBackendClean:
         assert list((tmp_path / "queue").iterdir()) == []
 
     def test_env_knob_selects_backend(self, tmp_path, monkeypatch):
-        assert env_backend() == "local"
+        assert setting("REPRO_BACKEND") == "local"
         monkeypatch.setenv("REPRO_BACKEND", "queue")
-        assert env_backend() == "queue"
+        assert setting("REPRO_BACKEND") == "queue"
         assert ExperimentEngine(jobs=2, cache_dir=tmp_path).backend \
             == "queue"
         monkeypatch.setenv("REPRO_BACKEND", "carrier-pigeon")
         with pytest.raises(ValueError):
-            env_backend()
+            setting("REPRO_BACKEND")
         with pytest.raises(ValueError):
             ExperimentEngine(jobs=2, backend="carrier-pigeon")
 
