@@ -38,7 +38,10 @@ bounds each job, ``--retries N`` retries infrastructure faults, every
 completed job is checkpointed to ``results/.cache/runs/<run-id>.jsonl``,
 and ``--resume RUN_ID`` re-runs only the jobs an interrupted or
 partially-failed run didn't finish.  The exit status is 0 only when
-every job succeeded (1 with failures, 130 on interrupt).
+every job succeeded (1 with failures, 130 on interrupt).  A bad
+invocation exits 2: a malformed flag (argparse), or a malformed or
+unknown ``REPRO_*`` variable, which prints one ``repro: <message>``
+line before any command runs.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from typing import List, Optional
 
 from .experiments import ExperimentEngine, RunConfig, run_benchmark
 from .experiments.engine import RESULTS_DIR
+from .experiments.settings import check_settings
 
 
 def _config(args) -> RunConfig:
@@ -432,6 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        check_settings()
+    except ValueError as exc:
+        sys.stderr.write(f"repro: {exc}\n")
+        return 2
     try:
         args.func(args)
     except KeyboardInterrupt:

@@ -19,10 +19,15 @@ replay-everywhere layer on top of the experiment cache:
   layers of one ``(trace content digest, prediction mode, config
   class)`` -- batched predictor bits, RAS/BTB miss sets, stream action
   codes and the cache-tag pre-pass outputs
-  (:mod:`repro.uarch.replay_vec`) -- serialised as numpy columns in a
-  versioned container.  Built at most once fleet-wide and attached
-  from the digest-verified blob store by pool siblings, later runs
-  and other hosts.
+  (:mod:`repro.uarch.replay_vec`).  Built at most once fleet-wide and
+  attached from the digest-verified blob store by pool siblings, later
+  runs and other hosts.
+
+Traces and prep slices share one versioned, per-column-checksummed
+container (:mod:`repro.uarch.columns`): each column is stored at the
+narrowest dtype its values need and zlib-compressed, and is widened
+back to its in-memory dtype when read, so a loaded trace or attached
+slice holds exactly the arrays its writer held.
 * **Branch traces** (``.../profiles/<key>.btrace``): the functional
   TRAIN branch-outcome stream, predictor-independent, shared by every
   predictor a sensitivity ladder measures it with.
@@ -35,9 +40,11 @@ replay-everywhere layer on top of the experiment cache:
   (``CompilationResult`` holds live IR objects, so this one never
   touches disk).
 
-All disk artifacts carry integrity validation: traces via the
-checksummed container (:meth:`repro.uarch.trace.Trace.from_bytes`),
-JSON artifacts via schema checks.  Anything unreadable is moved to
+All disk artifacts carry integrity validation: traces and prep
+slices via the checksummed column container
+(:meth:`repro.uarch.trace.Trace.from_bytes`,
+:func:`repro.uarch.replay_vec.attach_prep_slice`), JSON artifacts via
+schema checks.  Anything unreadable is moved to
 ``results/.cache/quarantine/`` -- the same discipline as the result
 cache -- and transparently recomputed.  The fault harness's
 ``corrupt_trace`` kind (:mod:`.faults`) writes deliberately truncated

@@ -13,6 +13,7 @@ job.  README's "Configuration" table is :func:`knob_table`'s output.
 
 from __future__ import annotations
 
+import math
 import os
 import pathlib
 from dataclasses import dataclass
@@ -44,7 +45,7 @@ def _flag(raw: str) -> bool:
 
 def _number(kind: type, floor: Optional[float] = None) -> Callable:
     """Parser for an ``int`` or ``float`` knob; values below ``floor``
-    read as ``floor``."""
+    read as ``floor``.  A float knob rejects ``inf`` and ``nan``."""
 
     def parse(raw: str):
         try:
@@ -52,6 +53,8 @@ def _number(kind: type, floor: Optional[float] = None) -> Callable:
         except ValueError:
             form = "an integer" if kind is int else "a number"
             raise ValueError(f"expected {form}") from None
+        if not math.isfinite(value):
+            raise ValueError("expected a finite number")
         return value if floor is None else max(floor, value)
 
     return parse

@@ -2,9 +2,10 @@
 
 A trace (:mod:`repro.uarch.trace`) carries everything architectural
 about one run of a program -- control flow, branch/divert outcomes,
-load/store addresses, the final register file and memory image.  The
-functions here re-time that stream under another machine
-configuration without re-executing the program.
+load/store addresses, the final register file, and the final memory
+image as int and float (address, value) columns.  The functions here
+re-time that stream under another machine configuration without
+re-executing the program.
 
 Bit-exactness contract: a replay's ``SimStats`` and final state equal
 those of the execute-driven reference core -- :class:`InOrderCore` or
@@ -45,6 +46,7 @@ Two replay modes per conditional branch:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from ..isa import Memory
@@ -95,9 +97,19 @@ def _check_and_mode(program, trace: Trace, config: MachineConfig) -> bool:
 
 
 def _final_state(program, trace: Trace, stats: SimStats) -> SimulationResult:
-    """Materialise the architectural outcome recorded in the trace."""
+    """Materialise the architectural outcome recorded in the trace:
+    a fresh :class:`Memory` per replay, built from the memory-image
+    columns (``tolist`` gives back the Python ints and floats the
+    capturing run stored, so every word's ``repr`` is unchanged)."""
     memory = Memory.from_snapshot(
-        trace.meta["memory"], trace.meta["faults_suppressed"]
+        chain(
+            zip(trace.mem_int_addrs.tolist(), trace.mem_int_values.tolist()),
+            zip(
+                trace.mem_float_addrs.tolist(),
+                trace.mem_float_values.tolist(),
+            ),
+        ),
+        trace.meta["faults_suppressed"],
     )
     return SimulationResult(
         stats=stats,

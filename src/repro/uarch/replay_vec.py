@@ -62,8 +62,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import struct
-import sys
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -81,6 +79,7 @@ from ..isa.decode import (
     K_STORE,
     predecode,
 )
+from . import columns
 from .config import MachineConfig
 from .ooo import _RING as _OOO_RING, _RING_MASK as _OOO_RING_MASK
 from .stats import SimStats
@@ -799,9 +798,9 @@ def _prepare(program, trace: Trace, config: MachineConfig, recorded: bool,
 #: Bump when the prep container layout, the layer contents, or the
 #: slice keying changes: the key hashes the schema, so every persisted
 #: slice of an older version simply stops matching and is rebuilt.
-PREP_SCHEMA = 1
+PREP_SCHEMA = 2
 
-_PREP_MAGIC = b"RPPREP1\x00"
+_PREP_MAGIC = b"RPPREP2\x00"
 
 #: Array payloads of one slice, in canonical container order.  The
 #: ``pred_bits`` column is present only for live-predictor slices (a
@@ -884,10 +883,6 @@ def prep_slice_key(
     ).hexdigest()
 
 
-def _align8(offset: int) -> int:
-    return (offset + 7) & ~7
-
-
 def _slice_keys(trace: Trace, config: MachineConfig):
     """(mode_key, stream_key, mem_key, btb keys) for one config, or
     ``None`` -- the in-process dict keys a slice plants layers under."""
@@ -928,11 +923,12 @@ def build_prep_slice(
     program, trace: Trace, config: MachineConfig
 ) -> Optional[bytes]:
     """Compute (or reuse) every layer one slice covers and serialise
-    it: the container holds numpy columns for the predictor bits (live
-    mode), RAS bits, the stream action codes, the cache-level pre-pass
-    outputs, and both cores' BTB miss sets, plus the derived counters.
-    ``None`` when the trace falls outside the vectorized path or has
-    no safe slice key."""
+    it as a :mod:`.columns` container: columns for the predictor bits
+    (live mode), RAS bits, the stream action codes, the cache-level
+    pre-pass outputs, and both cores' BTB miss sets, each at the
+    narrowest dtype its values need, plus the key fields and derived
+    counters in the header.  ``None`` when the trace falls outside the
+    vectorized path or has no safe slice key."""
     keys = _slice_keys(trace, config)
     if keys is None:
         return None
@@ -951,26 +947,22 @@ def build_prep_slice(
     ooo_events, ooo_bits, ooo_misses = prep.btbs[btb_ooo]
 
     arrays: Dict[str, np.ndarray] = {
-        "ras_bits": np.ascontiguousarray(
-            prep.ras_bits[config.ras_entries]
-        ),
+        "ras_bits": prep.ras_bits[config.ras_entries],
         "act": stream["act_np"],
-        "acc_pos": np.ascontiguousarray(stream["acc_pos"], np.int64),
-        "acc_prev_misp": np.ascontiguousarray(stream["acc_prev_misp"]),
-        "fetch_add": np.asarray(mem["fetch_add"], np.int64),
-        "load_lat": np.ascontiguousarray(mem["load_lat_np"], np.int64),
-        "load_miss": np.ascontiguousarray(mem["load_miss_np"]),
-        "store_lat": np.ascontiguousarray(mem["store_lat_np"], np.int64),
-        "store_miss": np.ascontiguousarray(mem["store_miss_np"]),
-        "btb_io_events": np.ascontiguousarray(io_events, np.int64),
-        "btb_io_bits": np.ascontiguousarray(io_bits),
-        "btb_ooo_events": np.ascontiguousarray(ooo_events, np.int64),
-        "btb_ooo_bits": np.ascontiguousarray(ooo_bits),
+        "acc_pos": stream["acc_pos"],
+        "acc_prev_misp": stream["acc_prev_misp"],
+        "fetch_add": mem["fetch_add"],
+        "load_lat": mem["load_lat_np"],
+        "load_miss": mem["load_miss_np"],
+        "store_lat": mem["store_lat_np"],
+        "store_miss": mem["store_miss_np"],
+        "btb_io_events": io_events,
+        "btb_io_bits": io_bits,
+        "btb_ooo_events": ooo_events,
+        "btb_ooo_bits": ooo_bits,
     }
     if not recorded:
-        arrays["pred_bits"] = np.ascontiguousarray(
-            prep.pred_bits[mode], np.uint8
-        )
+        arrays["pred_bits"] = prep.pred_bits[mode]
     counters = {
         "cond_mispredicts": stream["cond_mispredicts"],
         "resolve_mispredicts": stream["resolve_mispredicts"],
@@ -982,103 +974,17 @@ def build_prep_slice(
         "btb_io_misses": io_misses,
         "btb_ooo_misses": ooo_misses,
     }
-
-    descriptors: List[Dict] = []
-    payloads: List[np.ndarray] = []
-    body = 0
-    for name in _PREP_ARRAYS:
-        arr = arrays.get(name)
-        if arr is None:
-            continue
-        body = _align8(body)
-        descriptors.append(
-            {
-                "name": name,
-                "dtype": arr.dtype.str,
-                "count": int(arr.size),
-                "offset": body,
-                "nbytes": int(arr.nbytes),
-            }
-        )
-        payloads.append(arr)
-        body += arr.nbytes
-    header = json.dumps(
+    return columns.encode(
+        _PREP_MAGIC,
         {
             "schema": PREP_SCHEMA,
-            "byteorder": sys.byteorder,
             "trace": trace.content_digest(),
             "mode": list(mode) if isinstance(mode, tuple) else mode,
             "config": list(prep_config_class(config)),
             "counters": counters,
-            "arrays": descriptors,
         },
-        sort_keys=True,
-    ).encode()
-    data_start = _align8(len(_PREP_MAGIC) + 4 + len(header))
-    out = bytearray(data_start + body)
-    out[: len(_PREP_MAGIC)] = _PREP_MAGIC
-    struct.pack_into("<I", out, len(_PREP_MAGIC), len(header))
-    out[len(_PREP_MAGIC) + 4 : len(_PREP_MAGIC) + 4 + len(header)] = header
-    for descriptor, arr in zip(descriptors, payloads):
-        offset = data_start + descriptor["offset"]
-        out[offset : offset + arr.nbytes] = arr.tobytes()
-    return bytes(out)
-
-
-class PrepSliceError(Exception):
-    """A prep container failed validation (corrupt or mismatched)."""
-
-
-def _parse_prep_container(buf) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """(header, name -> zero-copy array view) of one container.
-
-    ``buf`` is a verified disk blob; the returned arrays view it
-    without copying.  Raises :class:`PrepSliceError` on any structural
-    problem."""
-    if len(buf) < len(_PREP_MAGIC) + 4:
-        raise PrepSliceError("truncated container")
-    if bytes(buf[: len(_PREP_MAGIC)]) != _PREP_MAGIC:
-        raise PrepSliceError("bad magic")
-    (header_len,) = struct.unpack_from("<I", buf, len(_PREP_MAGIC))
-    start = len(_PREP_MAGIC) + 4
-    if start + header_len > len(buf):
-        raise PrepSliceError("truncated header")
-    try:
-        header = json.loads(bytes(buf[start : start + header_len]))
-    except ValueError as exc:
-        raise PrepSliceError(f"unreadable header: {exc}") from None
-    if not isinstance(header, dict) or header.get("schema") != PREP_SCHEMA:
-        raise PrepSliceError(f"wrong schema: {header.get('schema')!r}")
-    if header.get("byteorder") != sys.byteorder:
-        raise PrepSliceError("foreign byte order")
-    descriptors = header.get("arrays")
-    counters = header.get("counters")
-    if not isinstance(descriptors, list) or not isinstance(counters, dict):
-        raise PrepSliceError("malformed header")
-    data_start = _align8(start + header_len)
-    arrays: Dict[str, np.ndarray] = {}
-    for descriptor in descriptors:
-        try:
-            name = descriptor["name"]
-            offset = data_start + descriptor["offset"]
-            if offset + descriptor["nbytes"] > len(buf):
-                raise PrepSliceError(f"truncated column {name!r}")
-            arrays[name] = np.frombuffer(
-                buf,
-                dtype=np.dtype(descriptor["dtype"]),
-                count=descriptor["count"],
-                offset=offset,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PrepSliceError(f"bad descriptor: {exc}") from None
-    missing = [
-        name
-        for name in _PREP_ARRAYS
-        if name != "pred_bits" and name not in arrays
-    ]
-    if missing:
-        raise PrepSliceError(f"missing columns: {missing}")
-    return header, arrays
+        {name: arrays[name] for name in _PREP_ARRAYS if name in arrays},
+    )
 
 
 def _lengths_match(
@@ -1121,33 +1027,37 @@ def attach_prep_slice(
     trace digest, mode, or config class is rejected (``False``), as is
     any structural corruption or a column whose length does not fit
     the trace, and the caller rebuilds from scratch.
-    The planted arrays are zero-copy views over ``buf``; prep layers
-    are read-only to the kernels, so one buffer may back any number of
-    attached traces at once."""
+    Each planted array is decoded from ``buf`` at the dtype the
+    building process held (a copy, never a view of ``buf``), so the
+    kernels see exactly the arrays a fresh build would give them."""
     keys = _slice_keys(trace, config)
     if keys is None:
         return False
     mode, stream_key, mem_key, btb_io, btb_ooo = keys
     try:
-        header, arrays = _parse_prep_container(buf)
-    except PrepSliceError:
+        header, arrays = columns.decode(_PREP_MAGIC, buf)
+    except columns.ColumnError:
         return False
     expected_mode = list(mode) if isinstance(mode, tuple) else mode
     if (
-        header.get("trace") != trace.content_digest()
+        header.get("schema") != PREP_SCHEMA
+        or header.get("trace") != trace.content_digest()
         or header.get("mode") != expected_mode
         or header.get("config") != list(prep_config_class(config))
     ):
         return False
     recorded = mode == "recorded"
-    if not recorded and "pred_bits" not in arrays:
+    if any(
+        name not in arrays
+        for name in _PREP_ARRAYS
+        if name != "pred_bits" or not recorded
+    ):
         return False
     if not _lengths_match(trace, arrays, recorded):
         return False
-    counters = header["counters"]
     try:
         counter_values = {
-            name: int(counters[name]) for name in _PREP_COUNTERS
+            name: int(header["counters"][name]) for name in _PREP_COUNTERS
         }
     except (KeyError, TypeError, ValueError):
         return False

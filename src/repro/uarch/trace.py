@@ -16,73 +16,82 @@ Because of that invariance the stream is recorded without any timing
 at all: :func:`repro.uarch.functional.capture_trace` walks the program
 in order, driving only the direction predictor and the DBB in the
 execute-driven core's call order, and fills a :class:`TraceCapture`
-with compact columnar arrays (``array``/packed-bit columns).
-:class:`Trace` is the immutable result, serialisable to a
-zlib-compressed, per-column-checksummed binary container.  Replay
-(:mod:`repro.uarch.replay`) re-runs only the *timing* machinery over
-a trace -- no register values, no memory contents, no evaluator calls
--- and is bit-identical to execute-driven simulation (see
+with compact ``array``/``bytearray`` columns.  :class:`Trace` is the
+immutable result, holding every column as a numpy array and
+serialisable to the column container of :mod:`repro.uarch.columns`.
+Replay (:mod:`repro.uarch.replay`) re-runs only the *timing* machinery
+over a trace -- no register values, no memory contents, no evaluator
+calls -- and is bit-identical to execute-driven simulation (see
 ``tests/golden`` and ``tests/uarch/test_trace_replay.py``).
 
 Columns (event-indexed, in committed-stream order):
 
-========  ==================  =======================================
-column    type                one entry per
-========  ==================  =======================================
-pcs       ``array('i')``      committed instruction (index into the
-                              pre-decoded rows, PREDICT/HALT included)
-branch_pred   packed bits     conditional branch (predicted taken)
-branch_taken  packed bits     conditional branch (actual outcome)
-predict_taken packed bits     PREDICT (front-end direction)
-resolve_diverted packed bits  RESOLVE (correction-path divert)
-load_addrs    ``array('q')``  load (word address)
-load_suppressed packed bits   *speculative* load (fault suppressed)
-store_addrs   ``array('q')``  store (word address)
-ret_targets   ``array('i')``  RET (actual return target)
-========  ==================  =======================================
+================  =======  =======================================
+column            dtype    one entry per
+================  =======  =======================================
+pcs               int32    committed instruction (index into the
+                           pre-decoded rows, PREDICT/HALT included)
+branch_pred       uint8    conditional branch (predicted taken, 0/1)
+branch_taken      uint8    conditional branch (actual outcome)
+predict_taken     uint8    PREDICT (front-end direction)
+resolve_diverted  uint8    RESOLVE (correction-path divert)
+load_addrs        int64    load (word address)
+load_suppressed   uint8    *speculative* load (fault suppressed)
+store_addrs       int64    store (word address)
+ret_targets       int32    RET (actual return target)
+================  =======  =======================================
 
-The trace's ``meta`` block carries the final architectural state
-(registers, non-zero memory words, suppressed-fault count, halted) so
-a replayed :class:`~repro.uarch.core.SimulationResult` is complete --
-the golden fingerprints hash exactly this state.
+The final memory image is four more columns, the non-zero words as
+(address, value) pairs split by Python type, because the golden
+fingerprints hash ``repr(value)``: ``mem_int_addrs``/``mem_int_values``
+(int64) for int words, ``mem_float_addrs``/``mem_float_values``
+(int64/float64) for float words.  The trace's ``meta`` block carries
+the rest of the final architectural state (registers, suppressed-fault
+count, halted), so a replayed
+:class:`~repro.uarch.core.SimulationResult` is complete -- the golden
+fingerprints hash exactly this state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import struct
-import sys
-import zlib
 from array import array
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..isa.decode import K_PREDICT, K_RESOLVE, predecode
+from . import columns
 
 #: Bump when the trace container layout or column semantics change.
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 
-_MAGIC = b"RVTRACE1"
+_MAGIC = b"RVTRACE2"
 
-#: Cache artifacts trade a little disk for a lot of CPU: level 1 is
-#: ~3x faster to compress than the default with ~20% larger output,
-#: and capture-side serialisation sits on the sweep critical path.
-_ZLIB_LEVEL = 1
-
-#: (name, array typecode or "bits") in canonical serialisation order.
-_COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("pcs", "i"),
-    ("branch_pred", "bits"),
-    ("branch_taken", "bits"),
-    ("predict_taken", "bits"),
-    ("resolve_diverted", "bits"),
-    ("load_addrs", "q"),
-    ("load_suppressed", "bits"),
-    ("store_addrs", "q"),
-    ("ret_targets", "i"),
+#: The committed stream: (name, in-memory dtype), canonical order.
+_STREAM: Tuple[Tuple[str, type], ...] = (
+    ("pcs", np.int32),
+    ("branch_pred", np.uint8),
+    ("branch_taken", np.uint8),
+    ("predict_taken", np.uint8),
+    ("resolve_diverted", np.uint8),
+    ("load_addrs", np.int64),
+    ("load_suppressed", np.uint8),
+    ("store_addrs", np.int64),
+    ("ret_targets", np.int32),
 )
+
+#: The final memory image's non-zero words, int and float words apart.
+_MEMORY: Tuple[Tuple[str, type], ...] = (
+    ("mem_int_addrs", np.int64),
+    ("mem_int_values", np.int64),
+    ("mem_float_addrs", np.int64),
+    ("mem_float_values", np.float64),
+)
+
+_COLUMNS = _STREAM + _MEMORY
+_COLUMN_NAMES = tuple(name for name, _ in _COLUMNS)
 
 
 class TraceError(Exception):
@@ -166,7 +175,7 @@ class TraceCapture:
     to build an immutable :class:`Trace`.
     """
 
-    __slots__ = tuple(name for name, _ in _COLUMNS)
+    __slots__ = tuple(name for name, _ in _STREAM)
 
     def __init__(self) -> None:
         self.pcs = array("i")
@@ -193,7 +202,8 @@ class TraceCapture:
         ``registers``, ``memory`` and ``halted`` are the capturing
         run's architectural outcome; they travel in the trace (with
         the memory's suppressed-fault count) so replay can return a
-        complete result.
+        complete result.  The stream columns become numpy views of
+        the capture buffers, without a copy.
         """
         decoded = predecode(program)
         meta = {
@@ -207,42 +217,55 @@ class TraceCapture:
             "halted": bool(halted),
             "faults_suppressed": memory.faults_suppressed,
             "registers": list(registers),
-            "memory": [[a, v] for a, v in memory.snapshot()],
         }
-        return Trace(
-            meta,
-            **{name: getattr(self, name) for name, _ in _COLUMNS},
-        )
-
-
-#: numpy dtype per column typecode (the bit columns are 0/1-per-byte
-#: bytearrays, viewed as uint8).
-_NP_DTYPES = {"i": np.int32, "q": np.int64, "bits": np.uint8}
+        arrays = {
+            name: np.frombuffer(getattr(self, name), dtype)
+            for name, dtype in _STREAM
+        }
+        image: Dict[type, Tuple[List, List]] = {
+            int: ([], []),
+            float: ([], []),
+        }
+        for address, value in memory.snapshot():
+            try:
+                addrs, values = image[type(value)]
+            except KeyError:
+                raise TraceError(
+                    f"memory word {address} holds a "
+                    f"{type(value).__name__}, not an int or a float"
+                ) from None
+            addrs.append(address)
+            values.append(value)
+        try:
+            arrays.update(
+                mem_int_addrs=np.array(image[int][0], np.int64),
+                mem_int_values=np.array(image[int][1], np.int64),
+                mem_float_addrs=np.array(image[float][0], np.int64),
+                mem_float_values=np.array(image[float][1], np.float64),
+            )
+        except OverflowError as exc:
+            raise TraceError(f"memory word outside int64: {exc}") from None
+        return Trace(meta, **arrays)
 
 
 class Trace:
     """Immutable captured instruction stream plus final state.
 
-    Besides the raw ``array``/``bytearray`` columns, a trace lazily
-    exposes zero-copy numpy *views* of each column (:meth:`column`) and
-    carries a replay-preparation cache (``repro.uarch.replay_vec``
-    stores its precomputed kind-index/redirect/cache-level arrays here
-    so one trace replayed across a whole sweep pays for the
-    vectorized precompute once).  Both are derived state: they never
-    change the captured stream, and :meth:`nbytes` accounts for them
-    so the artifact store's LRU budget sees the true footprint.
+    Every column is a numpy array (:meth:`column`) that is never
+    mutated after capture.  A trace also carries a
+    replay-preparation cache (``repro.uarch.replay_vec`` stores its
+    precomputed kind-index/redirect/cache-level arrays here so one
+    trace replayed across a whole sweep pays for the vectorized
+    precompute once).  That cache is derived state: it never changes
+    the captured stream, and :meth:`nbytes` accounts for it.
     """
 
-    __slots__ = ("meta", "_views", "_prep", "_digest") + tuple(
-        name for name, _ in _COLUMNS
-    )
+    __slots__ = ("meta", "_prep", "_digest") + _COLUMN_NAMES
 
-    def __init__(self, meta: Dict, **columns) -> None:
+    def __init__(self, meta: Dict, **arrays: np.ndarray) -> None:
         self.meta = meta
-        for name, _ in _COLUMNS:
-            setattr(self, name, columns[name])
-        #: name -> cached numpy view of the column buffer (zero-copy).
-        self._views: Dict[str, np.ndarray] = {}
+        for name in _COLUMN_NAMES:
+            setattr(self, name, arrays[name])
         #: Replay precompute cache (owned by repro.uarch.replay_vec).
         self._prep = None
         #: Lazily computed :meth:`content_digest` (columns are
@@ -254,39 +277,18 @@ class Trace:
         return len(self.pcs)
 
     def column(self, name: str) -> np.ndarray:
-        """Zero-copy numpy view of one column.
-
-        ``array('i')``/``array('q')`` columns view as int32/int64; the
-        0/1-per-byte bit columns view as uint8.  Views share the
-        column's buffer -- they cost no extra memory and stay valid for
-        the trace's lifetime (columns are never mutated after capture).
-        """
-        view = self._views.get(name)
-        if view is None:
-            for cname, typecode in _COLUMNS:
-                if cname == name:
-                    view = np.frombuffer(
-                        getattr(self, name), dtype=_NP_DTYPES[typecode]
-                    )
-                    break
-            else:
-                raise KeyError(name)
-            self._views[name] = view
-        return view
+        """One column, by name (see the module docstring)."""
+        if name not in _COLUMN_NAMES:
+            raise KeyError(name)
+        return getattr(self, name)
 
     def nbytes(self) -> int:
-        """In-memory footprint: raw columns plus any replay-preparation
-        arrays cached on the trace.  Column views are zero-copy and
-        cost nothing extra.  The artifact store's LRU charges this once,
-        when the trace is stored or loaded -- before any prep attaches
-        -- so its budget sees the columns, not the prep layers."""
-        total = 0
-        for name, typecode in _COLUMNS:
-            column = getattr(self, name)
-            if typecode == "bits":
-                total += len(column)
-            else:
-                total += len(column) * column.itemsize
+        """In-memory footprint: every column, the memory image
+        included, plus any replay-preparation arrays cached on the
+        trace.  The artifact store's LRU charges this once, when the
+        trace is stored or loaded -- before any prep attaches -- so
+        its budget sees the columns, not the prep layers."""
+        total = sum(getattr(self, name).nbytes for name in _COLUMN_NAMES)
         prep = self._prep
         if prep is not None:
             total += prep.nbytes()
@@ -294,7 +296,8 @@ class Trace:
 
     def content_digest(self) -> str:
         """Content hash of the *captured stream itself*: the identity
-        meta fields plus every column's raw bytes.
+        meta fields plus every stream column's raw bytes (the memory
+        image feeds no derived artifact, so it is not hashed).
 
         The program digest in ``meta`` identifies what was run; this
         digest identifies what was recorded -- derived artifacts keyed
@@ -318,14 +321,9 @@ class Trace:
         digest.update(
             json.dumps(identity, sort_keys=True).encode()
         )
-        for name, typecode in _COLUMNS:
-            column = getattr(self, name)
-            if typecode == "bits":
-                raw = bytes(column)
-            else:
-                raw = column.tobytes()
+        for name, _ in _STREAM:
             digest.update(name.encode())
-            digest.update(raw)
+            digest.update(getattr(self, name))
         self._digest = digest.hexdigest()
         return self._digest
 
@@ -358,44 +356,12 @@ class Trace:
     # -------------------------------------------------------- serialisation
 
     def to_bytes(self) -> bytes:
-        """Binary container: magic, compressed JSON header (meta plus
-        per-column descriptors with checksums), then the compressed
-        column payloads in canonical order."""
-        payloads: List[bytes] = []
-        descriptors: List[Dict] = []
-        for name, typecode in _COLUMNS:
-            column = getattr(self, name)
-            if typecode == "bits":
-                raw = _pack_bits(column)
-                count = len(column)
-            else:
-                raw = column.tobytes()
-                count = len(column)
-            blob = zlib.compress(raw, _ZLIB_LEVEL)
-            payloads.append(blob)
-            descriptors.append(
-                {
-                    "name": name,
-                    "type": typecode,
-                    "count": count,
-                    "zlen": len(blob),
-                    "sha256": hashlib.sha256(blob).hexdigest(),
-                }
-            )
-        header = zlib.compress(
-            json.dumps(
-                {
-                    "schema": TRACE_SCHEMA,
-                    "byteorder": sys.byteorder,
-                    "meta": self.meta,
-                    "columns": descriptors,
-                },
-                sort_keys=True,
-            ).encode(),
-            _ZLIB_LEVEL,
-        )
-        return b"".join(
-            [_MAGIC, struct.pack("<I", len(header)), header] + payloads
+        """The :mod:`repro.uarch.columns` container: ``meta`` in the
+        header, then every column, the memory image included."""
+        return columns.encode(
+            _MAGIC,
+            {"schema": TRACE_SCHEMA, "meta": self.meta},
+            {name: getattr(self, name) for name in _COLUMN_NAMES},
         )
 
     @classmethod
@@ -403,71 +369,24 @@ class Trace:
         """Parse and *validate* a container; raises :class:`TraceError`
         on any corruption (bad magic/schema, truncation, checksum or
         count mismatch) so callers can quarantine the file."""
-        if len(blob) < len(_MAGIC) + 4 or blob[: len(_MAGIC)] != _MAGIC:
-            raise TraceError("bad magic")
-        offset = len(_MAGIC)
-        (header_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if offset + header_len > len(blob):
-            raise TraceError("truncated header")
         try:
-            header = json.loads(
-                zlib.decompress(blob[offset : offset + header_len])
-            )
-        except (ValueError, zlib.error) as exc:
-            raise TraceError(f"unreadable header: {exc}") from None
-        offset += header_len
-        if not isinstance(header, dict) or header.get("schema") != TRACE_SCHEMA:
+            header, arrays = columns.decode(_MAGIC, blob)
+        except columns.ColumnError as exc:
+            raise TraceError(str(exc)) from None
+        if header.get("schema") != TRACE_SCHEMA:
             raise TraceError(f"wrong schema: {header.get('schema')!r}")
-        if header.get("byteorder") != sys.byteorder:
-            raise TraceError("foreign byte order")
         meta = header.get("meta")
-        descriptors = header.get("columns")
-        if not isinstance(meta, dict) or not isinstance(descriptors, list):
+        if not isinstance(meta, dict):
             raise TraceError("malformed header")
-        if [(d.get("name"), d.get("type")) for d in descriptors] != list(
-            _COLUMNS
-        ):
+        if [(name, arr.dtype) for name, arr in arrays.items()] != [
+            (name, np.dtype(dtype)) for name, dtype in _COLUMNS
+        ]:
             raise TraceError("unexpected column set")
-        columns = {}
-        for descriptor in descriptors:
-            name = descriptor["name"]
-            typecode = descriptor["type"]
-            zlen = descriptor["zlen"]
-            chunk = blob[offset : offset + zlen]
-            if len(chunk) != zlen:
-                raise TraceError(f"truncated column {name!r}")
-            if hashlib.sha256(chunk).hexdigest() != descriptor["sha256"]:
-                raise TraceError(f"checksum mismatch in column {name!r}")
-            offset += zlen
-            try:
-                raw = zlib.decompress(chunk)
-            except zlib.error as exc:
-                raise TraceError(
-                    f"undecompressable column {name!r}: {exc}"
-                ) from None
-            if typecode == "bits":
-                column = _unpack_bits(raw, descriptor["count"])
-            else:
-                column = array(typecode)
-                column.frombytes(raw)
-            if len(column) != descriptor["count"]:
-                raise TraceError(f"count mismatch in column {name!r}")
-            columns[name] = column
-        if len(columns["pcs"]) != meta.get("committed"):
+        if len(arrays["pcs"]) != meta.get("committed"):
             raise TraceError("committed count disagrees with pcs column")
-        return cls(meta, **columns)
-
-
-def _pack_bits(bits) -> bytes:
-    """Pack a 0/1-per-byte column into 8 bits per byte (LSB first)."""
-    flags = np.asarray(bits, dtype=np.uint8)
-    return np.packbits(flags, bitorder="little").tobytes()
-
-
-def _unpack_bits(raw: bytes, count: int) -> bytearray:
-    if len(raw) != (count + 7) >> 3:
-        raise TraceError("bit column length mismatch")
-    packed = np.frombuffer(raw, dtype=np.uint8)
-    flags = np.unpackbits(packed, count=count, bitorder="little")
-    return bytearray(flags.tobytes())
+        int_addrs, int_values, float_addrs, float_values = (
+            len(arrays[name]) for name, _ in _MEMORY
+        )
+        if int_addrs != int_values or float_addrs != float_values:
+            raise TraceError("memory image columns disagree in length")
+        return cls(meta, **arrays)

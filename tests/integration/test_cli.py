@@ -1,5 +1,10 @@
 """The ``python -m repro`` command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -83,3 +88,43 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "omnetpp: FAILED" in out
         assert "InjectedCrash" in out
+
+
+class TestSettingsErrors:
+    """A malformed or unknown ``REPRO_*`` variable is a bad invocation:
+    exit status 2 and one ``repro:`` line, never a traceback or the
+    "some jobs failed" status 1."""
+
+    @pytest.mark.parametrize(
+        "name, raw",
+        [("REPRO_BOGUS", "1"), ("REPRO_TRACE_LRU_MB", "inf")],
+    )
+    def test_bad_setting_exits_2_with_one_line(self, name, raw, tmp_path):
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        env.update(
+            {
+                name: raw,
+                "PYTHONPATH": str(src),
+                "REPRO_CACHE_DIR": str(tmp_path / ".cache"),
+            }
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "--jobs", "1", "table2"],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert lines[0].startswith(f"repro: {name}")
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+        assert list(tmp_path.iterdir()) == []

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
-import struct
 
+import numpy as np
 import pytest
 
 from repro.branchpred import GSharePredictor
 from repro.experiments import RunConfig, cachectl
 from repro.experiments.artifacts import ArtifactStore
 from repro.experiments.harness import prepare_benchmark
-from repro.uarch import InOrderCore, OutOfOrderCore, replay_vec
+from repro.uarch import InOrderCore, OutOfOrderCore, columns, replay_vec
 
 
 @pytest.fixture
@@ -145,6 +144,43 @@ class TestPrepPersistence:
         assert vec_io.registers == ref_io.registers
         assert vec_ooo.stats == ref_ooo.stats
         assert vec_ooo.registers == ref_ooo.registers
+
+
+    def test_latencies_beyond_a_byte_round_trip(self, store, tmp_path):
+        """A 300-cycle DRAM puts latencies above 255 into the slice's
+        columns: each is stored at the width its values need, and a
+        fresh store's attached slice replays to the reference core."""
+        config, baseline, _ = _quick_programs()
+        machine = config.machine_for(4)
+        slow = dataclasses.replace(
+            machine,
+            hierarchy=dataclasses.replace(
+                machine.hierarchy, dram_latency=300
+            ),
+        )
+        store.simulate_inorder(
+            baseline, slow, max_instructions=config.max_instructions
+        )
+        (blob_path,) = _prep_files(tmp_path)
+        header, arrays = columns.decode(
+            replay_vec._PREP_MAGIC, blob_path.read_bytes()
+        )
+        stored = {d["name"]: d["store"] for d in header["columns"]}
+        assert int(arrays["fetch_add"].max()) == 300
+        assert stored["fetch_add"] == "uint16"
+        assert arrays["fetch_add"].dtype == np.int64
+        fresh = ArtifactStore(cache_dir=tmp_path)
+        mark = fresh.mark()
+        replayed = fresh.simulate_inorder(
+            baseline, slow, max_instructions=config.max_instructions
+        )
+        assert fresh.delta(mark).get("prep_hits") == 1
+        executed = InOrderCore(slow).run(
+            baseline, max_instructions=config.max_instructions
+        )
+        assert replayed.stats == executed.stats
+        assert replayed.registers == executed.registers
+        assert replayed.memory.snapshot() == executed.memory.snapshot()
 
 
 class TestPrepInvalidation:
@@ -359,24 +395,14 @@ class TestPrepIntegrity:
 
 
 def _shorten_column(blob: bytes, name: str) -> bytes:
-    """``blob`` with column ``name`` one element short: the header's
-    descriptor shrinks and is space-padded back to its old length, so
-    every column keeps its offset and the container still parses."""
-    magic_len = len(replay_vec._PREP_MAGIC)
-    (header_len,) = struct.unpack_from("<I", blob, magic_len)
-    start = magic_len + 4
-    header = json.loads(blob[start : start + header_len])
-    (descriptor,) = [d for d in header["arrays"] if d["name"] == name]
-    assert descriptor["count"] >= 1
-    descriptor["nbytes"] -= descriptor["nbytes"] // descriptor["count"]
-    descriptor["count"] -= 1
-    encoded = json.dumps(header, sort_keys=True).encode()
-    assert len(encoded) <= header_len
-    return (
-        blob[:start]
-        + encoded.ljust(header_len)
-        + blob[start + header_len :]
-    )
+    """``blob`` re-encoded with column ``name`` one element short: a
+    well-formed container whose digests and counts all agree, so only
+    the length check against the trace can refuse it."""
+    header, arrays = columns.decode(replay_vec._PREP_MAGIC, blob)
+    assert len(arrays[name]) >= 1
+    arrays[name] = arrays[name][:-1]
+    del header["columns"]
+    return columns.encode(replay_vec._PREP_MAGIC, header, arrays)
 
 
 class TestCacheCtlSidecars:

@@ -40,8 +40,44 @@ MALFORMED = {
 }
 
 
+#: Every knob that parses a float.
+FLOAT_KNOBS = (
+    "REPRO_RETRY_BACKOFF",
+    "REPRO_JOB_TIMEOUT",
+    "REPRO_LEASE_TTL",
+    "REPRO_QUEUE_POLL",
+    "REPRO_QUEUE_GRACE_S",
+    "REPRO_TRACE_LRU_MB",
+    "REPRO_FAULT_HANG_S",
+)
+
+
 def test_every_knob_but_the_cache_dir_has_a_malformed_case():
     assert set(MALFORMED) == set(KNOBS) - {"REPRO_CACHE_DIR"}
+
+
+def test_float_knobs_are_the_knobs_that_take_a_fraction(monkeypatch):
+    takes_fraction = set()
+    for name in KNOBS:
+        monkeypatch.setenv(name, "2.5")
+        try:
+            if setting(name) == 2.5:
+                takes_fraction.add(name)
+        except ValueError:
+            pass
+        monkeypatch.delenv(name)
+    assert takes_fraction == set(FLOAT_KNOBS)
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", FLOAT_KNOBS)
+def test_float_knob_rejects_non_finite(name, raw, monkeypatch):
+    monkeypatch.setenv(name, raw)
+    expected = re.escape(f"{name}={raw!r}: expected a finite number")
+    with pytest.raises(ValueError, match=expected):
+        setting(name)
+    with pytest.raises(ValueError, match=expected):
+        check_settings()
 
 
 @pytest.mark.parametrize("name, raw", sorted(MALFORMED.items()))
@@ -59,6 +95,7 @@ def test_malformed_value_names_the_knob(name, raw, monkeypatch):
     "name, raw",
     [
         ("REPRO_TRACE_LRU_MB", "1G"),
+        ("REPRO_TRACE_LRU_MB", "inf"),
         ("REPRO_CACHE", "disabled"),
         ("REPRO_LEASE_TTL", "5m"),
         ("REPRO_TRACE_CACHE", "0"),
