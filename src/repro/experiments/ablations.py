@@ -8,130 +8,50 @@
   entries "empirically"; occupancy stays tiny because of back-pressure.
 * **Push-down ablation** -- disabling the resolution-slice push-down.
 
-Each sweep point is an independent engine job.  The TRAIN profile, the
-compiled programs, and (most importantly) the executed instruction
-streams are shared through the artifact store (:mod:`.artifacts`): the
-first sweep point of a benchmark captures each program's trace once,
-timing-free, and every point replays it bit-identically, so an N-point
-sweep pays for one capture per distinct program instead of N
-execute-driven runs.
+Each sweep point is an independent engine job that sweeps one knob
+away from its ``RunConfig``'s.  The TRAIN profile, the compiled
+programs, and (most importantly) the executed instruction streams are
+shared through the artifact store (:mod:`.artifacts`): the first sweep
+point of a benchmark captures each program's trace once, timing-free,
+and every point replays it bit-identically, so an N-point sweep pays
+for one capture per distinct program instead of N execute-driven runs;
+a worker builds the benchmark and compiles its baseline once for every
+point it runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-import json
-
 from ..analysis import render_table, speedup_percent
-from ..branchpred import HybridPredictor
-from ..compiler import compile_baseline, compile_decomposed
 from ..core import SelectionConfig, TransformConfig
-from ..ir import lower
 from ..uarch import capture_trace
-from ..workloads import spec_benchmark
 from .artifacts import get_store
-from .engine import ExperimentEngine, fingerprint, get_engine
-from .harness import RunConfig
+from .engine import ExperimentEngine, get_engine
+from .harness import RunConfig, prepare_benchmark
 
 
-def _prepared(name: str, config: RunConfig):
-    store = get_store()
-    spec = spec_benchmark(name, iterations=config.iterations)
-    train = spec.build(seed=config.train_seed)
-    ref = spec.build(seed=config.ref_seeds[0])
-    profile = store.profile(
-        lower(train),
-        max_instructions=config.max_instructions,
-        predictor_factory=HybridPredictor,
-    )
-    return ref, profile
-
-
-class _LazyPrepared:
-    """Defer workload building + profiling until a compile actually
-    misses.  Building the TRAIN/REF workloads costs real time per job;
-    a follower sweep point whose compile artifacts all hit never needs
-    them, so ``_prepared`` only runs on first use."""
-
-    def __init__(self, name: str, config: RunConfig) -> None:
-        self._name = name
-        self._config = config
-        self._value: Optional[tuple] = None
-
-    def __call__(self):
-        if self._value is None:
-            self._value = _prepared(self._name, self._config)
-        return self._value
-
-
-def _ablation_compile(name, config, variant, build):
-    store = get_store()
-    key = (
-        f"ablation|{name}|it={config.iterations}"
-        f"|train={config.train_seed}|ref={config.ref_seeds[0]}"
-        f"|budget={config.max_instructions}|"
-        + json.dumps(fingerprint(variant), sort_keys=True)
-    )
-    return store.compile(key, build)
-
-
-def _baseline_run(name: str, config: RunConfig):
-    store = get_store()
-    ref, profile = _prepared(name, config)
-    machine = config.machine_for(4)
-    baseline = _ablation_compile(
-        name, config, "baseline",
-        lambda: compile_baseline(ref, profile=profile),
-    )
-    base_run = store.simulate_inorder(
-        baseline.program, machine, max_instructions=config.max_instructions
-    )
-    return ref, profile, machine, base_run
-
-
-def _hoist_job(payload) -> dict:
-    name, depth, config = payload
+def _speedup_job(
+    name: str,
+    config: RunConfig,
+    selection: Optional[SelectionConfig] = None,
+    transform: Optional[TransformConfig] = None,
+) -> dict:
+    """Baseline vs decomposed at 4-wide, one knob swept away from
+    ``config``'s."""
     store = get_store()
     mark = store.mark()
-    ref, profile, machine, base_run = _baseline_run(name, config)
-    transform = TransformConfig(max_hoist_per_side=depth)
-    decomposed = _ablation_compile(
-        name, config, ("hoist", transform),
-        lambda: compile_decomposed(
-            ref, profile=profile, transform_config=transform
-        ),
+    baseline, decomposed = prepare_benchmark(
+        name, config.ref_seeds[0], config, store,
+        selection=selection, transform=transform,
     )
-    dec_run = store.simulate_inorder(
-        decomposed.program, machine, max_instructions=config.max_instructions
-    )
-    return {
-        "speedup": speedup_percent(base_run, dec_run),
-        "simulated_cycles": base_run.cycles + dec_run.cycles,
-        "committed_instructions": (
-            base_run.stats.committed + dec_run.stats.committed
-        ),
-        "artifacts": store.delta(mark),
-    }
-
-
-def _threshold_job(payload) -> dict:
-    name, threshold, config = payload
-    store = get_store()
-    mark = store.mark()
-    ref, profile, machine, base_run = _baseline_run(name, config)
-    selection = replace(
-        SelectionConfig(), min_exposed_predictability=threshold
-    )
-    decomposed = _ablation_compile(
-        name, config, ("threshold", selection),
-        lambda: compile_decomposed(
-            ref, profile=profile, selection_config=selection
-        ),
-    )
-    dec_run = store.simulate_inorder(
-        decomposed.program, machine, max_instructions=config.max_instructions
+    base_run, dec_run = (
+        store.simulate_inorder(
+            compiled.program, config.machine_for(4),
+            max_instructions=config.max_instructions,
+        )
+        for compiled in (baseline, decomposed)
     )
     return {
         "converted": decomposed.transform.converted,
@@ -144,40 +64,37 @@ def _threshold_job(payload) -> dict:
     }
 
 
+def _hoist_job(payload) -> dict:
+    name, depth, config = payload
+    return _speedup_job(
+        name, config,
+        transform=replace(config.transform, max_hoist_per_side=depth),
+    )
+
+
+def _threshold_job(payload) -> dict:
+    name, threshold, config = payload
+    return _speedup_job(
+        name, config,
+        selection=replace(
+            config.selection, min_exposed_predictability=threshold
+        ),
+    )
+
+
 def _push_down_job(payload) -> dict:
     name, push, config = payload
-    store = get_store()
-    mark = store.mark()
-    ref, profile, machine, base_run = _baseline_run(name, config)
-    transform = TransformConfig(push_down_slice=push)
-    decomposed = _ablation_compile(
-        name, config, ("pushdown", transform),
-        lambda: compile_decomposed(
-            ref, profile=profile, transform_config=transform
-        ),
+    return _speedup_job(
+        name, config,
+        transform=replace(config.transform, push_down_slice=push),
     )
-    dec_run = store.simulate_inorder(
-        decomposed.program, machine, max_instructions=config.max_instructions
-    )
-    return {
-        "speedup": speedup_percent(base_run, dec_run),
-        "simulated_cycles": base_run.cycles + dec_run.cycles,
-        "committed_instructions": (
-            base_run.stats.committed + dec_run.stats.committed
-        ),
-        "artifacts": store.delta(mark),
-    }
 
 
 def _dbb_job(payload) -> dict:
     name, size, config = payload
     store = get_store()
     mark = store.mark()
-    prep = _LazyPrepared(name, config)
-    decomposed = _ablation_compile(
-        name, config, "dbb-decomposed",
-        lambda: compile_decomposed(prep()[0], profile=prep()[1]),
-    )
+    _, decomposed = prepare_benchmark(name, config.ref_seeds[0], config, store)
     # The swept size now actually reaches the core (the old version
     # monkeypatched a default argument the core never used, so every
     # point silently simulated 16 entries).  The DBB never influences
@@ -275,11 +192,7 @@ def _btb_job(payload) -> dict:
     name, entries, config = payload
     store = get_store()
     mark = store.mark()
-    prep = _LazyPrepared(name, config)
-    decomposed = _ablation_compile(
-        name, config, "btb-decomposed",
-        lambda: compile_decomposed(prep()[0], profile=prep()[1]),
-    )
+    _, decomposed = prepare_benchmark(name, config.ref_seeds[0], config, store)
     # The BTB is purely a front-end timing structure (a miss on a
     # taken redirect only adds a bubble), so every size replays the
     # same captured trace.

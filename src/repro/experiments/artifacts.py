@@ -34,11 +34,15 @@ slice holds exactly the arrays its writer held.
 * **Profiles** (``.../profiles/<key>.json``): the measured per-branch
   :class:`~repro.branchpred.BranchStats`, keyed additionally by the
   measuring predictor.
-* **Compiles**: an in-process memo of
+* **Builds and compiles**: in-process memos, never on disk (their
+  values are live IR objects).  :meth:`ArtifactStore.build` keeps each
+  built workload function, keyed by every ``WorkloadSpec`` field plus
+  the input seed; :meth:`ArtifactStore.compile` keeps
   :func:`~repro.compiler.compile_baseline` /
-  :func:`~repro.compiler.compile_decomposed` outputs keyed by content
-  (``CompilationResult`` holds live IR objects, so this one never
-  touches disk).
+  :func:`~repro.compiler.compile_decomposed` outputs under the content
+  keys :func:`.harness.prepare_benchmark` gives them.  A pool worker
+  keeps both for its lifetime, so its later jobs reuse its earlier
+  jobs' builds and baseline compiles; a new process starts empty.
 
 All disk artifacts carry integrity validation: traces and prep
 slices via the checksummed column container
@@ -64,7 +68,7 @@ Counter semantics (reported per job via :meth:`ArtifactStore.mark` /
 ``trace_replays`` counts simulations served from a trace -- every
 trace-keyed simulation, including the one whose miss captured it,
 ``trace_hits``/``trace_misses`` count store lookups (memory or disk),
-``profile_*``/``btrace_*``/``compile_*`` likewise;
+``profile_*``/``btrace_*``/``build_*``/``compile_*`` likewise;
 ``prep_hits``/``prep_misses`` count prep-slice lookups on disk
 (layers already on the in-process trace object move no counter),
 ``prep_builds`` counts slices computed from scratch -- in a warm
@@ -119,6 +123,8 @@ _COUNTER_NAMES = (
     "btrace_misses",
     "profile_hits",
     "profile_misses",
+    "build_hits",
+    "build_misses",
     "compile_hits",
     "compile_misses",
     "store_puts",
@@ -139,6 +145,19 @@ _STORE_COUNTER_MAP = {
 #: one BranchStats dict per (program, budget, predictor) -- but sweeps
 #: can touch many predictors; keep the memo from growing unbounded).
 _PROFILE_MEMO_CAP = 128
+
+#: Bound on the in-process workload-build memo.  An entry is one IR
+#: function with its data segment (mcf's holds ~134k words), and a
+#: worker's jobs rarely span more than a few benchmarks at a time.
+_BUILD_MEMO_CAP = 16
+
+
+def _remember(memo: "OrderedDict", key: str, value, cap: int) -> None:
+    """Insert ``key`` as the newest entry of an LRU memo of ``cap``."""
+    memo[key] = value
+    memo.move_to_end(key)
+    while len(memo) > cap:
+        memo.popitem(last=False)
 
 
 class ArtifactStore:
@@ -179,6 +198,7 @@ class ArtifactStore:
         self._profile_memo: "OrderedDict[str, Dict[int, BranchStats]]" = (
             OrderedDict()
         )
+        self._build_memo: "OrderedDict[str, object]" = OrderedDict()
         self._compile_memo: Dict[str, object] = {}
 
     # -- counters ----------------------------------------------------------
@@ -483,7 +503,7 @@ class ArtifactStore:
         self._bump("profile_misses")
         events = self.branch_trace(program, max_instructions)
         profile = measure_trace(events, predictor_factory)
-        self._memo_profile(key, profile)
+        _remember(self._profile_memo, key, profile, _PROFILE_MEMO_CAP)
         self._write_atomic(
             self.profiles_dir / f"{key}.json",
             json.dumps(
@@ -497,14 +517,6 @@ class ArtifactStore:
             ).encode(),
         )
         return profile
-
-    def _memo_profile(
-        self, key: str, profile: Dict[int, BranchStats]
-    ) -> None:
-        self._profile_memo[key] = profile
-        self._profile_memo.move_to_end(key)
-        while len(self._profile_memo) > _PROFILE_MEMO_CAP:
-            self._profile_memo.popitem(last=False)
 
     def load_profile(
         self, key: str
@@ -546,19 +558,47 @@ class ArtifactStore:
             self._quarantine(path)
             return None
         self._bump("profile_hits")
-        self._memo_profile(key, profile)
+        _remember(self._profile_memo, key, profile, _PROFILE_MEMO_CAP)
         return profile
 
-    # -- compiled programs (in-process only) -------------------------------
+    # -- built workloads and compiled programs (in-process only) ----------
 
-    def compile(self, memo_key: str, build: Callable[[], object]):
-        """Memoise one compilation by content key.
+    def build(self, spec, seed: int):
+        """``spec.build(seed=seed)``, memoised by every field of the
+        :class:`~repro.workloads.WorkloadSpec` plus ``seed`` in a
+        bounded LRU (:data:`_BUILD_MEMO_CAP`).
+
+        Every caller gets the same :class:`~repro.ir.Function`, so it is
+        read-only: the compile pipelines clone it before they transform
+        it, and lowering copies its data segment.
+        """
+        import json
+
+        from .engine import fingerprint
+
+        if not setting("REPRO_TRACE_REPLAY"):
+            self._bump("build_misses")
+            return spec.build(seed=seed)
+        key = json.dumps([fingerprint(spec), seed], sort_keys=True)
+        func = self._build_memo.get(key)
+        if func is not None:
+            self._build_memo.move_to_end(key)
+            self._bump("build_hits")
+            return func
+        self._bump("build_misses")
+        func = spec.build(seed=seed)
+        _remember(self._build_memo, key, func, _BUILD_MEMO_CAP)
+        return func
+
+    def compile(self, memo_key: Optional[str], build: Callable[[], object]):
+        """Memoise one compilation by content key (``None``: the
+        content has no stable key, so compile without memoising).
 
         ``CompilationResult`` carries live ``Function``/``Program``
         objects, so this memo is in-process only; with ``jobs=N`` each
         worker process warms its own.
         """
-        if not setting("REPRO_TRACE_REPLAY"):
+        if memo_key is None or not setting("REPRO_TRACE_REPLAY"):
             self._bump("compile_misses")
             return build()
         cached = self._compile_memo.get(memo_key)

@@ -15,13 +15,22 @@ the rest load it instead of recomputing -- and the width loop rides
 the trace capture/replay fast path.  :func:`combine_seed_results`
 reassembles jobs into a :class:`BenchmarkOutcome` in REF-seed order,
 which keeps the parallel path byte-identical to ``jobs=1``.
+
+:func:`prepare_benchmark` is the one way any experiment turns a
+workload into compiled programs (build TRAIN and REF, profile TRAIN,
+compile baseline and decomposed).  Builds and compiles are memoised
+per process by content, not by experiment, so a worker that runs
+several jobs of one benchmark -- the rungs of the predictor ladder,
+the points of an ablation sweep -- builds it once and compiles its
+baseline once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis import (
     BenchmarkMetrics,
@@ -29,11 +38,15 @@ from ..analysis import (
     speedup_percent,
 )
 from ..branchpred import HybridPredictor
+# ``compile_baseline``, ``compile_decomposed`` and ``lower`` are called
+# through this module's globals: ``bench/spans.py`` wraps them here by
+# name to time the ``compiler.*`` and ``ir.lower`` layers.
 from ..compiler import compile_baseline, compile_decomposed
 from ..core import SelectionConfig, TransformConfig
 from ..ir import lower
-from ..uarch import InOrderCore, MachineConfig
-from ..workloads import spec_benchmark, suite_benchmarks
+from ..uarch import MachineConfig
+from ..uarch.trace import predictor_id
+from ..workloads import WorkloadSpec, spec_benchmark, suite_benchmarks
 
 
 @dataclass
@@ -129,51 +142,66 @@ class BenchmarkOutcome:
 
 
 def prepare_benchmark(
-    name: str, seed: int, config: RunConfig, store=None
+    benchmark: Union[str, WorkloadSpec],
+    seed: int,
+    config: RunConfig,
+    store=None,
+    predictor=HybridPredictor,
+    selection: Optional[SelectionConfig] = None,
+    transform: Optional[TransformConfig] = None,
 ):
-    """Profile (shared artifact) and compile (memoised) one REF input.
+    """Build, profile and compile one workload for one REF input.
 
-    The TRAIN profile is served from the content-addressed artifact
-    store, so concurrent seed jobs and ``--resume`` runs compute it
-    once; compilations are memoised in-process by content key.  Returns
-    ``(baseline, decomposed)`` :class:`~repro.compiler.CompilationResult`s.
+    ``benchmark`` is a SPEC benchmark name (built at
+    ``config.iterations``) or a ready :class:`WorkloadSpec`.  The TRAIN
+    and REF functions come from the store's build memo, the TRAIN
+    profile under ``predictor`` from the shared artifact store, and
+    both compiles from its compile memo, keyed by content: the
+    baseline by the workload, the TRAIN/REF seeds and the budget alone
+    (its layout reads only the profile's execution and taken counts,
+    which no predictor changes), the decomposed program also by
+    ``predictor`` and the ``selection``/``transform`` knobs (default:
+    ``config``'s).  Returns ``(baseline, decomposed)``
+    :class:`~repro.compiler.CompilationResult`s; the baseline carries
+    this call's profile.
     """
-    import json
-
     from .artifacts import get_store
     from .engine import fingerprint
 
     store = get_store(store)
-    spec = spec_benchmark(name, iterations=config.iterations)
-    train_func = spec.build(seed=config.train_seed)
+    spec = (
+        benchmark
+        if isinstance(benchmark, WorkloadSpec)
+        else spec_benchmark(benchmark, iterations=config.iterations)
+    )
+    selection = config.selection if selection is None else selection
+    transform = config.transform if transform is None else transform
     profile = store.profile(
-        lower(train_func),
+        lower(store.build(spec, config.train_seed)),
         max_instructions=config.max_instructions,
-        predictor_factory=HybridPredictor,
+        predictor_factory=predictor,
     )
-
-    ref_func = spec.build(seed=seed)
-    content = (
-        f"{name}|it={config.iterations}|train={config.train_seed}"
-        f"|ref={seed}|budget={config.max_instructions}"
-    )
-    knobs = json.dumps(
-        fingerprint((config.selection, config.transform)), sort_keys=True
+    ref = store.build(spec, seed)
+    content = json.dumps(
+        [fingerprint(spec), config.train_seed, seed, config.max_instructions]
     )
     baseline = store.compile(
         f"baseline|{content}",
-        lambda: compile_baseline(ref_func, profile=profile),
+        lambda: compile_baseline(ref, profile=profile),
     )
+    pid = predictor_id(predictor)
     decomposed = store.compile(
-        f"decomposed|{content}|{knobs}",
+        None if pid is None else "decomposed|" + json.dumps(
+            [content, pid, fingerprint((selection, transform))]
+        ),
         lambda: compile_decomposed(
-            ref_func,
+            ref,
             profile=profile,
-            selection_config=config.selection,
-            transform_config=config.transform,
+            selection_config=selection,
+            transform_config=transform,
         ),
     )
-    return baseline, decomposed
+    return dataclasses.replace(baseline, profile=profile), decomposed
 
 
 def run_seed(name: str, seed: int, config: RunConfig) -> Dict:

@@ -14,16 +14,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..analysis import render_table, speedup_percent
-from ..compiler import (
-    compile_baseline,
-    compile_decomposed,
-    compile_predicated,
-    profile_program,
-)
-from ..ir import lower
+from ..compiler import compile_predicated
 from ..workloads import BranchSiteSpec, WorkloadSpec
 from .artifacts import get_store
-from .harness import RunConfig
+from .harness import RunConfig, prepare_benchmark
 
 #: One representative branch per Figure 1 quadrant.
 QUADRANTS: Dict[str, BranchSiteSpec] = {
@@ -96,14 +90,11 @@ def run(config: Optional[RunConfig] = None) -> QuadrantResult:
     rows: List[QuadrantRow] = []
     for name, site in QUADRANTS.items():
         spec = _workload(name, site, config.iterations)
-        train = spec.build(seed=config.train_seed)
-        ref = spec.build(seed=config.ref_seeds[0])
-        profile = profile_program(
-            lower(train), max_instructions=config.max_instructions
+        seed = config.ref_seeds[0]
+        baseline, decomposed = prepare_benchmark(spec, seed, config, store)
+        predicated = compile_predicated(
+            store.build(spec, seed), profile=baseline.profile
         )
-        baseline = compile_baseline(ref, profile=profile)
-        predicated = compile_predicated(ref, profile=profile)
-        decomposed = compile_decomposed(ref, profile=profile)
 
         base_run, pred_run, dec_run = (
             store.simulate_inorder(

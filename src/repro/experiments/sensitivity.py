@@ -26,13 +26,15 @@ from ..branchpred import (
     IslTagePredictor,
     TagePredictor,
 )
-from ..compiler import compile_baseline, compile_decomposed
-from ..ir import lower
-from ..uarch import InOrderCore, MachineConfig
-from ..workloads import spec_benchmark
+# Unused here since every compile moved into
+# ``harness.prepare_benchmark``, but ``bench/spans.py`` wraps these
+# names in this module and raises ``KeyError`` if one is missing.
+from ..compiler import compile_baseline, compile_decomposed  # noqa: F401
+from ..ir import lower  # noqa: F401
+from ..uarch import MachineConfig
 from .artifacts import get_store
-from .engine import ExperimentEngine, fingerprint, get_engine
-from .harness import RunConfig
+from .engine import ExperimentEngine, get_engine
+from .harness import RunConfig, prepare_benchmark
 
 #: The hard-to-predict benchmarks the paper calls out.
 HARD_BENCHMARKS = ("astar", "sjeng", "gobmk", "mcf")
@@ -112,46 +114,19 @@ def _sensitivity_job(payload) -> Dict:
 
     The functional TRAIN branch stream is predictor-independent and
     shared through the artifact store, so a whole ladder costs one
-    functional run plus one (cheap) measurement per rung; the baseline
-    program's committed stream is predictor-independent too, so every
-    rung replays the same baseline trace.
+    functional run plus one (cheap) measurement per rung.  The baseline
+    program is predictor-independent too: a worker builds each
+    benchmark and compiles its baseline once for all the rungs it runs,
+    and every rung replays the same baseline trace.
     """
-    import json
-
     name, pred_name, config = payload
     factory = dict(LADDER)[pred_name]
     store = get_store()
     mark = store.mark()
-    spec = spec_benchmark(name, iterations=config.iterations)
-    train = spec.build(seed=config.train_seed)
-    ref = spec.build(seed=config.ref_seeds[0])
     # Profile/select with the same predictor the hardware runs:
     # better predictors expose more candidates, as in the paper.
-    profile = store.profile(
-        lower(train),
-        max_instructions=config.max_instructions,
-        predictor_factory=factory,
-    )
-    content = (
-        f"sensitivity|{name}|{pred_name}|it={config.iterations}"
-        f"|train={config.train_seed}|ref={config.ref_seeds[0]}"
-        f"|budget={config.max_instructions}"
-    )
-    knobs = json.dumps(
-        fingerprint((config.selection, config.transform)), sort_keys=True
-    )
-    baseline = store.compile(
-        f"baseline|{content}",
-        lambda: compile_baseline(ref, profile=profile),
-    )
-    decomposed = store.compile(
-        f"decomposed|{content}|{knobs}",
-        lambda: compile_decomposed(
-            ref,
-            profile=profile,
-            selection_config=config.selection,
-            transform_config=config.transform,
-        ),
+    baseline, decomposed = prepare_benchmark(
+        name, config.ref_seeds[0], config, store, predictor=factory
     )
     machine = MachineConfig.paper_default().with_predictor(factory)
     base_run = store.simulate_inorder(

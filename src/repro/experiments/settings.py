@@ -114,7 +114,8 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "it falls back to the local pool."),
     Knob("REPRO_TRACE_REPLAY", True, _flag,
          "The artifact fast path: trace capture and replay, shared "
-         "profiles and compiles; off runs the execute-driven cores."),
+         "builds, profiles and compiles; off runs the execute-driven "
+         "cores."),
     Knob("REPRO_PREP_CACHE", True, _flag,
          "Persisted replay-prep slices; off rebuilds the prep layers "
          "in each process, bit-identically."),

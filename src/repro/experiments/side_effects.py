@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..analysis import (
     geomean_speedup,
@@ -21,42 +21,10 @@ from ..analysis import (
     render_table,
     speedup_percent,
 )
-from ..branchpred import HybridPredictor
-from ..compiler import compile_baseline, compile_decomposed
-from ..ir import lower
-from ..uarch import InOrderCore, MachineConfig
-from ..workloads import spec_benchmark, suite_benchmarks
+from ..workloads import suite_benchmarks
 from .artifacts import get_store
 from .engine import ExperimentEngine, get_engine
-from .harness import RunConfig
-
-
-def _compiled(name: str, config: RunConfig, store):
-    """Profile + compile via the artifact store (default knobs, as these
-    studies always use; traces downstream are content-addressed, so
-    they are shared with the main harness runs automatically)."""
-    spec = spec_benchmark(name, iterations=config.iterations)
-    train = spec.build(seed=config.train_seed)
-    ref = spec.build(seed=config.ref_seeds[0])
-    profile = store.profile(
-        lower(train),
-        max_instructions=config.max_instructions,
-        predictor_factory=HybridPredictor,
-    )
-    content = (
-        f"sidefx|{name}|it={config.iterations}"
-        f"|train={config.train_seed}|ref={config.ref_seeds[0]}"
-        f"|budget={config.max_instructions}"
-    )
-    baseline = store.compile(
-        f"baseline|{content}",
-        lambda: compile_baseline(ref, profile=profile),
-    )
-    decomposed = store.compile(
-        f"decomposed|{content}",
-        lambda: compile_decomposed(ref, profile=profile),
-    )
-    return baseline, decomposed
+from .harness import RunConfig, prepare_benchmark
 
 
 @dataclass
@@ -91,7 +59,9 @@ def _issue_job(payload) -> dict:
     store = get_store()
     mark = store.mark()
     machine = config.machine_for(4)
-    baseline, decomposed = _compiled(name, config, store)
+    baseline, decomposed = prepare_benchmark(
+        name, config.ref_seeds[0], config, store
+    )
     base_run = store.simulate_inorder(
         baseline.program, machine,
         max_instructions=config.max_instructions,
@@ -188,7 +158,9 @@ def _icache_job(payload) -> dict:
     mark = store.mark()
     machine_32k = config.machine_for(4)
     machine_24k = machine_32k.with_icache_bytes(24 * 1024)
-    baseline, decomposed = _compiled(name, config, store)
+    baseline, decomposed = prepare_benchmark(
+        name, config.ref_seeds[0], config, store
+    )
     # One sweep call: one trace lookup, then a replay per geometry
     # (each on its own prep slice and region table).
     run_32k, run_24k = store.simulate_inorder_sweep(

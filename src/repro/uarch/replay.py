@@ -96,27 +96,42 @@ def _check_and_mode(program, trace: Trace, config: MachineConfig) -> bool:
     return recorded
 
 
-def _final_state(program, trace: Trace, stats: SimStats) -> SimulationResult:
-    """Materialise the architectural outcome recorded in the trace:
-    a fresh :class:`Memory` per replay, built from the memory-image
-    columns (``tolist`` gives back the Python ints and floats the
-    capturing run stored, so every word's ``repr`` is unchanged)."""
-    memory = Memory.from_snapshot(
-        chain(
-            zip(trace.mem_int_addrs.tolist(), trace.mem_int_values.tolist()),
-            zip(
-                trace.mem_float_addrs.tolist(),
-                trace.mem_float_values.tolist(),
-            ),
-        ),
-        trace.meta["faults_suppressed"],
-    )
-    return SimulationResult(
-        stats=stats,
-        registers=list(trace.meta["registers"]),
-        memory=memory,
-        program=program,
-    )
+class _ReplayResult(SimulationResult):
+    """The architectural outcome recorded in a trace.
+
+    Sweep consumers read only ``stats``, so the final memory image
+    stays in the trace's four memory-image columns until ``memory`` (or
+    ``memory_snapshot()``) is first read; a fresh :class:`Memory` is
+    built then, once (``tolist`` gives back the Python ints and floats
+    the capturing run stored, so every word's ``repr`` is unchanged).
+    """
+
+    def __init__(self, program, trace: Trace, stats: SimStats) -> None:
+        self.stats = stats
+        self.registers = list(trace.meta["registers"])
+        self.program = program
+        self._image = (
+            trace.mem_int_addrs,
+            trace.mem_int_values,
+            trace.mem_float_addrs,
+            trace.mem_float_values,
+        )
+        self._faults_suppressed = trace.meta["faults_suppressed"]
+        self._memory: Optional[Memory] = None
+
+    @property
+    def memory(self) -> Memory:
+        if self._memory is None:
+            int_addrs, int_values, float_addrs, float_values = self._image
+            self._memory = Memory.from_snapshot(
+                chain(
+                    zip(int_addrs.tolist(), int_values.tolist()),
+                    zip(float_addrs.tolist(), float_values.tolist()),
+                ),
+                self._faults_suppressed,
+            )
+            self._image = None
+        return self._memory
 
 
 def replay_inorder(
@@ -134,7 +149,7 @@ def replay_inorder(
         return InOrderCore(config).run(
             program, max_instructions=trace.meta["budget"]
         )
-    return _final_state(program, trace, stats)
+    return _ReplayResult(program, trace, stats)
 
 
 def replay_ooo(
@@ -160,4 +175,4 @@ def replay_ooo(
         return OutOfOrderCore(config, window=window).run(
             program, max_instructions=trace.meta["budget"]
         )
-    return _final_state(program, trace, stats)
+    return _ReplayResult(program, trace, stats)

@@ -34,9 +34,10 @@ so each site has an independently-dialed bias and predictability.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..ir import Function, FunctionBuilder
 from .branch_process import BranchSiteSpec, generate_outcomes
@@ -53,6 +54,9 @@ CHASE_WINDOW_LINES = {"l2": 1024, "l3": 8192, "dram": 65536}
 
 #: Words per cache line.
 _LINE_WORDS = 8
+
+#: The cold chase sits past the largest condition-chase window.
+_COLD_CHASE_BASE = COLD_BASE + CHASE_WINDOW_LINES["dram"] * _LINE_WORDS
 
 # Fixed register roles.
 _R_I = 1  # loop counter
@@ -93,6 +97,26 @@ def _chase_chain(base_word: int, lines: int, rng: random.Random) -> Dict[int, in
         base_word + i * _LINE_WORDS: base_word + perm[i] * _LINE_WORDS
         for i in range(lines)
     }
+
+
+@functools.lru_cache(maxsize=8)
+def _chase_chains(
+    name: str, cond_lines: int, cold_lines: int
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """The condition and cold chase chains of workload ``name``
+    (a window of 0 lines means no chain).
+
+    Both shuffles draw from one RNG seeded by the name alone, cond
+    first, so the pair is the same for every input seed: TRAIN and REF
+    builds, and every rebuild in a process, share one pair.  Callers
+    only copy the chains into a data segment; never mutate them.
+    """
+    rng = random.Random(_stable_hash(name) ^ 0xC0FFEE)
+    cond = _chase_chain(COLD_BASE, cond_lines, rng) if cond_lines else {}
+    cold = (
+        _chase_chain(_COLD_CHASE_BASE, cold_lines, rng) if cold_lines else {}
+    )
+    return cond, cold
 
 
 @dataclass
@@ -165,7 +189,7 @@ class WorkloadSpec:
 
     @property
     def cold_chase_base(self) -> int:
-        return COLD_BASE + CHASE_WINDOW_LINES["dram"] * _LINE_WORDS
+        return _COLD_CHASE_BASE
 
     def site_key(self, site: int) -> int:
         return _stable_hash(self.name) * 10007 + site
@@ -211,7 +235,6 @@ def build_workload(spec: WorkloadSpec, seed: int = 0) -> Function:
             if bit:
                 fb.function.data[base + i] = 1
 
-    chain_rng = random.Random(_stable_hash(spec.name) ^ 0xC0FFEE)
     use_cond_chase = spec.cond_miss != "none"
     use_cold_chase = spec.cold_loads_per_block > 0
     heavy_count = sum(1 for site in spec.sites if site.heavy) or 1
@@ -235,18 +258,12 @@ def build_workload(spec: WorkloadSpec, seed: int = 0) -> Function:
         )
         return min(window, max(16, heavy_count * iters // 3))
 
-    if use_cond_chase:
-        fb.function.data.update(
-            _chase_chain(
-                spec.cond_chase_base, chase_window(spec.cond_miss), chain_rng
-            )
-        )
-    if use_cold_chase:
-        fb.function.data.update(
-            _chase_chain(
-                spec.cold_chase_base, chase_window(spec.cold_miss), chain_rng
-            )
-        )
+    for chain in _chase_chains(
+        spec.name,
+        chase_window(spec.cond_miss) if use_cond_chase else 0,
+        chase_window(spec.cold_miss) if use_cold_chase else 0,
+    ):
+        fb.function.data.update(chain)
 
     # ---- init & loop head ---------------------------------------------------
     init = fb.block("init")

@@ -30,7 +30,7 @@ from repro.compiler import (
 )
 from repro.experiments.sensitivity import LADDER
 from repro.ir import lower
-from repro.isa import Instruction, Opcode, assemble
+from repro.isa import Instruction, Memory, Opcode, assemble
 from repro.isa.decode import predecode
 from repro.uarch import (
     InOrderCore,
@@ -248,6 +248,33 @@ def test_container_detects_corruption():
     flipped[-1] ^= 0xFF  # corrupt the last column payload
     with pytest.raises(TraceError):
         Trace.from_bytes(bytes(flipped))
+
+
+def test_replay_builds_its_memory_image_once(bzip2_programs, monkeypatch):
+    """A replay leaves the final memory image in the trace's columns
+    until it is read, then builds one ``Memory``, equal to the core's."""
+    program = bzip2_programs["baseline"]
+    machine = MachineConfig.paper_default()
+    executed = InOrderCore(machine).run(
+        program, max_instructions=generate.MAX_INSTRUCTIONS
+    )
+    builds = []
+    real = Memory.from_snapshot
+
+    def counting(pairs, faults_suppressed=0):
+        builds.append(faults_suppressed)
+        return real(pairs, faults_suppressed)
+
+    monkeypatch.setattr(Memory, "from_snapshot", counting)
+    replayed = replay_inorder(program, _capture(program, machine), machine)
+    assert builds == []
+    assert replayed.memory_snapshot() == executed.memory_snapshot()
+    assert replayed.memory is replayed.memory
+    assert (
+        replayed.memory.faults_suppressed
+        == executed.memory.faults_suppressed
+    )
+    assert len(builds) == 1
 
 
 def test_max_outstanding_predicts_is_size_independent():

@@ -2,9 +2,18 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workloads.synthetic import _LINE_WORDS, _chase_chain
+from repro.ir import lower
+from repro.uarch.trace import content_digest
+from repro.workloads import spec_benchmark
+from repro.workloads.synthetic import (
+    CHASE_WINDOW_LINES,
+    _LINE_WORDS,
+    _chase_chain,
+    _chase_chains,
+)
 
 
 @settings(max_examples=20, deadline=None)
@@ -50,3 +59,33 @@ def test_no_self_loops():
     chain = _chase_chain(0, 128, random.Random(3))
     for address, target in chain.items():
         assert address != target
+
+
+@pytest.mark.parametrize("name", ["mcf", "omnetpp"])
+def test_chase_cache_leaves_builds_unchanged(name):
+    """mcf draws two 65,536-line DRAM chains, omnetpp two l3 chains
+    whose windows grow with the iteration count.  Every (size, seed)
+    build lowers to the same program with the chase cache cleared
+    before it and with the cache warm from the other builds."""
+    builds = [
+        (spec_benchmark(name, iterations=iterations), seed)
+        for iterations in (40, 80)
+        for seed in (0, 1, 2)
+    ]
+    cold = []
+    for spec, seed in builds:
+        _chase_chains.cache_clear()
+        cold.append(content_digest(lower(spec.build(seed=seed))))
+    warm = [
+        content_digest(lower(spec.build(seed=seed))) for spec, seed in builds
+    ]
+    assert warm == cold
+    # Every seed of one size shares one pair (mcf's windows do not
+    # depend on the size).
+    info = _chase_chains.cache_info()
+    assert info.hits > 0
+    assert info.currsize == (1 if name == "mcf" else 2)
+    if name == "mcf":
+        dram = CHASE_WINDOW_LINES["dram"]
+        cond, cold_chain = _chase_chains(name, dram, dram)
+        assert len(cond) == len(cold_chain) == 65536
