@@ -200,6 +200,8 @@ class ArtifactStore:
         )
         self._build_memo: "OrderedDict[str, object]" = OrderedDict()
         self._compile_memo: Dict[str, object] = {}
+        #: Program key -> content digest (see :meth:`profile`).
+        self._program_digests: Dict[str, str] = {}
 
     # -- counters ----------------------------------------------------------
 
@@ -389,10 +391,12 @@ class ArtifactStore:
 
     # -- branch traces (functional TRAIN runs) -----------------------------
 
-    def branch_trace(
-        self, program, max_instructions: int
+    def _branch_trace(
+        self, digest: str, program: Callable, max_instructions: int
     ) -> List[Tuple[int, bool]]:
-        """The (predictor-independent) TRAIN branch-outcome stream."""
+        """The (predictor-independent) TRAIN branch-outcome stream of
+        the program ``program()`` returns, whose content digest is
+        ``digest``; ``program`` is called only for a functional run."""
         import hashlib
         import json
         import zlib
@@ -402,14 +406,14 @@ class ArtifactStore:
         if not setting("REPRO_TRACE_REPLAY"):
             self._bump("btrace_misses")
             return collect_branch_trace(
-                program, max_instructions=max_instructions
+                program(), max_instructions=max_instructions
             )
         key = hashlib.sha256(
             json.dumps(
                 {
                     "kind": "btrace",
                     "schema": ARTIFACT_SCHEMA,
-                    "program": content_digest(program),
+                    "program": digest,
                     "budget": max_instructions,
                     "code": code_version(),
                 },
@@ -441,7 +445,7 @@ class ArtifactStore:
                 return events
         self._bump("btrace_misses")
         events = collect_branch_trace(
-            program, max_instructions=max_instructions
+            program(), max_instructions=max_instructions
         )
         self._btrace_memo[key] = events
         blob = zlib.compress(
@@ -462,34 +466,53 @@ class ArtifactStore:
 
     def profile(
         self,
-        program,
+        program_key: str,
+        lower: Callable[[], object],
         max_instructions: int,
         predictor_factory: Callable,
     ) -> Dict[int, BranchStats]:
-        """Shared equivalent of :func:`repro.compiler.profile_program`.
+        """Shared equivalent of :func:`repro.compiler.profile_program`
+        for the program ``lower()`` returns, which ``program_key``
+        names by content (a build memo key, for example).
 
         The functional branch trace and the measured statistics are
         separate artifacts, so a predictor ladder pays for one
         functional TRAIN run total plus one (cheap) measurement per
         predictor.  A factory without a stable name (lambda/closure)
-        disables sharing and computes directly.
+        disables sharing and computes directly.  The store remembers
+        the program's content digest under ``program_key``: ``lower``
+        runs for the first call with a key, and later for a functional
+        run only, so a profile or branch-trace hit neither lowers nor
+        hashes the program.
         """
         import hashlib
         import json
 
         from .engine import code_version
 
+        lowered = None
+
+        def program():
+            nonlocal lowered
+            if lowered is None:
+                lowered = lower()
+            return lowered
+
+        digest = self._program_digests.get(program_key)
+        if digest is None:
+            digest = content_digest(program())
+            self._program_digests[program_key] = digest
         pid = predictor_id(predictor_factory)
         if pid is None or not setting("REPRO_TRACE_REPLAY"):
             self._bump("profile_misses")
-            events = self.branch_trace(program, max_instructions)
+            events = self._branch_trace(digest, program, max_instructions)
             return measure_trace(events, predictor_factory)
         key = hashlib.sha256(
             json.dumps(
                 {
                     "kind": "profile",
                     "schema": ARTIFACT_SCHEMA,
-                    "program": content_digest(program),
+                    "program": digest,
                     "budget": max_instructions,
                     "predictor": pid,
                     "code": code_version(),
@@ -501,7 +524,7 @@ class ArtifactStore:
         if profile is not None:
             return profile
         self._bump("profile_misses")
-        events = self.branch_trace(program, max_instructions)
+        events = self._branch_trace(digest, program, max_instructions)
         profile = measure_trace(events, predictor_factory)
         _remember(self._profile_memo, key, profile, _PROFILE_MEMO_CAP)
         self._write_atomic(

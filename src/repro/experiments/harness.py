@@ -141,6 +141,27 @@ class BenchmarkOutcome:
         return max(per_seed.values())
 
 
+def train_profile(
+    spec: WorkloadSpec, config: RunConfig, store, predictor=HybridPredictor
+):
+    """The TRAIN profile of ``spec`` under ``predictor``, through the
+    store: the TRAIN function from its build memo, the profile from
+    the shared artifact.  The store lowers the function (through this
+    module's ``lower``, which ``bench/spans.py`` times) the first time
+    this process profiles it and remembers the program's digest under
+    the build's key; after that, a profile or branch-trace hit needs
+    neither the lowered program nor its digest."""
+    from .engine import fingerprint
+
+    train = store.build(spec, config.train_seed)
+    return store.profile(
+        json.dumps([fingerprint(spec), config.train_seed]),
+        lambda: lower(train),
+        max_instructions=config.max_instructions,
+        predictor_factory=predictor,
+    )
+
+
 def prepare_benchmark(
     benchmark: Union[str, WorkloadSpec],
     seed: int,
@@ -155,7 +176,7 @@ def prepare_benchmark(
     ``benchmark`` is a SPEC benchmark name (built at
     ``config.iterations``) or a ready :class:`WorkloadSpec`.  The TRAIN
     and REF functions come from the store's build memo, the TRAIN
-    profile under ``predictor`` from the shared artifact store, and
+    profile under ``predictor`` from :func:`train_profile`, and
     both compiles from its compile memo, keyed by content: the
     baseline by the workload, the TRAIN/REF seeds and the budget alone
     (its layout reads only the profile's execution and taken counts,
@@ -176,11 +197,7 @@ def prepare_benchmark(
     )
     selection = config.selection if selection is None else selection
     transform = config.transform if transform is None else transform
-    profile = store.profile(
-        lower(store.build(spec, config.train_seed)),
-        max_instructions=config.max_instructions,
-        predictor_factory=predictor,
-    )
+    profile = train_profile(spec, config, store, predictor)
     ref = store.build(spec, seed)
     content = json.dumps(
         [fingerprint(spec), config.train_seed, seed, config.max_instructions]

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..analysis import render_table
-from ..branchpred import measure_trace
-from ..compiler import profile_program
 from ..core import BranchClass, SelectionConfig, classify_branch
-from ..ir import lower
 from ..workloads import spec_benchmark, suite_benchmarks
-from .harness import RunConfig
+from .artifacts import get_store
+from .harness import RunConfig, train_profile
 
 
 @dataclass
@@ -55,12 +53,14 @@ def run(
     selection: SelectionConfig = SelectionConfig(),
 ) -> TaxonomyResult:
     config = config or RunConfig()
+    store = get_store()
     counts: Dict[str, Dict[BranchClass, int]] = {}
     for name in suite_benchmarks(suite):
-        spec = spec_benchmark(name, iterations=config.iterations)
-        profile = profile_program(
-            lower(spec.build(seed=config.train_seed)),
-            max_instructions=config.max_instructions,
+        # The hybrid predictor is ``profile_program``'s default.
+        profile = train_profile(
+            spec_benchmark(name, iterations=config.iterations),
+            config,
+            store,
         )
         per_bench: Dict[BranchClass, int] = {}
         for stats in profile.values():

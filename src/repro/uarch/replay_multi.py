@@ -16,15 +16,17 @@ deltas it produces are unchanged.  So the stream is cut into
 *regions* at every front-end redirect, region contents are interned
 (identical code stretches recur constantly in loop-heavy traces), and
 the walk's clock-coupled state between regions is *canonicalised
-relative to its own issue frontier*.  A walk entering an already-seen
-``(region content, entry scoreboard-source mask, canonical state)``
-replays the memoised transition -- an integer dict hit -- instead of
-re-walking the region instruction by instruction.  The memo key is
-exact, so the walk's accumulators are **bit-identical** to a walk of
-the whole stream, and through it to the execute-driven reference core
-(:class:`InOrderCore`) that the golden suite pins; the equivalence
-tests in ``tests/uarch`` and the golden-pinned replays in
-``tests/golden`` hold it there.
+relative to its own issue frontier* -- the reg-from-load bit of every
+live scoreboard register included, so the region table is only
+contents and the region-id sequence.  A walk entering an already-seen
+``(region content, canonical state)`` replays the memoised transition
+-- an integer dict hit -- instead of re-walking the region instruction
+by instruction; a miss that follows a miss steps the absolute state
+the walk already holds.  The memo key is exact, so the walk's
+accumulators are **bit-identical** to a walk of the whole stream, and
+through it to the execute-driven reference core (:class:`InOrderCore`)
+that the golden suite pins; the equivalence tests in ``tests/uarch``
+and the golden-pinned replays in ``tests/golden`` hold it there.
 
 The walk declines (returns ``None``, and the caller runs the
 reference core) outside the vectorized path's own guards: an
@@ -45,7 +47,7 @@ to prove that whole chain end to end.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -88,34 +90,22 @@ _REDIRECT_LUT[sorted(_REDIRECTS)] = True
 
 
 def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
-    """Cut the fused stream at every redirect, intern region contents
-    and occurrence sites.
+    """Cut the fused stream at every redirect and intern region
+    contents.
 
     Returns the shared (config-independent) region table:
 
-    * ``contents``   -- region id -> 7 column tuples (act, fetch_add,
+    * ``contents`` -- region id -> 7 column tuples (act, fetch_add,
       lat, fu, dest, src0, rest) for the region's instructions;
-    * ``sites``      -- occurrence index -> site id, where a *site* is
-      an interned ``(region id, entry scoreboard-source mask)`` pair:
-      two occurrences share a site exactly when a walk entering them
-      in the same canonical state must behave identically;
-    * ``site_rids`` / ``site_masks`` -- site id -> components.
-
-    The entry mask records which architectural registers were last
-    written by a load at region entry (``reg_from_load``).  It is
-    stream-determined -- ALU/CALL writes clear a bit, load writes set
-    it -- hence shared by every config, and stale scoreboard *times*
-    never consult it (a ``reg_ready`` at or below the walk's issue
-    frontier can never win the operand-ready max).
+    * ``rids``     -- occurrence index -> region id, in stream order.
 
     Built from the arrays: a region's key is the bytes of its rows in
     an ``(n, 4)`` table of (action, fetch add, latency, operand
-    signature), where the per-pc signature interns (fu, dest, src0,
-    rest) -- so two occurrences share an id exactly when their column
-    tuples are equal, and the tuples are built once per distinct
-    region.  Each distinct region also reduces to the registers it
-    writes and those whose last write in it is a load, which carries
-    the entry mask across an occurrence in one step.
+    signature), where the signature interns the base layer's per-pc
+    ``(fu, dest, src0, rest)`` tuple -- so two occurrences share an id
+    exactly when their column tuples are equal, and the tuples are
+    built once per distinct region.  Which registers a load last
+    wrote is walk state (:func:`_canon`), not part of the table.
     """
     act = kernel["act"]
     lat = kernel["lat"]
@@ -128,21 +118,12 @@ def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
         ends = np.append(ends, n)
     bounds = np.concatenate(([0], ends)).tolist()
 
-    fu_by_pc = base["fu_by_pc"]
-    dest_by_pc = base["dest_by_pc"]
-    src0_by_pc = base["src0_by_pc"]
-    rest_by_pc = base["rest_by_pc"]
-    # Two pcs share a signature exactly when their (fu, dest, src0,
-    # rest) columns are equal.
+    ops_by_pc = base["ops_by_pc"]
+    # Two pcs share a signature exactly when their operand tuples are
+    # equal.
     signatures: Dict[tuple, int] = {}
     sig_by_pc = np.array(
-        [
-            signatures.setdefault(operands, len(signatures))
-            for operands in zip(
-                fu_by_pc.tolist(), dest_by_pc.tolist(), src0_by_pc,
-                rest_by_pc,
-            )
-        ],
+        [signatures.setdefault(ops, len(signatures)) for ops in ops_by_pc],
         np.int64,
     )
 
@@ -155,63 +136,27 @@ def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
     buf = rows.tobytes()
     del rows
 
-    ALU = rv.F_ALU
-    CALL = rv.F_CALL
-    LD_HIT = rv.F_LD_HIT
-    LD_MISS = rv.F_LD_MISS
-
     intern: Dict[bytes, int] = {}
     contents: List[tuple] = []
-    written: List[int] = []
-    loaded: List[int] = []
-    site_intern: Dict[Tuple[int, int], int] = {}
-    site_rids: List[int] = []
-    site_masks: List[int] = []
-    sites: List[int] = []
-    mask = 0
+    rids: List[int] = []
     for s, e in zip(bounds[:-1], bounds[1:]):
         key = buf[s * row_bytes : e * row_bytes]
         rid = intern.get(key)
         if rid is None:
             rid = len(contents)
             intern[key] = rid
-            region_pcs = pcs[s:e]
-            pc_list = region_pcs.tolist()
-            content = (
-                tuple(act[s:e].tolist()),
-                tuple(add[s:e].tolist()),
-                tuple(lat[s:e].tolist()),
-                tuple(fu_by_pc[region_pcs].tolist()),
-                tuple(dest_by_pc[region_pcs].tolist()),
-                tuple([src0_by_pc[pc] for pc in pc_list]),
-                tuple([rest_by_pc[pc] for pc in pc_list]),
+            # Regions are never empty, so the transpose yields all four
+            # operand columns.
+            contents.append(
+                (
+                    tuple(act[s:e].tolist()),
+                    tuple(add[s:e].tolist()),
+                    tuple(lat[s:e].tolist()),
+                    *zip(*[ops_by_pc[pc] for pc in pcs[s:e].tolist()]),
+                )
             )
-            contents.append(content)
-            w = ld = 0
-            for a, d in zip(content[0], content[4]):
-                if a == ALU or a == CALL:
-                    w |= 1 << d
-                    ld &= ~(1 << d)
-                elif a == LD_HIT or a == LD_MISS:
-                    w |= 1 << d
-                    ld |= 1 << d
-            written.append(w)
-            loaded.append(ld)
-        site_key = (rid, mask)
-        sid = site_intern.get(site_key)
-        if sid is None:
-            sid = len(site_rids)
-            site_intern[site_key] = sid
-            site_rids.append(rid)
-            site_masks.append(mask)
-        sites.append(sid)
-        mask = (mask & ~written[rid]) | loaded[rid]
-    return {
-        "contents": contents,
-        "sites": sites,
-        "site_rids": site_rids,
-        "site_masks": site_masks,
-    }
+        rids.append(rid)
+    return {"contents": contents, "rids": rids}
 
 
 def _regions_for(prepared, trace: Trace):
@@ -235,26 +180,29 @@ def _regions_for(prepared, trace: Trace):
 #    actives, heap_rel)
 # where ring entries at or below the fetch cycle clamp to the fetch
 # delta (the gate test is strictly ``gate > fetch_cycle`` and the
-# fetch cycle is monotone inside a region, so any such entry is
-# equivalent), scoreboard entries at or below ``pi`` drop (they can
-# never win the operand max), and heap entries at or below ``pi``
-# drop (the kernel pops them before they are ever compared).
+# fetch cycle never decreases, so any such entry is equivalent),
+# heap entries at or below ``pi`` drop (the kernel pops them before
+# they are ever compared), and ``actives`` keeps each scoreboard
+# register whose ready time is above ``pi`` as (register, delta,
+# reg-from-load bit).  A register at or below ``pi`` can never win the
+# operand max -- ``pi`` only grows, so it stays dead until rewritten,
+# and a write sets its bit -- so its bit is never read and drops with
+# it.
 
 
 def _canon(state) -> tuple:
-    fc, fs, pi, wt, wc, pts, pcs, rr, ring, rp, heap = state
+    fc, fs, pi, wt, wc, pts, pcs, rr, rfl, ring, rp, heap = state
     fcrel = fc - pi
     rel_ring = tuple(
-        (gate - pi) if gate > fc else fcrel
-        for gate in ring[rp:] + ring[:rp]
+        [(gate - pi) if gate > fc else fcrel for gate in ring[rp:] + ring[:rp]]
     )
     actives = tuple(
-        (i, rr[i] - pi) for i in range(65) if rr[i] > pi
+        [(i, ready - pi, rfl[i]) for i, ready in enumerate(rr) if ready > pi]
     )
-    h = tuple(sorted(x - pi for x in heap if x > pi))
+    h = tuple(sorted([x - pi for x in heap if x > pi]))
     wrel = (0, wc) if wt == pi else (-1, 0)
     prel = tuple(
-        (0, pcs[f]) if pts[f] == pi else (-1, 0) for f in (1, 2, 3)
+        [(0, pcs[f]) if pts[f] == pi else (-1, 0) for f in (1, 2, 3)]
     )
     return (fcrel, fs, wrel, prel, rel_ring, actives, h)
 
@@ -263,8 +211,10 @@ def _materialize(c: tuple, pi: int):
     fcrel, fs, wrel, prel, rel_ring, actives, h = c
     ring = [pi + r for r in rel_ring]
     rr = [0] * 65
-    for i, rel in actives:
+    rfl = [False] * 65
+    for i, rel, from_load in actives:
         rr[i] = pi + rel
+        rfl[i] = from_load
     heap = [pi + x for x in h]
     wt = pi if wrel[0] == 0 else -1
     wc = wrel[1]
@@ -274,26 +224,26 @@ def _materialize(c: tuple, pi: int):
         if prel[f - 1][0] == 0:
             pts[f] = pi
             pcs[f] = prel[f - 1][1]
-    return (pi + fcrel, fs, pi, wt, wc, pts, pcs, rr, ring, 0, heap)
+    return (pi + fcrel, fs, pi, wt, wc, pts, pcs, rr, rfl, ring, 0, heap)
 
 
-def _step_region(content, entry_rfl: List[int], state, consts):
-    """Walk one region from a materialised absolute state, one
-    instruction at a time, as ``InOrderCore.run`` times it: in-order
-    issue times never decrease, so the core's stamped width and port
-    rings collapse to counters at the current issue cycle, and the
-    fetch-buffer gate ring is always consulted (its entries start at 0
-    and the gate test is strict, so an unfilled ring never gates).
-    ``entry_rfl`` is the site's entry mask as a 65-entry
-    ``reg_from_load`` list; the walk updates a copy.
+def _step_region(content, state, consts):
+    """Walk one region from an absolute state, one instruction at a
+    time, as ``InOrderCore.run`` times it: in-order issue times never
+    decrease, so the core's stamped width and port rings collapse to
+    counters at the current issue cycle, and the fetch-buffer gate ring
+    is always consulted (its entries start at 0 and the gate test is
+    strict, so an unfilled ring never gates).  ``state`` is updated in
+    place: its lists (scoreboard, reg-from-load bits, rings, heap)
+    belong to the walk, which either materialised them from a
+    canonical state or holds them from the region before.
 
     Returns ``(state', d_load_use, d_resolution, max_complete,
     halted)``.
     """
     width, port_caps, front_depth, fb, taken_bubble, miss_bubble, \
         mb_entries = consts
-    fc, fs, pi, wt, wc, pts, pcs, rr, ring, rp, heap = state
-    rfl = entry_rfl[:]
+    fc, fs, pi, wt, wc, pts, pcs, rr, rfl, ring, rp, heap = state
     lus = 0
     rst = 0
     maxc = -1
@@ -457,7 +407,7 @@ def _step_region(content, entry_rfl: List[int], state, consts):
         if complete > maxc:
             maxc = complete
 
-    return (fc, fs, pi, wt, wc, pts, pcs, rr, ring, rp, heap), \
+    return (fc, fs, pi, wt, wc, pts, pcs, rr, rfl, ring, rp, heap), \
         lus, rst, maxc, halted
 
 
@@ -517,11 +467,7 @@ def replay_inorder_multi_stats(
     regions = _regions_for(prepared, trace)
 
     contents = regions["contents"]
-    site_rids = regions["site_rids"]
-    site_masks = regions["site_masks"]
-    n_sites = len(site_rids)
-    # Site id -> its entry mask as a reg_from_load list, on first miss.
-    site_rfls: List[Optional[List[int]]] = [None] * n_sites
+    n_regions = len(contents)
 
     state_ids: Dict[tuple, int] = {}
     states: List[tuple] = []
@@ -535,35 +481,35 @@ def replay_inorder_multi_stats(
         return cid
 
     consts = _walk_consts(config)
-    # Transition memo keyed ``state_id * n_sites + site_id``: one int.
+    # Transition memo keyed ``state_id * n_regions + region_id``: one
+    # int.
     memo: Dict[int, tuple] = {}
     cid = intern_state(
         (0, 0, (-1, 0), ((-1, 0),) * 3, (0,) * consts[3], (), ())
     )
     pi = lc = lus = rst = 0
-    for sid in regions["sites"]:
-        key = cid * n_sites + sid
+    # The absolute state the previous region left when it was stepped;
+    # a memo hit advances only ``pi`` and ``cid``, which leaves it
+    # stale, so the next miss materialises a fresh one.
+    state = None
+    for rid in regions["rids"]:
+        key = cid * n_regions + rid
         t = memo.get(key)
         if t is None:
-            rfl = site_rfls[sid]
-            if rfl is None:
-                mask = site_masks[sid]
-                rfl = [(mask >> i) & 1 for i in range(65)]
-                site_rfls[sid] = rfl
-            st2, dlus, drst, m, halted = _step_region(
-                contents[site_rids[sid]],
-                rfl,
-                _materialize(states[cid], pi),
-                consts,
+            if state is None:
+                state = _materialize(states[cid], pi)
+            state, dlus, drst, m, halted = _step_region(
+                contents[rid], state, consts
             )
-            pi2 = st2[2]
-            cid = intern_state(_canon(st2))
+            pi2 = state[2]
+            cid = intern_state(_canon(state))
             memo[key] = (pi2 - pi, m - pi, dlus, drst, cid, halted)
             pi = pi2
         else:
             dpi, relmax, dlus, drst, cid, halted = t
             m = pi + relmax
             pi += dpi
+            state = None
         lus += dlus
         rst += drst
         if m > lc:

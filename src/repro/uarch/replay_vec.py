@@ -175,9 +175,10 @@ class ReplayPrep:
     * ``regions``    -- per kernel key: the interned region table
       every in-order walk of that kernel shares (:mod:`.replay_multi`)
 
-    Layers hold arrays; the per-instruction Python lists the OOO
-    kernel iterates are added to ``base``, ``mems`` and ``kernels``
-    entries on its first use (:func:`_point_columns`).
+    Stream-length columns are arrays; the Python lists a layer holds
+    are per-pc tables (one entry per program instruction) and the
+    region table.  The kernels ``tolist()`` what they iterate per call
+    and drop it with the call.
     """
 
     __slots__ = (
@@ -252,12 +253,6 @@ def _build_base(trace: Trace, decoded) -> Optional[Dict]:
     lat_by_pc = np.fromiter(
         (row[7] for row in rows), np.int64, count=nrows
     )
-    fu_by_pc = np.fromiter((row[8] for row in rows), np.uint8, count=nrows)
-    dest_by_pc = np.fromiter(
-        (row[1] if row[1] is not None else 0 for row in rows),
-        np.int64,
-        count=nrows,
-    )
     hoist_by_pc = np.fromiter(
         (1 if row[10] else 0 for row in rows), np.uint8, count=nrows
     )
@@ -298,15 +293,21 @@ def _build_base(trace: Trace, decoded) -> Optional[Dict]:
     sup_per_load = np.zeros(len(ld_pos), np.uint8)
     sup_per_load[spec_mask] = trace.column("load_suppressed")
 
-    srcs_by_pc = [row[2] for row in rows]
-    # Scoreboard operands, specialised for the dominant 0/1-source
-    # case: first source (register 64 is a never-written sentinel
-    # whose ready time stays 0) plus the remaining-sources tuple.
-    # Kept per pc: the OOO kernel gathers them per instruction on
-    # first use (:func:`_point_columns`), the in-order region walk once
-    # per distinct region.
-    src0_by_pc = [s[0] if s else 64 for s in srcs_by_pc]
-    rest_by_pc = [s[1:] for s in srcs_by_pc]
+    # Scoreboard operands per pc, ``(fu, dest, src0, rest)``,
+    # specialised for the dominant 0/1-source case: the first source
+    # (register 64 is a never-written sentinel whose ready time stays
+    # 0) plus the remaining-sources tuple.  The OOO kernel looks each
+    # instruction's tuple up as it goes; the region walk gathers the
+    # columns once per distinct region.
+    ops_by_pc = [
+        (
+            row[8],
+            0 if row[1] is None else row[1],
+            row[2][0] if row[2] else 64,
+            row[2][1:],
+        )
+        for row in rows
+    ]
 
     return {
         "n": n,
@@ -315,10 +316,7 @@ def _build_base(trace: Trace, decoded) -> Optional[Dict]:
         # 64-byte fetch lines, fixed shift as in core/replay.
         "line_s": pcs_np.astype(np.int64) >> 4,
         "lat_np": lat_by_pc[pcs_np],
-        "fu_by_pc": fu_by_pc,
-        "dest_by_pc": dest_by_pc,
-        "src0_by_pc": src0_by_pc,
-        "rest_by_pc": rest_by_pc,
+        "ops_by_pc": ops_by_pc,
         "bid_by_pc": [row[6] for row in rows],
         "ld_pos": ld_pos,
         "st_pos": st_pos,
@@ -695,38 +693,6 @@ def _build_kernel(
     lat_k[base["ld_pos"]] = mem["load_lat_np"]
     lat_k[base["st_pos"]] = mem["store_lat_np"]
     return {"act": act_k, "lat": lat_k}
-
-
-def _point_columns(base: Dict, mem: Dict, kernel: Dict) -> Tuple:
-    """The seven per-instruction columns the OOO kernel zips -- fused
-    action, fetch add, fused latency, FU, dest, first source, remaining
-    sources -- as Python lists, which its serial loop iterates far
-    faster than arrays.  Each list is built on first use from the
-    layer it derives from and cached there, so a sweep pays once per
-    layer; the in-order region walk reads the arrays a region at a
-    time and never builds them."""
-    operands = base.get("operand_lists")
-    if operands is None:
-        pcs = base["pcs_np"]
-        pcs_list = pcs.tolist()
-        src0_by_pc = base["src0_by_pc"]
-        rest_by_pc = base["rest_by_pc"]
-        operands = (
-            base["fu_by_pc"][pcs].tolist(),
-            base["dest_by_pc"][pcs].tolist(),
-            [src0_by_pc[pc] for pc in pcs_list],
-            [rest_by_pc[pc] for pc in pcs_list],
-        )
-        base["operand_lists"] = operands
-    fetch_add = mem.get("fetch_add_list")
-    if fetch_add is None:
-        fetch_add = mem["fetch_add_list"] = mem["fetch_add"].tolist()
-    act_lat = kernel.get("lists")
-    if act_lat is None:
-        act_lat = kernel["lists"] = (
-            kernel["act"].tolist(), kernel["lat"].tolist()
-        )
-    return (act_lat[0], fetch_add, act_lat[1]) + operands
 
 
 def _geometry(config: MachineConfig) -> Tuple:
@@ -1137,7 +1103,12 @@ def replay_ooo_stats(
     """OOO replay over precomputed tables; ``None`` -> the caller runs
     the reference core.  Mirrors ``OutOfOrderCore.run`` bit-exactly
     (hardcoded one-cycle redirect bubbles, BTB consulted only by
-    PREDICT, no prev-issue clamp, completion-window gate)."""
+    PREDICT, no prev-issue clamp, completion-window gate).
+
+    The loop zips the fused action, fetch-add and latency columns with
+    the pcs, each ``tolist()``ed for this call only, and looks each
+    instruction's operands up in the base layer's per-pc table: no
+    stream-length list outlives the call."""
     prepared = _prepare(program, trace, config, recorded, "ooo")
     if prepared is None:
         return None
@@ -1162,11 +1133,12 @@ def replay_ooo_stats(
     heappush = heapq.heappush
     heappop = heapq.heappop
 
-    # Completion-window gate: once full, the slot about to be
-    # overwritten is the completion time from ``window`` ago.
+    # Completion-window gate: the slot about to be overwritten is the
+    # completion time from ``window`` back-end instructions ago.  An
+    # unfilled slot holds 0 and the gate test is strict, so the gate
+    # cannot fire before the window fills.
     win_ring = [0] * window
     win_pos = 0
-    win_full = False
 
     fetch_cycle = 0
     fetch_slots = 0
@@ -1189,8 +1161,12 @@ def replay_ooo_stats(
     PRED_TAKEN = F_PREDICT_TAKEN
     PRED_TAKEN_MISSBTB = F_PREDICT_TAKEN_MISSBTB
 
-    for a, add, lat, fu, dest, s0, rest in zip(
-        *_point_columns(base, mem, kernel)
+    ops_by_pc = base["ops_by_pc"]
+    for a, add, lat, pc in zip(
+        kernel["act"].tolist(),
+        mem["fetch_add"].tolist(),
+        kernel["lat"].tolist(),
+        base["pcs_np"].tolist(),
     ):
         # ---- fetch (same model as the in-order core) ----
         if add:
@@ -1199,11 +1175,10 @@ def replay_ooo_stats(
         if fetch_slots >= width:
             fetch_cycle += 1
             fetch_slots = 0
-        if win_full:
-            gate = win_ring[win_pos]
-            if gate > fetch_cycle:
-                fetch_cycle = gate
-                fetch_slots = 0
+        gate = win_ring[win_pos]
+        if gate > fetch_cycle:
+            fetch_cycle = gate
+            fetch_slots = 0
         fetch_slots += 1
 
         if a >= PRED_NONE:
@@ -1220,6 +1195,7 @@ def replay_ooo_stats(
             break  # F_HALT
 
         # ---- dataflow issue: operands + a free port, no ordering ----
+        fu, dest, s0, rest = ops_by_pc[pc]
         base_t = fetch_cycle + front_depth
         ready = reg_ready[s0]
         operand_ready = ready if ready > base_t else base_t
@@ -1298,7 +1274,6 @@ def replay_ooo_stats(
         win_pos += 1
         if win_pos == window:
             win_pos = 0
-            win_full = True
         if complete > last_cycle:
             last_cycle = complete
 

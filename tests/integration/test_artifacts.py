@@ -379,14 +379,16 @@ class TestProfileMemo:
         times; after the first disk read the bounded memo serves it."""
         config, baseline, _ = _quick_programs()
         first = store.profile(
-            baseline, config.max_instructions, HybridPredictor
+            "baseline", lambda: baseline, config.max_instructions,
+            HybridPredictor,
         )
 
         # A fresh store (cold memo) loads the artifact from disk once.
         fresh = ArtifactStore(cache_dir=tmp_path)
         mark = fresh.mark()
         second = fresh.profile(
-            baseline, config.max_instructions, HybridPredictor
+            "baseline", lambda: baseline, config.max_instructions,
+            HybridPredictor,
         )
         assert fresh.delta(mark).get("profile_hits") == 1
         assert second == first  # BranchStats is a frozen dataclass
@@ -397,7 +399,8 @@ class TestProfileMemo:
             path.unlink()
         mark = fresh.mark()
         third = fresh.profile(
-            baseline, config.max_instructions, HybridPredictor
+            "baseline", lambda: baseline, config.max_instructions,
+            HybridPredictor,
         )
         assert fresh.delta(mark).get("profile_hits") == 1
         assert "profile_misses" not in fresh.delta(mark)

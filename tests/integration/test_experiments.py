@@ -1,5 +1,7 @@
 """Experiment runners in quick mode: shapes, not magnitudes."""
 
+from collections import Counter
+
 import pytest
 
 from repro.experiments import RunConfig, run_benchmark
@@ -14,7 +16,11 @@ from repro.experiments.sensitivity import LADDER, run as run_sensitivity
 from repro.experiments.side_effects import run_icache, run_issue_increase
 from repro.experiments.speedups import FIGURES, run_figure
 from repro.experiments.taxonomy import run as run_taxonomy
-from repro.core import BranchClass
+from repro.experiments.artifacts import get_store
+from repro.compiler import profile_program
+from repro.core import BranchClass, SelectionConfig, classify_branch
+from repro.ir import lower
+from repro.workloads import spec_benchmark
 
 QUICK = RunConfig.quick()
 
@@ -99,6 +105,34 @@ class TestTaxonomy:
         assert totals[BranchClass.PREDICATE] > 0
         text = result.render()
         assert "TOTAL" in text
+
+    def test_census_runs_through_the_store(self, tmp_path, monkeypatch):
+        """The census equals the direct ``profile_program`` path's, and
+        a second run in one process is served by the store's profiles
+        without a functional TRAIN run."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        result = run_taxonomy("int2006", config=QUICK)
+        name = next(iter(result.counts))
+        spec = spec_benchmark(name, iterations=QUICK.iterations)
+        profile = profile_program(
+            lower(spec.build(seed=QUICK.train_seed)),
+            max_instructions=QUICK.max_instructions,
+        )
+        selection = SelectionConfig()
+        census = Counter(
+            classify_branch(stats, selection)
+            for stats in profile.values()
+            if stats.executions >= selection.min_executions
+        )
+        assert result.counts[name] == dict(census)
+
+        store = get_store()
+        mark = store.mark()
+        again = run_taxonomy("int2006", config=QUICK)
+        delta = store.delta(mark)
+        assert delta["profile_hits"] == len(result.counts)
+        assert "btrace_misses" not in delta
+        assert again.counts == result.counts
 
 
 class TestSensitivity:

@@ -20,6 +20,7 @@ LADDER_BENCHMARKS = ("astar", "mcf")
 SMALL = RunConfig(iterations=40, ref_seeds=(1,), max_instructions=40_000)
 PREPARE = harness.prepare_benchmark
 COMPILE_BASELINE = harness.compile_baseline
+LOWER = harness.lower
 
 
 @pytest.fixture
@@ -158,3 +159,28 @@ def test_ladder_builds_and_compiles_each_baseline_once(tmp_path, monkeypatch):
     )
     assert all(fresh_compiles[name] == rungs for name in LADDER_BENCHMARKS)
     assert fresh == rendered
+
+
+def test_two_rung_ladder_lowers_train_once(tmp_path, monkeypatch):
+    """The second rung profiles under another predictor: its profile
+    misses, but the store already holds the TRAIN program's digest and
+    branch trace, so nothing lowers the program again."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(sensitivity, "LADDER", sensitivity.LADDER[:2])
+    lowered = Counter()
+
+    def counting_lower(func):
+        lowered[func.name] += 1
+        return LOWER(func)
+
+    monkeypatch.setattr(harness, "lower", counting_lower)
+    engine = ExperimentEngine(jobs=1, cache_dir=tmp_path, use_cache=False)
+    result = sensitivity.run(("astar",), SMALL, engine=engine)
+    assert len(result.points) == 2
+    assert dict(lowered) == {"astar.seed0": 1}
+    counters = Counter()
+    for record in engine.manifest()["jobs"]:
+        counters.update(record["artifacts"] or {})
+    assert counters["profile_misses"] == 2
+    assert counters["btrace_misses"] == 1
+    assert counters["btrace_hits"] == 1

@@ -1,4 +1,4 @@
-"""The in-order region walk vs the execute-driven core, tier-1 scale.
+"""The replay kernels vs the execute-driven cores, tier-1 scale.
 
 The region walk (:mod:`repro.uarch.replay_multi`) is the only
 in-order replay kernel: :func:`replay_inorder` runs every point as its
@@ -13,9 +13,11 @@ state exactly, with every walk served by the kernel (no decline) and
 every width walking one region table; points on different kernel
 tables (another BTB size, a live predictor) each walk their own.  The
 artifact store's sweep over such points lives in
-``tests/integration/test_artifacts.py``.  And it holds the
-array-built region table equal to the per-instruction build it
-replaced.
+``tests/integration/test_artifacts.py``.  It holds the array-built
+region table equal to a per-instruction build from the decoded rows.
+And it holds the OOO kernel equal to ``OutOfOrderCore`` at widths 2
+and 8 on the same traces (``test_replay_vectorized.py`` covers its
+window edges and live prediction).
 """
 
 from __future__ import annotations
@@ -34,12 +36,15 @@ from repro.ir import lower
 from repro.uarch import (
     InOrderCore,
     MachineConfig,
+    OutOfOrderCore,
     Trace,
     capture_trace,
     replay_inorder,
     replay_multi,
+    replay_ooo,
     replay_vec,
 )
+from repro.isa.decode import predecode
 from repro.uarch.replay import _check_and_mode
 from repro.workloads import BENCHMARKS, spec_benchmark
 
@@ -167,17 +172,45 @@ def test_mixed_modes_fall_back(setup, kernel_declines):
     )
 
 
+# ------------------------------------------------------- the OOO kernel
+
+
+@pytest.mark.parametrize("name", _PICKS)
+@pytest.mark.parametrize("kind", ["baseline", "decomposed"])
+@pytest.mark.parametrize("width", [2, 8])
+def test_ooo_kernel_matches_core(setup, kernel_declines, name, kind, width):
+    """The OOO kernel at widths 2 and 8 (64-entry window), on every
+    suite kind -- the FP ones included -- equals ``OutOfOrderCore``."""
+    programs, traces = setup
+    program = programs[(name, kind)]
+    machine = MachineConfig.paper_default(width=width)
+    run = replay_ooo(program, traces[(name, kind)], machine, window=64)
+    assert kernel_declines == [False]
+    ref = OutOfOrderCore(machine, window=64).run(
+        program, max_instructions=_BUDGET
+    )
+    assert dataclasses.asdict(run.stats) == dataclasses.asdict(ref.stats)
+    assert run.registers == ref.registers
+
+
 # ------------------------------------------------- region table reference
 
 
-def _reference_regions(base, mem, kernel):
-    """The per-instruction region build the array build replaced,
-    over the list columns of :func:`replay_vec._point_columns`: cut
-    after every redirect, intern each region's 7 column tuples, and
-    carry the entry reg-from-load mask instruction by instruction."""
-    act, add, lat, fu, dest, s0, rest = replay_vec._point_columns(
-        base, mem, kernel
-    )
+def _reference_regions(program, trace, mem, kernel):
+    """The per-instruction region build the array build replaced: the
+    seven per-instruction columns gathered from the decoded rows (not
+    from the base layer's per-pc operand table), cut after every
+    redirect, each region's 7 column tuples interned in stream
+    order."""
+    rows = predecode(program).rows
+    act = kernel["act"].tolist()
+    add = mem["fetch_add"].tolist()
+    lat = kernel["lat"].tolist()
+    stream = [rows[pc] for pc in trace.column("pcs").tolist()]
+    fu = [row[8] for row in stream]
+    dest = [0 if row[1] is None else row[1] for row in stream]
+    s0 = [row[2][0] if row[2] else 64 for row in stream]
+    rest = [tuple(row[2][1:]) for row in stream]
     n = len(act)
     cuts = [0]
     for i, a in enumerate(act):
@@ -188,11 +221,7 @@ def _reference_regions(base, mem, kernel):
 
     intern = {}
     contents = []
-    site_intern = {}
-    site_rids = []
-    site_masks = []
-    sites = []
-    mask = 0
+    rids = []
     for s, e in zip(cuts[:-1], cuts[1:]):
         key = (
             tuple(act[s:e]),
@@ -208,26 +237,8 @@ def _reference_regions(base, mem, kernel):
             rid = len(contents)
             intern[key] = rid
             contents.append(key)
-        site_key = (rid, mask)
-        sid = site_intern.get(site_key)
-        if sid is None:
-            sid = len(site_rids)
-            site_intern[site_key] = sid
-            site_rids.append(rid)
-            site_masks.append(mask)
-        sites.append(sid)
-        for i in range(s, e):
-            a = act[i]
-            if a == replay_vec.F_ALU or a == replay_vec.F_CALL:
-                mask &= ~(1 << dest[i])
-            elif a == replay_vec.F_LD_HIT or a == replay_vec.F_LD_MISS:
-                mask |= 1 << dest[i]
-    return {
-        "contents": contents,
-        "sites": sites,
-        "site_rids": site_rids,
-        "site_masks": site_masks,
-    }
+        rids.append(rid)
+    return {"contents": contents, "rids": rids}
 
 
 def _assert_region_table_matches_reference(program, trace, machine):
@@ -238,8 +249,8 @@ def _assert_region_table_matches_reference(program, trace, machine):
     assert prepared is not None
     base, _, mem, kernel, _, _ = prepared
     table = replay_multi._build_regions(base, mem, kernel)
-    reference = _reference_regions(base, mem, kernel)
-    assert len(reference["sites"]) > 1
+    reference = _reference_regions(program, trace, mem, kernel)
+    assert len(reference["rids"]) > 1
     assert table == reference
 
 

@@ -4,12 +4,14 @@ The golden suite already holds the vectorized replay path to the
 execute-driven fingerprints; this file is the fast guard that
 compares the kernels *directly* against the scalar reference cores
 (``InOrderCore`` / ``OutOfOrderCore``) on a small workload -- in-order
-and OOO, recorded and live prediction -- and checks that the kernel
-really is the one answering: a decline would run the reference core
-and match trivially, so every comparison also asserts (through the
+and OOO, recorded and live prediction, OOO windows of one entry and
+longer than the stream -- and checks that the kernel really is the one
+answering: a decline would run the reference core and match
+trivially, so every comparison also asserts (through the
 ``kernel_declines`` spy) that the kernel served it.  The decline path
 itself (a live predictor without a stable name) must reproduce the
-reference core too.
+reference core too.  And it pins what the kernels leave behind: no
+prep layer holds a Python list as long as the stream.
 """
 
 from __future__ import annotations
@@ -94,6 +96,65 @@ def test_ooo_vectorized_matches_scalar(setup, kernel_declines, kind):
     )
     _assert_same_run(fast, slow)
     assert kernel_declines == [False]
+
+
+@pytest.mark.parametrize("kind", ["baseline", "decomposed"])
+@pytest.mark.parametrize("window", ["one", "past_stream"])
+def test_ooo_window_edges_match_scalar(setup, kernel_declines, kind, window):
+    """A one-entry window gates every fetch on the previous back-end
+    instruction; a window longer than the stream never fills, so its
+    gate never fires."""
+    programs, traces, machine = setup
+    size = 1 if window == "one" else 2 * traces[kind].committed
+    fast = replay_ooo(programs[kind], traces[kind], machine, window=size)
+    slow = OutOfOrderCore(machine, window=size).run(
+        programs[kind], max_instructions=_BUDGET
+    )
+    _assert_same_run(fast, slow)
+    assert kernel_declines == [False]
+
+
+def test_ooo_live_predictor_matches_scalar(setup, kernel_declines):
+    """The OOO kernel under a live predictor (gshare over the baseline
+    trace a hybrid predictor captured) equals the reference core."""
+    programs, traces, _ = setup
+    config = MachineConfig.paper_default(width=4).with_predictor(
+        GSharePredictor
+    )
+    fast = replay_ooo(programs["baseline"], traces["baseline"], config)
+    slow = OutOfOrderCore(config).run(
+        programs["baseline"], max_instructions=_BUDGET
+    )
+    _assert_same_run(fast, slow)
+    assert kernel_declines == [False]
+
+
+def _stream_lists(value, n):
+    """The Python lists of length ``n`` in ``value`` or its tuples."""
+    if isinstance(value, list):
+        return [value] if len(value) == n else []
+    if isinstance(value, tuple):
+        return [lst for item in value for lst in _stream_lists(item, n)]
+    return []
+
+
+def test_prep_layers_hold_no_stream_length_lists(setup):
+    """Both kernels read the prep layers' arrays: after an OOO and an
+    in-order replay of one trace, no entry of its base, memory or
+    kernel layers is a Python list as long as the stream (the per-pc
+    operand table is as long as the program)."""
+    programs, traces, machine = setup
+    trace = Trace.from_bytes(traces["baseline"].to_bytes())
+    replay_ooo(programs["baseline"], trace, machine, window=32)
+    replay_inorder(programs["baseline"], trace, machine)
+    prep = trace._prep
+    n = trace.committed
+    assert n > len(programs["baseline"].instructions)
+    layers = [prep.base, *prep.mems.values(), *prep.kernels.values()]
+    assert len(layers) == 4  # base, one memory layer, both cores' kernels
+    for layer in layers:
+        for name, value in layer.items():
+            assert not _stream_lists(value, n), name
 
 
 def test_live_predictor_replay_matches_scalar(setup, kernel_declines):
