@@ -2,8 +2,8 @@
 
 The scenario the prep cache exists for: a multi-predictor sweep
 replaying one captured baseline trace, where every sweep point lands
-on a *fresh* store (a new worker process, a new run, or a queue
-worker on another host sharing the cache root).  Without persisted
+on a *fresh* store (a new worker process, a new run, or another
+host sharing the cache root).  Without persisted
 preps each point re-runs the serial per-branch predictor pass and the
 cache-tag walk before the vectorized kernels can start; with them the
 point attaches the finished layers from ``preps/`` and goes straight
@@ -210,7 +210,7 @@ def test_prep_cache_snapshot(tmp_path, monkeypatch):
         },
         "note": (
             "chain-of-fresh-stores models a fleet (new workers, new "
-            "runs, queue workers sharing a cache root); with the "
+            "runs, hosts sharing a cache root); with the "
             "seeding replay's slice, build_pass shows exactly one "
             "prep_builds per (trace, predictor, config class), "
             "warm_pass shows pure hits with bit-identical results"

@@ -1,10 +1,8 @@
 """Experiment runners: one per table/figure of the paper's evaluation.
 
 * :mod:`.engine`        -- parallel execution engine + result cache,
-  job supervision (fault isolation, retries, timeouts), and the
-  checkpoint/resume run journal.
-* :mod:`.backends`      -- pluggable execution backends: the supervised
-  local pool and the lease-based multi-worker queue (``REPRO_BACKEND``).
+  the supervised local process pool (fault isolation, retries,
+  timeouts), and the checkpoint/resume run journal.
 * :mod:`.store`         -- durable blob-store protocol (digest-verified
   ``get``/``put``) under the artifact layer.
 * :mod:`.faults`        -- deterministic fault-injection harness
@@ -25,13 +23,6 @@ process-wide engine is used, which honours ``REPRO_JOBS`` and the
 ``results/.cache/`` result cache.
 """
 
-from .backends import (
-    Backend,
-    BackendUnavailable,
-    LocalPoolBackend,
-    QueueBackend,
-    queue_worker_main,
-)
 from .engine import ExperimentEngine, default_engine, get_engine
 from .harness import (
     BenchmarkOutcome,
@@ -45,19 +36,14 @@ from .harness import (
 from .store import FileStore, StoreProtocol
 
 __all__ = [
-    "Backend",
-    "BackendUnavailable",
     "BenchmarkOutcome",
     "ExperimentEngine",
     "FileStore",
-    "LocalPoolBackend",
-    "QueueBackend",
     "RunConfig",
     "StoreProtocol",
     "combine_seed_results",
     "default_engine",
     "get_engine",
-    "queue_worker_main",
     "run_benchmark",
     "run_seed",
     "run_suite",

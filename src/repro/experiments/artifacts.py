@@ -352,11 +352,10 @@ class ArtifactStore:
         Lookup order mirrors :meth:`load_trace`: layers already on the
         trace object (no counter movement -- in-process memoisation is
         not a cache event), then the digest-verified blob store
-        (``preps/<key>.prep``, shared across pool workers, runs and --
-        through the queue backend's shared cache root -- hosts).  A
-        miss builds every layer and persists the slice, so every later
-        lookup in any process, run or host attaches it instead of
-        building.  Corrupt blobs are quarantined by the store layer
+        (``preps/<key>.prep``, shared across pool workers, runs and
+        hosts sharing a cache root).  A miss builds every layer and
+        persists the slice, so every later lookup in any process, run
+        or host attaches it instead of building.  Corrupt blobs are quarantined by the store layer
         and rebuilt transparently -- never a wrong answer, at worst a
         recompute.
         """

@@ -27,7 +27,9 @@ re-running a figure after touching only a report renderer is instant.
   timeout (``REPRO_JOB_TIMEOUT`` / ``--job-timeout``) is detected by a
   watchdog that kills and respawns the pool, resubmitting innocent
   in-flight jobs at no attempt cost.  Deterministic worker exceptions
-  are never retried -- they would fail identically again.
+  are never retried -- they would fail identically again.  The engine
+  owns its pool directly: :meth:`ExperimentEngine._run_parallel` is
+  the one parallel path.
 * **Checkpoint/resume**: when the engine has a ``run_id``, every
   finished job (success or final failure) is appended to a run journal
   (``results/.cache/runs/<run-id>.jsonl``) the moment it completes;
@@ -63,7 +65,13 @@ import secrets
 import tempfile
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    CancelledError,
+    ProcessPoolExecutor,
+    wait,
+)
+from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Any,
     Callable,
@@ -73,7 +81,6 @@ from typing import (
     Sequence,
 )
 
-from . import backends as backends_mod
 from . import faults
 from .settings import RESULTS_DIR, cache_root, check_settings, setting
 from .store import quarantine_file
@@ -88,11 +95,11 @@ CACHE_SCHEMA = 1
 #: v4 adds per-job and total artifact counters (trace capture/replay,
 #: shared profile and compile hits -- see :mod:`.artifacts`); v5 adds
 #: per-job ``worker_pid`` and a per-worker artifact-counter breakdown
-#: (``workers``); v6 adds the execution
-#: backend block (``backend``: requested backend, degradations,
-#: lease/heartbeat/failover counters, per-queue-worker health records
-#: -- see :mod:`.backends`); v7 adds the persisted replay-prep slice
-#: counters to the per-job/total artifact blocks (``prep_hits``/
+#: (``workers``); v6 added the execution backend block
+#: (``engine.backend`` and a top-level ``backend``: requested backend,
+#: degradations, queue lease/heartbeat/failover counters,
+#: per-queue-worker health records); v7 adds the persisted replay-prep
+#: slice counters to the per-job/total artifact blocks (``prep_hits``/
 #: ``prep_misses``/``prep_builds``/``prep_quarantined`` -- see
 #: :mod:`.artifacts`): a warm fleet shows exactly one ``prep_builds``
 #: per (trace, predictor, config class) and hits everywhere else;
@@ -106,8 +113,10 @@ CACHE_SCHEMA = 1
 #: counter to ``walk_diverges``: every in-order point is its own
 #: region walk, and a nonzero ``walk_diverges`` records a walk that
 #: failed validation and degraded to the (bit-identical) reference
-#: core.
-MANIFEST_SCHEMA = 10
+#: core; v11 drops v6's ``engine.backend`` and top-level ``backend``
+#: block with the lease-based queue backend: the local pool is the one
+#: parallel path.
+MANIFEST_SCHEMA = 11
 
 _CODE_VERSION: Optional[str] = None
 
@@ -332,7 +341,6 @@ class ExperimentEngine:
         resume: bool = False,
         job_timeout: Optional[float] = None,
         retries: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> None:
         check_settings()
         if jobs is None:
@@ -354,15 +362,6 @@ class ExperimentEngine:
             retries if retries is not None else setting("REPRO_RETRIES")
         )
         self.retry_backoff = setting("REPRO_RETRY_BACKOFF")
-        #: Execution backend (``local``/``queue``, see :mod:`.backends`).
-        if backend is not None and backend not in backends_mod.BACKEND_NAMES:
-            raise ValueError(
-                f"backend={backend!r}; expected one of "
-                f"{backends_mod.BACKEND_NAMES}"
-            )
-        self.backend = (
-            backend if backend is not None else setting("REPRO_BACKEND")
-        )
         #: When set (the CLI does), a partial manifest is written here if
         #: a run is interrupted mid-:meth:`map`.
         self.manifest_path: Optional[pathlib.Path] = None
@@ -385,13 +384,6 @@ class ExperimentEngine:
         self.cache_misses = 0
         self.journal_hits = 0
         self.cache_quarantined = 0
-        #: Times a queue run degraded to the local backend mid-map.
-        self.backend_degraded = 0
-        #: Lease/heartbeat/failover counters summed over every backend
-        #: this engine drove (see :meth:`Backend.health`).
-        self.backend_totals: Dict[str, int] = {}
-        #: Per-queue-worker health records (latest heartbeat wins).
-        self.backend_workers: Dict[str, Dict] = {}
         #: One record per executed/looked-up job, in submission order.
         self.records: List[Dict] = []
         #: Records of the most recent :meth:`map` call, payload-aligned.
@@ -490,13 +482,6 @@ class ExperimentEngine:
                 "retries": self.retries,
                 "job_timeout_s": self.job_timeout,
                 "fault_inject": plan.spec() if plan else None,
-                "backend": self.backend,
-            },
-            "backend": {
-                "name": self.backend,
-                "degraded": self.backend_degraded,
-                "totals": self.backend_totals,
-                "workers": self.backend_workers,
             },
             "totals": {
                 "jobs": len(self.records),
@@ -883,75 +868,31 @@ class ExperimentEngine:
             )
             self._absorb(i, 0, envelope, labels, keys, states, tick)
 
-    def _worker_env(self) -> Dict[str, str]:
-        return {"REPRO_CACHE_DIR": str(self.cache_dir)}
-
     def _run_parallel(
         self, worker, payloads, labels, keys, states, pending, tick,
         groups=None,
     ) -> None:
-        """Route the parallel path through the configured backend.
-
-        ``queue`` drives a :class:`~.backends.QueueBackend` and, when
-        it trips its circuit breaker (:class:`BackendUnavailable`: no
-        live workers past the respawn budget, repeated shared-dir I/O
-        errors), *degrades*: every job still pending is re-driven
-        through a fresh :class:`~.backends.LocalPoolBackend` so the
-        sweep completes on the local host.  ``local`` is today's
-        supervised pool, unchanged.
-        """
-        if self.backend == "queue":
-            workers = setting("REPRO_QUEUE_WORKERS")
-            backend = backends_mod.QueueBackend(
-                self.cache_dir / "queue",
-                workers=self.jobs if workers is None else workers,
-                retries=self.retries,
-                worker_env=self._worker_env(),
-            )
-            try:
-                self._run_backend(
-                    backend, worker, payloads, labels, keys, states,
-                    pending, tick, groups=groups,
-                )
-                return
-            except backends_mod.BackendUnavailable:
-                self.backend_degraded += 1
-                pending = [
-                    i for i in pending if states[i].status == "pending"
-                ]
-                if not pending:
-                    return
-        local = backends_mod.LocalPoolBackend(
-            max_workers=min(self.jobs, len(pending)),
-            job_timeout=self.job_timeout,
-            worker_env=self._worker_env(),
-        )
-        self._run_backend(
-            local, worker, payloads, labels, keys, states, pending,
-            tick, groups=groups,
-        )
-
-    def _merge_backend_health(self, health: Dict) -> None:
-        for name, value in (health.get("counters") or {}).items():
-            if isinstance(value, (int, float)):
-                self.backend_totals[name] = (
-                    self.backend_totals.get(name, 0) + value
-                )
-        self.backend_workers.update(health.get("workers") or {})
-
-    def _run_backend(
-        self, backend, worker, payloads, labels, keys, states, pending,
-        tick, groups=None,
-    ) -> None:
-        """Generic driver: scheduling policy over a :class:`Backend`.
+        """The supervised ``ProcessPoolExecutor`` path.
 
         Queue entries are ``(i, attempt, not_before)`` for one payload
-        index ``i``; every submission is one job.  The backend turns
-        submissions into :class:`BackendEvent`\\ s: ``done`` envelopes
-        are absorbed, ``error`` is a deterministic failure (never
-        retried), ``infra`` retries with the attempt charged and
-        exponential-backoff-with-jitter delay, and ``requeue`` (an
-        innocent victim of a pool kill) retries uncharged.
+        index ``i``; every submission is one job, and at most
+        ``min(jobs, len(pending))`` futures are outstanding, so a job
+        starts about when it is submitted and its deadline times the
+        run, not the wait.  A settled future is absorbed; a future
+        whose result cannot be read (e.g. the envelope failed to
+        unpickle) is a deterministic failure, never retried; a dead
+        pool (``broken-pool``) or an overrun (``timeout``) is an
+        infrastructure fault, retried with the attempt charged after
+        an exponential-backoff-with-jitter delay.
+
+        The pool is spawned lazily, with :func:`_pool_worker_init`,
+        and killed when it breaks (every future on it settles as a
+        ``broken-pool`` fault), when a submit raises (the entry is
+        offered again uncharged) or when the watchdog fires.  The
+        watchdog can only kill whole pools: the overrunning job is
+        charged a ``timeout``, futures that finished meanwhile are
+        absorbed, and still-running innocents go back on the queue
+        uncharged.  The next submit respawns the pool.
 
         Artifact groups (see :meth:`map`): the first pending member of
         each group enters the queue as leader; the rest wait in
@@ -960,6 +901,10 @@ class ExperimentEngine:
         failed -- followers of a failed leader still run, they just
         find a cold artifact store).
         """
+        max_workers = min(self.jobs, len(pending))
+        timeout = self.job_timeout
+        poll_s = max(0.01, min(0.1, timeout / 5.0)) if timeout else 0.1
+        worker_env = {"REPRO_CACHE_DIR": str(self.cache_dir)}
         queue: List[tuple] = []
         held: Dict[Any, List[int]] = {}
         leaders: Dict[Any, int] = {}
@@ -972,34 +917,31 @@ class ExperimentEngine:
                 queue.append((i, 0, 0.0))
             else:
                 held.setdefault(group, []).append(i)
+        #: future -> (index, attempt, deadline)
         outstanding: Dict[Any, tuple] = {}
+        pool: Optional[ProcessPoolExecutor] = None
 
-        def absorb_event(event) -> None:
-            meta = outstanding.pop(event.handle, None)
-            if meta is None:
-                return
-            i, attempt = meta
-            used = event.attempt if event.attempt is not None else attempt
-            if event.kind == "done":
-                self._absorb(
-                    i, used, event.envelope or {}, labels, keys, states,
-                    tick,
-                )
-            elif event.kind == "error":
-                # e.g. the envelope failed to unpickle: deterministic.
-                states[i].attempts = attempt + 1
-                self._fail(
-                    i, "failed", _error_dict(event.error),
-                    labels, keys, states,
-                )
-                tick(i)
-            elif event.kind == "infra":
+        def settle(future) -> bool:
+            """Fold one finished future into its job; True when it
+            found the pool dead."""
+            i, attempt, _ = outstanding.pop(future)
+            try:
+                envelope = future.result()
+            except (BrokenProcessPool, CancelledError) as exc:
                 self._infra_fault(
-                    queue, i, attempt, event.fault, event.error,
+                    queue, i, attempt, "broken-pool", exc,
                     labels, keys, states, tick,
                 )
-            elif event.kind == "requeue":
-                queue.append((i, attempt, 0.0))
+                return True
+            except Exception as exc:
+                states[i].attempts = attempt + 1
+                self._fail(
+                    i, "failed", _error_dict(exc), labels, keys, states
+                )
+                tick(i)
+                return False
+            self._absorb(i, attempt, envelope, labels, keys, states, tick)
+            return False
 
         try:
             while queue or outstanding or held:
@@ -1011,18 +953,30 @@ class ExperimentEngine:
                 deferred: List[tuple] = []
                 for entry in queue:
                     i, attempt, not_before = entry
-                    if not_before > now or not backend.has_capacity():
+                    if not_before > now or len(outstanding) >= max_workers:
                         deferred.append(entry)
                         continue
-                    handle = backend.submit(
-                        attempt, worker, payloads[i], labels[i]
-                    )
-                    if handle is None:
-                        # Backend cannot take it right now (e.g. the
-                        # pool broke between loops); re-offer uncharged.
+                    if pool is None:
+                        pool = ProcessPoolExecutor(
+                            max_workers=max_workers,
+                            initializer=_pool_worker_init,
+                            initargs=(worker_env,),
+                        )
+                    try:
+                        future = pool.submit(
+                            _run_timed, worker, payloads[i], labels[i],
+                            attempt,
+                        )
+                    except Exception:
+                        # The pool broke between loops: kill it so its
+                        # futures settle as broken-pool faults, and
+                        # offer this entry again uncharged.
+                        _kill_pool(pool)
+                        pool = None
                         deferred.append(entry)
                         continue
-                    outstanding[handle] = (i, attempt)
+                    deadline = time.monotonic() + timeout if timeout else None
+                    outstanding[future] = (i, attempt, deadline)
                 queue[:] = deferred
 
                 if not outstanding:
@@ -1033,15 +987,58 @@ class ExperimentEngine:
                         )
                     continue
 
-                for event in backend.poll():
-                    absorb_event(event)
-        except (KeyboardInterrupt, backends_mod.BackendUnavailable):
-            backend.cancel()
+                done, _ = wait(
+                    outstanding, timeout=poll_s, return_when=FIRST_COMPLETED
+                )
+                broken = False
+                for future in done:
+                    broken = settle(future) or broken
+                if broken:
+                    # Every other future on the dead pool fails as
+                    # well; settle them all, then respawn lazily.
+                    for future in list(outstanding):
+                        settle(future)
+                    if pool is not None:
+                        _kill_pool(pool)
+                        pool = None
+                    continue
+                if not timeout:
+                    continue
+                now = time.monotonic()
+                expired = {
+                    future
+                    for future, (_, _, deadline) in outstanding.items()
+                    if now >= deadline and not future.done()
+                }
+                if not expired:
+                    continue
+                for future in list(outstanding):
+                    if future in expired:
+                        i, attempt, _ = outstanding.pop(future)
+                        exc = TimeoutError(
+                            f"job {labels[i]!r} exceeded {timeout:g}s "
+                            f"(attempt {attempt})"
+                        )
+                        self._infra_fault(
+                            queue, i, attempt, "timeout", exc,
+                            labels, keys, states, tick,
+                        )
+                    elif future.done():
+                        settle(future)
+                    else:
+                        i, attempt, _ = outstanding.pop(future)
+                        queue.append((i, attempt, 0.0))
+                if pool is not None:
+                    _kill_pool(pool)
+                    pool = None
+        except KeyboardInterrupt:
+            for future in outstanding:
+                future.cancel()
+            if pool is not None:
+                _kill_pool(pool)
             raise
-        else:
-            backend.close()
-        finally:
-            self._merge_backend_health(backend.health())
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def _infra_fault(
         self, queue, i, attempt, kind, exc, labels, keys, states, tick

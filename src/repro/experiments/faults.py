@@ -40,34 +40,14 @@ Kinds:
   artifact store's per-point reference-core fallback, and the
   ``walk_diverges`` artifact counter that surfaces the degradation in
   the run manifest.
-
-Distributed kinds (exercised by the queue backend in
-:mod:`.backends`):
-
-* ``lease_expire``    -- a queue worker silently drops its lease for a
-  claimed job (no renewal, no completion): simulates a host losing its
-  lease to a network partition, and exercises expired-lease reclaim by
-  a live worker.
-* ``worker_vanish``   -- a queue worker process ``os._exit``\\ s after
-  claiming a job but before completing it: simulates a dead host whose
-  claimed work must fail over to the survivors.
-* ``stale_heartbeat`` -- a queue worker stops renewing its heartbeat
-  (the health record goes stale) while still finishing its current
-  job: exercises the stale-worker accounting in per-worker health
-  without losing work.
-* ``torn_put``        -- the blob store (:mod:`.store`) truncates a
+* ``torn_put``      -- the blob store (:mod:`.store`) truncates a
   transfer *after* recording its digest: exercises digest verification,
   quarantine, and recapture on the next read.
-* ``dup_complete``    -- a queue worker publishes its completion
-  *twice*: exercises first-durable-result-wins idempotence (the
-  duplicate must be discarded, not double-counted).
 
-Decisions are independent per kind.  ``crash``/``die``/``hang``/
-``lease_expire``/``worker_vanish`` hash the attempt number too, so a
-retried job may (deterministically) succeed on a later attempt;
-``corrupt_cache``/``corrupt_trace``/``walk_diverge``/
-``stale_heartbeat``/``torn_put``/``dup_complete`` are
-attempt-independent.
+Decisions are independent per kind.  ``crash``/``die``/``hang`` hash
+the attempt number too, so a retried job may (deterministically)
+succeed on a later attempt; ``corrupt_cache``/``corrupt_trace``/
+``walk_diverge``/``torn_put`` are attempt-independent.
 """
 
 from __future__ import annotations
@@ -88,11 +68,7 @@ FAULT_KINDS = (
     "corrupt_cache",
     "corrupt_trace",
     "walk_diverge",
-    "lease_expire",
-    "worker_vanish",
-    "stale_heartbeat",
     "torn_put",
-    "dup_complete",
 )
 
 #: Exit status an injected ``die`` uses (mirrors a SIGKILL-style death
@@ -241,42 +217,7 @@ def should_diverge_walk(label: str) -> bool:
     return plan is not None and plan.decide("walk_diverge", label)
 
 
-def should_expire_lease(label: str, attempt: int) -> bool:
-    """Queue-worker decision: drop the lease on this claimed job?
-
-    The worker abandons the job without completing or renewing -- from
-    the queue's point of view the host partitioned away.  A live
-    worker reclaims the job once the lease TTL passes.
-    """
-    plan = plan_from_env()
-    return plan is not None and plan.decide(
-        "lease_expire", label, attempt
-    )
-
-
-def should_vanish_worker(label: str, attempt: int) -> bool:
-    """Queue-worker decision: ``os._exit`` after claiming this job?"""
-    plan = plan_from_env()
-    return plan is not None and plan.decide(
-        "worker_vanish", label, attempt
-    )
-
-
-def should_stale_heartbeat(worker_id: str) -> bool:
-    """Queue-worker decision: stop renewing this worker's heartbeat?"""
-    plan = plan_from_env()
-    return plan is not None and plan.decide(
-        "stale_heartbeat", worker_id
-    )
-
-
 def should_tear_put(name: str) -> bool:
     """Store-side decision: truncate this blob after digesting it?"""
     plan = plan_from_env()
     return plan is not None and plan.decide("torn_put", name)
-
-
-def should_dup_complete(label: str) -> bool:
-    """Queue-worker decision: publish this completion twice?"""
-    plan = plan_from_env()
-    return plan is not None and plan.decide("dup_complete", label)

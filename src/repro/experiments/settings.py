@@ -65,14 +65,6 @@ def _timeout(raw: str) -> Optional[float]:
     return value if value > 0 else None
 
 
-def _backend(raw: str) -> str:
-    from .backends import BACKEND_NAMES
-
-    if raw.lower() not in BACKEND_NAMES:
-        raise ValueError(f"expected one of {BACKEND_NAMES}")
-    return raw.lower()
-
-
 def _fault_plan(raw: str):
     from .faults import parse_plan
 
@@ -86,8 +78,8 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_CACHE", True, _flag,
          "The result cache (`--no-cache` turns it off)."),
     Knob("REPRO_CACHE_DIR", None, str,
-         "Root of the result cache, traces, prep slices and queue "
-         "runs; unset means `results/.cache`."),
+         "Root of the result cache, run journals, traces, prep "
+         "slices and profiles; unset means `results/.cache`."),
     Knob("REPRO_RETRIES", 2, _number(int, 0),
          "Retries for infrastructure faults, dead workers and "
          "timeouts (`--retries`)."),
@@ -95,23 +87,10 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "Base retry backoff in seconds, doubled per attempt, plus "
          "jitter; 0 retries at once."),
     Knob("REPRO_JOB_TIMEOUT", None, _timeout,
-         "Per-job wall-clock limit in seconds on the local pool "
+         "Per-job wall-clock limit in seconds, enforced when jobs > 1 "
          "(`--job-timeout`); unset, 0 or less means none."),
     Knob("REPRO_PROFILE", False, _flag,
          "cProfile every engine job (`--profile`)."),
-    Knob("REPRO_BACKEND", "local", _backend,
-         "Parallel execution backend, `local` pool or lease-based "
-         "`queue` (`--backend`)."),
-    Knob("REPRO_QUEUE_WORKERS", None, _number(int, 0),
-         "Queue workers the engine spawns; unset means one per job "
-         "slot, 0 means external `repro worker` processes only."),
-    Knob("REPRO_LEASE_TTL", 30.0, _number(float, 0.05),
-         "Queue lease lifetime in seconds, at least 0.05."),
-    Knob("REPRO_QUEUE_POLL", 0.05, _number(float, 0.005),
-         "Queue poll interval in seconds, at least 0.005."),
-    Knob("REPRO_QUEUE_GRACE_S", 5.0, _number(float, 0.0),
-         "Seconds a queue run waits for its first live worker before "
-         "it falls back to the local pool."),
     Knob("REPRO_TRACE_REPLAY", True, _flag,
          "The artifact fast path: trace capture and replay, shared "
          "builds, profiles and compiles; off runs the execute-driven "

@@ -1,11 +1,10 @@
 """Durable blob-store protocol under the artifact layer.
 
-The artifact store (:mod:`.artifacts`) used to open files directly,
-which was fine while every worker lived on one host and wrote to a
-local disk.  With pluggable execution backends (:mod:`.backends`) the
-cache root can be a shared directory that several hosts' queue workers
-hit concurrently, and every crossing of that boundary is a chance for
-a torn or corrupt transfer.  This module pins the contract down:
+Every pool worker and every run reads and writes traces, prep slices
+and profiles through the cache root concurrently (a cache root may
+also sit on a shared filesystem), and every crossing of that boundary
+is a chance for a torn or corrupt transfer.  This module pins the
+contract down:
 
 * :class:`StoreProtocol` -- ``get``/``put``/``contains`` (+ ``delete``)
   over named blobs.  ``put`` is durable (fsync before the atomic

@@ -900,13 +900,13 @@ def build_prep_slice(
         return None
     mode, stream_key, mem_key, btb_io, btb_ooo = keys
     recorded = mode == "recorded"
-    # Warm both cores so one persisted slice serves in-order and OOO
-    # replays alike (the OOO BTB event set is PREDICTs only -- cheap).
     if _prepare(program, trace, config, recorded, "inorder") is None:
         return None
-    if _prepare(program, trace, config, recorded, "ooo") is None:
-        return None
     prep = trace._prep
+    # One persisted slice serves in-order and OOO replays alike, so it
+    # also carries the OOO BTB set (PREDICTs only -- cheap), but not
+    # the OOO kernel layer, which only an OOO replay reads.
+    _btb_bits(prep, prep.base, "ooo", mode, config.btb_entries)
     stream = prep.streams[stream_key]
     mem = prep.mems[mem_key]
     io_events, io_bits, io_misses = prep.btbs[btb_io]

@@ -26,6 +26,9 @@ class TestParser:
         ):
             args = parser.parse_args(argv)
             assert callable(args.func)
+        # The queue backend's external-worker command is gone.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["worker", "results/.cache/queue/run-1"])
 
     def test_figure_validates_name(self):
         with pytest.raises(SystemExit):
@@ -49,6 +52,9 @@ class TestParser:
         assert args.job_timeout is None
         assert args.retries is None
         assert args.resume is None
+        # The local pool is the one execution path: no backend flag.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--backend", "local", "table2"])
 
 
 class TestExecution:
@@ -97,7 +103,11 @@ class TestSettingsErrors:
 
     @pytest.mark.parametrize(
         "name, raw",
-        [("REPRO_BOGUS", "1"), ("REPRO_TRACE_LRU_MB", "inf")],
+        [
+            ("REPRO_BOGUS", "1"),
+            ("REPRO_TRACE_LRU_MB", "inf"),
+            ("REPRO_BACKEND", "queue"),
+        ],
     )
     def test_bad_setting_exits_2_with_one_line(self, name, raw, tmp_path):
         src = pathlib.Path(__file__).resolve().parents[2] / "src"

@@ -135,8 +135,9 @@ class TestObservability:
     def test_manifest_schema4_health_fields(self, tmp_path):
         """Schema >= 4 fields: per-job status/attempts/error plus run
         identity, robustness knobs, health totals, artifact counters;
-        the v5 worker fields; and the v9 removal of the plane and
-        batch-dispatch fields."""
+        the v5 worker fields; the v9 removal of the plane and
+        batch-dispatch fields; and the v11 removal of the backend
+        block."""
         config = RunConfig.quick()
         engine = ExperimentEngine(
             jobs=1, cache_dir=tmp_path, use_cache=True, run_id="m3",
@@ -144,8 +145,10 @@ class TestObservability:
         )
         engine.run_benchmark("h264ref", config)
         manifest = engine.manifest(config)
-        assert manifest["schema"] == 10
+        assert manifest["schema"] == 11
+        assert "backend" not in manifest
         block = manifest["engine"]
+        assert "backend" not in block
         assert block["run_id"] == "m3"
         assert block["resume"] is False
         assert block["retries"] == 1

@@ -82,11 +82,17 @@ class TestFaultPlan:
             parse_plan("meteor:0.5")
         with pytest.raises(ValueError):
             parse_plan("crash:1.5")
-        # The shared-memory plane, fused batch dispatch and lane fusion
-        # are gone, and so are the fault kinds that exercised them.
-        for retired in ("shm_leak:1.0", "batch_die:0.5", "fused_diverge:1.0"):
+        # The shared-memory plane, fused batch dispatch, lane fusion
+        # and the lease-based queue backend are gone, and so are the
+        # fault kinds that exercised them.
+        retired = (
+            "shm_leak:1.0", "batch_die:0.5", "fused_diverge:1.0",
+            "lease_expire:0.5", "worker_vanish:0.5",
+            "stale_heartbeat:1.0", "dup_complete:1.0",
+        )
+        for spec in retired:
             with pytest.raises(ValueError):
-                parse_plan(retired)
+                parse_plan(spec)
         assert parse_plan("") is None
         assert parse_plan("   ") is None
 
@@ -181,6 +187,21 @@ class TestTimeouts:
         assert [r["status"] for r in engine.records] == ["timeout", "ok"]
         assert engine.records[0]["error"]["type"] == "TimeoutError"
         assert elapsed < 10.0  # nowhere near the 30s sleep
+
+    def test_watchdog_requeues_innocent_in_flight_job(self):
+        """The watchdog kills the whole pool: the job that overran is
+        charged its timeout, and the job still running beside it goes
+        back on the queue uncharged and finishes on the next pool."""
+        engine = ExperimentEngine(
+            jobs=2, use_cache=False, retries=0, job_timeout=2.0
+        )
+        results = engine.map(
+            _sleep_job, [30.0, 1.0, 1.5], labels=["slow", "fast", "beside"]
+        )
+        assert results == [None, {"value": 1.0}, {"value": 1.5}]
+        assert [r["status"] for r in engine.records] \
+            == ["timeout", "ok", "ok"]
+        assert [r["attempts"] for r in engine.records] == [1, 1, 1]
 
     def test_injected_hang_hits_the_watchdog(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:1.0@seed=3")

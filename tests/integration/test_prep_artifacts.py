@@ -469,22 +469,6 @@ class TestCacheCtlSidecars:
         assert removed["traces"][0] == 2  # blob + sidecar of oldest
         assert not a.exists()
 
-    def test_queue_scan_skips_directories(self, tmp_path):
-        run_dir = tmp_path / "queue" / "run-1"
-        run_dir.mkdir(parents=True)
-        lease = run_dir / "job.lease"
-        lease.write_text("{}")
-        report = cachectl.scan(tmp_path)
-        stats = report["queue"]
-        assert stats.files == 1
-        assert [entry[2] for entry in stats.entries] == [lease]
-        # Pruning everything must not try to unlink the directory.
-        removed = cachectl.prune(
-            tmp_path, max_age_days=0.0, sections=("queue",)
-        )
-        assert removed["queue"][0] == 1
-        assert run_dir.is_dir() and not lease.exists()
-
 
 class TestCacheVerify:
     def _blob(self, tmp_path, section, name, payload):

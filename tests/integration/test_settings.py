@@ -25,11 +25,6 @@ MALFORMED = {
     "REPRO_RETRY_BACKOFF": "fast",
     "REPRO_JOB_TIMEOUT": "10s",
     "REPRO_PROFILE": "y",
-    "REPRO_BACKEND": "carrier-pigeon",
-    "REPRO_QUEUE_WORKERS": "four",
-    "REPRO_LEASE_TTL": "5m",
-    "REPRO_QUEUE_POLL": "50ms",
-    "REPRO_QUEUE_GRACE_S": "5s",
     "REPRO_TRACE_REPLAY": "disabled",
     "REPRO_PREP_CACHE": "disabled",
     "REPRO_TRACE_LRU_MB": "1G",
@@ -44,9 +39,6 @@ MALFORMED = {
 FLOAT_KNOBS = (
     "REPRO_RETRY_BACKOFF",
     "REPRO_JOB_TIMEOUT",
-    "REPRO_LEASE_TTL",
-    "REPRO_QUEUE_POLL",
-    "REPRO_QUEUE_GRACE_S",
     "REPRO_TRACE_LRU_MB",
     "REPRO_FAULT_HANG_S",
 )
@@ -126,13 +118,7 @@ def test_unknown_name_is_rejected(monkeypatch):
         ("REPRO_JOB_TIMEOUT", "-2", None),
         ("REPRO_JOB_TIMEOUT", "1.5", 1.5),
         ("REPRO_RETRY_BACKOFF", "-1", 0.0),
-        ("REPRO_LEASE_TTL", "0.01", 0.05),
-        ("REPRO_QUEUE_POLL", "0", 0.005),
-        ("REPRO_QUEUE_GRACE_S", "-3", 0.0),
-        ("REPRO_QUEUE_WORKERS", "0", 0),
-        ("REPRO_QUEUE_WORKERS", "-1", 0),
         ("REPRO_TRACE_LRU_MB", "-8", 0.0),
-        ("REPRO_BACKEND", " QUEUE ", "queue"),
         ("REPRO_CACHE", "OFF", False),
         ("REPRO_PREP_CACHE", "no", False),
         ("REPRO_TRACE_REPLAY", "False", False),

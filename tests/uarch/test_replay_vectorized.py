@@ -11,7 +11,8 @@ trivially, so every comparison also asserts (through the
 ``kernel_declines`` spy) that the kernel served it.  The decline path
 itself (a live predictor without a stable name) must reproduce the
 reference core too.  And it pins what the kernels leave behind: no
-prep layer holds a Python list as long as the stream.
+prep layer holds a Python list as long as the stream, and building a
+persisted prep slice builds no OOO kernel layer.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.uarch import (
     replay_inorder,
     replay_ooo,
 )
+from repro.uarch.replay_vec import build_prep_slice
 from repro.workloads import spec_benchmark
 
 _BUDGET = 60_000
@@ -155,6 +157,23 @@ def test_prep_layers_hold_no_stream_length_lists(setup):
     for layer in layers:
         for name, value in layer.items():
             assert not _stream_lists(value, n), name
+
+
+def test_prep_slice_builds_no_ooo_kernel(setup):
+    """A prep slice carries the OOO core's BTB set but not its kernel
+    layer: building one on a fresh trace leaves no ``"ooo"`` kernel
+    behind, and its bytes equal a slice built after an OOO replay had
+    built that kernel."""
+    programs, traces, machine = setup
+    program = programs["baseline"]
+    fresh = Trace.from_bytes(traces["baseline"].to_bytes())
+    blob = build_prep_slice(program, fresh, machine)
+    assert blob is not None
+    assert [key for key in fresh._prep.kernels if key[0] == "ooo"] == []
+    replayed = Trace.from_bytes(traces["baseline"].to_bytes())
+    replay_ooo(program, replayed, machine, window=32)
+    assert any(key[0] == "ooo" for key in replayed._prep.kernels)
+    assert build_prep_slice(program, replayed, machine) == blob
 
 
 def test_live_predictor_replay_matches_scalar(setup, kernel_declines):
