@@ -184,6 +184,7 @@ def test_prep_cache_snapshot(tmp_path, monkeypatch):
 
     preps = sorted((tmp_path / "preps").glob("*.prep"))
     snapshot = {
+        "date": time.strftime("%Y-%m-%d"),
         "config": {
             "workload": "h264ref",
             "iterations": 120,

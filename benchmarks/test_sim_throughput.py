@@ -149,6 +149,7 @@ def test_throughput_snapshot():
         "tage_events_per_s": round(tage_rate, 1),
     }
     snapshot = {
+        "date": time.strftime("%Y-%m-%d"),
         "workload": "compile_baseline(omnetpp_carray_add(iterations=512))",
         "machine": "MachineConfig.paper_default()",
         "before": BEFORE,

@@ -138,6 +138,7 @@ def test_replay_vectorized_snapshot():
     )
 
     snapshot = {
+        "date": time.strftime("%Y-%m-%d"),
         "config": {
             "workload": "h264ref",
             "iterations": 120,
@@ -209,6 +210,7 @@ def test_sweep_snapshot(tmp_path, monkeypatch):
         ),
     }
     snapshot = {
+        "date": time.strftime("%Y-%m-%d"),
         "config": {
             "iterations": config.iterations,
             "max_instructions": config.max_instructions,

@@ -31,10 +31,10 @@ regenerated table; profiled runs additionally write
 
 Robustness (see EXPERIMENTS.md "Robustness"): a failed/hung job is
 isolated and reported instead of aborting the sweep; ``--job-timeout S``
-bounds each job, ``--retries N`` retries infrastructure faults, every
-completed job is checkpointed to ``results/.cache/runs/<run-id>.jsonl``,
-and ``--resume RUN_ID`` re-runs only the jobs an interrupted or
-partially-failed run didn't finish.  The exit status is 0 only when
+bounds each job, ``--retries N`` retries infrastructure faults, and
+every completed job lands in the result cache as it finishes, so
+re-running the same command after an interrupt or a partial failure
+runs only the jobs that did not finish.  The exit status is 0 only when
 every job succeeded (1 with failures, 130 on interrupt).  A bad
 invocation exits 2: a malformed flag (argparse), or a malformed or
 unknown ``REPRO_*`` variable, which prints one ``repro: <message>``
@@ -76,13 +76,11 @@ def _engine(args) -> ExperimentEngine:
             # profiled run must actually execute every job.
             os.environ["REPRO_PROFILE"] = "1"
             args.no_cache = True
-        resume = getattr(args, "resume", None)
         args.engine = ExperimentEngine(
             jobs=args.jobs,
             use_cache=False if args.no_cache else None,
             progress=_progress if sys.stderr.isatty() else None,
-            run_id=resume or ExperimentEngine.new_run_id(),
-            resume=resume is not None,
+            run_id=ExperimentEngine.new_run_id(),
             job_timeout=getattr(args, "job_timeout", None),
             retries=getattr(args, "retries", None),
         )
@@ -120,13 +118,21 @@ def _finish(args, config: Optional[RunConfig] = None) -> None:
                 f"  {record['status'].upper()} {record['label']}: "
                 f"{error.get('type', '?')}: {error.get('message', '')}\n"
             )
-        sys.stderr.write(
-            f"re-run unfinished jobs with: --resume {engine.run_id}\n"
-        )
+        sys.stderr.write(_rerun_hint(engine) + "\n")
     if engine.profiles:
         sys.stderr.write(
             f"profiles: {RESULTS_DIR / 'run_manifest.profile.txt'}\n"
         )
+
+
+def _rerun_hint(engine: ExperimentEngine) -> str:
+    """How to finish a run that left jobs undone."""
+    if engine.use_cache:
+        return (
+            "re-run the same command: jobs that succeeded come from "
+            "the result cache, the rest run again"
+        )
+    return "the result cache was off: a re-run executes every job again"
 
 
 def _cmd_table2(args) -> None:
@@ -307,18 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
         "deterministic worker exceptions are never retried",
     )
     parser.add_argument(
-        "--resume",
-        metavar="RUN_ID",
-        default=None,
-        help="replay the run journal of an earlier (interrupted or "
-        "partially failed) run and re-run only its unfinished jobs",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
-        help="cProfile every engine job (implies --no-cache; equivalent "
-        "to REPRO_PROFILE=1) and write per-job top-20 cumulative "
-        "summaries next to the run manifest",
+        help="cProfile every engine job (implies --no-cache, so every "
+        "job executes and a re-run cannot pick up where it stopped; "
+        "equivalent to REPRO_PROFILE=1) and write per-job top-20 "
+        "cumulative summaries next to the run manifest",
     )
     parser.set_defaults(engine=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -418,10 +418,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         engine = args.engine
         if engine is not None and engine.records:
-            sys.stderr.write(
-                f"\ninterrupted; completed jobs are checkpointed -- "
-                f"continue with: --resume {engine.run_id}\n"
-            )
+            sys.stderr.write(f"\ninterrupted; {_rerun_hint(engine)}\n")
         return 130
     engine = args.engine
     if engine is not None and engine.failures:

@@ -1,10 +1,11 @@
 """Experiment runners: one per table/figure of the paper's evaluation.
 
-* :mod:`.engine`        -- parallel execution engine + result cache,
+* :mod:`.engine`        -- parallel execution engine + result cache and
   the supervised local process pool (fault isolation, retries,
-  timeouts), and the checkpoint/resume run journal.
-* :mod:`.store`         -- durable blob-store protocol (digest-verified
-  ``get``/``put``) under the artifact layer.
+  timeouts); re-running a command serves its finished jobs from the
+  cache.
+* :mod:`.store`         -- durable blob store (digest-verified
+  ``get``/``put``) under the result cache and the artifact layer.
 * :mod:`.faults`        -- deterministic fault-injection harness
   (``REPRO_FAULT_INJECT``) for exercising the supervision layer.
 * :mod:`.table2`        -- Table 2 (per-benchmark metrics, 4-wide).
@@ -33,14 +34,13 @@ from .harness import (
     run_suite,
 )
 
-from .store import FileStore, StoreProtocol
+from .store import FileStore
 
 __all__ = [
     "BenchmarkOutcome",
     "ExperimentEngine",
     "FileStore",
     "RunConfig",
-    "StoreProtocol",
     "combine_seed_results",
     "default_engine",
     "get_engine",

@@ -41,7 +41,6 @@ def _speedup_job(
     """Baseline vs decomposed at 4-wide, one knob swept away from
     ``config``'s."""
     store = get_store()
-    mark = store.mark()
     baseline, decomposed = prepare_benchmark(
         name, config.ref_seeds[0], config, store,
         selection=selection, transform=transform,
@@ -60,7 +59,6 @@ def _speedup_job(
         "committed_instructions": (
             base_run.stats.committed + dec_run.stats.committed
         ),
-        "artifacts": store.delta(mark),
     }
 
 
@@ -93,7 +91,6 @@ def _push_down_job(payload) -> dict:
 def _dbb_job(payload) -> dict:
     name, size, config = payload
     store = get_store()
-    mark = store.mark()
     _, decomposed = prepare_benchmark(name, config.ref_seeds[0], config, store)
     # The swept size now actually reaches the core (the old version
     # monkeypatched a default argument the core never used, so every
@@ -119,7 +116,6 @@ def _dbb_job(payload) -> dict:
         ),
         "simulated_cycles": run.cycles,
         "committed_instructions": run.stats.committed,
-        "artifacts": store.delta(mark),
     }
 
 
@@ -191,7 +187,6 @@ def push_down_ablation(
 def _btb_job(payload) -> dict:
     name, entries, config = payload
     store = get_store()
-    mark = store.mark()
     _, decomposed = prepare_benchmark(name, config.ref_seeds[0], config, store)
     # The BTB is purely a front-end timing structure (a miss on a
     # taken redirect only adds a bubble), so every size replays the
@@ -205,7 +200,6 @@ def _btb_job(payload) -> dict:
         "btb_bubbles": run.stats.btb_miss_bubbles,
         "simulated_cycles": run.cycles,
         "committed_instructions": run.stats.committed,
-        "artifacts": store.delta(mark),
     }
 
 

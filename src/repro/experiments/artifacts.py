@@ -103,7 +103,7 @@ from ..uarch.replay_multi import WalkDivergence
 from ..uarch.trace import Trace, TraceError, content_digest, predictor_id
 from . import faults
 from .settings import cache_root, setting
-from .store import FileStore, quarantine_file
+from .store import FileStore
 
 #: Bump when a JSON artifact layout changes.
 ARTIFACT_SCHEMA = 1
@@ -234,11 +234,8 @@ class ArtifactStore:
     def _quarantine(
         self, path: pathlib.Path, counter: str = "trace_quarantined"
     ) -> None:
-        if quarantine_file(self.quarantine_dir, path) is None:
-            return
-        # The blob moved; drop its now-orphaned digest sidecar too.
-        self.store.delete(self._store_name(path))
-        self._bump(counter)
+        if self.store.quarantine(self._store_name(path)):
+            self._bump(counter)
 
     def _write_atomic(self, path: pathlib.Path, blob: bytes) -> None:
         """Durable artifact write through the store protocol: fsync'd

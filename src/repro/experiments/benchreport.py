@@ -5,7 +5,9 @@ behind (replay vectorisation, trace replay, prep slices...), each
 with its own shape.  This module folds
 them into one machine-readable ``results/BENCH_index.json`` -- name,
 headline speedup, gate (when the snapshot records the threshold its
-benchmark asserts), lever, and snapshot date -- so "how fast is the
+benchmark asserts), lever, and the ``date`` its writer recorded when it
+measured (``-`` when a snapshot records none; a file's mtime only says
+when it was checked out or copied) -- so "how fast is the
 stack now, and what held" is one read instead of a scavenger hunt
 across six files.  ``repro bench report`` prints the same table and
 rewrites the index.
@@ -65,9 +67,7 @@ def build_index(results_dir=None) -> Dict:
         entry = {
             "name": path.stem[len("BENCH_"):],
             "file": path.name,
-            "date": time.strftime(
-                "%Y-%m-%d", time.localtime(path.stat().st_mtime)
-            ),
+            "date": None,
         }
         try:
             data = json.loads(path.read_text())
@@ -75,6 +75,7 @@ def build_index(results_dir=None) -> Dict:
             entry["error"] = f"unreadable snapshot: {exc}"
             entries.append(entry)
             continue
+        entry["date"] = data.get("date")
         entry["speedup"] = _headline_speedup(data)
         entry["gate"] = data.get("gate")
         entry["lever"] = data.get("lever")
@@ -110,7 +111,7 @@ def render_index(index: Dict) -> str:
                 entry["name"],
                 f"{speedup:.2f}x" if speedup is not None else "-",
                 f">={gate:g}x" if gate is not None else "-",
-                entry.get("date", "-"),
+                entry.get("date") or "-",
             )
         )
     if not rows:

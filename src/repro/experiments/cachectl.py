@@ -1,11 +1,11 @@
 """Housekeeping for the on-disk cache (``repro cache``).
 
 The experiment cache root (``results/.cache/`` or ``REPRO_CACHE_DIR``)
-accumulates six kinds of state:
+accumulates five kinds of state; the blob store (:mod:`.store`)
+writes the first four, each blob with a ``.sum`` digest sidecar:
 
-* ``results`` -- cached job result JSONs in the cache root (the result
-  cache, keyed by job fingerprint);
-* ``runs``    -- per-run checkpoint journals (``runs/<run-id>.jsonl``);
+* ``results`` -- cached job results (``<key>.json`` in the cache root,
+  keyed by job fingerprint);
 * ``traces``  -- captured instruction traces (``traces/<key>.trace``);
 * ``preps``   -- persisted replay-prep slices (``preps/<key>.prep``):
   the derived predictor/cache/BTB layers one trace replay needs,
@@ -42,7 +42,6 @@ from .settings import RESULTS_DIR, cache_root
 #: section name -> (subdirectory or "" for the cache root, glob pattern).
 SECTIONS: Tuple[Tuple[str, str, str], ...] = (
     ("results", "", "*.json"),
-    ("runs", "runs", "*.jsonl"),
     ("traces", "traces", "*.trace"),
     ("preps", "preps", "*.prep"),
     ("profiles", "profiles", "*"),
@@ -213,11 +212,6 @@ class VerifyReport:
     quarantined: List[pathlib.Path] = field(default_factory=list)
 
 
-#: Sections whose blobs the store layer writes with digest sidecars;
-#: :func:`verify` also counts their sidecar-less blobs as unverified.
-_STORE_SECTIONS = ("traces", "preps", "profiles")
-
-
 def verify(
     cache_dir: Optional[pathlib.Path] = None,
     quarantine: bool = False,
@@ -235,7 +229,7 @@ def verify(
     their sidecars are dropped) exactly as a verified read would have
     done; recompute stays transparent either way.
     """
-    from .store import FileStore, quarantine_file
+    from .store import FileStore
 
     root = cache_root(cache_dir)
     suffix = _sidecar_suffix()
@@ -258,18 +252,14 @@ def verify(
             report.ok += 1
         elif status == "mismatch":
             report.mismatched.append(blob)
-            if quarantine:
-                if quarantine_file(quarantine_dir, blob) is not None:
-                    report.quarantined.append(blob)
-                try:
-                    sidecar.unlink()
-                except OSError:
-                    pass
-    for section in _STORE_SECTIONS:
-        directory = root / section
-        if not directory.is_dir():
+            if quarantine and store.quarantine(name):
+                report.quarantined.append(blob)
+    # Every section but quarantine holds store blobs: count the ones
+    # without a sidecar as unverified.
+    for section, subdir, pattern in SECTIONS:
+        if section == "quarantine":
             continue
-        for path in sorted(directory.iterdir()):
+        for path in sorted((root / subdir).glob(pattern)):
             if not path.is_file() or path.name.endswith(suffix):
                 continue
             if not (path.parent / (path.name + suffix)).is_file():

@@ -1,11 +1,12 @@
-"""Parallel experiment-execution engine: supervision, cache, checkpoints.
+"""Parallel experiment-execution engine: supervision and the result cache.
 
 Every paper figure is a bag of *independent* simulation jobs (one
 benchmark, one REF seed, every width -- see :func:`.harness.run_seed`).
 The engine fans those jobs out over a :class:`ProcessPoolExecutor`,
 reassembles the results deterministically (order is fixed by submission
-index, never completion time), and memoises each job on disk so that
-re-running a figure after touching only a report renderer is instant.
+index, never completion time), and memoises each job in the blob store
+so that re-running a figure after touching only a report renderer is
+instant.
 
 * Worker count comes from the ``REPRO_JOBS`` environment variable, the
   CLI ``--jobs`` flag, or ``os.cpu_count()``; ``jobs=1`` is the serial
@@ -15,10 +16,13 @@ re-running a figure after touching only a report renderer is instant.
   ``RunConfig``/``MachineConfig``/``SelectionConfig``/``TransformConfig``
   field), the source hash of the whole ``repro`` package, and a schema
   version -- touching any simulator/compiler source invalidates the
-  whole cache; touching a renderer invalidates nothing.  Entries that
-  fail validation on read (wrong schema, truncated JSON, missing
-  ``result``) count as misses and are moved to
-  ``results/.cache/quarantine/`` for inspection.
+  whole cache; touching a renderer invalidates nothing.  Each result
+  is one blob of the digest-verified store (:class:`.store.FileStore`):
+  ``<key>.json`` with a ``.sum`` sidecar, put durably and retried on
+  transient I/O errors.  The engine keeps no persistence of its own.
+  An entry that fails its digest (torn or edited) or validation (wrong
+  schema, truncated JSON, missing ``result``) counts as a miss and is
+  moved to ``results/.cache/quarantine/`` for inspection.
 * **Supervision**: a worker that raises records a structured failure
   (status ``failed`` + traceback) instead of aborting the run; a worker
   process that dies (``BrokenProcessPool``, e.g. an OOM kill) is an
@@ -30,11 +34,11 @@ re-running a figure after touching only a report renderer is instant.
   are never retried -- they would fail identically again.  The engine
   owns its pool directly: :meth:`ExperimentEngine._run_parallel` is
   the one parallel path.
-* **Checkpoint/resume**: when the engine has a ``run_id``, every
-  finished job (success or final failure) is appended to a run journal
-  (``results/.cache/runs/<run-id>.jsonl``) the moment it completes;
-  constructing the engine with ``resume=True`` replays the journal's
-  successes so only unfinished/failed jobs re-run.
+* **Re-running is resuming**: every successful job is put in the
+  result cache the moment it completes, so re-running the same command
+  after an interrupt or a partial failure serves every finished job
+  from the cache and runs only the unfinished or failed ones.  A run
+  with the cache off keeps nothing to resume from.
 * Observability: per-job wall time and simulated-cycle counters, a
   ``progress(done, total, label)`` callback, and a machine-readable
   manifest (:meth:`ExperimentEngine.write_manifest`) recording config,
@@ -62,7 +66,6 @@ import os
 import pathlib
 import random
 import secrets
-import tempfile
 import time
 import traceback
 from concurrent.futures import (
@@ -83,7 +86,7 @@ from typing import (
 
 from . import faults
 from .settings import RESULTS_DIR, cache_root, check_settings, setting
-from .store import quarantine_file
+from .store import FileStore
 
 #: Bump when the cached-result layout changes.
 CACHE_SCHEMA = 1
@@ -115,8 +118,10 @@ CACHE_SCHEMA = 1
 #: failed validation and degraded to the (bit-identical) reference
 #: core; v11 drops v6's ``engine.backend`` and top-level ``backend``
 #: block with the lease-based queue backend: the local pool is the one
-#: parallel path.
-MANIFEST_SCHEMA = 11
+#: parallel path; v12 drops ``engine.resume``, ``totals.journal_hits``
+#: and v5's ``workers`` block with the run journal (re-running a command
+#: is its resume; each job keeps its ``worker_pid`` and ``artifacts``).
+MANIFEST_SCHEMA = 12
 
 _CODE_VERSION: Optional[str] = None
 
@@ -176,7 +181,7 @@ def _profile_text(profiler) -> str:
 
 
 def _error_dict(exc: BaseException, trace: Optional[str] = None) -> Dict:
-    """Structured failure record for manifests and journals."""
+    """Structured failure record for manifests."""
     if trace is None:
         trace = "".join(
             traceback.format_exception_only(type(exc), exc)
@@ -211,10 +216,10 @@ def _run_timed(
 
     Every envelope additionally carries ``worker_pid`` and the
     *worker-process* artifact-counter movement (``artifacts``) for the
-    job.  The counters have to travel in the envelope: the store that
-    did the work lives in the pool worker, and its counters would
-    otherwise be lost when results cross back to the parent (manifest
-    totals used to reflect the parent process only).
+    job, measured around the whole job: the one source of per-job
+    artifact counters.  They have to travel in the envelope: the store
+    that did the work lives in the pool worker, and its counters would
+    otherwise be lost when results cross back to the parent.
     """
     start = time.perf_counter()
     profile = None
@@ -315,7 +320,7 @@ class _JobState:
     def __init__(self) -> None:
         self.result: Optional[Dict] = None
         self.wall_s = 0.0
-        #: "hit" (cache), "journal" (resume replay), or "miss" (executed).
+        #: "hit" (cache) or "miss" (executed).
         self.source = "miss"
         self.profile: Optional[str] = None
         #: "pending" -> "ok" | "failed" | "timeout" | "skipped".
@@ -328,8 +333,8 @@ class _JobState:
 
 
 class ExperimentEngine:
-    """Schedules experiment jobs over processes, with an on-disk cache,
-    per-job fault isolation, retries, and a checkpoint journal."""
+    """Schedules experiment jobs over processes, with a result cache in
+    the blob store, per-job fault isolation and retries."""
 
     def __init__(
         self,
@@ -338,7 +343,6 @@ class ExperimentEngine:
         use_cache: Optional[bool] = None,
         progress: Optional[Callable[[int, int, str], None]] = None,
         run_id: Optional[str] = None,
-        resume: bool = False,
         job_timeout: Optional[float] = None,
         retries: Optional[int] = None,
     ) -> None:
@@ -351,9 +355,8 @@ class ExperimentEngine:
             use_cache if use_cache is not None else setting("REPRO_CACHE")
         )
         self.progress = progress
-        #: Journal identity; ``None`` disables journalling entirely.
+        #: Run label recorded in the manifest (the CLI stamps one per run).
         self.run_id = run_id
-        self.resume = resume
         self.job_timeout = (
             job_timeout if job_timeout is not None
             else setting("REPRO_JOB_TIMEOUT")
@@ -365,16 +368,14 @@ class ExperimentEngine:
         #: When set (the CLI does), a partial manifest is written here if
         #: a run is interrupted mid-:meth:`map`.
         self.manifest_path: Optional[pathlib.Path] = None
-        self._journal_handle = None
-        self._journal_replay: Dict[str, Dict] = (
-            self._load_journal() if (resume and run_id) else {}
-        )
+        #: Job results: one digest-verified ``<key>.json`` blob each.
+        self._results = FileStore(self.cache_dir)
         self._rng = random.Random()  # backoff jitter only
         self.reset_stats()
 
     @staticmethod
     def new_run_id() -> str:
-        """Fresh journal identity, e.g. ``20260806-104512-3fa9c1``."""
+        """Fresh run label, e.g. ``20260806-104512-3fa9c1``."""
         return time.strftime("%Y%m%d-%H%M%S") + "-" + secrets.token_hex(3)
 
     # -- observability -----------------------------------------------------
@@ -382,7 +383,6 @@ class ExperimentEngine:
     def reset_stats(self) -> None:
         self.cache_hits = 0
         self.cache_misses = 0
-        self.journal_hits = 0
         self.cache_quarantined = 0
         #: One record per executed/looked-up job, in submission order.
         self.records: List[Dict] = []
@@ -415,36 +415,15 @@ class ExperimentEngine:
     def artifact_totals(self) -> Dict[str, int]:
         """Sum of per-job artifact counters (see :mod:`.artifacts`).
 
-        Only jobs that actually executed this run contribute
-        (cache/journal hits record ``artifacts: null``), so the totals
-        describe the artifact work *this* run performed.
+        Only jobs that actually executed this run contribute (cache
+        hits record ``artifacts: null``), so the totals describe the
+        artifact work *this* run performed.
         """
         totals: Dict[str, int] = {}
         for record in self.records:
             for name, value in (record.get("artifacts") or {}).items():
                 totals[name] = totals.get(name, 0) + value
         return totals
-
-    def worker_totals(self) -> Dict[str, Dict[str, int]]:
-        """Artifact-counter movement per worker process.
-
-        Keyed by pid (as a string, for JSON); each bucket carries the
-        job count plus the summed counters of every job that executed
-        in that worker this run.  Shows at a glance how warm each
-        worker ran -- e.g. one worker capturing a trace
-        (``trace_captures``) and its siblings reading it from the
-        store (``trace_hits``).
-        """
-        per: Dict[str, Dict[str, int]] = {}
-        for record in self.records:
-            pid = record.get("worker_pid")
-            if pid is None:
-                continue
-            bucket = per.setdefault(str(pid), {"jobs": 0})
-            bucket["jobs"] += 1
-            for name, value in (record.get("artifacts") or {}).items():
-                bucket[name] = bucket.get(name, 0) + value
-        return per
 
     @property
     def failures(self) -> List[Dict]:
@@ -478,7 +457,6 @@ class ExperimentEngine:
                 "cache_enabled": self.use_cache,
                 "code_version": code_version(),
                 "run_id": self.run_id,
-                "resume": self.resume,
                 "retries": self.retries,
                 "job_timeout_s": self.job_timeout,
                 "fault_inject": plan.spec() if plan else None,
@@ -487,7 +465,6 @@ class ExperimentEngine:
                 "jobs": len(self.records),
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
-                "journal_hits": self.journal_hits,
                 "quarantined": self.cache_quarantined,
                 "artifacts": artifact_totals,
                 # Always 0 (every submission is one point); kept for
@@ -507,7 +484,6 @@ class ExperimentEngine:
                     self.total_committed_instructions,
                 "sim_kips": self.total_sim_kips,
             },
-            "workers": self.worker_totals(),
             "jobs": self.records,
         }
         if config is not None:
@@ -546,35 +522,31 @@ class ExperimentEngine:
         )
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def _quarantine(self, path: pathlib.Path) -> None:
-        """Move an unreadable/stale cache entry aside for inspection."""
-        if quarantine_file(self.cache_dir / "quarantine", path) is None:
-            return
-        self.cache_quarantined += 1
-
     def _cache_load(self, key: Optional[str]) -> Optional[Dict]:
-        """Validated cache read: a missing file is a plain miss; an entry
-        that is not valid JSON, carries the wrong schema, or lacks a dict
-        ``result`` is quarantined and counts as a miss (it used to raise
-        ``KeyError`` mid-run)."""
+        """Verified cache read: a missing blob is a plain miss; a blob
+        that fails its digest (torn or edited), is not valid JSON,
+        carries the wrong schema, or lacks a dict ``result`` is
+        quarantined and counts as a miss."""
         if key is None or not self.use_cache:
             return None
-        path = self.cache_dir / f"{key}.json"
-        try:
-            raw = path.read_text()
-        except OSError:
+        name = f"{key}.json"
+        failures = self._results.counters["verify_failures"]
+        blob = self._results.get(name)
+        if blob is None:
+            if self._results.counters["verify_failures"] > failures:
+                self.cache_quarantined += 1
             return None
         try:
-            entry = json.loads(raw)
+            entry = json.loads(blob)
         except ValueError:
-            self._quarantine(path)
-            return None
+            entry = None
         if (
             not isinstance(entry, dict)
             or entry.get("schema") != CACHE_SCHEMA
             or not isinstance(entry.get("result"), dict)
         ):
-            self._quarantine(path)
+            if self._results.quarantine(name):
+                self.cache_quarantined += 1
             return None
         return entry
 
@@ -583,7 +555,6 @@ class ExperimentEngine:
     ) -> None:
         if key is None or not self.use_cache:
             return
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(
             {
                 "schema": CACHE_SCHEMA,
@@ -591,78 +562,12 @@ class ExperimentEngine:
                 "wall_s": wall_s,
                 "result": result,
             }
-        )
+        ).encode()
         if faults.should_corrupt_cache(label):
+            # Truncated under a valid digest: only the JSON checks of
+            # the next read can refuse it.
             payload = payload[: max(1, len(payload) // 2)]
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-                handle.flush()
-                # fsync before the rename: without it a power loss can
-                # leave the durable name over torn page-cache contents.
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.cache_dir / f"{key}.json")
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    # -- run journal (checkpoint/resume) -----------------------------------
-
-    def journal_path(self) -> Optional[pathlib.Path]:
-        if self.run_id is None:
-            return None
-        return self.cache_dir / "runs" / f"{self.run_id}.jsonl"
-
-    def _load_journal(self) -> Dict[str, Dict]:
-        """Successful entries of an earlier run, keyed by cache key.
-
-        Tolerates a torn final line (the previous run may have died
-        mid-append); later entries for the same key win.
-        """
-        path = self.journal_path()
-        replay: Dict[str, Dict] = {}
-        if path is None or not path.exists():
-            return replay
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(entry, dict) or "key" not in entry:
-                continue
-            if entry.get("status") == "ok" and isinstance(
-                entry.get("result"), dict
-            ):
-                replay[entry["key"]] = entry
-            else:
-                replay.pop(entry.get("key"), None)
-        return replay
-
-    def _journal_append(self, entry: Dict) -> None:
-        path = self.journal_path()
-        if path is None:
-            return
-        if self._journal_handle is None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._journal_handle = open(path, "a")
-        self._journal_handle.write(json.dumps(entry) + "\n")
-        self._journal_handle.flush()
-        # fsync: ``--resume`` replays this file after crashes/power
-        # loss; flush alone leaves the tail in the page cache.
-        os.fsync(self._journal_handle.fileno())
-
-    def close_journal(self) -> None:
-        if self._journal_handle is not None:
-            try:
-                self._journal_handle.close()
-            finally:
-                self._journal_handle = None
+        self._results.put(f"{key}.json", payload)
 
     # -- execution ---------------------------------------------------------
 
@@ -694,9 +599,10 @@ class ExperimentEngine:
         the per-job timeout (after ``retries`` infrastructure retries)
         yields ``None`` in the returned list instead of aborting the
         whole call; the corresponding entry of :attr:`records` carries
-        the status and the failure detail.  Every finished job is
-        persisted to the cache and the run journal *as it completes*,
-        so an interrupt or crash loses at most the jobs in flight.
+        the status and the failure detail.  Every successful job is
+        put in the result cache *as it completes*, so an interrupt or
+        crash loses at most the jobs in flight, and re-running the
+        same call runs only the jobs that did not finish.
 
         On ``KeyboardInterrupt``: pending work is cancelled, the pool
         is shut down without waiting, completed results are already on
@@ -727,14 +633,6 @@ class ExperimentEngine:
         pending: List[int] = []
         for i in range(total):
             state = states[i]
-            replayed = self._journal_replay.get(keys[i])
-            if replayed is not None:
-                state.result = replayed["result"]
-                state.wall_s = replayed.get("wall_s", 0.0)
-                state.source = "journal"
-                state.status = "ok"
-                tick(i)
-                continue
             cached = self._cache_load(keys[i])
             if cached is not None:
                 state.result = cached["result"]
@@ -798,17 +696,6 @@ class ExperimentEngine:
             state.profile = envelope.get("profile")
             state.status = "ok"
             self._cache_store(keys[i], labels[i], state.result, state.wall_s)
-            self._journal_append(
-                {
-                    "key": keys[i],
-                    "label": labels[i],
-                    "status": "ok",
-                    "wall_s": state.wall_s,
-                    "attempts": state.attempts,
-                    "result": state.result,
-                    "unix": time.time(),
-                }
-            )
         else:
             error = envelope.get("error") or {
                 "type": "InvalidEnvelope",
@@ -821,7 +708,7 @@ class ExperimentEngine:
                 "timeout" if error.get("type") == "InjectedHang"
                 else "failed"
             )
-            self._fail(i, status, error, labels, keys, states)
+            self._fail(i, status, error, states)
         tick(i)
 
     def _fail(
@@ -829,26 +716,13 @@ class ExperimentEngine:
         i: int,
         status: str,
         error: Dict,
-        labels: Sequence[str],
-        keys: Sequence[str],
         states: Sequence[_JobState],
     ) -> None:
-        """Record a job's final failure (never cached, but journaled)."""
+        """Record a job's final failure (never cached)."""
         state = states[i]
         state.status = status
         state.error = error
         state.attempts = max(1, state.attempts)
-        self._journal_append(
-            {
-                "key": keys[i],
-                "label": labels[i],
-                "status": status,
-                "wall_s": state.wall_s,
-                "attempts": state.attempts,
-                "error": error,
-                "unix": time.time(),
-            }
-        )
 
     def _backoff_delay(self, attempt: int) -> float:
         base = self.retry_backoff
@@ -929,15 +803,12 @@ class ExperimentEngine:
                 envelope = future.result()
             except (BrokenProcessPool, CancelledError) as exc:
                 self._infra_fault(
-                    queue, i, attempt, "broken-pool", exc,
-                    labels, keys, states, tick,
+                    queue, i, attempt, "broken-pool", exc, states, tick
                 )
                 return True
             except Exception as exc:
                 states[i].attempts = attempt + 1
-                self._fail(
-                    i, "failed", _error_dict(exc), labels, keys, states
-                )
+                self._fail(i, "failed", _error_dict(exc), states)
                 tick(i)
                 return False
             self._absorb(i, attempt, envelope, labels, keys, states, tick)
@@ -1020,8 +891,7 @@ class ExperimentEngine:
                             f"(attempt {attempt})"
                         )
                         self._infra_fault(
-                            queue, i, attempt, "timeout", exc,
-                            labels, keys, states, tick,
+                            queue, i, attempt, "timeout", exc, states, tick
                         )
                     elif future.done():
                         settle(future)
@@ -1040,9 +910,7 @@ class ExperimentEngine:
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def _infra_fault(
-        self, queue, i, attempt, kind, exc, labels, keys, states, tick
-    ) -> None:
+    def _infra_fault(self, queue, i, attempt, kind, exc, states, tick) -> None:
         """A dead worker process or a timeout: retry with backoff until
         the attempt budget runs out, then record the final status."""
         if attempt < self.retries:
@@ -1051,7 +919,7 @@ class ExperimentEngine:
             return
         status = "timeout" if kind == "timeout" else "failed"
         states[i].attempts = attempt + 1
-        self._fail(i, status, _error_dict(exc), labels, keys, states)
+        self._fail(i, status, _error_dict(exc), states)
         tick(i)
 
     def _finalise(
@@ -1068,8 +936,6 @@ class ExperimentEngine:
                 state.status = "skipped"
             if state.source == "hit":
                 self.cache_hits += 1
-            elif state.source == "journal":
-                self.journal_hits += 1
             elif state.status != "skipped":
                 self.cache_misses += 1
             result = state.result
@@ -1079,25 +945,13 @@ class ExperimentEngine:
             else:
                 cycles = 0
                 committed = 0
-            # Cache/journal hits carry the counters their original
-            # execution recorded, but no artifact work happened in
-            # *this* run -- don't let stale counters inflate the
-            # totals.  Executed jobs prefer the envelope-level delta
-            # (measured around the whole job in the worker process)
-            # over whatever the worker function
-            # chose to embed in its result.
-            artifacts = None
-            if state.source == "miss":
-                artifacts = state.artifacts or (
-                    result.get("artifacts") or None
-                    if isinstance(result, dict)
-                    else None
-                )
             wall = state.wall_s
             record = {
                 "label": labels[i],
                 "key": keys[i],
-                "artifacts": artifacts,
+                # The envelope's counter movement; ``None`` for a cache
+                # hit, which did no artifact work in *this* run.
+                "artifacts": state.artifacts,
                 "cache": (
                     state.source if state.status != "skipped"
                     else "skipped"

@@ -29,8 +29,9 @@ Kinds:
   serial (``jobs=1``) path, where no watchdog can interrupt the main
   process, it degrades to raising :class:`InjectedHang` immediately,
   which the engine records as a ``timeout``.
-* ``corrupt_cache`` -- the engine writes a truncated cache entry for
-  the job: exercises cache validation + quarantine on the next read.
+* ``corrupt_cache`` -- the engine writes a truncated result entry for
+  the job under a valid digest: exercises the JSON checks of the next
+  cache read, quarantine, and recompute.
 * ``corrupt_trace`` -- the artifact store writes a truncated trace
   container (:mod:`.artifacts`): exercises trace checksum validation,
   quarantine, and transparent recapture on the next load.

@@ -236,14 +236,12 @@ def run_seed(name: str, seed: int, config: RunConfig) -> Dict:
     (:meth:`ArtifactStore.simulate_inorder_sweep`): the first sight of
     a program captures its committed stream timing-free, and every
     width replays it as its own walk of one shared region table
-    (bit-identical to per-width execute-driven runs).  The per-job
-    artifact counter movement is reported under ``"artifacts"``
-    (manifest schema 4).
+    (bit-identical to per-width execute-driven runs).  The engine
+    records the job's artifact counter movement in its manifest.
     """
     from .artifacts import get_store
 
     store = get_store()
-    mark = store.mark()
     baseline, decomposed = prepare_benchmark(name, seed, config, store)
 
     metrics_width = config.table_width()
@@ -284,7 +282,6 @@ def run_seed(name: str, seed: int, config: RunConfig) -> Dict:
         "forward_branches": decomposed.selection.forward_branches,
         "simulated_cycles": simulated_cycles,
         "committed_instructions": committed_instructions,
-        "artifacts": store.delta(mark),
     }
 
 

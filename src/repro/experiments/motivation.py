@@ -73,7 +73,6 @@ def _motivation_job(payload) -> dict:
     """
     name, config, window = payload
     store = get_store()
-    mark = store.mark()
     machine = config.machine_for(4)
     baseline, decomposed = prepare_benchmark(
         name, config.ref_seeds[0], config, store
@@ -107,7 +106,6 @@ def _motivation_job(payload) -> dict:
             io_base.stats.committed + io_dec.stats.committed
             + ooo_base.stats.committed + ooo_dec.stats.committed
         ),
-        "artifacts": store.delta(mark),
     }
 
 
@@ -122,7 +120,6 @@ def run(
         _motivation_job,
         [(name, config, window) for name in benchmarks],
         labels=[f"motivation:{name}" for name in benchmarks],
-        groups=list(benchmarks),
     )
     rows = [
         MotivationRow(

@@ -122,7 +122,6 @@ def _sensitivity_job(payload) -> Dict:
     name, pred_name, config = payload
     factory = dict(LADDER)[pred_name]
     store = get_store()
-    mark = store.mark()
     # Profile/select with the same predictor the hardware runs:
     # better predictors expose more candidates, as in the paper.
     baseline, decomposed = prepare_benchmark(
@@ -145,7 +144,6 @@ def _sensitivity_job(payload) -> Dict:
         "committed_instructions": (
             base_run.stats.committed + dec_run.stats.committed
         ),
-        "artifacts": store.delta(mark),
     }
 
 

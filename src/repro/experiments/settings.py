@@ -78,8 +78,8 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_CACHE", True, _flag,
          "The result cache (`--no-cache` turns it off)."),
     Knob("REPRO_CACHE_DIR", None, str,
-         "Root of the result cache, run journals, traces, prep "
-         "slices and profiles; unset means `results/.cache`."),
+         "Root of the result cache, traces, prep slices and "
+         "profiles; unset means `results/.cache`."),
     Knob("REPRO_RETRIES", 2, _number(int, 0),
          "Retries for infrastructure faults, dead workers and "
          "timeouts (`--retries`)."),

@@ -57,7 +57,6 @@ def _issue_job(payload) -> dict:
     """Figure 14 datapoint for one benchmark; engine-mappable."""
     name, config = payload
     store = get_store()
-    mark = store.mark()
     machine = config.machine_for(4)
     baseline, decomposed = prepare_benchmark(
         name, config.ref_seeds[0], config, store
@@ -76,7 +75,6 @@ def _issue_job(payload) -> dict:
         "committed_instructions": (
             base_run.stats.committed + dec_run.stats.committed
         ),
-        "artifacts": store.delta(mark),
     }
 
 
@@ -93,7 +91,6 @@ def run_issue_increase(
         _issue_job,
         [(name, config) for name in names],
         labels=[f"fig14:{name}" for name in names],
-        groups=list(names),
     )
     return IssueIncreaseResult(
         values=[
@@ -155,7 +152,6 @@ def _icache_job(payload) -> dict:
     """
     name, config = payload
     store = get_store()
-    mark = store.mark()
     machine_32k = config.machine_for(4)
     machine_24k = machine_32k.with_icache_bytes(24 * 1024)
     baseline, decomposed = prepare_benchmark(
@@ -179,7 +175,6 @@ def _icache_job(payload) -> dict:
         "committed_instructions": (
             run_32k.stats.committed + run_24k.stats.committed
         ),
-        "artifacts": store.delta(mark),
     }
 
 
@@ -194,7 +189,6 @@ def run_icache(
         _icache_job,
         [(name, config) for name in names],
         labels=[f"sec61:{name}" for name in names],
-        groups=list(names),
     )
     measured = [
         (n, r) for n, r in zip(names, results) if r is not None

@@ -1,20 +1,19 @@
-"""Durable blob-store protocol under the artifact layer.
+"""Durable blob store: everything a run keeps on disk goes through it.
 
-Every pool worker and every run reads and writes traces, prep slices
-and profiles through the cache root concurrently (a cache root may
-also sit on a shared filesystem), and every crossing of that boundary
-is a chance for a torn or corrupt transfer.  This module pins the
-contract down:
+Every pool worker and every run reads and writes job results, traces,
+prep slices and profiles through the cache root concurrently (a cache
+root may also sit on a shared filesystem), and every crossing of that
+boundary is a chance for a torn or corrupt transfer.  This module pins
+the contract down:
 
-* :class:`StoreProtocol` -- ``get``/``put``/``contains`` (+ ``delete``)
-  over named blobs.  ``put`` is durable (fsync before the atomic
-  rename) and records a SHA-256 digest; ``get`` verifies the digest on
-  every read and treats a mismatch as a miss after quarantining the
-  damage.  Implementations retry transient I/O errors with backoff.
-* :class:`FileStore` -- the directory implementation used everywhere
-  today.  Digests live in ``<name>.sum`` sidecars next to each blob;
-  a blob without a sidecar (written by an older version) is served
-  unverified, so existing caches keep working.
+* :class:`FileStore` -- ``get``/``put``/``contains`` (+ ``delete``)
+  over named blobs in one directory.  ``put`` is durable (fsync before
+  the atomic rename) and records a SHA-256 digest in a ``<name>.sum``
+  sidecar; ``get`` verifies the digest on every read and treats a
+  mismatch as a miss after quarantining the damage.  Transient I/O
+  errors are retried with backoff.  A blob without a sidecar (written
+  by an older version) is served unverified, so existing caches keep
+  working.
 * :func:`quarantine_file` -- the one shared quarantine move.  It
   uniquifies the destination (two different corrupt artifacts can
   share a basename) and enforces a small retention cap so quarantine
@@ -28,7 +27,6 @@ blob, and reports a miss so the caller recomputes.
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import os
 import pathlib
@@ -121,45 +119,15 @@ def fsync_write(path: pathlib.Path, blob: bytes) -> None:
         raise
 
 
-class StoreProtocol(abc.ABC):
-    """Named-blob storage every artifact boundary crossing goes through.
-
-    Implementations must make ``put`` atomic and durable, verify
-    content integrity on ``get`` (a failed verification is a miss, not
-    an error), and retry transient I/O faults internally.  Names are
-    relative POSIX-style paths (``traces/<key>.trace``); the backing
-    substrate -- local directory, shared mount, object store -- is the
-    implementation's business.
-    """
-
-    @abc.abstractmethod
-    def put(self, name: str, blob: bytes) -> bool:
-        """Store ``blob`` durably under ``name``; True on success."""
-
-    @abc.abstractmethod
-    def get(self, name: str) -> Optional[bytes]:
-        """Verified read; ``None`` for absent *or corrupt* blobs."""
-
-    @abc.abstractmethod
-    def contains(self, name: str) -> bool:
-        """Whether a blob named ``name`` exists (unverified)."""
-
-    @abc.abstractmethod
-    def delete(self, name: str) -> None:
-        """Remove ``name`` (and its integrity record), if present."""
-
-    @abc.abstractmethod
-    def path_for(self, name: str) -> pathlib.Path:
-        """Local path of ``name`` (for quarantine/legacy callers)."""
-
-
-class FileStore(StoreProtocol):
-    """Directory-backed store with digest sidecars.
+class FileStore:
+    """Directory-backed named-blob store with digest sidecars.
 
     ``put(name, blob)`` writes ``<root>/<name>`` (fsync + atomic
     rename) and a ``<name>.sum`` sidecar holding the blob's SHA-256;
     ``get`` re-hashes the blob against the sidecar and quarantines
-    both on mismatch.  Pre-sidecar blobs read back unverified, so a
+    both on mismatch (a failed verification is a miss, not an error).
+    Names are relative POSIX-style paths (``traces/<key>.trace``,
+    ``<key>.json``).  Pre-sidecar blobs read back unverified, so a
     cache written by an older version is still served.  Transient
     ``OSError``\\ s (a flaky shared mount) are retried with backoff.
     """
@@ -217,6 +185,7 @@ class FileStore(StoreProtocol):
                 attempt += 1
 
     def put(self, name: str, blob: bytes) -> bool:
+        """Store ``blob`` durably under ``name``; True on success."""
         digest = hashlib.sha256(blob).hexdigest()
         if faults.should_tear_put(name):
             # A transfer that died mid-copy: the digest was computed
@@ -239,6 +208,7 @@ class FileStore(StoreProtocol):
         return True
 
     def get(self, name: str) -> Optional[bytes]:
+        """Verified read; ``None`` for absent *or corrupt* blobs."""
         path = self.path_for(name)
         try:
             blob = self._retry(path.read_bytes, "get_retries")
@@ -251,15 +221,23 @@ class FileStore(StoreProtocol):
             return blob  # pre-sidecar blob: serve unverified
         if hashlib.sha256(blob).hexdigest() != recorded:
             self._bump("verify_failures")
-            quarantine_file(self.quarantine_dir, path)
-            try:
-                self._sidecar(name).unlink()
-            except OSError:
-                pass
+            self.quarantine(name)
             return None
         return blob
 
+    def quarantine(self, name: str) -> bool:
+        """Move blob ``name`` aside for inspection and drop its sidecar
+        (a later ``put`` starts clean); True when the blob moved."""
+        if quarantine_file(self.quarantine_dir, self.path_for(name)) is None:
+            return False
+        try:
+            self._sidecar(name).unlink()
+        except OSError:
+            pass
+        return True
+
     def contains(self, name: str) -> bool:
+        """Whether a blob named ``name`` exists (unverified)."""
         return self.path_for(name).exists()
 
     def verify_blob(self, name: str) -> str:
@@ -286,6 +264,7 @@ class FileStore(StoreProtocol):
         return "ok"
 
     def delete(self, name: str) -> None:
+        """Remove ``name`` and its sidecar, if present."""
         for victim in (self.path_for(name), self._sidecar(name)):
             try:
                 victim.unlink()

@@ -348,7 +348,9 @@ class TestSeedSharing:
         # profile artifact must not be recomputed either way.
         assert delta.get("profile_hits", 0) >= 1
         assert "profile_misses" not in delta
-        assert result["artifacts"]
+        # The engine's envelope measures a job's counters; the job's
+        # own result carries none.
+        assert "artifacts" not in result
 
     def test_combine_asserts_compile_divergence(
         self, tmp_path, monkeypatch
@@ -481,7 +483,6 @@ class TestCacheCtl:
         from repro.experiments import cachectl
 
         (tmp_path / "traces").mkdir()
-        (tmp_path / "runs").mkdir()
         old = tmp_path / "traces" / "old.trace"
         new = tmp_path / "traces" / "new.trace"
         old.write_bytes(b"x" * 1000)
@@ -490,12 +491,13 @@ class TestCacheCtl:
 
         stale = time.time() - 10 * 86400
         os.utime(old, (stale, stale))
-        (tmp_path / "runs" / "r1.jsonl").write_text("{}\n")
+        (tmp_path / "r1.json").write_text("{}\n")
 
         report = cachectl.scan(tmp_path)
         assert report["traces"].files == 2
         assert report["traces"].bytes == 2000
-        assert report["runs"].files == 1
+        assert report["results"].files == 1
+        assert "runs" not in report  # no run journals any more
 
         removed = cachectl.prune(tmp_path, max_age_days=5)
         assert removed["traces"] == (1, 1000)
@@ -503,7 +505,7 @@ class TestCacheCtl:
 
         removed = cachectl.prune(tmp_path, max_size_mb=0.0)
         assert not new.exists()
-        assert not (tmp_path / "runs" / "r1.jsonl").exists()
+        assert not (tmp_path / "r1.json").exists()
 
     def test_prune_without_limits_is_noop(self, tmp_path):
         from repro.experiments import cachectl

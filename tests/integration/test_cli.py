@@ -42,19 +42,21 @@ class TestParser:
 
     def test_robustness_flags(self):
         args = build_parser().parse_args(
-            ["--job-timeout", "2.5", "--retries", "4",
-             "--resume", "20260806-101500-abc123", "table2"]
+            ["--job-timeout", "2.5", "--retries", "4", "table2"]
         )
         assert args.job_timeout == 2.5
         assert args.retries == 4
-        assert args.resume == "20260806-101500-abc123"
         args = build_parser().parse_args(["table2"])
         assert args.job_timeout is None
         assert args.retries is None
-        assert args.resume is None
         # The local pool is the one execution path: no backend flag.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--backend", "local", "table2"])
+        # Re-running a command is its resume: no run journal to name.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["--resume", "20260806-101500-abc123", "table2"]
+            )
 
 
 class TestExecution:

@@ -134,10 +134,11 @@ class TestObservability:
 
     def test_manifest_schema4_health_fields(self, tmp_path):
         """Schema >= 4 fields: per-job status/attempts/error plus run
-        identity, robustness knobs, health totals, artifact counters;
-        the v5 worker fields; the v9 removal of the plane and
-        batch-dispatch fields; and the v11 removal of the backend
-        block."""
+        label, robustness knobs, health totals, artifact counters; the
+        per-job ``worker_pid``; the v9 removal of the plane and
+        batch-dispatch fields; the v11 removal of the backend block;
+        and the v12 removal of the run journal's fields and the
+        per-worker block."""
         config = RunConfig.quick()
         engine = ExperimentEngine(
             jobs=1, cache_dir=tmp_path, use_cache=True, run_id="m3",
@@ -145,12 +146,13 @@ class TestObservability:
         )
         engine.run_benchmark("h264ref", config)
         manifest = engine.manifest(config)
-        assert manifest["schema"] == 11
+        assert manifest["schema"] == 12
         assert "backend" not in manifest
+        assert "workers" not in manifest
         block = manifest["engine"]
         assert "backend" not in block
+        assert "resume" not in block
         assert block["run_id"] == "m3"
-        assert block["resume"] is False
         assert block["retries"] == 1
         assert block["job_timeout_s"] == 30.0
         assert block["fault_inject"] is None
@@ -158,7 +160,8 @@ class TestObservability:
         assert totals["ok"] == totals["jobs"] == len(config.ref_seeds)
         assert totals["failed"] == totals["timeout"] == 0
         assert totals["skipped"] == totals["retries_used"] == 0
-        assert totals["journal_hits"] == totals["quarantined"] == 0
+        assert totals["quarantined"] == 0
+        assert "journal_hits" not in totals
         # v4: per-job artifact counters aggregate into the totals.
         assert totals["artifacts"].get("trace_captures", 0) > 0
         # v9: fused batch dispatch and the shm plane are gone; the two
@@ -172,13 +175,12 @@ class TestObservability:
             assert isinstance(record["artifacts"], dict)
             assert isinstance(record["worker_pid"], int)
             assert "batched" not in record
-        workers = manifest["workers"]
-        assert sum(v["jobs"] for v in workers.values()) == totals["jobs"]
-        # Every completed job was checkpointed as it finished.
-        journal = tmp_path / "runs" / "m3.jsonl"
-        assert len(journal.read_text().splitlines()) == len(
+        # Every completed job went into the result cache as a blob
+        # with its digest sidecar; there is no run journal.
+        assert len(list(tmp_path.glob("*.json.sum"))) == len(
             config.ref_seeds
         )
+        assert not (tmp_path / "runs").exists()
 
     def test_manifest_reports_simulated_kips(self, tmp_path):
         config = RunConfig.quick()

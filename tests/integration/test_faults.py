@@ -1,4 +1,4 @@
-"""Engine robustness under faults: isolation, retries, checkpoints.
+"""Engine robustness under faults: isolation, retries, the result cache.
 
 Every scenario the supervision layer claims to survive is exercised
 here at quick scale with ``jobs=2``, driven either by real misbehaving
@@ -7,6 +7,7 @@ fault-injection harness (``REPRO_FAULT_INJECT``) -- no flaky sleeps,
 no random kill signals.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -66,6 +67,11 @@ def _always_die_job(payload) -> dict:
 def _sleep_job(payload) -> dict:
     time.sleep(payload)
     return {"value": payload}
+
+
+def _sidecar(entry: pathlib.Path) -> pathlib.Path:
+    """The digest sidecar the blob store keeps next to ``entry``."""
+    return entry.with_name(entry.name + ".sum")
 
 
 class TestFaultPlan:
@@ -231,6 +237,8 @@ class TestCacheIntegrity:
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path, use_cache=True)
         (result,) = engine.map(_square_job, [3], labels=["sq3"])
         (entry,) = tmp_path.glob("*.json")
+        # Every result is a store blob with its digest sidecar.
+        assert _sidecar(entry).is_file()
         return result, entry
 
     def _reload(self, tmp_path):
@@ -260,15 +268,44 @@ class TestCacheIntegrity:
         quarantined = list((tmp_path / "quarantine").iterdir())
         assert [p.name for p in quarantined] == [entry.name]
 
+    def test_valid_digest_stale_schema_quarantined_and_recomputed(
+        self, tmp_path
+    ):
+        """An entry rewritten together with its sidecar passes the
+        digest check, so only the JSON checks can refuse it."""
+        from repro.experiments import cachectl
+
+        first, entry = self._seed_cache(tmp_path)
+        stale = json.loads(entry.read_text())
+        stale["schema"] = CACHE_SCHEMA - 1
+        blob = json.dumps(stale).encode()
+        entry.write_bytes(blob)
+        _sidecar(entry).write_text(hashlib.sha256(blob).hexdigest())
+        report = cachectl.verify(tmp_path)
+        assert report.ok == 1 and not report.mismatched
+        engine, second = self._reload(tmp_path)
+        assert second == first
+        assert engine.cache_quarantined == 1
+        assert engine.cache_hits == 0 and engine.cache_misses == 1
+        quarantined = list((tmp_path / "quarantine").iterdir())
+        assert [p.name for p in quarantined] == [entry.name]
+        # The recomputed entry went back in whole.
+        report = cachectl.verify(tmp_path)
+        assert report.ok == 1 and not report.mismatched
+
     def test_injected_corruption_round_trip(self, tmp_path, monkeypatch):
-        """corrupt_cache faults poison the write; the validated read
-        quarantines the damage and recomputes bit-identical results."""
+        """corrupt_cache faults write a truncated entry under a valid
+        digest; the JSON checks of the next read quarantine it and the
+        job recomputes bit-identical results."""
         monkeypatch.setenv(
             "REPRO_FAULT_INJECT", "corrupt_cache:1.0@seed=1"
         )
         first, entry = self._seed_cache(tmp_path)
         with pytest.raises(ValueError):
             json.loads(entry.read_text())  # really was corrupted
+        assert _sidecar(entry).read_text() == hashlib.sha256(
+            entry.read_bytes()
+        ).hexdigest()
         monkeypatch.delenv("REPRO_FAULT_INJECT")
         engine, second = self._reload(tmp_path)
         assert second == first == {
@@ -324,33 +361,27 @@ class TestInterruptResume:
         with pytest.raises(KeyboardInterrupt):
             engine.map(_square_job, payloads, labels=labels)
 
-        # Completed jobs hit the cache and journal the moment they
+        # Completed jobs went into the result cache the moment they
         # finished; the interrupted rest is recorded as skipped.
         assert [r["status"] for r in engine.records] == [
             "ok", "ok", "skipped", "skipped", "skipped",
         ]
         assert len(list(tmp_path.glob("*.json"))) == 2 + 1  # + manifest
-        journal = tmp_path / "runs" / "test-run.jsonl"
-        entries = [
-            json.loads(line)
-            for line in journal.read_text().splitlines()
-        ]
-        assert [e["label"] for e in entries] == ["sq0", "sq1"]
-        assert all(e["status"] == "ok" for e in entries)
+        assert len(list(tmp_path.glob("*.json.sum"))) == 2
 
         partial = json.loads(engine.manifest_path.read_text())
         assert partial["schema"] == MANIFEST_SCHEMA
         assert partial["totals"]["ok"] == 2
         assert partial["totals"]["skipped"] == 3
 
-        # Resume replays the journal (cache off, to prove the journal
-        # alone suffices) and re-runs only the unfinished jobs.
-        resumed = ExperimentEngine(
-            jobs=1, cache_dir=tmp_path, use_cache=False,
-            run_id="test-run", resume=True,
-        )
+        # Re-running on the same cache root is the resume: the
+        # finished jobs hit, only the unfinished ones run.
+        resumed = ExperimentEngine(jobs=1, cache_dir=tmp_path, use_cache=True)
         results = resumed.map(_square_job, payloads, labels=labels)
-        assert results == [
+        clean = ExperimentEngine(jobs=1, use_cache=False).map(
+            _square_job, payloads, labels=labels
+        )
+        assert results == clean == [
             {
                 "value": i * i,
                 "simulated_cycles": 10,
@@ -358,34 +389,10 @@ class TestInterruptResume:
             }
             for i in payloads
         ]
-        assert resumed.journal_hits == 2
+        assert resumed.cache_hits == 2
         assert resumed.cache_misses == 3
-        replayed = [
-            r["cache"] for r in resumed.records
-        ]
-        assert replayed == ["journal", "journal", "miss", "miss", "miss"]
-
-    def test_torn_journal_tail_is_tolerated(self, tmp_path):
-        journal = tmp_path / "runs" / "torn.jsonl"
-        journal.parent.mkdir(parents=True)
-        engine = ExperimentEngine(
-            jobs=1, cache_dir=tmp_path, use_cache=False,
-            run_id="probe",
-        )
-        key = engine._cache_key(_square_job, 2)
-        good = json.dumps(
-            {"key": key, "status": "ok", "result": {"value": 4},
-             "wall_s": 0.0}
-        )
-        journal.write_text(good + "\n" + '{"key": "abc", "stat')
-        resumed = ExperimentEngine(
-            jobs=1, cache_dir=tmp_path, use_cache=False,
-            run_id="torn", resume=True,
-        )
-        (result,) = resumed.map(_square_job, [2], labels=["sq2"])
-        # Torn line ignored; the good line belongs to run "torn".
-        assert result["value"] == 4
-        assert resumed.journal_hits == 1
+        assert [r["cache"] for r in resumed.records] \
+            == ["hit", "hit", "miss", "miss", "miss"]
 
 
 class TestFusedDivergence:
@@ -530,10 +537,10 @@ class TestFusedDivergence:
 
 
 class TestBenchmarkSweepAcceptance:
-    """The ISSUE acceptance scenario at quick scale: a crash-injected
-    sweep marks exactly the planned failures in a schema-3 manifest,
-    and --resume with faults off re-runs only the failed jobs,
-    producing results identical to an undisturbed run."""
+    """The acceptance scenario at quick scale: a crash-injected sweep
+    marks exactly the planned failures in its manifest, and re-running
+    it on the same cache root with faults off runs only the failed
+    jobs, producing results identical to an undisturbed run."""
 
     def test_faulted_sweep_then_resume_matches_clean_run(
         self, tmp_path, monkeypatch
@@ -554,8 +561,7 @@ class TestBenchmarkSweepAcceptance:
 
         monkeypatch.setenv("REPRO_FAULT_INJECT", spec)
         engine = ExperimentEngine(
-            jobs=2, cache_dir=tmp_path, use_cache=True,
-            run_id="sweep", retries=2,
+            jobs=2, cache_dir=tmp_path, use_cache=True, retries=2
         )
         outcomes = engine.run_benchmarks(names, config)
         manifest = engine.manifest(config)
@@ -572,14 +578,11 @@ class TestBenchmarkSweepAcceptance:
         assert by_name["omnetpp"].status == "failed"
         assert "InjectedCrash" in by_name["omnetpp"].error
 
-        # Resume with faults off: only the failed job re-runs.
+        # Re-run with faults off: only the failed job runs again.
         monkeypatch.delenv("REPRO_FAULT_INJECT")
-        resumed = ExperimentEngine(
-            jobs=2, cache_dir=tmp_path, use_cache=False,
-            run_id="sweep", resume=True,
-        )
+        resumed = ExperimentEngine(jobs=2, cache_dir=tmp_path, use_cache=True)
         resumed_outcomes = resumed.run_benchmarks(names, config)
-        assert resumed.journal_hits == len(labels) - len(expected_failures)
+        assert resumed.cache_hits == len(labels) - len(expected_failures)
         assert resumed.cache_misses == len(expected_failures)
 
         clean = ExperimentEngine(jobs=1, use_cache=False).run_benchmarks(
