@@ -12,7 +12,8 @@ to the kernels.
 Two layers:
 
 * pytest-benchmark micros of one cold-store sweep point under a live
-  (non-recorded) predictor -- prep cache off vs warm;
+  (non-recorded) predictor -- every prep layer rebuilt in-process vs
+  the persisted slice attached;
 * a snapshot (``results/BENCH_prep_cache.json``) of the full
   multi-predictor sweep across a chain of fresh stores, warm and cold
   sweeps sampled round-robin and gated at >= 1.3x, with the store
@@ -37,7 +38,7 @@ from repro.branchpred import (
 from repro.compiler import compile_baseline, profile_program
 from repro.experiments.artifacts import ArtifactStore
 from repro.ir import lower
-from repro.uarch import MachineConfig
+from repro.uarch import MachineConfig, replay_inorder
 from repro.workloads import spec_benchmark
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -85,21 +86,28 @@ def _fresh_point(cache_dir, program, machine):
     return result, store.counters
 
 
-def test_point_replay_prep_cold(benchmark, tmp_path, monkeypatch):
-    """Prep cache off: every fresh store re-runs the serial live
+def _unprepped_point(cache_dir, program, machine):
+    """The same point replaying the stored trace directly: every prep
+    layer is rebuilt in-process, and no slice is attached or
+    persisted."""
+    store = ArtifactStore(cache_dir=cache_dir)
+    trace = store.peek_trace(program, machine, max_instructions=_BUDGET)
+    return replay_inorder(program, trace, machine), store.counters
+
+
+def test_point_replay_prep_cold(benchmark, tmp_path):
+    """No persisted slice: every fresh store re-runs the serial live
     predictor pass and cache-tag walk before it can replay."""
-    monkeypatch.setenv("REPRO_PREP_CACHE", "0")
     program, machine = _seed_trace(tmp_path)
     live = machine.with_predictor(GSharePredictor)
     result = benchmark(
-        lambda: _fresh_point(tmp_path, program, live)[0]
+        lambda: _unprepped_point(tmp_path, program, live)[0]
     )
     assert result.cycles > 0
 
 
-def test_point_replay_prep_warm(benchmark, tmp_path, monkeypatch):
+def test_point_replay_prep_warm(benchmark, tmp_path):
     """Persisted preps: a fresh store attaches the finished layers."""
-    monkeypatch.delenv("REPRO_PREP_CACHE", raising=False)
     program, machine = _seed_trace(tmp_path)
     live = machine.with_predictor(GSharePredictor)
     _, counters = _fresh_point(tmp_path, program, live)  # build once
@@ -124,20 +132,19 @@ def _interleaved_best(fns, reps=7):
     return best, outs
 
 
-def test_prep_cache_snapshot(tmp_path, monkeypatch):
+def test_prep_cache_snapshot(tmp_path):
     """Archive cold vs warm multi-predictor sweep walls in
     ``results/BENCH_prep_cache.json``, hold warm to the >= 1.3x
     target, and prove one build per (trace, predictor) fleet-wide."""
-    monkeypatch.delenv("REPRO_PREP_CACHE", raising=False)
     program, machine = _seed_trace(tmp_path)
     machines = _sweep_machines(machine)
 
-    def sweep():
+    def sweep(point=_fresh_point):
         # A chain of fresh stores: the state of a fleet where no two
         # points share a process.  Returns results + summed counters.
         results, totals = [], {}
         for m in machines:
-            result, counters = _fresh_point(tmp_path, program, m)
+            result, counters = point(tmp_path, program, m)
             results.append(result)
             for name, count in counters.items():
                 if count:
@@ -153,13 +160,9 @@ def test_prep_cache_snapshot(tmp_path, monkeypatch):
     assert build_totals.get("prep_hits") == 1
 
     def cold_sweep():
-        # Prep cache off for this sample only: the same chain, every
-        # prep layer rebuilt per point and nothing persisted.
-        monkeypatch.setenv("REPRO_PREP_CACHE", "0")
-        try:
-            return sweep()
-        finally:
-            monkeypatch.delenv("REPRO_PREP_CACHE")
+        # The same chain, every prep layer rebuilt per point and
+        # nothing attached or persisted.
+        return sweep(_unprepped_point)
 
     # Warm passes reuse those builds forever; cold passes rebuild.
     # Alternate the two so host noise lands on both sides alike.
@@ -192,8 +195,9 @@ def test_prep_cache_snapshot(tmp_path, monkeypatch):
             "predictors": [p.__name__ for p in _PREDICTORS],
         },
         "lever": (
-            "REPRO_PREP_CACHE (warm: fresh store per point attaching "
-            "persisted preps/ slices; cold: same chain rebuilding "
+            "persisted prep slices (warm: fresh store per point "
+            "attaching persisted preps/ slices; cold: same chain "
+            "replaying the stored trace with replay_inorder, rebuilding "
             "every prep layer per point; min of 7 samples per side, "
             "taken alternately)"
         ),

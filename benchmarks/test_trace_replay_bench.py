@@ -1,33 +1,17 @@
-"""Trace capture/replay pipeline benchmarks.
+"""Trace replay benchmarks: the execute-driven reference core against
+the replay kernels on one program and one machine config, the trace
+recorded by the timing-free capture.
 
-Two layers:
-
-* pytest-benchmark microbenchmarks of one simulation -- execute-driven
-  vs trace replay of the same program on the same machine config, the
-  trace recorded by the timing-free capture;
-* an end-to-end snapshot (``results/BENCH_trace_replay.json``): two
-  real machine-knob sweeps (DBB sizing and BTB sizing -- the sweeps
-  whose points share one program and vary only timing structures) run
-  cold with the artifact fast path off (``REPRO_TRACE_REPLAY=0`` --
-  every sweep point recomputes its TRAIN profile, compilations, and
-  execute-driven simulations, exactly like the pre-artifact-store
-  pipeline) and then cold again with it on.  Both halves run
-  back-to-back on the same machine; the JSON records walls, speedups,
-  and the artifact counters proving the "after" half captured each
-  program once and replayed it at every point.  (The predictor
-  sensitivity ladder is deliberately *not* benchmarked here: its
-  profiles and compilations are predictor-keyed, so each rung's work
-  is legitimately distinct and the store can only share the functional
-  branch trace across rungs.)
+* pytest-benchmark microbenchmarks of one simulation each way;
+* a snapshot (``results/BENCH_replay_vectorized.json``) of the
+  in-order and OOO kernels' walls against the reference cores they
+  reproduce, gated at >= 3x for the in-order kernel.
 """
 
 import json
 import pathlib
-import shutil
 import time
 
-from repro.experiments import ExperimentEngine, RunConfig
-from repro.experiments.ablations import btb_sizing_sweep, dbb_occupancy
 from repro.uarch import (
     InOrderCore,
     MachineConfig,
@@ -178,74 +162,3 @@ def test_replay_vectorized_snapshot():
         f"in-order replay speedup {snapshot['inorder']['speedup_warm']}x "
         f"< {snapshot['gate']}x target"
     )
-
-
-def _timed_sweep(sweep, tmp_root: pathlib.Path, replay: bool, monkeypatch):
-    """One cold run of ``sweep`` with the artifact path on or off."""
-    cache_dir = tmp_root / ("replay" if replay else "execute")
-    shutil.rmtree(cache_dir, ignore_errors=True)
-    monkeypatch.setenv("REPRO_TRACE_REPLAY", "1" if replay else "0")
-    engine = ExperimentEngine(
-        jobs=1, cache_dir=cache_dir, use_cache=False
-    )
-    start = time.perf_counter()
-    result = sweep(engine)
-    wall = time.perf_counter() - start
-    return wall, engine.artifact_totals(), result
-
-
-def test_sweep_snapshot(tmp_path, monkeypatch):
-    """Archive before/after sweep walls in BENCH_trace_replay.json and
-    hold the pipeline to the >= 2x end-to-end target."""
-    config = RunConfig(iterations=400, max_instructions=1_300_000)
-    sweeps = {
-        "ablation_dbb_sizing": lambda engine: dbb_occupancy(
-            name="h264ref",
-            sizes=(4, 8, 16, 32),
-            config=config,
-            engine=engine,
-        ),
-        "ablation_btb_sizing": lambda engine: btb_sizing_sweep(
-            name="mcf", config=config, engine=engine
-        ),
-    }
-    snapshot = {
-        "date": time.strftime("%Y-%m-%d"),
-        "config": {
-            "iterations": config.iterations,
-            "max_instructions": config.max_instructions,
-            "jobs": 1,
-        },
-        "lever": "REPRO_TRACE_REPLAY (0 = pre-artifact-store pipeline)",
-        "sweeps": {},
-    }
-    for name, sweep in sweeps.items():
-        before_wall, before_art, before = _timed_sweep(
-            sweep, tmp_path / name, replay=False, monkeypatch=monkeypatch
-        )
-        after_wall, after_art, after = _timed_sweep(
-            sweep, tmp_path / name, replay=True, monkeypatch=monkeypatch
-        )
-        assert repr(before) == repr(after), (
-            f"{name}: replay changed the sweep's results"
-        )
-        snapshot["sweeps"][name] = {
-            "before_wall_s": round(before_wall, 2),
-            "after_wall_s": round(after_wall, 2),
-            "speedup": round(before_wall / after_wall, 2),
-            "before_artifacts": before_art,
-            "after_artifacts": after_art,
-        }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_trace_replay.json").write_text(
-        json.dumps(snapshot, indent=2) + "\n"
-    )
-    for name, record in snapshot["sweeps"].items():
-        # Capture-once proven by counters: replays strictly outnumber
-        # captures, and the execute-driven half never replayed.
-        assert record["after_artifacts"].get("trace_replays", 0) > \
-            record["after_artifacts"].get("trace_captures", 0), name
-        assert record["before_artifacts"].get("trace_replays", 0) == 0
-        assert record["speedup"] >= 2.0, (
-            f"{name}: end-to-end speedup {record['speedup']}x < 2x"
-        )

@@ -104,7 +104,7 @@ def _dbb_job(payload) -> dict:
     trace = store.peek_trace(
         decomposed.program, machine, max_instructions=config.max_instructions
     )
-    if trace is None:  # replay disabled: capture one explicitly
+    if trace is None:  # no trace key (an unnameable predictor factory)
         trace = capture_trace(
             decomposed.program,
             machine.predictor_factory,

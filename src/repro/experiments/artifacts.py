@@ -54,13 +54,13 @@ cache -- and transparently recomputed.  The fault harness's
 ``corrupt_trace`` kind (:mod:`.faults`) writes deliberately truncated
 traces to exercise exactly that path.
 
-Three knobs of :data:`.settings.KNOBS` steer this layer:
-``REPRO_TRACE_REPLAY=0`` turns the whole fast path off (every job
-recomputes everything on the execute-driven cores, the before/after
-lever for ``results/BENCH_trace_replay.json``), ``REPRO_PREP_CACHE=0``
-rebuilds prep layers per process instead of persisting slices (results
-are bit-identical either way), and ``REPRO_TRACE_LRU_MB`` budgets the
-in-process hot-trace LRU.
+The layer has one configuration: every simulation goes through a
+trace and its persisted prep slice.  Its one knob,
+``REPRO_TRACE_LRU_MB`` (:data:`.settings.KNOBS`), budgets the
+in-process hot-trace LRU.  The execute-driven reference cores run
+behind it in three places only: a predictor factory with no stable
+name (no trace key), a replay kernel that declines, and a region walk
+that fails validation.
 
 Counter semantics (reported per job via :meth:`ArtifactStore.mark` /
 :meth:`ArtifactStore.delta`, aggregated by manifest schema 4):
@@ -356,8 +356,6 @@ class ArtifactStore:
         and rebuilt transparently -- never a wrong answer, at worst a
         recompute.
         """
-        if not setting("REPRO_PREP_CACHE"):
-            return
         key = replay_vec.prep_slice_key(program, trace, config)
         if key is None:
             return
@@ -399,11 +397,6 @@ class ArtifactStore:
 
         from .engine import code_version
 
-        if not setting("REPRO_TRACE_REPLAY"):
-            self._bump("btrace_misses")
-            return collect_branch_trace(
-                program(), max_instructions=max_instructions
-            )
         key = hashlib.sha256(
             json.dumps(
                 {
@@ -499,7 +492,7 @@ class ArtifactStore:
             digest = content_digest(program())
             self._program_digests[program_key] = digest
         pid = predictor_id(predictor_factory)
-        if pid is None or not setting("REPRO_TRACE_REPLAY"):
+        if pid is None:
             self._bump("profile_misses")
             events = self._branch_trace(digest, program, max_instructions)
             return measure_trace(events, predictor_factory)
@@ -595,9 +588,6 @@ class ArtifactStore:
 
         from .engine import fingerprint
 
-        if not setting("REPRO_TRACE_REPLAY"):
-            self._bump("build_misses")
-            return spec.build(seed=seed)
         key = json.dumps([fingerprint(spec), seed], sort_keys=True)
         func = self._build_memo.get(key)
         if func is not None:
@@ -617,7 +607,7 @@ class ArtifactStore:
         objects, so this memo is in-process only; with ``jobs=N`` each
         worker process warms its own.
         """
-        if memo_key is None or not setting("REPRO_TRACE_REPLAY"):
+        if memo_key is None:
             self._bump("compile_misses")
             return build()
         cached = self._compile_memo.get(memo_key)
@@ -636,8 +626,8 @@ class ArtifactStore:
     ) -> Optional[str]:
         """Content address of the trace a simulation of ``program``
         under ``config`` captures or replays; ``None`` means run the
-        execute-driven reference core instead (the fast path is off,
-        or the predictor factory has no stable name to key on).
+        execute-driven reference core instead (the predictor factory
+        has no stable name to key on).
 
         A baseline program's committed stream is predictor-independent,
         so its key leaves the predictor out and one trace serves every
@@ -648,8 +638,6 @@ class ArtifactStore:
         from .engine import code_version
         from ..uarch.trace import TRACE_SCHEMA
 
-        if not setting("REPRO_TRACE_REPLAY"):
-            return None
         pid = predictor_id(config.predictor_factory)
         if pid is None:
             return None
@@ -772,7 +760,8 @@ class ArtifactStore:
         max_instructions: int = 2_000_000,
     ) -> Optional[Trace]:
         """The stored trace a :meth:`simulate_inorder` call would replay
-        (without counting a lookup); ``None`` when absent/disabled."""
+        (without counting a lookup); ``None`` when it is absent or the
+        config has no trace key."""
         key = self._trace_key(program, config, max_instructions)
         if key is None:
             return None

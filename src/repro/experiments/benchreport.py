@@ -14,8 +14,9 @@ rewrites the index.
 
 The extractor is deliberately tolerant of shape drift: a snapshot's
 headline number is its top-level ``speedup``, else ``sweep.speedup``,
-else the maximum numeric ``speedup*`` value found anywhere in it --
-older snapshots need no retrofitting to stay indexed.
+else the maximum numeric ``speedup*`` value found anywhere in it, a
+``speedup*`` dict counting every numeric value under it (per-component
+ratios) -- older snapshots need no retrofitting to stay indexed.
 """
 
 from __future__ import annotations
@@ -37,17 +38,16 @@ def _headline_speedup(data) -> Optional[float]:
     """Best-effort headline speedup of one snapshot (see module doc)."""
     found: List[Tuple[tuple, float]] = []
 
-    def walk(node, path: tuple) -> None:
+    def walk(node, path: tuple, in_speedup: bool) -> None:
         if isinstance(node, dict):
             for key, value in node.items():
-                if key.startswith("speedup") and isinstance(
-                    value, (int, float)
-                ):
+                named = in_speedup or key.startswith("speedup")
+                if named and isinstance(value, (int, float)):
                     found.append((path + (key,), float(value)))
                 else:
-                    walk(value, path + (key,))
+                    walk(value, path + (key,), named)
 
-    walk(data, ())
+    walk(data, (), False)
     if not found:
         return None
     for preferred in (("speedup",), ("sweep", "speedup")):

@@ -350,12 +350,18 @@ def render_report(
         f"{_human(total_bytes):>10}"
     )
     counters = artifact_counters(manifest_path)
-    if counters:
-        lines.append("last run artifact counters (manifest schema >= 4):")
-        for name, value in sorted(counters.items()):
-            lines.append(f"  {name:<20} {value}")
-    else:
+    if counters is None:
         lines.append(
             "no artifact counters (no schema-4 run manifest found)"
         )
+    elif not counters:
+        # Cache hits run no job, so an all-hits run moves no counter.
+        lines.append(
+            "last run did no artifact work (every counter 0, as when "
+            "every job is a cache hit)"
+        )
+    else:
+        lines.append("last run artifact counters (manifest schema >= 4):")
+        for name, value in sorted(counters.items()):
+            lines.append(f"  {name:<20} {value}")
     return "\n".join(lines)

@@ -27,10 +27,10 @@ instant.
   (status ``failed`` + traceback) instead of aborting the run; a worker
   process that dies (``BrokenProcessPool``, e.g. an OOM kill) is an
   infrastructure fault and is retried with exponential backoff + jitter
-  (``REPRO_RETRIES``); a job that exceeds the per-job
-  timeout (``REPRO_JOB_TIMEOUT`` / ``--job-timeout``) is detected by a
-  watchdog that kills and respawns the pool, resubmitting innocent
-  in-flight jobs at no attempt cost.  Deterministic worker exceptions
+  (``REPRO_RETRIES`` times, from :data:`RETRY_BACKOFF_S`); a job that
+  exceeds the per-job timeout (``REPRO_JOB_TIMEOUT`` /
+  ``--job-timeout``) is detected by a watchdog that kills and respawns
+  the pool, resubmitting innocent in-flight jobs at no attempt cost.  Deterministic worker exceptions
   are never retried -- they would fail identically again.  The engine
   owns its pool directly: :meth:`ExperimentEngine._run_parallel` is
   the one parallel path.
@@ -122,6 +122,10 @@ CACHE_SCHEMA = 1
 #: and v5's ``workers`` block with the run journal (re-running a command
 #: is its resume; each job keeps its ``worker_pid`` and ``artifacts``).
 MANIFEST_SCHEMA = 12
+
+#: First retry's backoff in seconds for a dead worker or a timeout;
+#: doubled on each later retry, plus up to this much jitter.
+RETRY_BACKOFF_S = 0.5
 
 _CODE_VERSION: Optional[str] = None
 
@@ -364,7 +368,6 @@ class ExperimentEngine:
         self.retries = (
             retries if retries is not None else setting("REPRO_RETRIES")
         )
-        self.retry_backoff = setting("REPRO_RETRY_BACKOFF")
         #: When set (the CLI does), a partial manifest is written here if
         #: a run is interrupted mid-:meth:`map`.
         self.manifest_path: Optional[pathlib.Path] = None
@@ -725,9 +728,7 @@ class ExperimentEngine:
         state.attempts = max(1, state.attempts)
 
     def _backoff_delay(self, attempt: int) -> float:
-        base = self.retry_backoff
-        if base <= 0:
-            return 0.0
+        base = RETRY_BACKOFF_S
         return base * (2 ** attempt) + self._rng.uniform(0, base)
 
     def _run_serial(

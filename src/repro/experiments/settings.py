@@ -83,21 +83,11 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_RETRIES", 2, _number(int, 0),
          "Retries for infrastructure faults, dead workers and "
          "timeouts (`--retries`)."),
-    Knob("REPRO_RETRY_BACKOFF", 0.5, _number(float, 0.0),
-         "Base retry backoff in seconds, doubled per attempt, plus "
-         "jitter; 0 retries at once."),
     Knob("REPRO_JOB_TIMEOUT", None, _timeout,
          "Per-job wall-clock limit in seconds, enforced when jobs > 1 "
          "(`--job-timeout`); unset, 0 or less means none."),
     Knob("REPRO_PROFILE", False, _flag,
          "cProfile every engine job (`--profile`)."),
-    Knob("REPRO_TRACE_REPLAY", True, _flag,
-         "The artifact fast path: trace capture and replay, shared "
-         "builds, profiles and compiles; off runs the execute-driven "
-         "cores."),
-    Knob("REPRO_PREP_CACHE", True, _flag,
-         "Persisted replay-prep slices; off rebuilds the prep layers "
-         "in each process, bit-identically."),
     Knob("REPRO_TRACE_LRU_MB", 256.0, _number(float, 0.0),
          "In-process hot-trace LRU budget in MiB."),
     Knob("REPRO_FAULT_INJECT", None, _fault_plan,

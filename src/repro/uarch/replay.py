@@ -42,6 +42,10 @@ Two replay modes per conditional branch:
   programs without PREDICT/RESOLVE (``meta["has_decomposed"]`` false),
   whose committed stream is predictor-independent -- this is what lets
   one baseline trace serve a whole predictor-sensitivity ladder.
+
+One function decides the mode, :func:`.replay_vec.prep_mode_key`; the
+same decision keys the in-process prep layers and the persisted prep
+slice.
 """
 
 from __future__ import annotations
@@ -75,9 +79,10 @@ def _describe(value) -> str:
     return value
 
 
-def _check_and_mode(program, trace: Trace, config: MachineConfig) -> bool:
-    """Validate the trace against (program, config); return True for
-    recorded-prediction mode, False for live-predictor mode."""
+def _check(program, trace: Trace, config: MachineConfig) -> None:
+    """Refuse a trace of another program, or a decomposed program's
+    trace under any mode but recorded
+    (:func:`~.replay_vec.prep_mode_key` decides the mode)."""
     digest = content_digest(program)
     if trace.meta.get("program") != digest:
         raise TraceMismatch(
@@ -85,15 +90,16 @@ def _check_and_mode(program, trace: Trace, config: MachineConfig) -> bool:
             f"(trace program {_describe(trace.meta.get('program'))}, "
             f"requested program {_describe(digest)})"
         )
-    pid = predictor_id(config.predictor_factory)
-    recorded = pid is not None and trace.meta.get("predictor") == pid
-    if not recorded and trace.meta.get("has_decomposed"):
+    if (
+        trace.meta.get("has_decomposed")
+        and replay_vec.prep_mode_key(trace, config) != "recorded"
+    ):
+        pid = predictor_id(config.predictor_factory)
         raise TraceMismatch(
             "a decomposed program's trace is predictor-specific: "
             f"captured under {_describe(trace.meta.get('predictor'))}, "
             f"cannot replay under {_describe(pid)}"
         )
-    return recorded
 
 
 class _ReplayResult(SimulationResult):
@@ -143,8 +149,8 @@ def replay_inorder(
     or the reference core at the trace's budget when the walk
     declines."""
     config = config or MachineConfig()
-    recorded = _check_and_mode(program, trace, config)
-    stats = replay_vec.replay_inorder_stats(program, trace, config, recorded)
+    _check(program, trace, config)
+    stats = replay_vec.replay_inorder_stats(program, trace, config)
     if stats is None:
         return InOrderCore(config).run(
             program, max_instructions=trace.meta["budget"]
@@ -167,10 +173,8 @@ def replay_ooo(
     if window < 1:
         raise ValueError(f"OOO window must be at least 1, got {window}")
     config = config or MachineConfig()
-    recorded = _check_and_mode(program, trace, config)
-    stats = replay_vec.replay_ooo_stats(
-        program, trace, config, recorded, window
-    )
+    _check(program, trace, config)
+    stats = replay_vec.replay_ooo_stats(program, trace, config, window)
     if stats is None:
         return OutOfOrderCore(config, window=window).run(
             program, max_instructions=trace.meta["budget"]

@@ -449,18 +449,17 @@ def replay_inorder_multi_stats(
     program,
     trace: Trace,
     config: MachineConfig,
-    recorded: bool,
 ) -> Optional[SimStats]:
-    """One region walk over ``trace`` scoring ``config`` (``recorded``
-    is its prediction mode).  The name predates single-config walks
-    and stays because ``bench/spans.py`` wraps it.
+    """One region walk over ``trace`` scoring ``config``.  The name
+    predates single-config walks and stays because ``bench/spans.py``
+    wraps it.
 
     Returns :class:`SimStats` bit-identical to ``InOrderCore.run``, or
     ``None`` when the point is outside the vectorized path's guards.
     Raises :class:`WalkDivergence` when the walk fails validation (or
     the ``walk_diverge`` fault fires).
     """
-    prepared = rv._prepare(program, trace, config, recorded, "inorder")
+    prepared = rv._prepare(program, trace, config, "inorder")
     if prepared is None:
         return None
     base, stream, mem, kernel, btb_misses, _ = prepared

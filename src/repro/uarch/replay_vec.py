@@ -637,14 +637,14 @@ def _build_mem(base: Dict, stream: Dict, config: MachineConfig) -> Dict:
 
 
 def _btb_bits(
-    prep: ReplayPrep, base: Dict, core: str, mode_key, entries: int
+    prep: ReplayPrep, base: Dict, key: Tuple
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """(event positions, miss bit per event, miss total), stream
-    order.  The in-order core consults the BTB for correct-taken
-    branches and taken PREDICTs; the OOO core only for taken PREDICTs.
-    Direct-mapped, tag == pc, insert on miss -- only tag state matters
-    for future lookups."""
-    key = (core, mode_key, entries)
+    order, for ``key`` = (core, mode, BTB entries).  The in-order core
+    consults the BTB for correct-taken branches and taken PREDICTs;
+    the OOO core only for taken PREDICTs.  Direct-mapped, tag == pc,
+    insert on miss -- only tag state matters for future lookups."""
+    core, mode_key, entries = key
     cached = prep.btbs.get(key)
     if cached is None:
         pr_taken_pos = base["pr_pos"][base["pr_np"] != 0]
@@ -708,11 +708,15 @@ def _geometry(config: MachineConfig) -> Tuple:
     )
 
 
-def _prepare(program, trace: Trace, config: MachineConfig, recorded: bool,
-             core: str):
+def _prepare(program, trace: Trace, config: MachineConfig, core: str):
     """Assemble (base, stream, mem, kernel, btb_misses, kernel_key) for
-    one replay, building/reusing cached layers; ``None`` -> reference
+    one replay, building/reusing cached layers under the keys
+    :func:`_slice_keys` gives a persisted slice; ``None`` -> reference
     core."""
+    keys = _slice_keys(trace, config)
+    if keys is None:
+        return None  # unnameable factory: no safe cache key
+    mode_key, stream_key, mem_key, btb_io, btb_ooo = keys
     decoded = predecode(program)
     source_id = id(decoded.rows)
     prep = trace._prep
@@ -725,33 +729,23 @@ def _prepare(program, trace: Trace, config: MachineConfig, recorded: bool,
     if base is False:
         return None
 
-    if recorded:
-        mode_key = "recorded"
-    else:
-        pid = predictor_id(config.predictor_factory)
-        if pid is None:
-            return None  # unnameable factory: no safe cache key
-        mode_key = ("live", pid)
     _pred_bits_for(prep, base, mode_key, config)
 
-    stream_key = (mode_key, config.ras_entries)
     stream = prep.streams.get(stream_key)
     if stream is None:
         stream = _build_stream(prep, base, mode_key, config.ras_entries)
         prep.streams[stream_key] = stream
 
-    geometry = _geometry(config)
-    mem_key = (stream_key, geometry)
     mem = prep.mems.get(mem_key)
     if mem is None:
         mem = _build_mem(base, stream, config)
         prep.mems[mem_key] = mem
 
     btb_events, btb_bits, btb_misses = _btb_bits(
-        prep, base, core, mode_key, config.btb_entries
+        prep, base, btb_io if core == "inorder" else btb_ooo
     )
 
-    kernel_key = (core, stream_key, geometry, config.btb_entries)
+    kernel_key = (core, *mem_key, config.btb_entries)
     kernel = prep.kernels.get(kernel_key)
     if kernel is None:
         kernel = _build_kernel(base, stream, mem, btb_events, btb_bits)
@@ -811,9 +805,12 @@ def prep_config_class(config: MachineConfig) -> Tuple:
 
 
 def prep_mode_key(trace: Trace, config: MachineConfig):
-    """The prediction-mode component of a slice key: ``"recorded"``,
-    ``("live", pid)``, or ``None`` when no safe cross-process key
-    exists (unnameable factory, or a decomposed trace under a foreign
+    """The prediction mode of one replay, decided here only:
+    ``"recorded"`` when ``config`` runs the predictor ``trace`` was
+    captured under (its predicted bits are authoritative),
+    ``("live", pid)`` when a named foreign predictor re-predicts a
+    baseline trace, or ``None`` when no safe cross-process key exists
+    (unnameable factory, or a decomposed trace under a foreign
     predictor -- replay itself refuses that combination)."""
     pid = predictor_id(config.predictor_factory)
     if pid is not None and trace.meta.get("predictor") == pid:
@@ -851,7 +848,8 @@ def prep_slice_key(
 
 def _slice_keys(trace: Trace, config: MachineConfig):
     """(mode_key, stream_key, mem_key, btb keys) for one config, or
-    ``None`` -- the in-process dict keys a slice plants layers under."""
+    ``None`` -- the in-process dict keys :func:`_prepare` builds layers
+    under and a persisted slice plants them under."""
     mode = prep_mode_key(trace, config)
     if mode is None:
         return None
@@ -899,14 +897,13 @@ def build_prep_slice(
     if keys is None:
         return None
     mode, stream_key, mem_key, btb_io, btb_ooo = keys
-    recorded = mode == "recorded"
-    if _prepare(program, trace, config, recorded, "inorder") is None:
+    if _prepare(program, trace, config, "inorder") is None:
         return None
     prep = trace._prep
     # One persisted slice serves in-order and OOO replays alike, so it
     # also carries the OOO BTB set (PREDICTs only -- cheap), but not
     # the OOO kernel layer, which only an OOO replay reads.
-    _btb_bits(prep, prep.base, "ooo", mode, config.btb_entries)
+    _btb_bits(prep, prep.base, btb_ooo)
     stream = prep.streams[stream_key]
     mem = prep.mems[mem_key]
     io_events, io_bits, io_misses = prep.btbs[btb_io]
@@ -927,7 +924,7 @@ def build_prep_slice(
         "btb_ooo_events": ooo_events,
         "btb_ooo_bits": ooo_bits,
     }
-    if not recorded:
+    if mode != "recorded":
         arrays["pred_bits"] = prep.pred_bits[mode]
     counters = {
         "cond_mispredicts": stream["cond_mispredicts"],
@@ -1078,7 +1075,7 @@ def attach_prep_slice(
 
 
 def replay_inorder_stats(
-    program, trace: Trace, config: MachineConfig, recorded: bool
+    program, trace: Trace, config: MachineConfig
 ) -> Optional[SimStats]:
     """One in-order replay: the region walk
     (:func:`repro.uarch.replay_multi.replay_inorder_multi_stats`).
@@ -1088,16 +1085,13 @@ def replay_inorder_stats(
     both."""
     from . import replay_multi  # it imports this module at load time
 
-    return replay_multi.replay_inorder_multi_stats(
-        program, trace, config, recorded
-    )
+    return replay_multi.replay_inorder_multi_stats(program, trace, config)
 
 
 def replay_ooo_stats(
     program,
     trace: Trace,
     config: MachineConfig,
-    recorded: bool,
     window: int,
 ) -> Optional[SimStats]:
     """OOO replay over precomputed tables; ``None`` -> the caller runs
@@ -1109,7 +1103,7 @@ def replay_ooo_stats(
     the pcs, each ``tolist()``ed for this call only, and looks each
     instruction's operands up in the base layer's per-pc table: no
     stream-length list outlives the call."""
-    prepared = _prepare(program, trace, config, recorded, "ooo")
+    prepared = _prepare(program, trace, config, "ooo")
     if prepared is None:
         return None
     base, stream, mem, kernel, _, _ = prepared

@@ -88,17 +88,6 @@ class TestCaptureOnce:
         )
         assert other.delta(mark).get("trace_replays") == 1
 
-    def test_replay_disabled_env(self, store, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_REPLAY", "0")
-        config, baseline, _ = _quick_programs()
-        mark = store.mark()
-        store.simulate_inorder(
-            baseline,
-            config.machine_for(4),
-            max_instructions=config.max_instructions,
-        )
-        assert store.delta(mark) == {}
-
     def test_unnameable_predictor_runs_reference_core(self, store):
         """A closure factory has no stable name to key a trace on, so
         the front doors run the execute-driven core for it: the same
@@ -535,6 +524,23 @@ class TestCacheCtl:
         path.write_text(json.dumps({"schema": 3, "totals": {}}))
         assert cachectl.artifact_counters(path) is None
         assert cachectl.artifact_counters(tmp_path / "nope.json") is None
+
+    def test_report_tells_an_all_hits_run_from_no_manifest(self, tmp_path):
+        """A run whose jobs were all cache hits aggregates an empty
+        ``totals.artifacts``: that is a run that did no artifact work,
+        not a missing manifest."""
+        from repro.experiments import cachectl
+
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps({"schema": 12, "totals": {"artifacts": {}}})
+        )
+        report = cachectl.render_report(tmp_path, path)
+        assert "last run did no artifact work" in report
+        assert "no schema-4 run manifest" not in report
+        report = cachectl.render_report(tmp_path, tmp_path / "nope.json")
+        assert "no schema-4 run manifest found" in report
+        assert "last run did no artifact work" not in report
 
     def test_cli_cache_command(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main

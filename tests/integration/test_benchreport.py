@@ -29,3 +29,23 @@ def test_undated_snapshot_shows_a_dash(tmp_path):
     assert entry["date"] is None
     (row,) = benchreport.render_index(index).splitlines()[2:]
     assert row.split()[-1] == "-"
+
+
+def test_per_component_speedup_dict_gives_a_headline(tmp_path):
+    """A snapshot whose ``speedup`` is a dict of per-component ratios
+    (``BENCH_sim_throughput.json``'s shape) is headed by its largest
+    ratio, and a preferred scalar still wins over such leaves."""
+    path = tmp_path / "BENCH_components.json"
+    path.write_text(
+        json.dumps(
+            {
+                "before": {"inorder_kips": 178.8},
+                "speedup": {"inorder_kips": 3.2, "functional_kips": 5.89},
+            }
+        )
+    )
+    (entry,) = benchreport.build_index(tmp_path)["benchmarks"]
+    assert entry["speedup"] == 5.89
+    assert benchreport._headline_speedup(
+        {"sweep": {"speedup": 1.6}, "speedups": {"point": 9.0}}
+    ) == 1.6

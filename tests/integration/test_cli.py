@@ -87,7 +87,7 @@ class TestExecution:
         """An injected crash must surface as a FAILED line and exit 1
         instead of a traceback (graceful degradation end to end)."""
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0@seed=1")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        monkeypatch.setattr("repro.experiments.engine.RETRY_BACKOFF_S", 0.0)
         code = main(
             ["--iterations", "90", "--jobs", "1", "--no-cache",
              "bench", "omnetpp"]
@@ -109,6 +109,9 @@ class TestSettingsErrors:
             ("REPRO_BOGUS", "1"),
             ("REPRO_TRACE_LRU_MB", "inf"),
             ("REPRO_BACKEND", "queue"),
+            ("REPRO_TRACE_REPLAY", "0"),
+            ("REPRO_PREP_CACHE", "0"),
+            ("REPRO_RETRY_BACKOFF", "0"),
         ],
     )
     def test_bad_setting_exits_2_with_one_line(self, name, raw, tmp_path):

@@ -63,15 +63,18 @@ class TestQuadrants:
     def test_replay_matches_reference_core(self, tmp_path, monkeypatch):
         """Fig. 1b's nine runs (three binaries per quadrant, predicated
         ones included) go through the store; replayed, they score and
-        render exactly as on the reference core."""
-        from repro.experiments.artifacts import default_store
+        render exactly as on the reference core, which the store runs
+        for any config without a trace key."""
+        from repro.experiments.artifacts import ArtifactStore, default_store
         from repro.experiments.quadrants import run as run_quadrants
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_TRACE_REPLAY", "0")
-        reference = run_quadrants(QUICK)
-        monkeypatch.delenv("REPRO_TRACE_REPLAY")
         store = default_store()
+        mark = store.mark()
+        with monkeypatch.context() as unkeyed:
+            unkeyed.setattr(ArtifactStore, "_trace_key", lambda *_: None)
+            reference = run_quadrants(QUICK)
+        assert "trace_replays" not in store.delta(mark)
         mark = store.mark()
         replayed = run_quadrants(QUICK)
         assert store.delta(mark).get("trace_replays") == 9
@@ -187,3 +190,21 @@ class TestAblations:
     def test_dbb_occupancy_small(self):
         occupancy = dbb_occupancy("h264ref", sizes=(16,), config=QUICK)
         assert occupancy[0][1] <= 16
+
+    def test_dbb_job_without_a_trace_key(self, tmp_path, monkeypatch):
+        """A predictor factory with no stable name gets no trace key:
+        the job simulates on the reference core and captures the trace
+        it reads the occupancy from, giving the keyed job's answer."""
+        from dataclasses import replace
+
+        from repro.experiments.ablations import _dbb_job
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        machine = QUICK.machine_for(4)
+        factory = machine.predictor_factory
+        unkeyed = replace(
+            QUICK, machine=machine.with_predictor(lambda: factory())
+        )
+        assert _dbb_job(("h264ref", 16, unkeyed)) == _dbb_job(
+            ("h264ref", 16, QUICK)
+        )

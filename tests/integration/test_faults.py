@@ -26,7 +26,7 @@ pytestmark = pytest.mark.faults
 def _fault_free_fast_retries(monkeypatch):
     """No backoff sleeps, and no fault plan leaking in from the caller's
     environment; tests that want injection set REPRO_FAULT_INJECT."""
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+    monkeypatch.setattr("repro.experiments.engine.RETRY_BACKOFF_S", 0.0)
     monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
     monkeypatch.delenv("REPRO_FAULT_HANG_S", raising=False)
 

@@ -22,11 +22,8 @@ MALFORMED = {
     "REPRO_JOBS": "four",
     "REPRO_CACHE": "disabled",
     "REPRO_RETRIES": "two",
-    "REPRO_RETRY_BACKOFF": "fast",
     "REPRO_JOB_TIMEOUT": "10s",
     "REPRO_PROFILE": "y",
-    "REPRO_TRACE_REPLAY": "disabled",
-    "REPRO_PREP_CACHE": "disabled",
     "REPRO_TRACE_LRU_MB": "1G",
     "REPRO_FAULT_INJECT": "crash:lots",
     "REPRO_FAULT_HANG_S": "1h",
@@ -37,7 +34,6 @@ MALFORMED = {
 
 #: Every knob that parses a float.
 FLOAT_KNOBS = (
-    "REPRO_RETRY_BACKOFF",
     "REPRO_JOB_TIMEOUT",
     "REPRO_TRACE_LRU_MB",
     "REPRO_FAULT_HANG_S",
@@ -117,11 +113,8 @@ def test_unknown_name_is_rejected(monkeypatch):
         ("REPRO_JOB_TIMEOUT", "0", None),
         ("REPRO_JOB_TIMEOUT", "-2", None),
         ("REPRO_JOB_TIMEOUT", "1.5", 1.5),
-        ("REPRO_RETRY_BACKOFF", "-1", 0.0),
         ("REPRO_TRACE_LRU_MB", "-8", 0.0),
         ("REPRO_CACHE", "OFF", False),
-        ("REPRO_PREP_CACHE", "no", False),
-        ("REPRO_TRACE_REPLAY", "False", False),
         ("REPRO_PROFILE", "Yes", True),
         ("REPRO_PROFILE", "on", True),
         ("REPRO_CACHE_DIR", "/tmp/somewhere", "/tmp/somewhere"),

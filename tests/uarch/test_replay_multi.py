@@ -45,7 +45,6 @@ from repro.uarch import (
     replay_vec,
 )
 from repro.isa.decode import predecode
-from repro.uarch.replay import _check_and_mode
 from repro.workloads import BENCHMARKS, spec_benchmark
 
 _BUDGET = 60_000
@@ -242,10 +241,7 @@ def _reference_regions(program, trace, mem, kernel):
 
 
 def _assert_region_table_matches_reference(program, trace, machine):
-    recorded = _check_and_mode(program, trace, machine)
-    prepared = replay_vec._prepare(
-        program, trace, machine, recorded, "inorder"
-    )
+    prepared = replay_vec._prepare(program, trace, machine, "inorder")
     assert prepared is not None
     base, _, mem, kernel, _, _ = prepared
     table = replay_multi._build_regions(base, mem, kernel)
