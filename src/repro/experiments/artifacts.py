@@ -30,7 +30,9 @@ back to its in-memory dtype when read, so a loaded trace or attached
 slice holds exactly the arrays its writer held.
 * **Branch traces** (``.../profiles/<key>.btrace``): the functional
   TRAIN branch-outcome stream, predictor-independent, shared by every
-  predictor a sensitivity ladder measures it with.
+  predictor a sensitivity ladder measures it with.  Keyed by the
+  TRAIN build's key (workload fingerprint and seed), the budget and
+  ``code_version()``, so a hit needs no TRAIN program at all.
 * **Profiles** (``.../profiles/<key>.json``): the measured per-branch
   :class:`~repro.branchpred.BranchStats`, keyed additionally by the
   measuring predictor.
@@ -89,6 +91,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..branchpred import BranchStats, measure_trace
+from ..isa import DataSegment
 from ..isa.decode import predecode
 from ..uarch import (
     InOrderCore,
@@ -200,8 +203,6 @@ class ArtifactStore:
         )
         self._build_memo: "OrderedDict[str, object]" = OrderedDict()
         self._compile_memo: Dict[str, object] = {}
-        #: Program key -> content digest (see :meth:`profile`).
-        self._program_digests: Dict[str, str] = {}
 
     # -- counters ----------------------------------------------------------
 
@@ -386,11 +387,11 @@ class ArtifactStore:
     # -- branch traces (functional TRAIN runs) -----------------------------
 
     def _branch_trace(
-        self, digest: str, program: Callable, max_instructions: int
+        self, program_key: str, lower: Callable, max_instructions: int
     ) -> List[Tuple[int, bool]]:
         """The (predictor-independent) TRAIN branch-outcome stream of
-        the program ``program()`` returns, whose content digest is
-        ``digest``; ``program`` is called only for a functional run."""
+        the program ``lower()`` returns, which ``program_key`` names by
+        content; ``lower`` is called only for a functional run."""
         import hashlib
         import json
         import zlib
@@ -402,7 +403,7 @@ class ArtifactStore:
                 {
                     "kind": "btrace",
                     "schema": ARTIFACT_SCHEMA,
-                    "program": digest,
+                    "program": program_key,
                     "budget": max_instructions,
                     "code": code_version(),
                 },
@@ -434,7 +435,7 @@ class ArtifactStore:
                 return events
         self._bump("btrace_misses")
         events = collect_branch_trace(
-            program(), max_instructions=max_instructions
+            lower(), max_instructions=max_instructions
         )
         self._btrace_memo[key] = events
         blob = zlib.compress(
@@ -468,40 +469,29 @@ class ArtifactStore:
         separate artifacts, so a predictor ladder pays for one
         functional TRAIN run total plus one (cheap) measurement per
         predictor.  A factory without a stable name (lambda/closure)
-        disables sharing and computes directly.  The store remembers
-        the program's content digest under ``program_key``: ``lower``
-        runs for the first call with a key, and later for a functional
-        run only, so a profile or branch-trace hit neither lowers nor
-        hashes the program.
+        disables sharing and computes directly.  Both artifacts are
+        keyed by ``program_key`` (plus the budget and ``code_version()``),
+        so ``lower`` runs for a functional run only: a profile or
+        branch-trace hit neither builds, lowers nor hashes the program.
         """
         import hashlib
         import json
 
         from .engine import code_version
 
-        lowered = None
-
-        def program():
-            nonlocal lowered
-            if lowered is None:
-                lowered = lower()
-            return lowered
-
-        digest = self._program_digests.get(program_key)
-        if digest is None:
-            digest = content_digest(program())
-            self._program_digests[program_key] = digest
         pid = predictor_id(predictor_factory)
         if pid is None:
             self._bump("profile_misses")
-            events = self._branch_trace(digest, program, max_instructions)
+            events = self._branch_trace(
+                program_key, lower, max_instructions
+            )
             return measure_trace(events, predictor_factory)
         key = hashlib.sha256(
             json.dumps(
                 {
                     "kind": "profile",
                     "schema": ARTIFACT_SCHEMA,
-                    "program": digest,
+                    "program": program_key,
                     "budget": max_instructions,
                     "predictor": pid,
                     "code": code_version(),
@@ -513,7 +503,7 @@ class ArtifactStore:
         if profile is not None:
             return profile
         self._bump("profile_misses")
-        events = self._branch_trace(digest, program, max_instructions)
+        events = self._branch_trace(program_key, lower, max_instructions)
         profile = measure_trace(events, predictor_factory)
         _remember(self._profile_memo, key, profile, _PROFILE_MEMO_CAP)
         self._write_atomic(
@@ -582,7 +572,10 @@ class ArtifactStore:
 
         Every caller gets the same :class:`~repro.ir.Function`, so it is
         read-only: the compile pipelines clone it before they transform
-        it, and lowering copies its data segment.
+        it, and its data segment is frozen here into a
+        :class:`~repro.isa.DataSegment` that every clone of it and
+        every program lowered from it shares (one copy per build, hashed
+        once by :func:`~repro.uarch.trace.content_digest`).
         """
         import json
 
@@ -596,6 +589,7 @@ class ArtifactStore:
             return func
         self._bump("build_misses")
         func = spec.build(seed=seed)
+        func.data = DataSegment.of(func.data)
         _remember(self._build_memo, key, func, _BUILD_MEMO_CAP)
         return func
 

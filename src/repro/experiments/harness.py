@@ -17,8 +17,9 @@ reassembles jobs into a :class:`BenchmarkOutcome` in REF-seed order,
 which keeps the parallel path byte-identical to ``jobs=1``.
 
 :func:`prepare_benchmark` is the one way any experiment turns a
-workload into compiled programs (build TRAIN and REF, profile TRAIN,
-compile baseline and decomposed).  Builds and compiles are memoised
+workload into compiled programs (build REF, profile TRAIN -- building
+TRAIN only when no stored profile serves it -- and compile baseline
+and decomposed).  Builds and compiles are memoised
 per process by content, not by experiment, so a worker that runs
 several jobs of one benchmark -- the rungs of the predictor ladder,
 the points of an ablation sweep -- builds it once and compiles its
@@ -145,18 +146,16 @@ def train_profile(
     spec: WorkloadSpec, config: RunConfig, store, predictor=HybridPredictor
 ):
     """The TRAIN profile of ``spec`` under ``predictor``, through the
-    store: the TRAIN function from its build memo, the profile from
-    the shared artifact.  The store lowers the function (through this
-    module's ``lower``, which ``bench/spans.py`` times) the first time
-    this process profiles it and remembers the program's digest under
-    the build's key; after that, a profile or branch-trace hit needs
-    neither the lowered program nor its digest."""
+    store's shared artifact, keyed by the TRAIN build's key.  The
+    TRAIN function is built (from the store's build memo) and lowered
+    (through this module's ``lower``, which ``bench/spans.py`` times)
+    only when the store needs a functional run: a profile or
+    branch-trace hit builds, lowers and hashes nothing."""
     from .engine import fingerprint
 
-    train = store.build(spec, config.train_seed)
     return store.profile(
         json.dumps([fingerprint(spec), config.train_seed]),
-        lambda: lower(train),
+        lambda: lower(store.build(spec, config.train_seed)),
         max_instructions=config.max_instructions,
         predictor_factory=predictor,
     )
@@ -174,9 +173,9 @@ def prepare_benchmark(
     """Build, profile and compile one workload for one REF input.
 
     ``benchmark`` is a SPEC benchmark name (built at
-    ``config.iterations``) or a ready :class:`WorkloadSpec`.  The TRAIN
-    and REF functions come from the store's build memo, the TRAIN
-    profile under ``predictor`` from :func:`train_profile`, and
+    ``config.iterations``) or a ready :class:`WorkloadSpec`.  The REF
+    function comes from the store's build memo, the TRAIN profile
+    under ``predictor`` from :func:`train_profile`, and
     both compiles from its compile memo, keyed by content: the
     baseline by the workload, the TRAIN/REF seeds and the budget alone
     (its layout reads only the profile's execution and taken counts,

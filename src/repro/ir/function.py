@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Union
 
-from ..isa import Instruction
+from ..isa import DataSegment, Instruction
 from .basic_block import BasicBlock, IRError
 
 Value = Union[int, float]
@@ -18,11 +18,15 @@ Value = Union[int, float]
 
 @dataclass
 class Function:
-    """A function: named blocks in layout order, entry first."""
+    """A function: named blocks in layout order, entry first.
+
+    ``data`` is a dict while a :class:`~repro.ir.FunctionBuilder`
+    fills it, and a read-only :class:`~repro.isa.DataSegment` once
+    frozen (the artifact store freezes every build it memoises)."""
 
     name: str
     blocks: Dict[str, BasicBlock] = field(default_factory=dict)
-    data: Dict[int, Value] = field(default_factory=dict)
+    data: Union[Dict[int, Value], DataSegment] = field(default_factory=dict)
 
     @property
     def entry(self) -> BasicBlock:
@@ -99,8 +103,15 @@ class Function:
                     )
 
     def clone(self) -> "Function":
-        """Deep-enough copy: instructions are immutable, blocks are not."""
-        copied = Function(name=self.name, data=dict(self.data))
+        """Deep-enough copy: instructions are immutable, blocks are not.
+
+        A read-only :class:`~repro.isa.DataSegment` is shared with the
+        clone; a mutable data dict is copied."""
+        data = self.data
+        copied = Function(
+            name=self.name,
+            data=data if isinstance(data, DataSegment) else dict(data),
+        )
         for block in self.blocks.values():
             copied.blocks[block.name] = BasicBlock(
                 name=block.name,

@@ -1,8 +1,8 @@
 """Instruction set architecture for the Branch Vanguard reproduction.
 
 Public surface: :class:`Instruction`, :class:`Opcode`, :class:`Program`,
-:class:`RegisterFile`, :class:`Memory`, and the helpers used by the
-simulator to evaluate control flow.
+:class:`DataSegment`, :class:`RegisterFile`, :class:`Memory`, and the
+helpers used by the simulator to evaluate control flow.
 """
 
 from .instructions import (
@@ -16,7 +16,7 @@ from .instructions import (
 )
 from .asmtext import AsmSyntaxError, program_to_text, text_to_program
 from .memory import Memory, MemoryFault, WORD_BYTES
-from .program import AssemblyError, Program, assemble
+from .program import AssemblyError, DataSegment, Program, assemble
 from .registers import (
     FIRST_TEMP_REGISTER,
     LINK_REGISTER,
@@ -28,6 +28,7 @@ from .registers import (
 __all__ = [
     "AsmSyntaxError",
     "AssemblyError",
+    "DataSegment",
     "FIRST_TEMP_REGISTER",
     "FuClass",
     "INSTRUCTION_BYTES",

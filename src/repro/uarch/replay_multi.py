@@ -100,7 +100,7 @@ def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
     * ``rids``     -- occurrence index -> region id, in stream order.
 
     Built from the arrays: a region's key is the bytes of its rows in
-    an ``(n, 4)`` table of (action, fetch add, latency, operand
+    an int32 ``(n, 4)`` table of (action, fetch add, latency, operand
     signature), where the signature interns the base layer's per-pc
     ``(fu, dest, src0, rest)`` tuple -- so two occurrences share an id
     exactly when their column tuples are equal, and the tuples are
@@ -124,10 +124,10 @@ def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
     signatures: Dict[tuple, int] = {}
     sig_by_pc = np.array(
         [signatures.setdefault(ops, len(signatures)) for ops in ops_by_pc],
-        np.int64,
+        np.int32,
     )
 
-    rows = np.empty((n, 4), np.int64)
+    rows = np.empty((n, 4), np.int32)
     rows[:, 0] = act
     rows[:, 1] = add
     rows[:, 2] = lat

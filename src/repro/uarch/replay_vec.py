@@ -175,10 +175,14 @@ class ReplayPrep:
     * ``regions``    -- per kernel key: the interned region table
       every in-order walk of that kernel shares (:mod:`.replay_multi`)
 
-    Stream-length columns are arrays; the Python lists a layer holds
-    are per-pc tables (one entry per program instruction) and the
-    region table.  The kernels ``tolist()`` what they iterate per call
-    and drop it with the call.
+    Stream-length columns are arrays of at most 4 bytes per entry:
+    ``pcs_np`` (the trace's own column), ``fetch_add`` and the fused
+    ``lat`` are int32, action codes and masks one byte.  Latencies
+    and operands stay per-pc tables in ``base`` until a layer that
+    reads them per instruction gathers them.  The Python lists a
+    layer holds are per-pc tables (one entry per program instruction)
+    and the region table.  The kernels ``tolist()`` what they iterate
+    per call and drop it with the call.
     """
 
     __slots__ = (
@@ -238,6 +242,13 @@ class ReplayPrep:
 def _build_base(trace: Trace, decoded) -> Optional[Dict]:
     """Mode/geometry-independent gathers over the committed stream.
 
+    Keeps per-pc tables where a later layer only needs a gather: the
+    row latencies (``lat_by_pc``, int32) are gathered by
+    :func:`_build_kernel` alone, and :func:`_build_stream` derives
+    fetch lines from ``pcs_np`` itself, so the layer holds no
+    stream-length column wider than a byte besides the trace's own
+    ``pcs`` (int32).
+
     Returns ``None`` when the trace violates an assumption the
     vectorized path relies on (the reference core then runs)."""
     rows = decoded.rows
@@ -251,7 +262,7 @@ def _build_base(trace: Trace, decoded) -> Optional[Dict]:
         (row[0] for row in rows), np.uint8, count=nrows
     )
     lat_by_pc = np.fromiter(
-        (row[7] for row in rows), np.int64, count=nrows
+        (row[7] for row in rows), np.int32, count=nrows
     )
     hoist_by_pc = np.fromiter(
         (1 if row[10] else 0 for row in rows), np.uint8, count=nrows
@@ -313,9 +324,7 @@ def _build_base(trace: Trace, decoded) -> Optional[Dict]:
         "n": n,
         "pcs_np": pcs_np,
         "kind_s": kind_s,
-        # 64-byte fetch lines, fixed shift as in core/replay.
-        "line_s": pcs_np.astype(np.int64) >> 4,
-        "lat_np": lat_by_pc[pcs_np],
+        "lat_by_pc": lat_by_pc,
         "ops_by_pc": ops_by_pc,
         "bid_by_pc": [row[6] for row in rows],
         "ld_pos": ld_pos,
@@ -471,7 +480,8 @@ def _build_stream(
     misp_reset[rs_pos] = div
     misp_reset[ret_pos] = ret_misp
 
-    line_s = base["line_s"]
+    # 64-byte fetch lines, fixed shift as in core/replay.
+    line_s = base["pcs_np"] >> 4
     acc = np.empty(n, bool)
     acc[0] = True
     acc[1:] = reset[:-1] | (line_s[1:] != line_s[:-1])
@@ -610,12 +620,12 @@ def _build_mem(base: Dict, stream: Dict, config: MachineConfig) -> Dict:
 
     # Instruction-side added latency per access (I$ hits are free).
     inst_lut = np.array(
-        [0, h.l2_latency, h.l3_latency, h.dram_latency], np.int64
+        [0, h.l2_latency, h.l3_latency, h.dram_latency], np.int32
     )
     inst_add = inst_lut[np.array(inst_level, np.int64)]
     # Hits add zero cycles, so the kernels need no hit/no-access
     # distinction: zero means "keep fetching".
-    fetch_add_np = np.zeros(n, np.int64)
+    fetch_add_np = np.zeros(n, np.int32)
     fetch_add_np[acc_pos] = inst_add
     miss_mask = inst_add > 0
 
@@ -680,14 +690,15 @@ def _build_kernel(
 ) -> Dict:
     """Fuse stream action codes with this geometry's memory outcomes
     and this core's BTB outcomes into the two columns the serial loop
-    actually reads: a fused action code and a fused latency."""
+    actually reads: a fused action code (uint8) and a fused latency
+    (int32, gathered from the base layer's per-pc table)."""
     act_k = _FUSE_LUT[stream["act_np"]]
     act_k[base["ld_pos"][mem["load_miss_np"]]] = F_LD_MISS
     act_k[base["st_pos"][mem["store_miss_np"]]] = F_ST_MISS
     # BTB miss variants are one code above their hit counterparts.
     act_k[btb_events[btb_bits]] += 1
 
-    lat_k = base["lat_np"].copy()
+    lat_k = base["lat_by_pc"][base["pcs_np"]]
     # Loads and stores carry their found-level latency; every other
     # kind keeps its row latency (branch mispredict redirects use it).
     lat_k[base["ld_pos"]] = mem["load_lat_np"]

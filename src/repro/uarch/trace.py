@@ -106,12 +106,20 @@ class TraceMismatch(Exception):
 
 
 def content_digest(program) -> str:
-    """Content hash of a program: every instruction field plus the data
-    segment.  Cached on the program instance (like ``predecode``) and
-    keyed on the identity of its instruction list."""
+    """Content hash of a program: every instruction field plus the
+    digest of its read-only data segment, which the
+    :class:`~repro.isa.DataSegment` computes once, so the programs
+    lowered from one build share that work.  Cached on the program
+    instance (like ``predecode``) while its instruction list and its
+    segment are the same objects."""
+    data = program.data
     cached = getattr(program, "_content_digest", None)
-    if cached is not None and cached[0] == id(program.instructions):
-        return cached[1]
+    if (
+        cached is not None
+        and cached[0] == id(program.instructions)
+        and cached[1] is data
+    ):
+        return cached[2]
     digest = hashlib.sha256()
     digest.update(
         repr(
@@ -131,20 +139,10 @@ def content_digest(program) -> str:
             ]
         ).encode()
     )
-    # The data segment can be large (100k+ words); pack int words
-    # straight into an array instead of repr-ing every entry.
-    data = program.data
-    addresses = sorted(data)
-    try:
-        digest.update(array("q", addresses).tobytes())
-        digest.update(array("q", map(data.__getitem__, addresses)).tobytes())
-    except (OverflowError, TypeError):
-        digest.update(
-            repr([(a, repr(data[a])) for a in addresses]).encode()
-        )
+    digest.update(data.digest())
     value = digest.hexdigest()
     try:
-        program._content_digest = (id(program.instructions), value)
+        program._content_digest = (id(program.instructions), data, value)
     except AttributeError:
         pass
     return value

@@ -168,7 +168,7 @@ class TestPrepPersistence:
         stored = {d["name"]: d["store"] for d in header["columns"]}
         assert int(arrays["fetch_add"].max()) == 300
         assert stored["fetch_add"] == "uint16"
-        assert arrays["fetch_add"].dtype == np.int64
+        assert arrays["fetch_add"].dtype == np.int32
         fresh = ArtifactStore(cache_dir=tmp_path)
         mark = fresh.mark()
         replayed = fresh.simulate_inorder(

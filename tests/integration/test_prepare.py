@@ -13,8 +13,10 @@ from repro.experiments import RunConfig, harness, sensitivity
 from repro.experiments.artifacts import _BUILD_MEMO_CAP, ArtifactStore
 from repro.experiments.engine import ExperimentEngine
 from repro.ir import lower
+from repro.isa import DataSegment
+from repro.isa import program as program_module
 from repro.uarch.trace import content_digest
-from repro.workloads import BranchSiteSpec, WorkloadSpec
+from repro.workloads import BranchSiteSpec, WorkloadSpec, spec_benchmark
 
 LADDER_BENCHMARKS = ("astar", "mcf")
 SMALL = RunConfig(iterations=40, ref_seeds=(1,), max_instructions=40_000)
@@ -101,6 +103,25 @@ class TestBuildMemo:
         assert store.build(spec, 1) is ref
         assert content_digest(lower(ref)) == before
 
+    def test_programs_lowered_from_one_build_hash_its_segment_once(
+        self, store, monkeypatch
+    ):
+        hashed = []
+        words_digest = program_module._words_digest
+
+        def counting_digest(words):
+            hashed.append(len(words))
+            return words_digest(words)
+
+        monkeypatch.setattr(program_module, "_words_digest", counting_digest)
+        func = store.build(_tiny(), 1)
+        assert isinstance(func.data, DataSegment)
+        first, second = lower(func), lower(func)
+        assert first is not second
+        assert first.data is func.data and second.data is func.data
+        assert content_digest(first) == content_digest(second)
+        assert hashed == [len(func.data)]
+
 
 def _ladder(tmp_path, monkeypatch, fresh_store_per_job=False):
     """A ``jobs=1`` ladder; returns (rendered table, per-benchmark
@@ -145,9 +166,10 @@ def test_ladder_builds_and_compiles_each_baseline_once(tmp_path, monkeypatch):
     )
     rungs = len(sensitivity.LADDER)
     for name in LADDER_BENCHMARKS:
-        # TRAIN and REF built once, then served to the other rungs.
+        # TRAIN built once, for the one functional run; REF built once,
+        # then served to the other rungs.
         assert counters[name]["build_misses"] == 2
-        assert counters[name]["build_hits"] == 2 * (rungs - 1)
+        assert counters[name]["build_hits"] == rungs - 1
         # One baseline compile; every decomposed compile misses,
         # because each rung profiles and selects with its predictor.
         assert baseline_compiles[name] == 1
@@ -184,3 +206,58 @@ def test_two_rung_ladder_lowers_train_once(tmp_path, monkeypatch):
     assert counters["profile_misses"] == 2
     assert counters["btrace_misses"] == 1
     assert counters["btrace_hits"] == 1
+
+
+def test_ladder_shares_one_read_only_segment(tmp_path, monkeypatch):
+    """After a two-rung mcf ladder, every memoised compiled function
+    and program carries the REF build's segment object itself, and a
+    write to it raises."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(sensitivity, "LADDER", sensitivity.LADDER[:2])
+    store = ArtifactStore(cache_dir=tmp_path)
+    monkeypatch.setattr(sensitivity, "get_store", lambda: store)
+    engine = ExperimentEngine(jobs=1, cache_dir=tmp_path, use_cache=False)
+    assert len(sensitivity.run(("mcf",), SMALL, engine=engine).points) == 2
+    spec = spec_benchmark("mcf", iterations=SMALL.iterations)
+    segment = store.build(spec, SMALL.ref_seeds[0]).data
+    assert isinstance(segment, DataSegment)
+    results = list(store._compile_memo.values())
+    assert len(results) == 3  # one baseline, one decomposed per rung
+    for result in results:
+        assert result.function.data is segment
+        assert result.program.data is segment
+    address = next(iter(segment))
+    with pytest.raises(TypeError):
+        segment[address] = 0
+
+
+def test_warm_root_rung_builds_and_lowers_no_train(tmp_path, monkeypatch):
+    """A fresh store on a warm cache root finds the TRAIN profile under
+    the TRAIN build's key: a rung builds REF only, and nothing goes
+    through ``harness.lower``."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    payload = ("mcf", sensitivity.LADDER[0][0], SMALL)
+    warm = ArtifactStore(cache_dir=tmp_path)
+    monkeypatch.setattr(sensitivity, "get_store", lambda: warm)
+    first = sensitivity._sensitivity_job(payload)
+
+    built, lowered = Counter(), Counter()
+    build = WorkloadSpec.build
+
+    def counting_build(spec, seed=0):
+        built[seed] += 1
+        return build(spec, seed=seed)
+
+    def counting_lower(func):
+        lowered[func.name] += 1
+        return LOWER(func)
+
+    monkeypatch.setattr(WorkloadSpec, "build", counting_build)
+    monkeypatch.setattr(harness, "lower", counting_lower)
+    fresh = ArtifactStore(cache_dir=tmp_path)
+    monkeypatch.setattr(sensitivity, "get_store", lambda: fresh)
+    assert sensitivity._sensitivity_job(payload) == first
+    assert dict(built) == {SMALL.ref_seeds[0]: 1}
+    assert not lowered
+    assert fresh.counters["profile_hits"] == 1
+    assert fresh.counters["btrace_misses"] == 0

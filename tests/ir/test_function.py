@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import BasicBlock, Function, FunctionBuilder, IRError
-from repro.isa import Instruction, Opcode
+from repro.isa import DataSegment, Instruction, Opcode
 
 
 def simple_function():
@@ -87,6 +87,11 @@ class TestClone:
         clone = func.clone()
         clone.data[5] = 2
         assert func.data[5] == 1
+
+    def test_clone_shares_a_frozen_segment(self):
+        func = simple_function()
+        func.data = DataSegment({5: 1})
+        assert func.clone().data is func.data
 
 
 class TestCounts:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa import (
     AssemblyError,
+    DataSegment,
     INSTRUCTION_BYTES,
     Instruction,
     Opcode,
@@ -42,10 +43,42 @@ class TestAssemble:
         data[10] = 99
         assert program.data[10] == 5
 
+    def test_data_segment_read_only(self):
+        program = assemble([halt()], {}, data={10: 5})
+        assert isinstance(program.data, DataSegment)
+        with pytest.raises(TypeError):
+            program.data[10] = 6
+        with pytest.raises(TypeError):
+            del program.data[10]
+        assert program.data == {10: 5}
+
+    def test_data_segment_shared(self):
+        segment = DataSegment({10: 5})
+        assert assemble([halt()], {}, data=segment).data is segment
+
     def test_static_size(self):
         program = assemble([add(1, 1, 1), halt()], {})
         assert program.static_size_bytes == 2 * INSTRUCTION_BYTES
         assert len(program) == 2
+
+
+class TestDataSegment:
+    def test_reads_like_a_dict(self):
+        words = {12: 1.5, 10: 5, 11: -3}
+        segment = DataSegment(words)
+        assert segment == words and words == segment
+        assert segment == DataSegment(dict(words))
+        assert segment != {10: 5}
+        assert dict(segment) == words
+        assert sorted(segment) == [10, 11, 12]
+        assert sorted(segment.items()) == sorted(words.items())
+        assert segment[12] == 1.5 and len(segment) == 3
+        assert 11 in segment and 13 not in segment
+
+    def test_digest_follows_the_words(self):
+        assert DataSegment({10: 5}).digest() == DataSegment({10: 5}).digest()
+        assert DataSegment({10: 5}).digest() != DataSegment({10: 6}).digest()
+        assert DataSegment({10: 5}).digest() != DataSegment({10: 5.0}).digest()
 
 
 class TestDisassembly:

@@ -11,14 +11,16 @@ trivially, so every comparison also asserts (through the
 ``kernel_declines`` spy) that the kernel served it.  The decline path
 itself (a live predictor without a stable name) must reproduce the
 reference core too.  And it pins what the kernels leave behind: no
-prep layer holds a Python list as long as the stream, and building a
-persisted prep slice builds no OOO kernel layer.
+prep layer holds a Python list as long as the stream or an 8-byte
+array as long as the stream, built or attached from a slice, and
+building a persisted prep slice builds no OOO kernel layer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.branchpred import GSharePredictor
@@ -39,7 +41,7 @@ from repro.uarch import (
     replay_inorder,
     replay_ooo,
 )
-from repro.uarch.replay_vec import build_prep_slice
+from repro.uarch.replay_vec import attach_prep_slice, build_prep_slice
 from repro.workloads import spec_benchmark
 
 _BUDGET = 60_000
@@ -157,6 +159,69 @@ def test_prep_layers_hold_no_stream_length_lists(setup):
     for layer in layers:
         for name, value in layer.items():
             assert not _stream_lists(value, n), name
+
+
+def _arrays(value):
+    """Every ndarray in ``value``, its dict values or tuple items."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+def _assert_narrow_layers(prep, n):
+    """No layer holds an 8-byte array of stream length ``n``; the
+    columns the kernels read per instruction are int32."""
+    assert "line_s" not in prep.base
+    assert "lat_np" not in prep.base
+    layers = (
+        prep.base, prep.pred_bits, prep.ras_bits, prep.streams,
+        prep.mems, prep.btbs, prep.kernels,
+    )
+    wide = [
+        array.dtype
+        for array in _arrays(layers)
+        if len(array) == n and array.itemsize == 8
+    ]
+    assert wide == []
+    assert prep.mems and prep.kernels
+    for mem in prep.mems.values():
+        assert mem["fetch_add"].dtype == np.int32
+    for kernel in prep.kernels.values():
+        assert kernel["lat"].dtype == np.int32
+
+
+def test_built_prep_layers_are_at_most_four_bytes_wide(setup):
+    """After an OOO and an in-order replay that build every layer, the
+    base layer keeps per-pc tables instead of gathered stream columns,
+    and ``fetch_add`` and both kernels' ``lat`` are int32."""
+    programs, traces, machine = setup
+    trace = Trace.from_bytes(traces["baseline"].to_bytes())
+    replay_ooo(programs["baseline"], trace, machine, window=32)
+    replay_inorder(programs["baseline"], trace, machine)
+    assert len(trace._prep.kernels) == 2
+    _assert_narrow_layers(trace._prep, trace.committed)
+
+
+def test_attached_prep_layers_are_at_most_four_bytes_wide(
+    setup, kernel_declines
+):
+    """A slice's ``fetch_add`` attaches at int32, and the replay it
+    serves matches the one a fresh build serves."""
+    programs, traces, machine = setup
+    program = programs["baseline"]
+    built = Trace.from_bytes(traces["baseline"].to_bytes())
+    blob = build_prep_slice(program, built, machine)
+    attached = Trace.from_bytes(traces["baseline"].to_bytes())
+    assert attach_prep_slice(program, attached, machine, blob)
+    replayed = replay_inorder(program, attached, machine)
+    assert kernel_declines == [False]
+    _assert_narrow_layers(attached._prep, attached.committed)
+    assert replayed.stats == replay_inorder(program, built, machine).stats
 
 
 def test_prep_slice_builds_no_ooo_kernel(setup):

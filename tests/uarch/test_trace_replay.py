@@ -30,7 +30,7 @@ from repro.compiler import (
 )
 from repro.experiments.sensitivity import LADDER
 from repro.ir import lower
-from repro.isa import Instruction, Memory, Opcode, assemble
+from repro.isa import DataSegment, Instruction, Memory, Opcode, assemble
 from repro.isa.decode import predecode
 from repro.uarch import (
     InOrderCore,
@@ -44,6 +44,7 @@ from repro.uarch import (
     replay_inorder,
     replay_ooo,
 )
+from repro.uarch.trace import content_digest
 from repro.workloads import spec_benchmark
 
 from tests.golden import generate
@@ -234,6 +235,26 @@ def test_trace_rejects_wrong_program():
     trace = _capture(programs["baseline"], machine)
     with pytest.raises(TraceMismatch):
         replay_inorder(programs["decomposed"], trace, machine)
+
+
+def test_content_digest_follows_the_data_segment():
+    """A program's cached content digest never outlives its data: the
+    segment ``assemble`` builds is read-only, and a program whose
+    segment is replaced hashes to what a fresh program with the new
+    words hashes to."""
+    code = [Instruction(opcode=Opcode.HALT)]
+    program = assemble(code, {}, data={10: 5})
+    before = content_digest(program)
+    with pytest.raises(TypeError):
+        program.data[10] = 6
+    assert content_digest(program) == before
+    assert content_digest(assemble(code, {}, data={10: 5})) == before
+    after = content_digest(assemble(code, {}, data={10: 6}))
+    assert after != before
+    program.data = DataSegment({10: 6})
+    assert content_digest(program) == after
+    program.data = DataSegment({10: 5})
+    assert content_digest(program) == before
 
 
 def test_container_detects_corruption():
