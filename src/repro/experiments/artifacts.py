@@ -15,13 +15,15 @@ replay-everywhere layer on top of the experiment cache:
   simulation of the same program, the capturing one included -- across
   widths, ports, cache geometry, BTB/RAS/DBB sizing, both cores, and
   (for baseline programs) across direction predictors.
-* **Prep slices** (``.../preps/<key>.prep``): the derived replay-prep
-  layers of one ``(trace content digest, prediction mode, config
-  class)`` -- batched predictor bits, RAS/BTB miss sets, stream action
-  codes and the cache-tag pre-pass outputs
-  (:mod:`repro.uarch.replay_vec`).  Built at most once fleet-wide and
-  attached from the digest-verified blob store by pool siblings, later
-  runs and other hosts.
+* **Prep slices** (``.../preps/<key>.prep``): what the four
+  sequential replay-prep passes decide for one ``(trace content
+  digest, prediction mode, config class)`` -- the live predictor's
+  bits, the RAS mispredict bits, the cache-tag pass's hit levels and
+  both cores' BTB miss bits (:mod:`repro.uarch.replay_vec`); every
+  other prep layer is rebuilt from the trace and them.  Named by the
+  slice key plus ``code_version()``, built at most once fleet-wide
+  per source version, and attached from the digest-verified blob
+  store by pool siblings, later runs and other hosts.
 
 Traces and prep slices share one versioned, per-column-checksummed
 container (:mod:`repro.uarch.columns`): each column is stored at the
@@ -353,16 +355,27 @@ class ArtifactStore:
         (``preps/<key>.prep``, shared across pool workers, runs and
         hosts sharing a cache root).  A miss builds every layer and
         persists the slice, so every later lookup in any process, run
-        or host attaches it instead of building.  Corrupt blobs are quarantined by the store layer
-        and rebuilt transparently -- never a wrong answer, at worst a
-        recompute.
+        or host attaches it instead of building.  Corrupt blobs are
+        quarantined by the store layer and rebuilt transparently --
+        never a wrong answer, at worst a recompute.
+
+        The blob's name adds ``code_version()`` to the slice key: a
+        trace's content digest survives a source change that leaves
+        the program and the capturing predictor alone (a reworked
+        live predictor, say), and a slice is only ever read by the
+        code that wrote it.
         """
+        import hashlib
+
+        from .engine import code_version
+
         key = replay_vec.prep_slice_key(program, trace, config)
         if key is None:
             return
         if replay_vec.prep_slice_ready(program, trace, config):
             return
-        path = self.preps_dir / f"{key}.prep"
+        name = hashlib.sha256(f"{key}|{code_version()}".encode()).hexdigest()
+        path = self.preps_dir / f"{name}.prep"
         blob = self._read_verified(path, counter="prep_quarantined")
         if blob is not None:
             if replay_vec.attach_prep_slice(program, trace, config, blob):

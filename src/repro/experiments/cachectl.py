@@ -205,8 +205,8 @@ class VerifyReport:
     mismatched: List[pathlib.Path] = field(default_factory=list)
     #: Sidecars whose blob is gone entirely.
     orphaned: List[pathlib.Path] = field(default_factory=list)
-    #: Store-section blobs with no sidecar (pre-sidecar writes,
-    #: served unverified by the store -- worth knowing about).
+    #: Store-section blobs with no sidecar (a put that lost its
+    #: sidecar; the store never serves them -- worth knowing about).
     unverified: int = 0
     #: Mismatched blobs moved aside (``quarantine=True`` only).
     quarantined: List[pathlib.Path] = field(default_factory=list)
@@ -289,7 +289,7 @@ def render_verify(report: VerifyReport) -> str:
     if report.unverified:
         lines.append(
             f"{report.unverified} blobs have no digest sidecar "
-            "(pre-sidecar writes; served unverified)"
+            "(never served; the next put of each rewrites it)"
         )
     return "\n".join(lines)
 

@@ -10,7 +10,7 @@ predict the exact set of injected failures without flaky sleeps or real
 resource pressure.
 
 Activate via the environment (which is how the switch reaches
-``ProcessPoolExecutor`` workers; both fault knobs are rows of
+``ProcessPoolExecutor`` workers; ``REPRO_FAULT_INJECT`` is a row of
 :data:`.settings.KNOBS`, and :func:`parse_plan` holds the grammar)::
 
     REPRO_FAULT_INJECT="crash:0.2,hang:0.1,corrupt_cache:0.1@seed=7"
@@ -23,12 +23,12 @@ Kinds:
 * ``die``           -- the worker process calls ``os._exit``: simulates
   an OOM kill; surfaces as ``BrokenProcessPool``, an *infrastructure*
   fault the engine retries.
-* ``hang``          -- the worker sleeps ``REPRO_FAULT_HANG_S`` seconds
-  (long, so a test's small ``REPRO_JOB_TIMEOUT`` fires first):
-  exercises the per-job timeout watchdog.  On the
-  serial (``jobs=1``) path, where no watchdog can interrupt the main
-  process, it degrades to raising :class:`InjectedHang` immediately,
-  which the engine records as a ``timeout``.
+* ``hang``          -- the worker sleeps :data:`HANG_S` seconds, far
+  past any job timeout: exercises the per-job timeout watchdog, whose
+  pool kill ends the sleeping worker.  On the serial (``jobs=1``)
+  path, where no watchdog can interrupt the main process, it degrades
+  to raising :class:`InjectedHang` immediately, which the engine
+  records as a ``timeout``.
 * ``corrupt_cache`` -- the engine writes a truncated result entry for
   the job under a valid digest: exercises the JSON checks of the next
   cache read, quarantine, and recompute.
@@ -71,6 +71,10 @@ FAULT_KINDS = (
     "walk_diverge",
     "torn_put",
 )
+
+#: Seconds an injected ``hang`` sleeps: an hour, so only the
+#: watchdog's pool kill ends it.
+HANG_S = 3600.0
 
 #: Exit status an injected ``die`` uses (mirrors a SIGKILL-style death
 #: as far as ``ProcessPoolExecutor`` is concerned: the pool breaks).
@@ -188,7 +192,7 @@ def inject_worker_faults(
                 f"injected hang (serial degradation) in {label!r} "
                 f"attempt {attempt}"
             )
-        time.sleep(setting("REPRO_FAULT_HANG_S"))
+        time.sleep(HANG_S)
     if plan.decide("crash", label, attempt):
         raise InjectedCrash(
             f"injected crash in {label!r} attempt {attempt}"

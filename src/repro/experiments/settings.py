@@ -93,8 +93,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_FAULT_INJECT", None, _fault_plan,
          "Fault plan such as `crash:0.2,hang:0.1@seed=7`; the grammar "
          "is in `experiments/faults.py`."),
-    Knob("REPRO_FAULT_HANG_S", 3600.0, _number(float),
-         "Seconds an injected `hang` sleeps."),
     Knob("REPRO_BENCH_ITERATIONS", 500, _number(int),
          "Workload iterations in `pytest benchmarks/`; 600 reproduces "
          "EXPERIMENTS.md."),

@@ -10,10 +10,12 @@ the contract down:
   over named blobs in one directory.  ``put`` is durable (fsync before
   the atomic rename) and records a SHA-256 digest in a ``<name>.sum``
   sidecar; ``get`` verifies the digest on every read and treats a
-  mismatch as a miss after quarantining the damage.  Transient I/O
-  errors are retried with backoff.  A blob without a sidecar (written
-  by an older version) is served unverified, so existing caches keep
-  working.
+  mismatch as a miss after quarantining the damage.  A blob without
+  a sidecar is a plain miss: every store key carries
+  ``code_version()``, so no blob written before sidecars existed is
+  ever addressed, and a sidecar-less blob is a put caught between
+  its two writes or one whose sidecar was lost.  Transient I/O errors
+  are retried with backoff.
 * :func:`quarantine_file` -- the one shared quarantine move.  It
   uniquifies the destination (two different corrupt artifacts can
   share a basename) and enforces a small retention cap so quarantine
@@ -127,9 +129,10 @@ class FileStore:
     ``get`` re-hashes the blob against the sidecar and quarantines
     both on mismatch (a failed verification is a miss, not an error).
     Names are relative POSIX-style paths (``traces/<key>.trace``,
-    ``<key>.json``).  Pre-sidecar blobs read back unverified, so a
-    cache written by an older version is still served.  Transient
-    ``OSError``\\ s (a flaky shared mount) are retried with backoff.
+    ``<key>.json``).  A blob without a sidecar reads as a miss and is
+    left in place (the next ``put`` of its name rewrites both files).
+    Transient ``OSError``\\ s (a flaky shared mount) are retried with
+    backoff.
     """
 
     SIDECAR_SUFFIX = ".sum"
@@ -218,7 +221,9 @@ class FileStore:
         try:
             recorded = self._sidecar(name).read_text().strip()
         except OSError:
-            return blob  # pre-sidecar blob: serve unverified
+            # Unverifiable: a put whose sidecar is not written yet, or
+            # was lost.  A plain miss; the caller's put rewrites both.
+            return None
         if hashlib.sha256(blob).hexdigest() != recorded:
             self._bump("verify_failures")
             self.quarantine(name)
@@ -245,11 +250,10 @@ class FileStore:
 
         Returns ``"ok"`` (digest matches), ``"mismatch"`` (bytes do
         not hash to the recorded digest -- a torn or corrupted blob),
-        ``"unverified"`` (no sidecar: a pre-sidecar write, served
-        as-is by :meth:`get`), or ``"missing"`` (no blob).  Unlike
-        :meth:`get` this moves no counters and quarantines nothing --
-        it exists for ``repro cache verify``, which decides what to do
-        with the report."""
+        ``"unverified"`` (no sidecar: :meth:`get` never serves it), or
+        ``"missing"`` (no blob).  Unlike :meth:`get` this moves no
+        counters and quarantines nothing -- it exists for ``repro cache
+        verify``, which decides what to do with the report."""
         path = self.path_for(name)
         try:
             blob = path.read_bytes()

@@ -165,24 +165,37 @@ class ReplayPrep:
 
     * ``base``       -- per decoded-rows identity: gathers, positions,
       per-pc operand tables
-    * ``pred_bits``  -- per mode ("recorded" or ("live", pid))
-    * ``ras_bits``   -- per ``ras_entries``
-    * ``streams``    -- per (mode, ras): action codes, resets, counters
-    * ``mems``       -- per (stream, cache geometry): hit levels
-    * ``btbs``       -- per (core, mode, btb_entries): miss bits
+    * ``pred_bits``  -- per mode ("recorded" or ("live", pid)): the
+      live predictor pass's bits (the recorded column verbatim)
+    * ``ras_bits``   -- per ``ras_entries``: the RAS pass's mispredict
+      bits
+    * ``streams``    -- per (mode, ras): action codes, I-line access
+      positions, counters
+    * ``levels``     -- per (stream, cache geometry): the cache-tag
+      pass's hit level of each I-line access, load and store
+    * ``mems``       -- per (stream, cache geometry): those levels as
+      fetch stalls, latencies, miss masks and I-cache counters
+    * ``btbs``       -- per (core, mode, btb_entries): the BTB pass's
+      miss bit per event
     * ``kernels``    -- per (core, stream, geometry, btb_entries): the
       fused action and latency arrays
     * ``regions``    -- per kernel key: the interned region table
       every in-order walk of that kernel shares (:mod:`.replay_multi`)
 
+    The four pass layers (``pred_bits`` in live mode, ``ras_bits``,
+    ``levels``, ``btbs``) are the only sequential Python loops, and
+    the only layers a persisted slice carries; :func:`_prepare`
+    derives every other layer from the trace and them with numpy,
+    whether the pass outputs were computed here or attached.
+
     Stream-length columns are arrays of at most 4 bytes per entry:
     ``pcs_np`` (the trace's own column), ``fetch_add`` and the fused
-    ``lat`` are int32, action codes and masks one byte.  Latencies
-    and operands stay per-pc tables in ``base`` until a layer that
-    reads them per instruction gathers them.  The Python lists a
-    layer holds are per-pc tables (one entry per program instruction)
-    and the region table.  The kernels ``tolist()`` what they iterate
-    per call and drop it with the call.
+    ``lat`` are int32, action codes, levels and masks one byte.
+    Latencies and operands stay per-pc tables in ``base`` until a
+    layer that reads them per instruction gathers them.  The Python
+    lists a layer holds are per-pc tables (one entry per program
+    instruction) and the region table.  The kernels ``tolist()`` what
+    they iterate per call and drop it with the call.
     """
 
     __slots__ = (
@@ -191,6 +204,7 @@ class ReplayPrep:
         "pred_bits",
         "ras_bits",
         "streams",
+        "levels",
         "mems",
         "btbs",
         "kernels",
@@ -203,6 +217,7 @@ class ReplayPrep:
         self.pred_bits: Dict = {}
         self.ras_bits: Dict[int, np.ndarray] = {}
         self.streams: Dict = {}
+        self.levels: Dict = {}
         self.mems: Dict = {}
         self.btbs: Dict = {}
         self.kernels: Dict = {}
@@ -222,7 +237,7 @@ class ReplayPrep:
             return 0
 
         total = 0
-        tables = [self.pred_bits, self.ras_bits, self.btbs]
+        tables = [self.pred_bits, self.ras_bits, self.levels, self.btbs]
         if self.base:
             tables.append(self.base)
         tables.extend(self.streams.values())
@@ -425,19 +440,16 @@ def _ras_bits(prep: ReplayPrep, base: Dict, entries: int) -> np.ndarray:
     return bits
 
 
-def _build_stream(
-    prep: ReplayPrep, base: Dict, mode_key, ras_entries: int
-) -> Dict:
+def _build_stream(base: Dict, pred: np.ndarray, ret_misp: np.ndarray) -> Dict:
     """Action codes, reset classification and vectorized counters for
-    one (prediction mode, RAS size) pair."""
+    one (prediction mode, RAS size) pair, from the predictor pass's
+    bits ``pred`` and the RAS pass's bits ``ret_misp``."""
     n = base["n"]
-    pred = prep.pred_bits[mode_key]
     taken_np = base["br_taken_np"]
     misp = pred != taken_np
     taken_b = taken_np != 0
     div = base["div_np"] != 0
     pr_taken = base["pr_np"] != 0
-    ret_misp = _ras_bits(prep, base, ras_entries)
 
     br_pos = base["br_pos"]
     rs_pos = base["rs_pos"]
@@ -510,16 +522,24 @@ def _build_stream(
     }
 
 
-def _build_mem(base: Dict, stream: Dict, config: MachineConfig) -> Dict:
-    """Cache-tag pre-pass: walk the merged I-cache/load/store access
+def _cache_levels(
+    prep: ReplayPrep, base: Dict, stream: Dict, config: MachineConfig,
+    key: Tuple,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cache-tag pass: walk the merged I-cache/load/store access
     sequence once (stream order, instruction access before data access
     at the same position, suppressed loads excluded) and record the
-    hit level of every access.  Level -> latency mapping and the
-    next-line-prefetch decision use this config's latencies, so the
-    result is keyed by the full cache geometry."""
+    hit level (0 = L1 ... 3 = DRAM) of every access, as three int8
+    arrays: one per I-line access of ``stream``, one per load (-1 for
+    a suppressed load, which makes no access) and one per store.
+    Memoised under ``key``, the memory layer's key: the next-line
+    prefetch decision compares this config's latencies, so the levels
+    depend on the full cache geometry."""
+    levels = prep.levels.get(key)
+    if levels is not None:
+        return levels
     h = config.hierarchy
     shift = h.line_bytes.bit_length() - 1
-    n = base["n"]
     acc_pos = stream["acc_pos"]
 
     inst_lines = (
@@ -618,21 +638,42 @@ def _build_mem(base: Dict, stream: Dict, config: MachineConfig) -> Dict:
             else:
                 store_level[rank] = level
 
+    levels = tuple(
+        np.array(level, np.int8)
+        for level in (inst_level, load_level, store_level)
+    )
+    prep.levels[key] = levels
+    return levels
+
+
+def _build_mem(
+    base: Dict, stream: Dict, levels: Tuple, config: MachineConfig
+) -> Dict:
+    """The memory layer: the cache-tag pass's ``levels`` turned into
+    this config's latencies -- the I-cache miss cycles each
+    instruction adds to fetch (``fetch_add``), the two I-cache
+    counters, and per-load and per-store latencies and miss masks."""
+    h = config.hierarchy
+    inst_level, load_level, store_level = levels
     # Instruction-side added latency per access (I$ hits are free).
     inst_lut = np.array(
         [0, h.l2_latency, h.l3_latency, h.dram_latency], np.int32
     )
-    inst_add = inst_lut[np.array(inst_level, np.int64)]
+    inst_add = inst_lut[inst_level]
     # Hits add zero cycles, so the kernels need no hit/no-access
     # distinction: zero means "keep fetching".
-    fetch_add_np = np.zeros(n, np.int32)
-    fetch_add_np[acc_pos] = inst_add
+    fetch_add_np = np.zeros(base["n"], np.int32)
+    fetch_add_np[stream["acc_pos"]] = inst_add
     miss_mask = inst_add > 0
 
-    data_lut = np.array(lat_by_level, np.int64)
-    lvl = np.array(load_level, np.int64)
-    load_lat_np = np.where(lvl < 0, l1_lat, data_lut[np.maximum(lvl, 0)])
-    store_lat_np = data_lut[np.array(store_level, np.int64)]
+    l1_lat = h.l1_latency
+    data_lut = np.array(
+        [l1_lat, h.l2_latency, h.l3_latency, h.dram_latency], np.int64
+    )
+    load_lat_np = np.where(
+        load_level < 0, l1_lat, data_lut[np.maximum(load_level, 0)]
+    )
+    store_lat_np = data_lut[store_level]
     return {
         "fetch_add": fetch_add_np,
         "icache_misses": int(np.count_nonzero(miss_mask)),
@@ -646,32 +687,32 @@ def _build_mem(base: Dict, stream: Dict, config: MachineConfig) -> Dict:
     }
 
 
+def _btb_events(stream: Dict, core: str) -> np.ndarray:
+    """Stream positions that look up ``core``'s BTB, in stream order:
+    correctly predicted taken branches and taken PREDICTs in-order,
+    taken PREDICTs only on the OOO core."""
+    act = stream["act_np"]
+    looks_up = act == A_PREDICT_TAKEN
+    if core == "inorder":
+        looks_up |= act == A_BR_TAKEN
+    return np.flatnonzero(looks_up)
+
+
 def _btb_bits(
-    prep: ReplayPrep, base: Dict, key: Tuple
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """(event positions, miss bit per event, miss total), stream
-    order, for ``key`` = (core, mode, BTB entries).  The in-order core
-    consults the BTB for correct-taken branches and taken PREDICTs;
-    the OOO core only for taken PREDICTs.  Direct-mapped, tag == pc,
-    insert on miss -- only tag state matters for future lookups."""
-    core, mode_key, entries = key
-    cached = prep.btbs.get(key)
-    if cached is None:
-        pr_taken_pos = base["pr_pos"][base["pr_np"] != 0]
-        if core == "inorder":
-            pred = prep.pred_bits[mode_key]
-            taken_ok = (pred == base["br_taken_np"]) & (
-                base["br_taken_np"] != 0
-            )
-            events = np.sort(
-                np.concatenate([base["br_pos"][taken_ok], pr_taken_pos])
-            )
-        else:
-            events = pr_taken_pos
+    prep: ReplayPrep, base: Dict, stream: Dict, key: Tuple
+) -> np.ndarray:
+    """BTB pass: the miss bit of each of :func:`_btb_events`, memoised
+    under ``key`` = (core, mode, BTB entries).  Direct-mapped, tag ==
+    pc, insert on miss -- only tag state matters for future
+    lookups."""
+    bits = prep.btbs.get(key)
+    if bits is None:
+        core, _, entries = key
         mask = entries - 1
         tags: Dict[int, int] = {}
         missed: List[int] = []
         append = missed.append
+        events = _btb_events(stream, core)
         for j, pc in enumerate(base["pcs_np"][events].tolist()):
             slot = pc & mask
             if tags.get(slot) != pc:
@@ -679,9 +720,8 @@ def _btb_bits(
                 tags[slot] = pc
         bits = np.zeros(len(events), bool)
         bits[missed] = True
-        cached = (events, bits, len(missed))
-        prep.btbs[key] = cached
-    return cached
+        prep.btbs[key] = bits
+    return bits
 
 
 def _build_kernel(
@@ -719,49 +759,66 @@ def _geometry(config: MachineConfig) -> Tuple:
     )
 
 
+def _prep_of(program, trace: Trace) -> ReplayPrep:
+    """``trace``'s prep cache for ``program``'s decoded rows, its base
+    layer built (``False`` when the trace falls outside the vectorized
+    path); a cache built from other rows is dropped."""
+    decoded = predecode(program)
+    prep = trace._prep
+    if prep is None or prep.source_id != id(decoded.rows):
+        prep = ReplayPrep(id(decoded.rows))
+        trace._prep = prep
+    if prep.base is None:
+        prep.base = _build_base(trace, decoded) or False
+    return prep
+
+
 def _prepare(program, trace: Trace, config: MachineConfig, core: str):
     """Assemble (base, stream, mem, kernel, btb_misses, kernel_key) for
     one replay, building/reusing cached layers under the keys
     :func:`_slice_keys` gives a persisted slice; ``None`` -> reference
-    core."""
+    core.  The four passes run only when their outputs are neither
+    built nor attached; every other layer is built here, the same way
+    either way."""
     keys = _slice_keys(trace, config)
     if keys is None:
         return None  # unnameable factory: no safe cache key
     mode_key, stream_key, mem_key, btb_io, btb_ooo = keys
-    decoded = predecode(program)
-    source_id = id(decoded.rows)
-    prep = trace._prep
-    if prep is None or prep.source_id != source_id:
-        prep = ReplayPrep(source_id)
-        trace._prep = prep
-    if prep.base is None:
-        prep.base = _build_base(trace, decoded) or False
+    prep = _prep_of(program, trace)
     base = prep.base
     if base is False:
         return None
 
-    _pred_bits_for(prep, base, mode_key, config)
-
     stream = prep.streams.get(stream_key)
     if stream is None:
-        stream = _build_stream(prep, base, mode_key, config.ras_entries)
+        stream = _build_stream(
+            base,
+            _pred_bits_for(prep, base, mode_key, config),
+            _ras_bits(prep, base, config.ras_entries),
+        )
         prep.streams[stream_key] = stream
 
     mem = prep.mems.get(mem_key)
     if mem is None:
-        mem = _build_mem(base, stream, config)
+        levels = _cache_levels(prep, base, stream, config, mem_key)
+        mem = _build_mem(base, stream, levels, config)
         prep.mems[mem_key] = mem
 
-    btb_events, btb_bits, btb_misses = _btb_bits(
-        prep, base, btb_io if core == "inorder" else btb_ooo
+    btb_bits = _btb_bits(
+        prep, base, stream, btb_io if core == "inorder" else btb_ooo
     )
 
     kernel_key = (core, *mem_key, config.btb_entries)
     kernel = prep.kernels.get(kernel_key)
     if kernel is None:
-        kernel = _build_kernel(base, stream, mem, btb_events, btb_bits)
+        kernel = _build_kernel(
+            base, stream, mem, _btb_events(stream, core), btb_bits
+        )
         prep.kernels[kernel_key] = kernel
-    return base, stream, mem, kernel, btb_misses, kernel_key
+    return (
+        base, stream, mem, kernel, int(np.count_nonzero(btb_bits)),
+        kernel_key,
+    )
 
 
 # ------------------------------------------------- persisted prep slices
@@ -769,41 +826,22 @@ def _prepare(program, trace: Trace, config: MachineConfig, core: str):
 #: Bump when the prep container layout, the layer contents, or the
 #: slice keying changes: the key hashes the schema, so every persisted
 #: slice of an older version simply stops matching and is rebuilt.
-PREP_SCHEMA = 2
+PREP_SCHEMA = 3
 
-_PREP_MAGIC = b"RPPREP2\x00"
+_PREP_MAGIC = b"RPPREP3\x00"
 
-#: Array payloads of one slice, in canonical container order.  The
-#: ``pred_bits`` column is present only for live-predictor slices (a
-#: recorded slice's bits are the trace's own ``branch_pred`` column).
+#: Array payloads of one slice, in canonical container order: the
+#: outputs of the four sequential passes.  The ``pred_bits`` column is
+#: present only for live-predictor slices (a recorded slice's bits are
+#: the trace's own ``branch_pred`` column).
 _PREP_ARRAYS = (
     "pred_bits",
     "ras_bits",
-    "act",
-    "acc_pos",
-    "acc_prev_misp",
-    "fetch_add",
-    "load_lat",
-    "load_miss",
-    "store_lat",
-    "store_miss",
-    "btb_io_events",
+    "inst_level",
+    "load_level",
+    "store_level",
     "btb_io_bits",
-    "btb_ooo_events",
     "btb_ooo_bits",
-)
-
-#: Integer counters of one slice (stream + mem + per-core BTB misses).
-_PREP_COUNTERS = (
-    "cond_mispredicts",
-    "resolve_mispredicts",
-    "ras_mispredicts",
-    "taken_redirects_inorder",
-    "taken_redirects_ooo",
-    "icache_misses",
-    "icache_under",
-    "btb_io_misses",
-    "btb_ooo_misses",
 )
 
 
@@ -831,6 +869,17 @@ def prep_mode_key(trace: Trace, config: MachineConfig):
     return ("live", pid)
 
 
+def _slice_header(trace: Trace, mode, config: MachineConfig) -> Dict:
+    """The fields that name one slice: its key hashes them, and its
+    container header carries them for attach to check."""
+    return {
+        "schema": PREP_SCHEMA,
+        "trace": trace.content_digest(),
+        "mode": list(mode) if isinstance(mode, tuple) else mode,
+        "config": list(prep_config_class(config)),
+    }
+
+
 def prep_slice_key(
     program, trace: Trace, config: MachineConfig
 ) -> Optional[str]:
@@ -839,19 +888,16 @@ def prep_slice_key(
     Changing any component -- a recaptured trace, a different
     predictor, a resized cache/BTB/RAS, a container schema bump --
     yields a different key, so invalidation is automatic and stale
-    slices are never consulted."""
+    slices are never consulted.  A trace's digest outlives a source
+    change that leaves the program and the capturing predictor alone,
+    so the artifact store adds ``code_version()`` to this key when it
+    names the blob (``ArtifactStore._ensure_prep``)."""
     mode = prep_mode_key(trace, config)
     if mode is None:
         return None
     return hashlib.sha256(
         json.dumps(
-            {
-                "kind": "prep",
-                "schema": PREP_SCHEMA,
-                "trace": trace.content_digest(),
-                "mode": list(mode) if isinstance(mode, tuple) else mode,
-                "config": list(prep_config_class(config)),
-            },
+            dict(_slice_header(trace, mode, config), kind="prep"),
             sort_keys=True,
         ).encode()
     ).hexdigest()
@@ -875,20 +921,19 @@ def _slice_keys(trace: Trace, config: MachineConfig):
 
 
 def prep_slice_ready(program, trace: Trace, config: MachineConfig) -> bool:
-    """Whether every layer a slice would carry is already attached to
-    ``trace._prep`` (both cores' BTB sets included)."""
+    """Whether every pass output a slice would carry is already on
+    ``trace._prep`` (both cores' BTB bits included)."""
     keys = _slice_keys(trace, config)
     if keys is None:
         return False
-    mode, stream_key, mem_key, btb_io, btb_ooo = keys
+    mode, _, mem_key, btb_io, btb_ooo = keys
     prep = trace._prep
     return (
         prep is not None
         and prep.source_id == id(predecode(program).rows)
         and mode in prep.pred_bits
         and config.ras_entries in prep.ras_bits
-        and stream_key in prep.streams
-        and mem_key in prep.mems
+        and mem_key in prep.levels
         and btb_io in prep.btbs
         and btb_ooo in prep.btbs
     )
@@ -897,13 +942,13 @@ def prep_slice_ready(program, trace: Trace, config: MachineConfig) -> bool:
 def build_prep_slice(
     program, trace: Trace, config: MachineConfig
 ) -> Optional[bytes]:
-    """Compute (or reuse) every layer one slice covers and serialise
-    it as a :mod:`.columns` container: columns for the predictor bits
-    (live mode), RAS bits, the stream action codes, the cache-level
-    pre-pass outputs, and both cores' BTB miss sets, each at the
-    narrowest dtype its values need, plus the key fields and derived
-    counters in the header.  ``None`` when the trace falls outside the
-    vectorized path or has no safe slice key."""
+    """Run (or reuse) the four passes one slice covers and serialise
+    their outputs as a :mod:`.columns` container: the live
+    predictor's bits (live mode only), the RAS mispredict bits, the
+    cache-tag pass's hit levels and both cores' BTB miss bits, each at
+    the narrowest dtype its values need, with the key fields in the
+    header.  ``None`` when the trace falls outside the vectorized path
+    or has no safe slice key."""
     keys = _slice_keys(trace, config)
     if keys is None:
         return None
@@ -912,173 +957,96 @@ def build_prep_slice(
         return None
     prep = trace._prep
     # One persisted slice serves in-order and OOO replays alike, so it
-    # also carries the OOO BTB set (PREDICTs only -- cheap), but not
-    # the OOO kernel layer, which only an OOO replay reads.
-    _btb_bits(prep, prep.base, btb_ooo)
-    stream = prep.streams[stream_key]
-    mem = prep.mems[mem_key]
-    io_events, io_bits, io_misses = prep.btbs[btb_io]
-    ooo_events, ooo_bits, ooo_misses = prep.btbs[btb_ooo]
-
+    # also carries the OOO BTB bits (PREDICTs only -- cheap), but not
+    # the OOO kernel layer, which only an OOO replay builds.
+    ooo_bits = _btb_bits(prep, prep.base, prep.streams[stream_key], btb_ooo)
+    inst_level, load_level, store_level = prep.levels[mem_key]
     arrays: Dict[str, np.ndarray] = {
         "ras_bits": prep.ras_bits[config.ras_entries],
-        "act": stream["act_np"],
-        "acc_pos": stream["acc_pos"],
-        "acc_prev_misp": stream["acc_prev_misp"],
-        "fetch_add": mem["fetch_add"],
-        "load_lat": mem["load_lat_np"],
-        "load_miss": mem["load_miss_np"],
-        "store_lat": mem["store_lat_np"],
-        "store_miss": mem["store_miss_np"],
-        "btb_io_events": io_events,
-        "btb_io_bits": io_bits,
-        "btb_ooo_events": ooo_events,
+        "inst_level": inst_level,
+        "load_level": load_level,
+        "store_level": store_level,
+        "btb_io_bits": prep.btbs[btb_io],
         "btb_ooo_bits": ooo_bits,
     }
     if mode != "recorded":
         arrays["pred_bits"] = prep.pred_bits[mode]
-    counters = {
-        "cond_mispredicts": stream["cond_mispredicts"],
-        "resolve_mispredicts": stream["resolve_mispredicts"],
-        "ras_mispredicts": stream["ras_mispredicts"],
-        "taken_redirects_inorder": stream["taken_redirects_inorder"],
-        "taken_redirects_ooo": stream["taken_redirects_ooo"],
-        "icache_misses": mem["icache_misses"],
-        "icache_under": mem["icache_under"],
-        "btb_io_misses": io_misses,
-        "btb_ooo_misses": ooo_misses,
-    }
     return columns.encode(
         _PREP_MAGIC,
-        {
-            "schema": PREP_SCHEMA,
-            "trace": trace.content_digest(),
-            "mode": list(mode) if isinstance(mode, tuple) else mode,
-            "config": list(prep_config_class(config)),
-            "counters": counters,
-        },
+        _slice_header(trace, mode, config),
         {name: arrays[name] for name in _PREP_ARRAYS if name in arrays},
-    )
-
-
-def _lengths_match(
-    trace: Trace, arrays: Dict[str, np.ndarray], recorded: bool
-) -> bool:
-    """Whether every column of a slice has the length ``trace``
-    implies: one entry per instruction, load, store, RET or branch,
-    and bits as long as their event positions.  The OOO kernel zips
-    its columns, so a short one would end a replay early rather than
-    fail."""
-    n = trace.committed
-    loads = len(trace.column("load_addrs"))
-    stores = len(trace.column("store_addrs"))
-    expected = {
-        "act": n,
-        "fetch_add": n,
-        "load_lat": loads,
-        "load_miss": loads,
-        "store_lat": stores,
-        "store_miss": stores,
-        "ras_bits": len(trace.column("ret_targets")),
-        "acc_prev_misp": len(arrays["acc_pos"]),
-        "btb_io_bits": len(arrays["btb_io_events"]),
-        "btb_ooo_bits": len(arrays["btb_ooo_events"]),
-    }
-    if not recorded:
-        expected["pred_bits"] = len(trace.column("branch_pred"))
-    return all(
-        len(arrays[name]) == count for name, count in expected.items()
     )
 
 
 def attach_prep_slice(
     program, trace: Trace, config: MachineConfig, buf
 ) -> bool:
-    """Plant a serialised slice's layers onto ``trace._prep``.
+    """Plant a serialised slice's pass outputs in their memos on
+    ``trace._prep``; :func:`_prepare` derives every other layer from
+    them exactly as on a fresh build.
 
-    Validates the container *and* its key fields against what this
-    (program, trace, config) would compute -- a slice for a different
-    trace digest, mode, or config class is rejected (``False``), as is
-    any structural corruption or a column whose length does not fit
-    the trace, and the caller rebuilds from scratch.
-    Each planted array is decoded from ``buf`` at the dtype the
-    building process held (a copy, never a view of ``buf``), so the
-    kernels see exactly the arrays a fresh build would give them."""
+    Refuses (``False``, and the caller rebuilds from scratch) a
+    container that fails to decode, whose key fields differ from what
+    this (program, trace, config) would compute, whose column set is
+    not exactly the pass outputs, or whose column lengths differ from
+    the event counts the builders give: the trace's branches, RETs,
+    loads and stores, and the I-line accesses and BTB lookups of the
+    stream the planted predictor and RAS bits imply.  That stream is
+    built to count them and then dropped: besides the trace's base
+    layer (mode-independent gathers, built once per trace through the
+    accessor :func:`_prepare` uses), attach leaves no layer but the
+    four it plants."""
     keys = _slice_keys(trace, config)
     if keys is None:
         return False
-    mode, stream_key, mem_key, btb_io, btb_ooo = keys
+    mode, _, mem_key, btb_io, btb_ooo = keys
     try:
         header, arrays = columns.decode(_PREP_MAGIC, buf)
     except columns.ColumnError:
         return False
-    expected_mode = list(mode) if isinstance(mode, tuple) else mode
-    if (
-        header.get("schema") != PREP_SCHEMA
-        or header.get("trace") != trace.content_digest()
-        or header.get("mode") != expected_mode
-        or header.get("config") != list(prep_config_class(config))
+    if any(
+        header.get(name) != value
+        for name, value in _slice_header(trace, mode, config).items()
     ):
         return False
     recorded = mode == "recorded"
-    if any(
-        name not in arrays
-        for name in _PREP_ARRAYS
-        if name != "pred_bits" or not recorded
-    ):
+    if set(arrays) != {
+        name for name in _PREP_ARRAYS if name != "pred_bits" or not recorded
+    }:
         return False
-    if not _lengths_match(trace, arrays, recorded):
-        return False
-    try:
-        counter_values = {
-            name: int(header["counters"][name]) for name in _PREP_COUNTERS
-        }
-    except (KeyError, TypeError, ValueError):
-        return False
-
-    source_id = id(predecode(program).rows)
-    prep = trace._prep
-    if prep is None or prep.source_id != source_id:
-        prep = ReplayPrep(source_id)
-        trace._prep = prep
     if recorded:
         # Recorded bits are the trace's own column; plant them so the
         # readiness probe and ``_prepare`` both see the layer filled.
-        prep.pred_bits[mode] = trace.column("branch_pred")
-    else:
-        prep.pred_bits[mode] = arrays["pred_bits"]
+        arrays["pred_bits"] = trace.column("branch_pred")
+
+    prep = _prep_of(program, trace)
+    base = prep.base
+    if base is False:
+        return False  # outside the vectorized path: no slice fits
+    counts = {
+        "pred_bits": len(base["br_pos"]),
+        "ras_bits": len(base["ret_pos"]),
+        "load_level": len(base["ld_pos"]),
+        "store_level": len(base["st_pos"]),
+    }
+    if any(len(arrays[name]) != count for name, count in counts.items()):
+        return False
+    stream = _build_stream(base, arrays["pred_bits"], arrays["ras_bits"])
+    counts = {
+        "inst_level": len(stream["acc_pos"]),
+        "btb_io_bits": len(_btb_events(stream, "inorder")),
+        "btb_ooo_bits": len(_btb_events(stream, "ooo")),
+    }
+    if any(len(arrays[name]) != count for name, count in counts.items()):
+        return False
+
+    prep.pred_bits[mode] = arrays["pred_bits"]
     prep.ras_bits[config.ras_entries] = arrays["ras_bits"]
-    prep.streams[stream_key] = {
-        "act_np": arrays["act"],
-        "acc_pos": arrays["acc_pos"],
-        "acc_prev_misp": arrays["acc_prev_misp"],
-        "cond_mispredicts": counter_values["cond_mispredicts"],
-        "resolve_mispredicts": counter_values["resolve_mispredicts"],
-        "ras_mispredicts": counter_values["ras_mispredicts"],
-        "taken_redirects_inorder": counter_values[
-            "taken_redirects_inorder"
-        ],
-        "taken_redirects_ooo": counter_values["taken_redirects_ooo"],
-    }
-    prep.mems[mem_key] = {
-        "fetch_add": arrays["fetch_add"],
-        "icache_misses": counter_values["icache_misses"],
-        "icache_under": counter_values["icache_under"],
-        "load_lat_np": arrays["load_lat"],
-        "load_miss_np": arrays["load_miss"],
-        "store_lat_np": arrays["store_lat"],
-        "store_miss_np": arrays["store_miss"],
-    }
-    prep.btbs[btb_io] = (
-        arrays["btb_io_events"],
-        arrays["btb_io_bits"],
-        counter_values["btb_io_misses"],
+    prep.levels[mem_key] = (
+        arrays["inst_level"], arrays["load_level"], arrays["store_level"]
     )
-    prep.btbs[btb_ooo] = (
-        arrays["btb_ooo_events"],
-        arrays["btb_ooo_bits"],
-        counter_values["btb_ooo_misses"],
-    )
+    prep.btbs[btb_io] = arrays["btb_io_bits"]
+    prep.btbs[btb_ooo] = arrays["btb_ooo_bits"]
     return True
 
 

@@ -41,10 +41,20 @@ class TestStoreProtocol:
         assert not (tmp_path / "traces" / "a.bin.sum").exists()
         assert store.get("traces/a.bin") is None
 
-    def test_pre_sidecar_blob_served_unverified(self, tmp_path):
-        (tmp_path / "old.bin").write_bytes(b"legacy")
+    def test_sidecarless_blob_misses_until_put_heals_it(self, tmp_path):
+        """A blob whose sidecar is missing (a put between its two
+        writes, or a lost sidecar) cannot be verified: it reads as a
+        plain miss, is not quarantined, and the next put of the name
+        rewrites both files."""
+        (tmp_path / "old.bin").write_bytes(b"unverifiable")
         store = FileStore(tmp_path)
-        assert store.get("old.bin") == b"legacy"
+        assert store.get("old.bin") is None
+        assert store.counters["verify_failures"] == 0
+        assert (tmp_path / "old.bin").read_bytes() == b"unverifiable"
+        assert not (tmp_path / "quarantine").exists()
+        assert store.put("old.bin", b"recomputed")
+        assert store.get("old.bin") == b"recomputed"
+        assert store.verify_blob("old.bin") == "ok"
 
     def test_tampered_blob_quarantined_and_missed(self, tmp_path):
         store = FileStore(tmp_path)

@@ -112,6 +112,7 @@ class TestSettingsErrors:
             ("REPRO_TRACE_REPLAY", "0"),
             ("REPRO_PREP_CACHE", "0"),
             ("REPRO_RETRY_BACKOFF", "0"),
+            ("REPRO_FAULT_HANG_S", "30"),
         ],
     )
     def test_bad_setting_exits_2_with_one_line(self, name, raw, tmp_path):

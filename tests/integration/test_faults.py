@@ -28,7 +28,6 @@ def _fault_free_fast_retries(monkeypatch):
     environment; tests that want injection set REPRO_FAULT_INJECT."""
     monkeypatch.setattr("repro.experiments.engine.RETRY_BACKOFF_S", 0.0)
     monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
-    monkeypatch.delenv("REPRO_FAULT_HANG_S", raising=False)
 
 
 # -- engine-mappable workers (top level so they pickle) --------------------
@@ -211,7 +210,6 @@ class TestTimeouts:
 
     def test_injected_hang_hits_the_watchdog(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:1.0@seed=3")
-        monkeypatch.setenv("REPRO_FAULT_HANG_S", "30")
         engine = ExperimentEngine(
             jobs=2, use_cache=False, retries=0, job_timeout=0.4
         )

@@ -147,9 +147,10 @@ class TestPrepPersistence:
 
 
     def test_latencies_beyond_a_byte_round_trip(self, store, tmp_path):
-        """A 300-cycle DRAM puts latencies above 255 into the slice's
-        columns: each is stored at the width its values need, and a
-        fresh store's attached slice replays to the reference core."""
+        """A 300-cycle DRAM puts latencies above 255 into the memory
+        layer a fresh store derives from an attached slice's hit
+        levels: its ``fetch_add`` reaches 300 at int32, and the replay
+        matches the reference core."""
         config, baseline, _ = _quick_programs()
         machine = config.machine_for(4)
         slow = dataclasses.replace(
@@ -161,26 +162,78 @@ class TestPrepPersistence:
         store.simulate_inorder(
             baseline, slow, max_instructions=config.max_instructions
         )
-        (blob_path,) = _prep_files(tmp_path)
-        header, arrays = columns.decode(
-            replay_vec._PREP_MAGIC, blob_path.read_bytes()
-        )
-        stored = {d["name"]: d["store"] for d in header["columns"]}
-        assert int(arrays["fetch_add"].max()) == 300
-        assert stored["fetch_add"] == "uint16"
-        assert arrays["fetch_add"].dtype == np.int32
         fresh = ArtifactStore(cache_dir=tmp_path)
         mark = fresh.mark()
         replayed = fresh.simulate_inorder(
             baseline, slow, max_instructions=config.max_instructions
         )
         assert fresh.delta(mark).get("prep_hits") == 1
+        trace = fresh.peek_trace(
+            baseline, slow, max_instructions=config.max_instructions
+        )
+        (mem,) = trace._prep.mems.values()
+        assert int(mem["fetch_add"].max()) == 300
+        assert mem["fetch_add"].dtype == np.int32
         executed = InOrderCore(slow).run(
             baseline, max_instructions=config.max_instructions
         )
         assert replayed.stats == executed.stats
         assert replayed.registers == executed.registers
         assert replayed.memory.snapshot() == executed.memory.snapshot()
+
+    def test_slice_keeps_only_the_pass_outputs(self, store, tmp_path):
+        """A slice holds what the four sequential passes decide and
+        nothing a replay can rebuild: the live predictor's bits (live
+        mode only), the RAS bits, the cache-tag pass's hit levels and
+        both cores' BTB bits; its header names the slice and carries
+        no counters."""
+        config, baseline, _ = _quick_programs()
+        machine = config.machine_for(4)
+        for point in (machine, machine.with_predictor(GSharePredictor)):
+            store.simulate_inorder(
+                baseline, point, max_instructions=config.max_instructions
+            )
+        passes = [
+            "ras_bits", "inst_level", "load_level", "store_level",
+            "btb_io_bits", "btb_ooo_bits",
+        ]
+        found = {}
+        for path in _prep_files(tmp_path):
+            header, arrays = columns.decode(
+                replay_vec._PREP_MAGIC, path.read_bytes()
+            )
+            assert sorted(header) == [
+                "columns", "config", "mode", "schema", "trace"
+            ]
+            assert header["schema"] == 3
+            found[header["mode"] == "recorded"] = list(arrays)
+        assert found == {True: passes, False: ["pred_bits", *passes]}
+
+    def test_code_change_rebuilds_the_slice(
+        self, store, tmp_path, monkeypatch
+    ):
+        """A source change recaptures a baseline trace to the same
+        content digest (same program, same capturing predictor), so
+        the slice key alone would attach what the old code decided:
+        the blob's name carries ``code_version()`` as well."""
+        from repro.experiments import engine
+
+        config, baseline, _ = _quick_programs()
+        machine = config.machine_for(4)
+        store.simulate_inorder(
+            baseline, machine, max_instructions=config.max_instructions
+        )
+        monkeypatch.setattr(engine, "_CODE_VERSION", "0" * 16)
+        other = ArtifactStore(cache_dir=tmp_path)
+        mark = other.mark()
+        other.simulate_inorder(
+            baseline, machine, max_instructions=config.max_instructions
+        )
+        delta = other.delta(mark)
+        assert delta.get("trace_captures") == 1
+        assert delta.get("prep_builds") == 1
+        assert "prep_hits" not in delta
+        assert len(_prep_files(tmp_path)) == 2
 
 
 class TestPrepInvalidation:
@@ -369,15 +422,30 @@ class TestPrepIntegrity:
         assert result.stats == second.stats
 
     @pytest.mark.parametrize(
-        "column", ["fetch_add", "act", "load_lat", "btb_io_bits"]
+        "column",
+        [
+            "pred_bits", "ras_bits", "inst_level", "load_level",
+            "store_level", "btb_io_bits", "btb_ooo_bits",
+        ],
     )
     def test_short_column_is_quarantined(self, store, tmp_path, column):
-        """A well-formed container, digest-verified, whose column is
-        one element short of what the trace implies: the per-point
-        kernel would zip it and stop early, so attach must refuse it."""
-        config, baseline, machine, result, blob_path = self._seed(
-            store, tmp_path
+        """A well-formed live-mode container, digest-verified, with one
+        column that does not fit the event count its builder gives
+        (one element short, or one long where the trace leaves the
+        column empty): attach must refuse it, and the store
+        quarantines it and rebuilds."""
+        config, baseline, _, _, _ = self._seed(store, tmp_path)
+        machine = config.machine_for(4).with_predictor(GSharePredictor)
+        result = store.simulate_inorder(
+            baseline, machine, max_instructions=config.max_instructions
         )
+        (blob_path,) = [
+            path
+            for path in _prep_files(tmp_path)
+            if "pred_bits" in columns.decode(
+                replay_vec._PREP_MAGIC, path.read_bytes()
+            )[1]
+        ]
         short = _shorten_column(blob_path.read_bytes(), column)
         blob_path.write_bytes(short)
         sidecar = blob_path.parent / (blob_path.name + ".sum")
@@ -395,12 +463,14 @@ class TestPrepIntegrity:
 
 
 def _shorten_column(blob: bytes, name: str) -> bytes:
-    """``blob`` re-encoded with column ``name`` one element short: a
-    well-formed container whose digests and counts all agree, so only
-    the length check against the trace can refuse it."""
+    """``blob`` re-encoded with column ``name`` one element short (one
+    long when it is empty): a well-formed container whose digests and
+    counts all agree, so only the length check can refuse it."""
     header, arrays = columns.decode(replay_vec._PREP_MAGIC, blob)
-    assert len(arrays[name]) >= 1
-    arrays[name] = arrays[name][:-1]
+    column = arrays[name]
+    arrays[name] = (
+        column[:-1] if len(column) else np.zeros(1, column.dtype)
+    )
     del header["columns"]
     return columns.encode(replay_vec._PREP_MAGIC, header, arrays)
 

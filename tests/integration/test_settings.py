@@ -26,7 +26,6 @@ MALFORMED = {
     "REPRO_PROFILE": "y",
     "REPRO_TRACE_LRU_MB": "1G",
     "REPRO_FAULT_INJECT": "crash:lots",
-    "REPRO_FAULT_HANG_S": "1h",
     "REPRO_BENCH_ITERATIONS": "many",
     "REPRO_BENCH_SEEDS": "1.5",
 }
@@ -36,7 +35,6 @@ MALFORMED = {
 FLOAT_KNOBS = (
     "REPRO_JOB_TIMEOUT",
     "REPRO_TRACE_LRU_MB",
-    "REPRO_FAULT_HANG_S",
 )
 
 
@@ -118,7 +116,6 @@ def test_unknown_name_is_rejected(monkeypatch):
         ("REPRO_PROFILE", "Yes", True),
         ("REPRO_PROFILE", "on", True),
         ("REPRO_CACHE_DIR", "/tmp/somewhere", "/tmp/somewhere"),
-        ("REPRO_FAULT_HANG_S", "0.25", 0.25),
         ("REPRO_BENCH_SEEDS", "2", 2),
     ],
 )

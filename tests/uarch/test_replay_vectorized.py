@@ -12,7 +12,8 @@ trivially, so every comparison also asserts (through the
 itself (a live predictor without a stable name) must reproduce the
 reference core too.  And it pins what the kernels leave behind: no
 prep layer holds a Python list as long as the stream or an 8-byte
-array as long as the stream, built or attached from a slice, and
+array as long as the stream, built or attached from a slice; an
+attached slice leaves the same layers a fresh build does; and
 building a persisted prep slice builds no OOO kernel layer.
 """
 
@@ -222,6 +223,61 @@ def test_attached_prep_layers_are_at_most_four_bytes_wide(
     assert kernel_declines == [False]
     _assert_narrow_layers(attached._prep, attached.committed)
     assert replayed.stats == replay_inorder(program, built, machine).stats
+
+
+def _assert_same_layer(built, attached, where="prep"):
+    """``attached`` equals ``built``: the same keys, every array equal
+    at the same dtype, every other value equal."""
+    if isinstance(built, np.ndarray):
+        assert isinstance(attached, np.ndarray), where
+        assert attached.dtype == built.dtype, where
+        assert np.array_equal(attached, built), where
+    elif isinstance(built, (dict, tuple)):
+        assert type(attached) is type(built), where
+        assert len(attached) == len(built), where
+        if isinstance(built, dict):
+            assert attached.keys() == built.keys(), where
+            pairs = [(key, built[key], attached[key]) for key in built]
+        else:
+            pairs = list(zip(range(len(built)), built, attached))
+        for key, one, other in pairs:
+            _assert_same_layer(one, other, f"{where}[{key!r}]")
+    else:
+        assert attached == built, where
+
+
+@pytest.mark.parametrize("mode", ["recorded", "live"])
+def test_attached_layers_equal_built_layers(setup, kernel_declines, mode):
+    """A slice plants only the pass outputs, so after one in-order and
+    one OOO replay every layer on an attached trace -- streams, cache
+    levels, memory layers, BTB bits, kernels, region tables -- equals
+    what the same replays build on a fresh trace, array for array and
+    dtype for dtype."""
+    programs, traces, machine = setup
+    program = programs["baseline"]
+    if mode == "live":
+        machine = machine.with_predictor(GSharePredictor)
+    blob = build_prep_slice(
+        program, Trace.from_bytes(traces["baseline"].to_bytes()), machine
+    )
+    fresh = Trace.from_bytes(traces["baseline"].to_bytes())
+    attached = Trace.from_bytes(traces["baseline"].to_bytes())
+    assert attach_prep_slice(program, attached, machine, blob)
+    assert attached._prep.streams == {} and attached._prep.mems == {}
+    assert attached._prep.kernels == {}
+    for trace in (fresh, attached):
+        replay_inorder(program, trace, machine)
+        replay_ooo(program, trace, machine, window=32)
+    assert kernel_declines == [False] * 4
+    for layer in (
+        "base", "pred_bits", "ras_bits", "streams", "levels", "mems",
+        "btbs", "kernels", "regions",
+    ):
+        _assert_same_layer(
+            getattr(fresh._prep, layer), getattr(attached._prep, layer),
+            layer,
+        )
+    assert len(fresh._prep.kernels) == 2
 
 
 def test_prep_slice_builds_no_ooo_kernel(setup):
