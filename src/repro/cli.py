@@ -243,7 +243,7 @@ def _cmd_cache(args) -> None:
     if getattr(args, "action", "report") == "verify":
         report = cachectl.verify(quarantine=args.quarantine)
         print(cachectl.render_verify(report))
-        if report.mismatched or report.orphaned:
+        if report.mismatched or report.orphaned or report.undecodable:
             sys.exit(1)
         return
     if args.prune or args.max_age_days is not None \
@@ -366,13 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("report", "verify"),
         help="'report' (default): list sections and last-run "
         "counters; 'verify': offline re-hash of every store blob "
-        "against its digest sidecar (exit 1 on mismatches/orphans)",
+        "against its digest sidecar, then a parse of every trace and "
+        "prep slice (exit 1 on mismatched, orphaned or undecodable "
+        "blobs; stale ones, of an older format, are listed)",
     )
     cache.add_argument(
         "--quarantine",
         action="store_true",
-        help="with 'verify': move mismatched blobs to quarantine/ "
-        "(they recompute transparently on next use)",
+        help="with 'verify': move mismatched and undecodable blobs "
+        "to quarantine/ (they recompute transparently on next use)",
     )
     cache.add_argument(
         "--prune",

@@ -24,7 +24,8 @@ blob: a blob entry's size includes its sidecar, pruning a blob
 removes the sidecar with it, and a sidecar whose blob is already gone
 (orphaned by pre-fix prunes) is listed -- and prunable -- on its own.
 Only regular files are ever entries.  :func:`verify` offline
-re-hashes every sidecarred blob (``repro cache verify``);
+re-hashes every sidecarred blob and parses every trace and prep slice
+(``repro cache verify``);
 :func:`artifact_counters` reads the hit/miss counters a schema>=4 run
 manifest aggregated.
 """
@@ -208,8 +209,51 @@ class VerifyReport:
     #: Store-section blobs with no sidecar (a put that lost its
     #: sidecar; the store never serves them -- worth knowing about).
     unverified: int = 0
-    #: Mismatched blobs moved aside (``quarantine=True`` only).
+    #: Traces and prep slices in this code's container format whose
+    #: digest holds but which fail to parse.
+    undecodable: List[pathlib.Path] = field(default_factory=list)
+    #: Traces and prep slices in another container format (an older
+    #: schema's): no key of this code names them, so no run reads
+    #: them; ``repro cache prune`` ages them out.
+    stale: List[pathlib.Path] = field(default_factory=list)
+    #: Mismatched and undecodable blobs moved aside
+    #: (``quarantine=True`` only).
     quarantined: List[pathlib.Path] = field(default_factory=list)
+
+
+def _containers():
+    """(directory, suffix) -> (magic, parser) for the blobs that are
+    :mod:`repro.uarch.columns` containers, traces and prep slices: the
+    magic this code writes and the parse a run applies to one."""
+    from ..uarch import columns, replay_vec
+    from ..uarch.trace import _MAGIC, Trace
+
+    return {
+        ("traces", ".trace"): (_MAGIC, Trace.from_bytes),
+        ("preps", ".prep"): (
+            replay_vec._PREP_MAGIC,
+            lambda blob: columns.decode(replay_vec._PREP_MAGIC, blob),
+        ),
+    }
+
+
+def _parse_status(blob: pathlib.Path, magic: bytes, parse) -> str:
+    """``"ok"``, ``"stale"`` (another magic) or ``"undecodable"`` for
+    one digest-verified container."""
+    from ..uarch.columns import ColumnError
+    from ..uarch.trace import TraceError
+
+    try:
+        data = blob.read_bytes()
+    except OSError:
+        return "undecodable"
+    if data[: len(magic)] != magic:
+        return "stale"
+    try:
+        parse(data)
+    except (ColumnError, TraceError):
+        return "undecodable"
+    return "ok"
 
 
 def verify(
@@ -217,17 +261,21 @@ def verify(
     quarantine: bool = False,
 ) -> VerifyReport:
     """Offline integrity sweep: re-hash every sidecarred blob under
-    the cache root against its recorded digest (``repro cache
-    verify``).
+    the cache root against its recorded digest, then parse every
+    trace and prep slice whose digest holds (``repro cache verify``).
 
     The hot path only verifies a blob when something *reads* it; this
     walks everything at rest, so bit rot or a torn transfer on a
     shared cache is found before a run trips over it.  The digest
     check itself is the store layer's (:meth:`.store.FileStore.
-    verify_blob`) -- one hashing discipline, two entry points.  With
-    ``quarantine=True`` mismatched blobs move to ``quarantine/`` (and
-    their sidecars are dropped) exactly as a verified read would have
-    done; recompute stays transparent either way.
+    verify_blob`) -- one hashing discipline, two entry points -- and
+    the parse is the one a run applies (``Trace.from_bytes``,
+    ``columns.decode``), so a blob that hashes right but would be
+    quarantined on read counts as undecodable; one in an older
+    container format counts as stale.  With ``quarantine=True``
+    mismatched and undecodable blobs move to ``quarantine/`` (and
+    their sidecars are dropped) exactly as a read would have done;
+    recompute stays transparent either way.
     """
     from .store import FileStore
 
@@ -238,6 +286,11 @@ def verify(
         return report
     store = FileStore(root)
     quarantine_dir = root / "quarantine"
+    containers = _containers()
+    failures = {
+        "mismatch": report.mismatched,
+        "undecodable": report.undecodable,
+    }
     for sidecar in sorted(root.rglob(f"*{suffix}")):
         if quarantine_dir in sidecar.parents or not sidecar.is_file():
             continue
@@ -248,10 +301,15 @@ def verify(
             report.orphaned.append(sidecar)
             continue
         report.checked += 1
-        if status == "ok":
+        container = containers.get((name.rpartition("/")[0], blob.suffix))
+        if status == "ok" and container:
+            status = _parse_status(blob, *container)
+        if status in ("ok", "stale"):
             report.ok += 1
-        elif status == "mismatch":
-            report.mismatched.append(blob)
+            if status == "stale":
+                report.stale.append(blob)
+        elif status in failures:
+            failures[status].append(blob)
             if quarantine and store.quarantine(name):
                 report.quarantined.append(blob)
     # Every section but quarantine holds store blobs: count the ones
@@ -270,8 +328,10 @@ def verify(
 def render_verify(report: VerifyReport) -> str:
     """Human-readable :func:`verify` outcome."""
     lines = [
-        f"verified {report.checked} blobs: {report.ok} ok, "
-        f"{len(report.mismatched)} mismatched"
+        f"verified {report.checked} blobs: {report.ok} ok"
+        + (f" ({len(report.stale)} stale)" if report.stale else "")
+        + f", {len(report.mismatched)} mismatched, "
+        f"{len(report.undecodable)} undecodable"
         + (
             f" ({len(report.quarantined)} quarantined)"
             if report.quarantined
@@ -280,6 +340,15 @@ def render_verify(report: VerifyReport) -> str:
     ]
     for blob in report.mismatched:
         lines.append(f"  MISMATCH {blob}")
+    for blob in report.undecodable:
+        lines.append(f"  UNDECODABLE {blob}")
+    if report.stale:
+        lines.append(
+            f"{len(report.stale)} stale blobs (an older container "
+            "format; no run reads them):"
+        )
+        for blob in report.stale:
+            lines.append(f"  STALE    {blob}")
     if report.orphaned:
         lines.append(
             f"{len(report.orphaned)} orphaned sidecars (blob gone):"

@@ -73,10 +73,28 @@ class Memory:
             self.store(base + offset, value)
 
     @classmethod
+    def from_segment(cls, segment, limit: int = 1 << 24) -> "Memory":
+        """A memory holding a program's initial words: its read-only
+        :class:`~repro.isa.DataSegment`, bulk-loaded at C speed.  The
+        segment's cached address bounds replace :meth:`store`'s
+        per-word check, so a word outside ``[0, limit)`` raises
+        :class:`MemoryFault` here, before any instruction runs."""
+        lo, hi = segment.bounds()
+        if lo < 0 or hi >= limit:
+            bad = lo if lo < 0 else hi
+            raise MemoryFault(
+                f"data segment word at invalid address {bad:#x}"
+            )
+        memory = cls(limit)
+        memory._words.update(segment.items())
+        return memory
+
+    @classmethod
     def from_snapshot(
         cls, pairs: Iterable[Tuple[int, Value]], faults_suppressed: int = 0
     ) -> "Memory":
-        """Rebuild a memory from :meth:`snapshot`-shaped pairs.
+        """Rebuild a memory from :meth:`snapshot`-shaped pairs; a later
+        pair for an address overrides an earlier one.
 
         The pairs come from a previously validated run (a trace's final
         state), so this skips the per-word bounds check of

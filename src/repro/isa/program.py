@@ -12,7 +12,7 @@ import hashlib
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .instructions import INSTRUCTION_BYTES, Instruction
 
@@ -50,11 +50,12 @@ class DataSegment(Mapping):
     equal to a dict with the same words.
     """
 
-    __slots__ = ("_words", "_digest")
+    __slots__ = ("_words", "_digest", "_bounds")
 
     def __init__(self, words: Mapping = ()) -> None:
         self._words: Dict[int, Value] = dict(words)
         self._digest: Optional[bytes] = None
+        self._bounds: Optional[Tuple[int, int]] = None
 
     @classmethod
     def of(cls, data: Optional[Mapping]) -> "DataSegment":
@@ -87,6 +88,14 @@ class DataSegment(Mapping):
         if self._digest is None:
             self._digest = _words_digest(self._words)
         return self._digest
+
+    def bounds(self) -> Tuple[int, int]:
+        """(lowest, highest) word address, computed on the first call;
+        ``(0, 0)`` for an empty segment."""
+        if self._bounds is None:
+            words = self._words
+            self._bounds = (min(words), max(words)) if words else (0, 0)
+        return self._bounds
 
 
 @dataclass

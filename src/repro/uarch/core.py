@@ -138,9 +138,7 @@ class InOrderCore:
         regs: List[Value] = [0] * 64
         reg_ready = [0] * 64
         reg_from_load = [False] * 64
-        memory = Memory()
-        for address, value in program.data.items():
-            memory.store(address, value)
+        memory = Memory.from_segment(program.data)
 
         hierarchy = MemoryHierarchy(config.hierarchy)
         predictor = config.predictor_factory()

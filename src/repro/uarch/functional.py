@@ -93,9 +93,7 @@ def execute(
     rows = decoded.rows
     program_len = decoded.length
     regs: List[Value] = [0] * 64
-    memory = Memory()
-    for address, value in program.data.items():
-        memory.store(address, value)
+    memory = Memory.from_segment(program.data)
     mem_load = memory.load
     mem_store = memory.store
 
@@ -218,9 +216,7 @@ def capture_trace(
     rows = decoded.rows
     program_len = decoded.length
     regs: List[Value] = [0] * 64
-    memory = Memory()
-    for address, value in program.data.items():
-        memory.store(address, value)
+    memory = Memory.from_segment(program.data)
     mem_load = memory.load
     mem_spec_load = memory.load_speculative
     mem_store = memory.store

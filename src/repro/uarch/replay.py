@@ -3,7 +3,8 @@
 A trace (:mod:`repro.uarch.trace`) carries everything architectural
 about one run of a program -- control flow, branch/divert outcomes,
 load/store addresses, the final register file, and the final memory
-image as int and float (address, value) columns.  The functions here
+image as the int and float (address, value) words a run's stores
+changed in the program's data segment.  The functions here
 re-time that stream under another machine configuration without
 re-executing the program.
 
@@ -108,8 +109,12 @@ class _ReplayResult(SimulationResult):
     Sweep consumers read only ``stats``, so the final memory image
     stays in the trace's four memory-image columns until ``memory`` (or
     ``memory_snapshot()``) is first read; a fresh :class:`Memory` is
-    built then, once (``tolist`` gives back the Python ints and floats
-    the capturing run stored, so every word's ``repr`` is unchanged).
+    built then, once: the program's data segment overlaid by those
+    columns, the words the run's stores changed.  ``_check`` has
+    matched the trace's program digest, which covers the segment, so
+    the segment is the one the capturing run started from; ``tolist``
+    gives back the Python ints and floats it stored, so every word's
+    ``repr`` is unchanged.
     """
 
     def __init__(self, program, trace: Trace, stats: SimStats) -> None:
@@ -131,6 +136,7 @@ class _ReplayResult(SimulationResult):
             int_addrs, int_values, float_addrs, float_values = self._image
             self._memory = Memory.from_snapshot(
                 chain(
+                    self.program.data.items(),
                     zip(int_addrs.tolist(), int_values.tolist()),
                     zip(float_addrs.tolist(), float_values.tolist()),
                 ),

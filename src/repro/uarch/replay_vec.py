@@ -992,14 +992,16 @@ def attach_prep_slice(
     the event counts the builders give: the trace's branches, RETs,
     loads and stores, and the I-line accesses and BTB lookups of the
     stream the planted predictor and RAS bits imply.  That stream is
-    built to count them and then dropped: besides the trace's base
-    layer (mode-independent gathers, built once per trace through the
-    accessor :func:`_prepare` uses), attach leaves no layer but the
-    four it plants."""
+    built to count them and, once every check passes, planted under
+    its key, so the replay that follows does not build it again.
+    Besides the trace's base layer (mode-independent gathers, built
+    once per trace through the accessor :func:`_prepare` uses),
+    attach leaves no layer but that stream and the four outputs it
+    plants."""
     keys = _slice_keys(trace, config)
     if keys is None:
         return False
-    mode, _, mem_key, btb_io, btb_ooo = keys
+    mode, stream_key, mem_key, btb_io, btb_ooo = keys
     try:
         header, arrays = columns.decode(_PREP_MAGIC, buf)
     except columns.ColumnError:
@@ -1047,6 +1049,7 @@ def attach_prep_slice(
     )
     prep.btbs[btb_io] = arrays["btb_io_bits"]
     prep.btbs[btb_ooo] = arrays["btb_ooo_bits"]
+    prep.streams[stream_key] = stream
     return True
 
 

@@ -41,12 +41,22 @@ store_addrs       int64    store (word address)
 ret_targets       int32    RET (actual return target)
 ================  =======  =======================================
 
-The final memory image is four more columns, the non-zero words as
-(address, value) pairs split by Python type, because the golden
-fingerprints hash ``repr(value)``: ``mem_int_addrs``/``mem_int_values``
-(int64) for int words, ``mem_float_addrs``/``mem_float_values``
-(int64/float64) for float words.  The trace's ``meta`` block carries
-the rest of the final architectural state (registers, suppressed-fault
+``load_sites`` (int32) lists the pcs of the loads the stream executed,
+sorted.  On disk the load addresses are stored site by site, each as
+its stride from the previous load of the same pc (a site's first load
+absolute), so a regular per-site walk is a run of one small repeated
+value; :meth:`Trace.from_bytes` turns them back into the absolute
+``load_addrs`` above, in stream order.
+
+The final memory image is four more columns, split by Python type
+because the golden fingerprints hash ``repr(value)``:
+``mem_int_addrs``/``mem_int_values`` (int64) for int words,
+``mem_float_addrs``/``mem_float_values`` (int64/float64) for float
+words.  They hold only the words a run's stores left different, in
+type or ``repr``, from the program's read-only data segment (0 where
+it has no word); the rest of the image is the segment itself, which
+the program digest in ``meta`` pins.  The ``meta`` block carries the
+rest of the final architectural state (registers, suppressed-fault
 count, halted), so a replayed
 :class:`~repro.uarch.core.SimulationResult` is complete -- the golden
 fingerprints hash exactly this state.
@@ -61,13 +71,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..isa.decode import K_PREDICT, K_RESOLVE, predecode
+from ..isa.decode import K_LOAD, K_PREDICT, K_RESOLVE, predecode
 from . import columns
 
 #: Bump when the trace container layout or column semantics change.
-TRACE_SCHEMA = 2
+TRACE_SCHEMA = 3
 
-_MAGIC = b"RVTRACE2"
+_MAGIC = b"RVTRACE3"
 
 #: The committed stream: (name, in-memory dtype), canonical order.
 _STREAM: Tuple[Tuple[str, type], ...] = (
@@ -82,7 +92,13 @@ _STREAM: Tuple[Tuple[str, type], ...] = (
     ("ret_targets", np.int32),
 )
 
-#: The final memory image's non-zero words, int and float words apart.
+#: The sorted pcs of the loads the stream executed: the site each
+#: ``load_addrs`` entry belongs to, which its on-disk stride needs.
+_SITES: Tuple[Tuple[str, type], ...] = (("load_sites", np.int32),)
+
+#: The final memory image as a delta against the program's data
+#: segment: the words whose type or ``repr`` differs from the
+#: segment's, int and float words apart.
 _MEMORY: Tuple[Tuple[str, type], ...] = (
     ("mem_int_addrs", np.int64),
     ("mem_int_values", np.int64),
@@ -90,7 +106,7 @@ _MEMORY: Tuple[Tuple[str, type], ...] = (
     ("mem_float_values", np.float64),
 )
 
-_COLUMNS = _STREAM + _MEMORY
+_COLUMNS = _STREAM + _SITES + _MEMORY
 _COLUMN_NAMES = tuple(name for name, _ in _COLUMNS)
 
 
@@ -161,6 +177,87 @@ def predictor_id(factory) -> Optional[str]:
     return f"{module}.{qualname}"
 
 
+# ------------------------------------------------------------ load strides
+
+
+def _site_ids(pcs: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """The site of each load event in ``pcs`` -- its pc's index in the
+    sorted ``sites`` -- in stream order, at the narrowest unsigned
+    dtype that leaves a spare value to mark non-loads (one byte up to
+    255 sites), so a stable argsort of it is numpy's radix sort."""
+    if len(sites) and (sites[0] < 0 or np.any(sites[1:] <= sites[:-1])):
+        raise TraceError("load_sites column is not strictly increasing")
+    top = int(pcs.max()) if len(pcs) else -1
+    if len(sites) and sites[-1] > top:
+        raise TraceError("load_sites column names a pc past the stream's")
+    dtype = next(
+        dtype
+        for dtype in (np.uint8, np.uint16, np.uint32)
+        if np.iinfo(dtype).max >= len(sites)
+    )
+    other = np.iinfo(dtype).max
+    table = np.full(top + 1, other, dtype)
+    table[sites] = np.arange(len(sites), dtype=dtype)
+    # Indexing, not ``take``: take would first copy the int32 pcs to
+    # an 8-byte index array.
+    ids = table[pcs]
+    return np.compress(ids != other, ids)
+
+
+def _site_groups(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the stable permutation that groups the load
+    events by site, stream order kept within each site, and where
+    each non-empty site's group starts in it."""
+    order = np.argsort(ids, kind="stable")
+    counts = np.bincount(ids)
+    starts = np.cumsum(counts) - counts
+    return order, starts[counts > 0]
+
+
+def _strides(pcs, sites, addrs) -> np.ndarray:
+    """``addrs`` as per-site strides, site by site in pc order: each
+    load's address minus the previous address of the same site
+    (exact modulo 2**64), a site's first load absolute.  Grouped by
+    site, a regular walk is a run of one repeated stride."""
+    order, starts = _site_groups(_site_ids(pcs, sites))
+    grouped = addrs[order]
+    del order  # before ``strides`` takes as many bytes again
+    strides = np.empty_like(grouped)
+    np.subtract(grouped[1:], grouped[:-1], out=strides[1:])
+    strides[starts] = grouped[starts]
+    return strides
+
+
+def _addresses(pcs, sites, strides) -> np.ndarray:
+    """Invert :func:`_strides`: one cumulative sum over the strides,
+    each site's first stride lowered by the previous site's last
+    address so the sum restarts at every site, then each address back
+    to its place in the stream.  Raises :class:`TraceError` when
+    ``sites`` marks another number of load events in ``pcs`` than
+    there are strides."""
+    ids = _site_ids(pcs, sites)
+    if len(ids) != len(strides):
+        raise TraceError(
+            f"load_sites marks {len(ids)} loads, "
+            f"load_addrs holds {len(strides)}"
+        )
+    order, starts = _site_groups(ids)
+    grouped = np.require(strides, requirements="W")
+    last = np.add.reduceat(grouped, starts)
+    grouped[starts[1:]] -= last[:-1]
+    np.cumsum(grouped, out=grouped)
+    addrs = np.empty_like(grouped)
+    addrs[order] = grouped
+    return addrs
+
+
+def _same_word(value, initial) -> bool:
+    """Whether a final memory word equals the segment's to the golden
+    fingerprints, which hash ``repr``: -0.0 differs from 0.0, 1.0
+    from 1, and a NaN matches a NaN."""
+    return type(value) is type(initial) and repr(value) == repr(initial)
+
+
 # ------------------------------------------------------------------ capture
 
 
@@ -201,7 +298,10 @@ class TraceCapture:
         run's architectural outcome; they travel in the trace (with
         the memory's suppressed-fault count) so replay can return a
         complete result.  The stream columns become numpy views of
-        the capture buffers, without a copy.
+        the capture buffers, without a copy.  The memory image is
+        kept as its delta against ``program.data``: only a stored-to
+        word can differ from the segment, so the unique store
+        addresses are the only words compared.
         """
         decoded = predecode(program)
         meta = {
@@ -220,11 +320,25 @@ class TraceCapture:
             name: np.frombuffer(getattr(self, name), dtype)
             for name, dtype in _STREAM
         }
+        is_load = np.fromiter(
+            (row[0] == K_LOAD for row in decoded.rows),
+            dtype=bool,
+            count=len(decoded.rows),
+        )
+        executed = np.zeros(len(decoded.rows), dtype=bool)
+        executed[arrays["pcs"]] = True
+        arrays["load_sites"] = np.flatnonzero(is_load & executed).astype(
+            np.int32
+        )
+        segment = program.data
         image: Dict[type, Tuple[List, List]] = {
             int: ([], []),
             float: ([], []),
         }
-        for address, value in memory.snapshot():
+        for address in np.unique(arrays["store_addrs"]).tolist():
+            value = memory.load(address)
+            if _same_word(value, segment.get(address, 0)):
+                continue
             try:
                 addrs, values = image[type(value)]
             except KeyError:
@@ -355,18 +469,23 @@ class Trace:
 
     def to_bytes(self) -> bytes:
         """The :mod:`repro.uarch.columns` container: ``meta`` in the
-        header, then every column, the memory image included."""
+        header, then every column, the memory-image delta included,
+        with ``load_addrs`` stored as per-site strides."""
+        arrays = {name: getattr(self, name) for name in _COLUMN_NAMES}
+        arrays["load_addrs"] = _strides(
+            self.pcs, self.load_sites, self.load_addrs
+        )
         return columns.encode(
-            _MAGIC,
-            {"schema": TRACE_SCHEMA, "meta": self.meta},
-            {name: getattr(self, name) for name in _COLUMN_NAMES},
+            _MAGIC, {"schema": TRACE_SCHEMA, "meta": self.meta}, arrays
         )
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Trace":
         """Parse and *validate* a container; raises :class:`TraceError`
         on any corruption (bad magic/schema, truncation, checksum or
-        count mismatch) so callers can quarantine the file."""
+        count mismatch, a ``load_sites`` column that is not strictly
+        increasing or marks another number of loads than
+        ``load_addrs`` holds) so callers can quarantine the file."""
         try:
             header, arrays = columns.decode(_MAGIC, blob)
         except columns.ColumnError as exc:
@@ -387,4 +506,7 @@ class Trace:
         )
         if int_addrs != int_values or float_addrs != float_values:
             raise TraceError("memory image columns disagree in length")
+        arrays["load_addrs"] = _addresses(
+            arrays["pcs"], arrays["load_sites"], arrays["load_addrs"]
+        )
         return cls(meta, **arrays)

@@ -592,6 +592,58 @@ class TestCacheVerify:
         assert report.checked == 0
         assert report.unverified == 1
 
+    def test_traces_and_slices_are_parsed(self, store, tmp_path, capsys):
+        """Past its digest, every trace and prep slice is parsed as a
+        run parses it.  A store's own blobs parse; a container with an
+        older magic is stale (listed, exit 0: no key of this code names
+        it); one with this code's magic that fails to parse is
+        undecodable (exit 1, quarantined on request)."""
+        from repro.cli import main
+        from repro.experiments.store import FileStore
+
+        config, baseline, _ = _quick_programs()
+        store.simulate_inorder(
+            baseline, config.machine_for(4),
+            max_instructions=config.max_instructions,
+        )
+        report = cachectl.verify(tmp_path)
+        assert report.ok == report.checked >= 2
+        assert not report.stale and not report.undecodable
+        (trace,) = (tmp_path / "traces").glob("*.trace")
+        (prep,) = _prep_files(tmp_path)
+        files = FileStore(tmp_path)
+        files.put(
+            "traces/old.trace",
+            columns.encode(
+                b"RVTRACE2", {"schema": 2, "meta": {}},
+                {"pcs": np.zeros(4, np.int32)},
+            ),
+        )
+        torn = trace.read_bytes()
+        files.put("traces/torn.trace", torn[: len(torn) // 2])
+        torn = prep.read_bytes()
+        files.put("preps/torn.prep", torn[:-1])
+        report = cachectl.verify(tmp_path)
+        assert report.stale == [tmp_path / "traces" / "old.trace"]
+        assert report.undecodable == [
+            tmp_path / "preps" / "torn.prep",
+            tmp_path / "traces" / "torn.trace",
+        ]
+        assert not report.mismatched
+        assert report.ok == report.checked - 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "verify"])
+        assert exc.value.code == 1
+        out = capsys.readouterr().out
+        assert "UNDECODABLE" in out and "STALE" in out
+        with pytest.raises(SystemExit):
+            main(["cache", "verify", "--quarantine"])
+        assert not (tmp_path / "traces" / "torn.trace").exists()
+        assert not (tmp_path / "preps" / "torn.prep").exists()
+        assert main(["cache", "verify"]) == 0
+        assert "1 stale" in capsys.readouterr().out
+
     def test_cli_cache_verify(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 

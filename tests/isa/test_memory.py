@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.isa import Memory, MemoryFault
+from repro.isa import DataSegment, Memory, MemoryFault
 
 
 class TestBasics:
@@ -55,6 +55,23 @@ class TestFaults:
         mem.store(3, 8)
         assert mem.load(3, speculative=True) == 8
         assert mem.faults_suppressed == 0
+
+
+class TestFromSegment:
+    def test_holds_the_segment_words(self):
+        segment = DataSegment({3: 7, 0: 1.5, 15: -2})
+        mem = Memory.from_segment(segment, limit=16)
+        assert [mem.load(a) for a in (0, 3, 15, 4)] == [1.5, 7, -2, 0]
+        assert mem.snapshot() == ((0, 1.5), (3, 7), (15, -2))
+        assert segment.bounds() == (0, 15)
+
+    @pytest.mark.parametrize("address", [-1, 16, 1 << 40])
+    def test_word_outside_the_limit_faults(self, address):
+        with pytest.raises(MemoryFault, match=hex(address)):
+            Memory.from_segment(DataSegment({3: 7, address: 1}), limit=16)
+
+    def test_empty_segment(self):
+        assert len(Memory.from_segment(DataSegment(), limit=1)) == 0
 
 
 class TestSnapshot:

@@ -3,8 +3,14 @@
 import pytest
 
 from repro.branchpred import StaticTakenPredictor
-from repro.isa import Instruction, Opcode, assemble
-from repro.uarch import InOrderCore, MachineConfig
+from repro.isa import Instruction, MemoryFault, Opcode, assemble
+from repro.uarch import (
+    InOrderCore,
+    MachineConfig,
+    OutOfOrderCore,
+    capture_trace,
+    execute,
+)
 from tests.conftest import build_diamond, tiny_program
 
 
@@ -208,3 +214,29 @@ class TestStatsCoherence:
         program = assemble([I(Opcode.LI, dest=1, imm=0)], {})
         with pytest.raises(SimulationError):
             run(program)
+
+
+@pytest.mark.parametrize(
+    "run_program",
+    [
+        lambda p: InOrderCore(MachineConfig.paper_default()).run(p),
+        lambda p: OutOfOrderCore(MachineConfig.paper_default()).run(p),
+        execute,
+        lambda p: capture_trace(
+            p, MachineConfig.paper_default().predictor_factory, 100
+        ),
+    ],
+    ids=["inorder", "ooo", "execute", "capture"],
+)
+@pytest.mark.parametrize("address", [-1, 1 << 24])
+def test_segment_word_outside_memory_faults_before_running(
+    run_program, address
+):
+    """Every run loads the data segment in one bounds-checked step: a
+    word outside ``[0, limit)`` raises ``MemoryFault`` before the first
+    instruction, which here would leave the program."""
+    program = assemble(
+        [I(Opcode.JMP, target=99)], {}, {0: 1, address: 5}
+    )
+    with pytest.raises(MemoryFault, match="data segment"):
+        run_program(program)

@@ -13,8 +13,9 @@ itself (a live predictor without a stable name) must reproduce the
 reference core too.  And it pins what the kernels leave behind: no
 prep layer holds a Python list as long as the stream or an 8-byte
 array as long as the stream, built or attached from a slice; an
-attached slice leaves the same layers a fresh build does; and
-building a persisted prep slice builds no OOO kernel layer.
+attached slice leaves the same layers a fresh build does and keeps
+the stream it counted against; and building a persisted prep slice
+builds no OOO kernel layer.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.uarch import (
     replay_inorder,
     replay_ooo,
 )
+from repro.uarch import replay_vec
 from repro.uarch.replay_vec import attach_prep_slice, build_prep_slice
 from repro.workloads import spec_benchmark
 
@@ -263,8 +265,8 @@ def test_attached_layers_equal_built_layers(setup, kernel_declines, mode):
     fresh = Trace.from_bytes(traces["baseline"].to_bytes())
     attached = Trace.from_bytes(traces["baseline"].to_bytes())
     assert attach_prep_slice(program, attached, machine, blob)
-    assert attached._prep.streams == {} and attached._prep.mems == {}
-    assert attached._prep.kernels == {}
+    assert len(attached._prep.streams) == 1  # the one attach counted
+    assert attached._prep.mems == {} and attached._prep.kernels == {}
     for trace in (fresh, attached):
         replay_inorder(program, trace, machine)
         replay_ooo(program, trace, machine, window=32)
@@ -278,6 +280,35 @@ def test_attached_layers_equal_built_layers(setup, kernel_declines, mode):
             layer,
         )
     assert len(fresh._prep.kernels) == 2
+
+
+@pytest.mark.parametrize("mode", ["recorded", "live"])
+def test_attach_keeps_the_stream_it_validates(
+    setup, kernel_declines, monkeypatch, mode
+):
+    """Attach builds the stream its length checks count against and
+    keeps it, so an attach plus one in-order replay builds the stream
+    once."""
+    programs, traces, machine = setup
+    program = programs["baseline"]
+    if mode == "live":
+        machine = machine.with_predictor(GSharePredictor)
+    blob = build_prep_slice(
+        program, Trace.from_bytes(traces["baseline"].to_bytes()), machine
+    )
+    builds = []
+    real = replay_vec._build_stream
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(replay_vec, "_build_stream", counting)
+    attached = Trace.from_bytes(traces["baseline"].to_bytes())
+    assert attach_prep_slice(program, attached, machine, blob)
+    replay_inorder(program, attached, machine)
+    assert kernel_declines == [False]
+    assert len(builds) == 1
 
 
 def test_prep_slice_builds_no_ooo_kernel(setup):

@@ -81,10 +81,10 @@ def test_chase_cache_leaves_builds_unchanged(name):
     ]
     assert warm == cold
     # Every seed of one size shares one pair (mcf's windows do not
-    # depend on the size).
+    # depend on the size), and the cache keeps only the latest pair.
     info = _chase_chains.cache_info()
     assert info.hits > 0
-    assert info.currsize == (1 if name == "mcf" else 2)
+    assert info.currsize == 1
     if name == "mcf":
         dram = CHASE_WINDOW_LINES["dram"]
         cond, cold_chain = _chase_chains(name, dram, dram)
