@@ -261,15 +261,11 @@ def _cmd_cache(args) -> None:
 
 
 def _cmd_timeline(args) -> None:
-    from .compiler import compile_baseline, compile_decomposed
+    from .experiments.harness import prepare_benchmark
     from .uarch import render_timeline
-    from .workloads import spec_benchmark
 
-    spec = spec_benchmark(args.name, iterations=args.iterations)
-    func = spec.build(seed=1)
-    baseline = compile_baseline(func)
-    which = compile_decomposed(func, profile=baseline.profile) \
-        if args.decomposed else baseline
+    baseline, decomposed = prepare_benchmark(args.name, 1, _config(args))
+    which = decomposed if args.decomposed else baseline
     print(
         render_timeline(
             which.program, start=args.start, count=args.count

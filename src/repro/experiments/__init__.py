@@ -6,8 +6,6 @@
   cache.
 * :mod:`.store`         -- durable blob store (digest-verified
   ``get``/``put``) under the result cache and the artifact layer.
-* :mod:`.faults`        -- deterministic fault-injection harness
-  (``REPRO_FAULT_INJECT``) for exercising the supervision layer.
 * :mod:`.table2`        -- Table 2 (per-benchmark metrics, 4-wide).
 * :mod:`.speedups`      -- Figures 8-13 (suite speedup charts, 2/4/8-wide).
 * :mod:`.pred_vs_bias`  -- Figures 2-3 (predictability vs bias curves).

@@ -54,9 +54,7 @@ slices via the checksummed column container
 :func:`repro.uarch.replay_vec.attach_prep_slice`), JSON artifacts via
 schema checks.  Anything unreadable is moved to
 ``results/.cache/quarantine/`` -- the same discipline as the result
-cache -- and transparently recomputed.  The fault harness's
-``corrupt_trace`` kind (:mod:`.faults`) writes deliberately truncated
-traces to exercise exactly that path.
+cache -- and transparently recomputed.
 
 The layer has one configuration: every simulation goes through a
 trace and its persisted prep slice.  Its one knob,
@@ -106,7 +104,6 @@ from ..uarch.ooo import OutOfOrderCore
 from ..uarch.replay import replay_inorder, replay_ooo
 from ..uarch.replay_multi import WalkDivergence
 from ..uarch.trace import Trace, TraceError, content_digest, predictor_id
-from . import faults
 from .settings import cache_root, setting
 from .store import FileStore
 
@@ -338,10 +335,7 @@ class ArtifactStore:
 
     def store_trace(self, key: str, trace: Trace) -> None:
         self._lru_put(key, trace)
-        blob = trace.to_bytes()
-        if faults.should_corrupt_trace(key):
-            blob = blob[: max(1, len(blob) // 2)]
-        self._write_atomic(self.traces_dir / f"{key}.trace", blob)
+        self._write_atomic(self.traces_dir / f"{key}.trace", trace.to_bytes())
 
     # -- persisted replay-prep slices --------------------------------------
 

@@ -50,8 +50,6 @@ instant.
   prep slices cross processes only through the digest-verified blob
   store (:mod:`.store`), and each worker keeps a warm in-process store
   for its whole lifetime.
-* Fault injection: see :mod:`.faults` (``REPRO_FAULT_INJECT``) for the
-  deterministic harness that exercises all of the above in tests.
 
 Every environment knob, with its default, is a row of
 :data:`.settings.KNOBS`; the engine checks them all on construction.
@@ -84,7 +82,6 @@ from typing import (
     Sequence,
 )
 
-from . import faults
 from .settings import RESULTS_DIR, cache_root, check_settings, setting
 from .store import FileStore
 
@@ -120,8 +117,9 @@ CACHE_SCHEMA = 1
 #: block with the lease-based queue backend: the local pool is the one
 #: parallel path; v12 drops ``engine.resume``, ``totals.journal_hits``
 #: and v5's ``workers`` block with the run journal (re-running a command
-#: is its resume; each job keeps its ``worker_pid`` and ``artifacts``).
-MANIFEST_SCHEMA = 12
+#: is its resume; each job keeps its ``worker_pid`` and ``artifacts``);
+#: v13 drops ``engine.fault_inject`` with the fault-injection knob.
+MANIFEST_SCHEMA = 13
 
 #: First retry's backoff in seconds for a dead worker or a timeout;
 #: doubled on each later retry, plus up to this much jitter.
@@ -197,13 +195,7 @@ def _error_dict(exc: BaseException, trace: Optional[str] = None) -> Dict:
     }
 
 
-def _run_timed(
-    worker: Callable[[Any], Dict],
-    payload: Any,
-    label: str = "",
-    attempt: int = 0,
-    in_process: bool = False,
-) -> Dict:
+def _run_timed(worker: Callable[[Any], Dict], payload: Any) -> Dict:
     """Top-level so it pickles; returns a status envelope.
 
     ``{"status": "ok", "result": ..., "wall_s": ..., "profile": ...}``
@@ -215,8 +207,7 @@ def _run_timed(
 
     Profiling is keyed off the ``REPRO_PROFILE`` environment variable
     (not an argument) so the switch survives the trip into
-    ``ProcessPoolExecutor`` workers; fault injection
-    (``REPRO_FAULT_INJECT``) rides the environment the same way.
+    ``ProcessPoolExecutor`` workers.
 
     Every envelope additionally carries ``worker_pid`` and the
     *worker-process* artifact-counter movement (``artifacts``) for the
@@ -237,7 +228,6 @@ def _run_timed(
     except Exception:
         store = None
     try:
-        faults.inject_worker_faults(label, attempt, in_process=in_process)
         if setting("REPRO_PROFILE"):
             import cProfile
 
@@ -445,10 +435,6 @@ class ExperimentEngine:
 
     def manifest(self, config: Any = None) -> Dict:
         """Machine-readable run record (see EXPERIMENTS.md for schema)."""
-        try:
-            plan = faults.plan_from_env()
-        except ValueError:
-            plan = None
         counts = self.status_counts()
         artifact_totals = self.artifact_totals()
         out = {
@@ -462,7 +448,6 @@ class ExperimentEngine:
                 "run_id": self.run_id,
                 "retries": self.retries,
                 "job_timeout_s": self.job_timeout,
-                "fault_inject": plan.spec() if plan else None,
             },
             "totals": {
                 "jobs": len(self.records),
@@ -566,10 +551,6 @@ class ExperimentEngine:
                 "result": result,
             }
         ).encode()
-        if faults.should_corrupt_cache(label):
-            # Truncated under a valid digest: only the JSON checks of
-            # the next read can refuse it.
-            payload = payload[: max(1, len(payload) // 2)]
         self._results.put(f"{key}.json", payload)
 
     # -- execution ---------------------------------------------------------
@@ -705,13 +686,7 @@ class ExperimentEngine:
                 "message": repr(envelope),
                 "traceback": "",
             }
-            # A serial-path injected hang degrades to an exception but
-            # is still a timeout as far as reporting goes.
-            status = (
-                "timeout" if error.get("type") == "InjectedHang"
-                else "failed"
-            )
-            self._fail(i, status, error, states)
+            self._fail(i, "failed", error, states)
         tick(i)
 
     def _fail(
@@ -738,9 +713,7 @@ class ExperimentEngine:
         cannot interrupt the main process), deterministic failures
         isolated exactly like the pool path."""
         for i in pending:
-            envelope = _run_timed(
-                worker, payloads[i], labels[i], 0, in_process=True
-            )
+            envelope = _run_timed(worker, payloads[i])
             self._absorb(i, 0, envelope, labels, keys, states, tick)
 
     def _run_parallel(
@@ -835,10 +808,7 @@ class ExperimentEngine:
                             initargs=(worker_env,),
                         )
                     try:
-                        future = pool.submit(
-                            _run_timed, worker, payloads[i], labels[i],
-                            attempt,
-                        )
+                        future = pool.submit(_run_timed, worker, payloads[i])
                     except Exception:
                         # The pool broke between loops: kill it so its
                         # futures settle as broken-pool faults, and

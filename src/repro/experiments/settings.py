@@ -65,12 +65,6 @@ def _timeout(raw: str) -> Optional[float]:
     return value if value > 0 else None
 
 
-def _fault_plan(raw: str):
-    from .faults import parse_plan
-
-    return parse_plan(raw)
-
-
 KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_JOBS", None, _number(int, 1),
          "Worker processes (`--jobs`), at least 1; unset means every "
@@ -90,9 +84,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "cProfile every engine job (`--profile`)."),
     Knob("REPRO_TRACE_LRU_MB", 256.0, _number(float, 0.0),
          "In-process hot-trace LRU budget in MiB."),
-    Knob("REPRO_FAULT_INJECT", None, _fault_plan,
-         "Fault plan such as `crash:0.2,hang:0.1@seed=7`; the grammar "
-         "is in `experiments/faults.py`."),
     Knob("REPRO_BENCH_ITERATIONS", 500, _number(int),
          "Workload iterations in `pytest benchmarks/`; 600 reproduces "
          "EXPERIMENTS.md."),

@@ -20,11 +20,6 @@ the contract down:
   uniquifies the destination (two different corrupt artifacts can
   share a basename) and enforces a small retention cap so quarantine
   can never grow without bound.
-
-Fault injection: the ``torn_put`` kind (:mod:`.faults`) truncates the
-blob *after* its digest was recorded, modelling a transfer that died
-mid-copy; the next verified ``get`` detects the tear, quarantines the
-blob, and reports a miss so the caller recomputes.
 """
 
 from __future__ import annotations
@@ -36,8 +31,6 @@ import secrets
 import tempfile
 import time
 from typing import Callable, Dict, Optional
-
-from . import faults
 
 #: Quarantined files kept per quarantine directory (oldest beyond the
 #: cap are deleted on the next quarantine).
@@ -190,10 +183,6 @@ class FileStore:
     def put(self, name: str, blob: bytes) -> bool:
         """Store ``blob`` durably under ``name``; True on success."""
         digest = hashlib.sha256(blob).hexdigest()
-        if faults.should_tear_put(name):
-            # A transfer that died mid-copy: the digest was computed
-            # over the full payload, the bytes on disk are short.
-            blob = blob[: max(1, len(blob) // 2)]
         path = self.path_for(name)
         try:
             self._retry(

@@ -1,18 +1,27 @@
-"""Generate EXPERIMENTS.md from a saved full-scale run.
+"""Regenerate EXPERIMENTS.md's measured sections from a saved run.
 
 ``python -m repro.experiments.write_report results/experiments_full.json``
-renders the measured-vs-published record for every table and figure.  The
-JSON is produced by the generation script documented in EXPERIMENTS.md
-itself (600 iterations, two REF inputs, the Table 1 4-wide machine).
+renders the measured-vs-published record for every table and figure
+(the header through "Conceptual figures") and puts it in place of the
+text before the file's ``## Runtime`` heading; the sections from that
+heading on are written by hand and kept as they are.  The JSON holds a
+full-scale run (600 iterations, two REF inputs, the Table 1 4-wide
+machine); no command in the package writes it yet.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..workloads import BENCHMARKS
+
+#: The file :func:`main` rewrites, and the heading its hand-written
+#: part starts at.
+REPORT = "EXPERIMENTS.md"
+KEPT_FROM = "## Runtime"
 
 _HEADER = """# EXPERIMENTS — measured vs published
 
@@ -195,83 +204,30 @@ def render(data: Dict) -> str:
         "examples/omnetpp_carray.py, Fig. 7's DBB in repro.core.dbb.\n"
         "* **Table 1** is asserted verbatim by tests/uarch/test_config.py.\n"
     )
-
-    parts.append("## Runtime: parallel engine, cache, manifests\n")
-    parts.append(
-        "Regeneration runs through "
-        "`repro.experiments.engine.ExperimentEngine`, which decomposes "
-        "every table/figure into independent (benchmark × REF seed) "
-        "simulation jobs.\n\n"
-        "* **`REPRO_JOBS`** (env) or **`--jobs`** (CLI) sets the "
-        "worker-process count; the default is every core.  `jobs=1` is "
-        "the serial in-process path.  Reassembly is ordered by "
-        "submission, so every worker count produces byte-identical "
-        "outputs (asserted by `tests/integration/test_engine.py` and "
-        "`benchmarks/test_engine_smoke.py`).\n"
-        "* **Cache** (`results/.cache/`, relocatable via "
-        "`REPRO_CACHE_DIR`, disabled by `REPRO_CACHE=0` / `--no-cache`): "
-        "each finished job is stored under a SHA-256 key covering the "
-        "job function's qualified name, the benchmark, seed, widths, "
-        "every `RunConfig`/`MachineConfig`/`SelectionConfig`/"
-        "`TransformConfig` field (callables fingerprint by qualified "
-        "name), a hash of all `repro` sources, and a cache-schema "
-        "version.  **Invalidation rules**: editing any field of any "
-        "config, any `src/repro/**.py` file, or the schema version "
-        "misses; editing docs, tests, or archived results hits.  Delete "
-        "the directory to clear it.\n"
-        "* **Manifests**: each regenerated table/figure gets a "
-        "`results/<name>.manifest.json` (the CLI writes "
-        "`results/run_manifest.json`) with this schema:\n\n"
-        "```json\n"
-        "{\n"
-        '  "schema": 1,\n'
-        '  "written_unix": 1700000000.0,\n'
-        '  "engine": {"jobs": 8, "cache_dir": "...", '
-        '"cache_enabled": true,\n'
-        '             "code_version": "<16-hex source hash>"},\n'
-        '  "totals": {"jobs": 29, "cache_hits": 29, "cache_misses": 0,\n'
-        '             "wall_s": 47.0, "simulated_cycles": 12996103},\n'
-        '  "jobs": [{"label": "h264ref@seed1", "key": "<sha256>",\n'
-        '            "cache": "hit", "wall_s": 1.77, '
-        '"simulated_cycles": 302675}],\n'
-        '  "config": {"__class__": "RunConfig", "...": "every field"}\n'
-        "}\n"
-        "```\n\n"
-        "Metric provenance: every Table 2 column is measured on the "
-        "4-wide runs (the configuration the published table reports) "
-        "and averaged over all REF inputs; SPD is the geomean over REF "
-        "inputs at 4-wide.\n"
-    )
-
-    parts.append("## Known deviations\n")
-    parts.append(
-        "1. **Magnitude compression (~0.5-0.7x)** on headline speedups; "
-        "see the shape summary above.\n"
-        "2. **mcf family**: reproduced at the published level only after "
-        "applying the paper's own explanation (misses 'difficult to "
-        "cover') as a one-load cap on hoistable cold MLP; without it the "
-        "simulated mcf over-benefits (a pointer chase overlapped with a "
-        "pointer chase is worth ~140 cycles per conversion).\n"
-        "3. **ASPCB accounting** includes in-order queueing delay, so "
-        "chase-heavy rows read higher than published; the column's "
-        "*ordering* across benchmarks is preserved.\n"
-        "4. **Per-benchmark scatter** is larger than the paper's because "
-        "each synthetic benchmark has 10-12 branch sites rather than "
-        "thousands; single selection decisions move whole percentage "
-        "points.\n"
-    )
     return "\n".join(parts)
 
 
-def main() -> None:
-    path = sys.argv[1] if len(sys.argv) > 1 else "results/experiments_full.json"
+def main(argv: Optional[List[str]] = None) -> int:
+    """Rewrite the measured part of ``EXPERIMENTS.md`` in the working
+    directory: the text before its ``## Runtime`` heading.  Everything
+    from that heading on is kept byte for byte.  Returns 1, and writes
+    nothing, when the file has no such heading."""
+    argv = sys.argv[1:] if argv is None else argv
+    path = argv[0] if argv else "results/experiments_full.json"
     with open(path) as handle:
         data = json.load(handle)
-    text = render(data)
-    with open("EXPERIMENTS.md", "w") as handle:
-        handle.write(text)
-    print(f"wrote EXPERIMENTS.md from {path}")
+    with open(REPORT, encoding="utf-8") as handle:
+        current = handle.read()
+    kept = re.search(f"^{KEPT_FROM}", current, re.M)
+    if kept is None:
+        print(f"{REPORT} has no {KEPT_FROM!r} heading; left it as it is",
+              file=sys.stderr)
+        return 1
+    with open(REPORT, "w", encoding="utf-8") as handle:
+        handle.write(render(data) + "\n" + current[kept.start():])
+    print(f"rewrote the measured sections of {REPORT} from {path}")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    sys.exit(main())

@@ -39,9 +39,7 @@ Divergence containment: the walk re-checks cheap invariants
 ``cycles * width >= issued``) and raises :class:`WalkDivergence` on
 violation.  The artifact store catches it per point, counts it
 (``walk_diverges``) and runs that point on the reference core, the
-one independent in-order timing model left.  The ``walk_diverge``
-fault kind corrupts the walk's accumulators right before validation
-to prove that whole chain end to end.
+one independent in-order timing model left.
 """
 
 from __future__ import annotations
@@ -456,8 +454,7 @@ def replay_inorder_multi_stats(
 
     Returns :class:`SimStats` bit-identical to ``InOrderCore.run``, or
     ``None`` when the point is outside the vectorized path's guards.
-    Raises :class:`WalkDivergence` when the walk fails validation (or
-    the ``walk_diverge`` fault fires).
+    Raises :class:`WalkDivergence` when the walk fails validation.
     """
     prepared = rv._prepare(program, trace, config, "inorder")
     if prepared is None:
@@ -516,9 +513,6 @@ def replay_inorder_multi_stats(
         if halted:
             break
 
-    if _diverge_fault(trace, config):
-        lus = -1 - lus
-        lc //= 2
     _validate(config, lc, lus, rst, base["issued"])
 
     n = base["n"]
@@ -546,14 +540,3 @@ def replay_inorder_multi_stats(
         halted=base["halted"],
     )
 
-
-def _diverge_fault(trace: Trace, config: MachineConfig) -> bool:
-    """Whether the seeded ``walk_diverge`` fault corrupts this walk's
-    accumulators right before validation, so the detection +
-    reference-core fallback + manifest accounting chain is exercised
-    end to end."""
-    from ..experiments import faults
-
-    return faults.should_diverge_walk(
-        f"{trace.meta.get('program', '?')}|w{config.width}"
-    )

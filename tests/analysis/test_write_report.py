@@ -1,6 +1,11 @@
 """EXPERIMENTS.md rendering from a results JSON."""
 
-from repro.experiments.write_report import render
+import pathlib
+import shutil
+
+from repro.experiments.write_report import main, render
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def sample_data():
@@ -51,7 +56,6 @@ def test_render_contains_all_sections():
         "in-order vs out-of-order",
         "Figure 1 prescriptions",
         "Conceptual figures",
-        "Known deviations",
     ):
         assert heading in text, heading
 
@@ -74,3 +78,36 @@ def test_optional_sections_omitted_gracefully():
 def test_geomeans_reported():
     text = render(sample_data())
     assert "**6.0**" in text and "**12.0**" in text
+
+
+def test_render_stops_before_the_hand_written_sections():
+    text = render(sample_data())
+    assert "## Runtime" not in text
+    assert "Known deviations" not in text
+
+
+def test_main_keeps_the_committed_report_byte_identical(
+    tmp_path, monkeypatch
+):
+    """The committed JSON renders the committed measured sections, and
+    every hand-written section after them survives the rewrite."""
+    shutil.copy(ROOT / "EXPERIMENTS.md", tmp_path)
+    (tmp_path / "results").mkdir()
+    shutil.copy(ROOT / "results" / "experiments_full.json",
+                tmp_path / "results")
+    monkeypatch.chdir(tmp_path)
+    assert main(["results/experiments_full.json"]) == 0
+    assert (tmp_path / "EXPERIMENTS.md").read_bytes() \
+        == (ROOT / "EXPERIMENTS.md").read_bytes()
+
+
+def test_main_refuses_a_report_without_the_runtime_heading(
+    tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "EXPERIMENTS.md").write_text("# hand-written only\n")
+    shutil.copy(ROOT / "results" / "experiments_full.json", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiments_full.json"]) == 1
+    assert (tmp_path / "EXPERIMENTS.md").read_text() \
+        == "# hand-written only\n"
+    assert "## Runtime" in capsys.readouterr().err

@@ -26,7 +26,7 @@ from repro.experiments.harness import (
     prepare_benchmark,
     run_seed,
 )
-from repro.uarch import InOrderCore, MachineConfig, OutOfOrderCore
+from repro.uarch import InOrderCore, MachineConfig, OutOfOrderCore, Trace
 
 
 @pytest.fixture
@@ -262,15 +262,24 @@ class TestIntegrity:
     def test_corrupt_trace_fault_kind(
         self, store, tmp_path, monkeypatch
     ):
-        """The ``corrupt_trace`` fault plan truncates stored traces,
-        driving the quarantine + recapture path end to end."""
+        """A stored trace truncated to its first half (the first
+        ``Trace.to_bytes`` returns half its blob) drives the quarantine
+        + recapture path end to end."""
         config, baseline, _ = _quick_programs()
         machine = config.machine_for(4)
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "corrupt_trace:1")
+        to_bytes = Trace.to_bytes
+        calls = []
+
+        def torn_first_store(trace):
+            blob = to_bytes(trace)
+            calls.append(len(blob))
+            return blob[: len(blob) // 2] if len(calls) == 1 else blob
+
+        monkeypatch.setattr(Trace, "to_bytes", torn_first_store)
         store.simulate_inorder(
             baseline, machine, max_instructions=config.max_instructions
         )
-        monkeypatch.delenv("REPRO_FAULT_INJECT")
+        assert len(calls) == 1
         fresh = ArtifactStore(cache_dir=tmp_path)
         mark = fresh.mark()
         fresh.simulate_inorder(

@@ -1,12 +1,13 @@
-"""Seeded chaos tests for the blob-store protocol under the artifact
+"""Chaos tests for the blob-store protocol under the artifact
 layer.
 
 Everything :class:`~repro.experiments.store.FileStore` claims to
 survive is exercised here deterministically: digest sidecars,
 tampered and torn transfers (quarantine, then recapture), quarantine
 name collisions and its retention cap, and transient versus
-persistent I/O errors.  Fault decisions come from
-``REPRO_FAULT_INJECT`` seeds (no random kill signals).
+persistent I/O errors.  Each test makes its own fault: it rewrites a
+file on disk or monkeypatches ``fsync_write`` (no random kill
+signals).
 """
 
 import pytest
@@ -20,13 +21,6 @@ from repro.experiments.store import (
 )
 
 pytestmark = pytest.mark.chaos
-
-
-@pytest.fixture(autouse=True)
-def _fast_chaos_env(monkeypatch):
-    """No fault plan leaking in from the caller's environment; tests
-    that want injection set it."""
-    monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
 
 
 class TestStoreProtocol:
@@ -71,13 +65,24 @@ class TestStoreProtocol:
     def test_torn_put_detected_on_read_then_recaptured(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "torn_put:1.0@seed=1")
+        def tearing_write(path, blob):
+            """A transfer that died mid-copy: the blob lands short,
+            its digest sidecar whole."""
+            if not path.name.endswith(".sum"):
+                blob = blob[: len(blob) // 2]
+            fsync_write(path, blob)
+
+        monkeypatch.setattr(
+            "repro.experiments.store.fsync_write", tearing_write
+        )
         store = FileStore(tmp_path)
         assert store.put("torn.bin", b"X" * 64)  # digest full, blob half
         assert (tmp_path / "torn.bin").stat().st_size == 32
         assert store.get("torn.bin") is None  # tear detected
         assert store.counters["verify_failures"] == 1
-        monkeypatch.delenv("REPRO_FAULT_INJECT")
+        monkeypatch.setattr(
+            "repro.experiments.store.fsync_write", fsync_write
+        )
         assert store.put("torn.bin", b"X" * 64)
         assert store.get("torn.bin") == b"X" * 64
 

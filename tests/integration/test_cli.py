@@ -82,11 +82,50 @@ class TestExecution:
         assert main(["--iterations", "80", "taxonomy", "int2006"]) == 0
         assert "TOTAL" in capsys.readouterr().out
 
+    def test_timeline_renders_the_programs_the_figures_measure(
+        self, monkeypatch
+    ):
+        """Both timelines show ``prepare_benchmark``'s programs: the
+        REF build compiled with the TRAIN profile, as every figure
+        compiles it."""
+        from repro.experiments import RunConfig
+        from repro.experiments.harness import prepare_benchmark
+        from repro.uarch.trace import content_digest
+
+        rendered = []
+        monkeypatch.setattr(
+            "repro.uarch.render_timeline",
+            lambda program, **_: rendered.append(program) or "",
+        )
+        # At 80 iterations a REF-profiled compile of gcc differs from
+        # the TRAIN-profiled one in both programs.
+        argv = ["--iterations", "80", "timeline", "gcc", "--count", "4"]
+        assert main(argv) == 0
+        assert main(argv + ["--baseline"]) == 0
+        baseline, decomposed = prepare_benchmark(
+            "gcc", 1, RunConfig(iterations=80, ref_seeds=(1,))
+        )
+        assert [content_digest(p) for p in rendered] == [
+            content_digest(decomposed.program),
+            content_digest(baseline.program),
+        ]
+
     @pytest.mark.faults
     def test_failed_job_exits_nonzero(self, capsys, monkeypatch):
-        """An injected crash must surface as a FAILED line and exit 1
+        """A crashing job must surface as a FAILED line and exit 1
         instead of a traceback (graceful degradation end to end)."""
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0@seed=1")
+
+        class PlannedCrash(RuntimeError):
+            pass
+
+        def crashing_run_seed(name, seed, config):
+            raise PlannedCrash(f"planned crash in {name}@seed{seed}")
+
+        # ``--jobs 1`` runs the job in this process, where the
+        # monkeypatch lives.
+        monkeypatch.setattr(
+            "repro.experiments.harness.run_seed", crashing_run_seed
+        )
         monkeypatch.setattr("repro.experiments.engine.RETRY_BACKOFF_S", 0.0)
         code = main(
             ["--iterations", "90", "--jobs", "1", "--no-cache",
@@ -95,7 +134,7 @@ class TestExecution:
         assert code == 1
         out = capsys.readouterr().out
         assert "omnetpp: FAILED" in out
-        assert "InjectedCrash" in out
+        assert "PlannedCrash" in out
 
 
 class TestSettingsErrors:
@@ -113,6 +152,7 @@ class TestSettingsErrors:
             ("REPRO_PREP_CACHE", "0"),
             ("REPRO_RETRY_BACKOFF", "0"),
             ("REPRO_FAULT_HANG_S", "30"),
+            ("REPRO_FAULT_INJECT", "crash:1.0@seed=1"),
         ],
     )
     def test_bad_setting_exits_2_with_one_line(self, name, raw, tmp_path):

@@ -137,8 +137,8 @@ class TestObservability:
         label, robustness knobs, health totals, artifact counters; the
         per-job ``worker_pid``; the v9 removal of the plane and
         batch-dispatch fields; the v11 removal of the backend block;
-        and the v12 removal of the run journal's fields and the
-        per-worker block."""
+        the v12 removal of the run journal's fields and the per-worker
+        block; and the v13 removal of the fault-injection field."""
         config = RunConfig.quick()
         engine = ExperimentEngine(
             jobs=1, cache_dir=tmp_path, use_cache=True, run_id="m3",
@@ -146,7 +146,7 @@ class TestObservability:
         )
         engine.run_benchmark("h264ref", config)
         manifest = engine.manifest(config)
-        assert manifest["schema"] == 12
+        assert manifest["schema"] == 13
         assert "backend" not in manifest
         assert "workers" not in manifest
         block = manifest["engine"]
@@ -155,7 +155,7 @@ class TestObservability:
         assert block["run_id"] == "m3"
         assert block["retries"] == 1
         assert block["job_timeout_s"] == 30.0
-        assert block["fault_inject"] is None
+        assert "fault_inject" not in block
         totals = manifest["totals"]
         assert totals["ok"] == totals["jobs"] == len(config.ref_seeds)
         assert totals["failed"] == totals["timeout"] == 0

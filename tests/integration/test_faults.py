@@ -1,10 +1,11 @@
 """Engine robustness under faults: isolation, retries, the result cache.
 
 Every scenario the supervision layer claims to survive is exercised
-here at quick scale with ``jobs=2``, driven either by real misbehaving
-workers (raise / ``os._exit`` / sleep) or by the deterministic
-fault-injection harness (``REPRO_FAULT_INJECT``) -- no flaky sleeps,
-no random kill signals.
+here at quick scale, each fault made by the test itself: a worker
+that raises, exits or sleeps, a cache entry rewritten on disk, or a
+``monkeypatch`` of the one function the fault corrupts (a region
+walk's validation, a job's ``run_seed``) -- no flaky sleeps, no random
+kill signals.
 """
 
 import hashlib
@@ -17,17 +18,22 @@ import pytest
 
 from repro.experiments import ExperimentEngine, RunConfig
 from repro.experiments.engine import CACHE_SCHEMA, MANIFEST_SCHEMA
-from repro.experiments.faults import FaultPlan, parse_plan
 
 pytestmark = pytest.mark.faults
 
 
 @pytest.fixture(autouse=True)
-def _fault_free_fast_retries(monkeypatch):
-    """No backoff sleeps, and no fault plan leaking in from the caller's
-    environment; tests that want injection set REPRO_FAULT_INJECT."""
+def _fast_retries(monkeypatch):
+    """No backoff sleeps between retries."""
     monkeypatch.setattr("repro.experiments.engine.RETRY_BACKOFF_S", 0.0)
-    monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
+
+
+class PlannedCrash(RuntimeError):
+    """A deliberate, deterministic worker failure."""
+
+
+#: The payloads :func:`_planned_crash_job` fails on.
+PLANNED_CRASHES = frozenset({1, 2, 5})
 
 
 # -- engine-mappable workers (top level so they pickle) --------------------
@@ -68,57 +74,16 @@ def _sleep_job(payload) -> dict:
     return {"value": payload}
 
 
+def _planned_crash_job(payload) -> dict:
+    """Raises for the payloads in :data:`PLANNED_CRASHES`."""
+    if payload in PLANNED_CRASHES:
+        raise PlannedCrash(f"planned crash on payload {payload}")
+    return _square_job(payload)
+
+
 def _sidecar(entry: pathlib.Path) -> pathlib.Path:
     """The digest sidecar the blob store keeps next to ``entry``."""
     return entry.with_name(entry.name + ".sum")
-
-
-class TestFaultPlan:
-    def test_parse_round_trip(self):
-        plan = parse_plan("crash:0.2,hang:0.1,corrupt_cache:0.1@seed=7")
-        assert plan.rates == {
-            "crash": 0.2, "hang": 0.1, "corrupt_cache": 0.1,
-        }
-        assert plan.seed == 7
-        assert parse_plan(plan.spec()) == plan
-
-    def test_parse_rejects_unknown_kind_and_bad_rate(self):
-        with pytest.raises(ValueError):
-            parse_plan("meteor:0.5")
-        with pytest.raises(ValueError):
-            parse_plan("crash:1.5")
-        # The shared-memory plane, fused batch dispatch, lane fusion
-        # and the lease-based queue backend are gone, and so are the
-        # fault kinds that exercised them.
-        retired = (
-            "shm_leak:1.0", "batch_die:0.5", "fused_diverge:1.0",
-            "lease_expire:0.5", "worker_vanish:0.5",
-            "stale_heartbeat:1.0", "dup_complete:1.0",
-        )
-        for spec in retired:
-            with pytest.raises(ValueError):
-                parse_plan(spec)
-        assert parse_plan("") is None
-        assert parse_plan("   ") is None
-
-    def test_decide_is_deterministic_and_seeded(self):
-        plan = FaultPlan({"crash": 0.5}, seed=7)
-        labels = [f"job{i}" for i in range(64)]
-        first = [plan.decide("crash", label, 0) for label in labels]
-        again = [plan.decide("crash", label, 0) for label in labels]
-        assert first == again
-        assert any(first) and not all(first)  # rate 0.5 actually mixes
-        other = FaultPlan({"crash": 0.5}, seed=8)
-        assert first != [plan_decide for plan_decide in (
-            other.decide("crash", label, 0) for label in labels
-        )]
-
-    def test_rate_extremes(self):
-        always = FaultPlan({"crash": 1.0}, seed=1)
-        never = FaultPlan({"crash": 0.0}, seed=1)
-        for label in ("a", "b", "c"):
-            assert always.decide("crash", label, 0)
-            assert not never.decide("crash", label, 0)
 
 
 class TestWorkerExceptionIsolation:
@@ -208,26 +173,17 @@ class TestTimeouts:
             == ["timeout", "ok", "ok"]
         assert [r["attempts"] for r in engine.records] == [1, 1, 1]
 
-    def test_injected_hang_hits_the_watchdog(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:1.0@seed=3")
+    def test_injected_hang_hits_the_watchdog(self):
+        """Every worker hangs at once: the watchdog times each out."""
         engine = ExperimentEngine(
             jobs=2, use_cache=False, retries=0, job_timeout=0.4
         )
-        results = engine.map(_sleep_job, [0.0, 0.0], labels=["a", "b"])
+        start = time.monotonic()
+        results = engine.map(_sleep_job, [30.0, 30.0], labels=["a", "b"])
+        elapsed = time.monotonic() - start
         assert results == [None, None]
         assert all(r["status"] == "timeout" for r in engine.records)
-
-    def test_injected_hang_serial_degrades_to_timeout_status(
-        self, monkeypatch
-    ):
-        """jobs=1 cannot host a real hang (it would hang the test), so
-        the harness degrades it to an InjectedHang exception which the
-        engine still classifies as a timeout."""
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:1.0@seed=3")
-        engine = ExperimentEngine(jobs=1, use_cache=False)
-        results = engine.map(_sleep_job, [0.0], labels=["a"])
-        assert results == [None]
-        assert engine.records[0]["status"] == "timeout"
+        assert elapsed < 10.0  # nowhere near the 30s sleeps
 
 
 class TestCacheIntegrity:
@@ -291,20 +247,21 @@ class TestCacheIntegrity:
         report = cachectl.verify(tmp_path)
         assert report.ok == 1 and not report.mismatched
 
-    def test_injected_corruption_round_trip(self, tmp_path, monkeypatch):
-        """corrupt_cache faults write a truncated entry under a valid
-        digest; the JSON checks of the next read quarantine it and the
-        job recomputes bit-identical results."""
-        monkeypatch.setenv(
-            "REPRO_FAULT_INJECT", "corrupt_cache:1.0@seed=1"
-        )
+    def test_injected_corruption_round_trip(self, tmp_path):
+        """An entry truncated under a valid digest (its first half
+        written back with a matching sidecar): the JSON checks of the
+        next read quarantine it and the job recomputes bit-identical
+        results."""
         first, entry = self._seed_cache(tmp_path)
+        torn = entry.read_bytes()
+        torn = torn[: len(torn) // 2]
+        entry.write_bytes(torn)
+        _sidecar(entry).write_text(hashlib.sha256(torn).hexdigest())
         with pytest.raises(ValueError):
             json.loads(entry.read_text())  # really was corrupted
         assert _sidecar(entry).read_text() == hashlib.sha256(
             entry.read_bytes()
         ).hexdigest()
-        monkeypatch.delenv("REPRO_FAULT_INJECT")
         engine, second = self._reload(tmp_path)
         assert second == first == {
             "value": 9, "simulated_cycles": 10,
@@ -314,23 +271,22 @@ class TestCacheIntegrity:
 
 
 class TestCrashInjectionSmoke:
-    """Fast smoke of the whole loop: injected crashes at a fixed seed
-    fail exactly the planned jobs, and nothing else."""
+    """Fast smoke of the whole loop: a worker that crashes on a fixed
+    subset of payloads fails exactly those jobs, and nothing else."""
 
-    def test_exactly_the_planned_jobs_fail(self, monkeypatch):
-        spec = "crash:0.5@seed=7"
-        monkeypatch.setenv("REPRO_FAULT_INJECT", spec)
-        plan = parse_plan(spec)
+    def test_exactly_the_planned_jobs_fail(self):
         labels = [f"smoke{i}" for i in range(6)]
         engine = ExperimentEngine(jobs=2, use_cache=False, retries=2)
-        results = engine.map(_square_job, list(range(6)), labels=labels)
-        expected = [plan.decide("crash", label, 0) for label in labels]
+        results = engine.map(
+            _planned_crash_job, list(range(6)), labels=labels
+        )
+        expected = [i in PLANNED_CRASHES for i in range(6)]
         assert any(expected) and not all(expected)
         observed = [r["status"] == "failed" for r in engine.records]
         assert observed == expected
         for record, crashed in zip(engine.records, expected):
             if crashed:
-                assert record["error"]["type"] == "InjectedCrash"
+                assert record["error"]["type"] == "PlannedCrash"
                 assert record["attempts"] == 1  # deterministic: no retry
         assert [r is None for r in results] == expected
 
@@ -393,15 +349,29 @@ class TestInterruptResume:
             == ["hit", "hit", "miss", "miss", "miss"]
 
 
-class TestFusedDivergence:
-    """``walk_diverge`` faults corrupt a region walk's accumulators.
-    Validation must detect the damage and raise ``WalkDivergence``;
-    the artifact store catches it per point, re-runs that point on the
-    reference core (bit-identical to an undisturbed run), and counts
-    the degradation so the manifest records it.  (The class name
-    predates the removal of lane fusion.)"""
+def _diverge_every_walk(monkeypatch):
+    """Corrupt every region walk's accumulators right before its
+    validation: negate the load-use stall total and halve the cycle
+    count, then run the real check.  Returns the real check."""
+    from repro.uarch import replay_multi
 
-    _FAULT = "walk_diverge:1.0@seed=5"
+    validate = replay_multi._validate
+
+    def corrupted(config, lc, lus, rst, issued):
+        validate(config, lc // 2, -1 - lus, rst, issued)
+
+    monkeypatch.setattr(replay_multi, "_validate", corrupted)
+    return validate
+
+
+class TestFusedDivergence:
+    """A region walk whose accumulators are corrupted (see
+    :func:`_diverge_every_walk`).  Validation must detect the damage
+    and raise ``WalkDivergence``; the artifact store catches it per
+    point, re-runs that point on the reference core (bit-identical to
+    an undisturbed run), and counts the degradation so the manifest
+    records it.  (The class name predates the removal of lane
+    fusion.)"""
 
     def _sweep_setup(self, tmp_path, monkeypatch):
         import dataclasses as dc
@@ -430,7 +400,7 @@ class TestFusedDivergence:
         )
         assert store.counters["walk_diverges"] == 0
 
-        monkeypatch.setenv("REPRO_FAULT_INJECT", self._FAULT)
+        _diverge_every_walk(monkeypatch)
         faulted = ArtifactStore(cache_dir=tmp_path)
         degraded = faulted.simulate_inorder_sweep(
             program, machines, max_instructions=config.max_instructions
@@ -448,9 +418,10 @@ class TestFusedDivergence:
         import dataclasses as dc
 
         # Three widths, as in the paper's sweep: the fault trips every
-        # width's walk.
+        # width's walk.  The serial engine runs the jobs in this
+        # process, where the monkeypatch lives.
         config = dc.replace(RunConfig.quick(), widths=(2, 4, 8))
-        monkeypatch.setenv("REPRO_FAULT_INJECT", self._FAULT)
+        validate = _diverge_every_walk(monkeypatch)
         engine = ExperimentEngine(
             jobs=1, cache_dir=tmp_path, use_cache=False, run_id="fd"
         )
@@ -465,7 +436,9 @@ class TestFusedDivergence:
 
         # The degraded sweep is invisible in the numbers: a clean run
         # scores identically.
-        monkeypatch.delenv("REPRO_FAULT_INJECT")
+        monkeypatch.setattr(
+            "repro.uarch.replay_multi._validate", validate
+        )
         clean = ExperimentEngine(jobs=1, use_cache=False).run_benchmarks(
             ["h264ref"], config
         )
@@ -504,7 +477,7 @@ class TestFusedDivergence:
         assert kernel_declines == [False]
         assert core_calls == []
 
-        monkeypatch.setenv("REPRO_FAULT_INJECT", self._FAULT)
+        _diverge_every_walk(monkeypatch)
         faulted = ArtifactStore(cache_dir=tmp_path)
         degraded = faulted.simulate_inorder(
             program, machine, max_instructions=config.max_instructions
@@ -529,42 +502,48 @@ class TestFusedDivergence:
         trace = capture_trace(
             program, machine.predictor_factory, config.max_instructions
         )
-        monkeypatch.setenv("REPRO_FAULT_INJECT", self._FAULT)
+        _diverge_every_walk(monkeypatch)
         with pytest.raises(WalkDivergence):
             replay_inorder(program, trace, machine)
 
 
 class TestBenchmarkSweepAcceptance:
-    """The acceptance scenario at quick scale: a crash-injected sweep
-    marks exactly the planned failures in its manifest, and re-running
-    it on the same cache root with faults off runs only the failed
-    jobs, producing results identical to an undisturbed run."""
+    """The acceptance scenario at quick scale: a sweep whose omnetpp
+    jobs crash marks exactly those failures in its manifest, and
+    re-running it on the same cache root without the crash runs only
+    the failed jobs, producing results identical to an undisturbed
+    run."""
 
     def test_faulted_sweep_then_resume_matches_clean_run(
         self, tmp_path, monkeypatch
     ):
+        from repro.experiments import harness
+
         config = RunConfig.quick()
         names = ["h264ref", "omnetpp"]
-        spec = "crash:0.5@seed=2"  # fails omnetpp@seed1, spares h264ref
-        plan = parse_plan(spec)
         labels = [
             f"{name}@seed{seed}"
             for name in names for seed in config.ref_seeds
         ]
         expected_failures = [
-            label for label in labels
-            if plan.decide("crash", label, 0)
+            label for label in labels if label.startswith("omnetpp@")
         ]
-        assert expected_failures  # seed chosen so the fault fires
+        run_seed = harness.run_seed
 
-        monkeypatch.setenv("REPRO_FAULT_INJECT", spec)
+        def crashing_run_seed(name, seed, config):
+            if name == "omnetpp":
+                raise PlannedCrash(f"planned crash in {name}@seed{seed}")
+            return run_seed(name, seed, config)
+
+        # A monkeypatch reaches a pool worker only through fork; the
+        # serial engine runs every job in this process.
+        monkeypatch.setattr(harness, "run_seed", crashing_run_seed)
         engine = ExperimentEngine(
-            jobs=2, cache_dir=tmp_path, use_cache=True, retries=2
+            jobs=1, cache_dir=tmp_path, use_cache=True, retries=2
         )
         outcomes = engine.run_benchmarks(names, config)
         manifest = engine.manifest(config)
         assert manifest["schema"] == MANIFEST_SCHEMA
-        assert manifest["engine"]["fault_inject"] == plan.spec()
         failed_labels = [
             r["label"] for r in manifest["jobs"]
             if r["status"] != "ok"
@@ -574,10 +553,10 @@ class TestBenchmarkSweepAcceptance:
         assert by_name["h264ref"].ok
         assert not by_name["omnetpp"].ok
         assert by_name["omnetpp"].status == "failed"
-        assert "InjectedCrash" in by_name["omnetpp"].error
+        assert "PlannedCrash" in by_name["omnetpp"].error
 
-        # Re-run with faults off: only the failed job runs again.
-        monkeypatch.delenv("REPRO_FAULT_INJECT")
+        # Re-run without the crash: only the failed job runs again.
+        monkeypatch.setattr(harness, "run_seed", run_seed)
         resumed = ExperimentEngine(jobs=2, cache_dir=tmp_path, use_cache=True)
         resumed_outcomes = resumed.run_benchmarks(names, config)
         assert resumed.cache_hits == len(labels) - len(expected_failures)

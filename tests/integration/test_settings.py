@@ -25,7 +25,6 @@ MALFORMED = {
     "REPRO_JOB_TIMEOUT": "10s",
     "REPRO_PROFILE": "y",
     "REPRO_TRACE_LRU_MB": "1G",
-    "REPRO_FAULT_INJECT": "crash:lots",
     "REPRO_BENCH_ITERATIONS": "many",
     "REPRO_BENCH_SEEDS": "1.5",
 }
@@ -131,12 +130,6 @@ def test_unset_or_blank_takes_the_default(name, monkeypatch):
     assert setting(name) == KNOBS[name].default
     monkeypatch.setenv(name, "  ")
     assert setting(name) == KNOBS[name].default
-
-
-def test_fault_plan_parses_through_its_grammar(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0.5@seed=3")
-    plan = setting("REPRO_FAULT_INJECT")
-    assert plan.rates == {"crash": 0.5} and plan.seed == 3
 
 
 def test_readme_table_is_generated_from_the_knobs():
