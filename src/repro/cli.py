@@ -20,21 +20,20 @@ All commands accept ``--iterations N`` and ``--seeds K`` to trade fidelity
 for time, ``--jobs N`` to fan simulation jobs over worker processes,
 ``--no-cache`` to bypass the ``results/.cache/`` result cache, and
 ``--profile`` to wrap every engine job in cProfile.  The engine flags
-(these three, ``--job-timeout`` and ``--retries``) override the
-matching knobs of :data:`repro.experiments.settings.KNOBS`, which
-lists every environment knob with its default.  Engine-backed
-commands write a
+(these three and ``--job-timeout``) override the matching knobs of
+:data:`repro.experiments.settings.KNOBS`, which lists every environment
+knob with its default.  Engine-backed commands write a
 machine-readable ``results/run_manifest.json`` (config, per-job timings,
-status/attempts/error, simulated KIPS, cache hit/miss counts) next to the
+status/error, simulated KIPS, cache hit/miss counts) next to the
 regenerated table; profiled runs additionally write
 ``results/run_manifest.profile.txt``.
 
 Robustness (see EXPERIMENTS.md "Robustness"): a failed/hung job is
 isolated and reported instead of aborting the sweep; ``--job-timeout S``
-bounds each job, ``--retries N`` retries infrastructure faults, and
-every completed job lands in the result cache as it finishes, so
-re-running the same command after an interrupt or a partial failure
-runs only the jobs that did not finish.  The exit status is 0 only when
+bounds each job, no failed job is retried, and every completed job
+lands in the result cache as it finishes, so re-running the same
+command after an interrupt or a partial failure runs only the jobs
+that did not finish.  The exit status is 0 only when
 every job succeeded (1 with failures, 130 on interrupt).  A bad
 invocation exits 2: a malformed flag (argparse), or a malformed or
 unknown ``REPRO_*`` variable, which prints one ``repro: <message>``
@@ -51,7 +50,7 @@ from typing import List, Optional
 
 from .experiments import ExperimentEngine, RunConfig, run_benchmark
 from .experiments.engine import RESULTS_DIR
-from .experiments.settings import check_settings
+from .experiments.settings import check_settings, restored
 
 
 def _config(args) -> RunConfig:
@@ -82,7 +81,6 @@ def _engine(args) -> ExperimentEngine:
             progress=_progress if sys.stderr.isatty() else None,
             run_id=ExperimentEngine.new_run_id(),
             job_timeout=getattr(args, "job_timeout", None),
-            retries=getattr(args, "retries", None),
         )
         # So an interrupted map() can still leave a partial manifest.
         args.engine.manifest_path = RESULTS_DIR / "run_manifest.json"
@@ -300,15 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         "watchdog when jobs > 1 (default: REPRO_JOB_TIMEOUT or off)",
     )
     parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retries for infrastructure faults -- dead worker "
-        "processes and timeouts (default: REPRO_RETRIES or 2); "
-        "deterministic worker exceptions are never retried",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="cProfile every engine job (implies --no-cache, so every "
@@ -412,7 +401,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"repro: {exc}\n")
         return 2
     try:
-        args.func(args)
+        # ``--profile`` reaches pool workers through the environment
+        # (see ``_engine``); the caller gets its own value back.
+        with restored("REPRO_PROFILE"):
+            args.func(args)
     except KeyboardInterrupt:
         engine = args.engine
         if engine is not None and engine.records:

@@ -1,9 +1,9 @@
 """Experiment runners: one per table/figure of the paper's evaluation.
 
 * :mod:`.engine`        -- parallel execution engine + result cache and
-  the supervised local process pool (fault isolation, retries,
-  timeouts); re-running a command serves its finished jobs from the
-  cache.
+  the supervised local process pool (fault isolation, timeouts);
+  re-running a command serves its finished jobs from the cache and
+  runs the rest, failed ones included.
 * :mod:`.store`         -- durable blob store (digest-verified
   ``get``/``put``) under the result cache and the artifact layer.
 * :mod:`.table2`        -- Table 2 (per-benchmark metrics, 4-wide).

@@ -5,8 +5,7 @@ benchmark, one REF seed, every width -- see :func:`.harness.run_seed`).
 The engine fans those jobs out over a :class:`ProcessPoolExecutor`,
 reassembles the results deterministically (order is fixed by submission
 index, never completion time), and memoises each job in the blob store
-so that re-running a figure after touching only a report renderer is
-instant.
+so that re-running an unchanged command is instant.
 
 * Worker count comes from the ``REPRO_JOBS`` environment variable, the
   CLI ``--jobs`` flag, or ``os.cpu_count()``; ``jobs=1`` is the serial
@@ -14,26 +13,29 @@ instant.
 * The cache key is a SHA-256 over the worker's qualified name, a stable
   fingerprint of the job payload (benchmark, seed, widths, and every
   ``RunConfig``/``MachineConfig``/``SelectionConfig``/``TransformConfig``
-  field), the source hash of the whole ``repro`` package, and a schema
-  version -- touching any simulator/compiler source invalidates the
-  whole cache; touching a renderer invalidates nothing.  Each result
+  field), the source hash of the whole ``repro`` package
+  (:func:`code_version`), and a schema version -- so any edit under
+  ``src/repro``, a report renderer included, re-keys every result, as
+  it does every trace, prep slice and profile (ROADMAP.md's "Key each
+  artifact by the code that produces it" is the fix).  Each result
   is one blob of the digest-verified store (:class:`.store.FileStore`):
   ``<key>.json`` with a ``.sum`` sidecar, put durably and retried on
   transient I/O errors.  The engine keeps no persistence of its own.
   An entry that fails its digest (torn or edited) or validation (wrong
   schema, truncated JSON, missing ``result``) counts as a miss and is
   moved to ``results/.cache/quarantine/`` for inspection.
-* **Supervision**: a worker that raises records a structured failure
-  (status ``failed`` + traceback) instead of aborting the run; a worker
-  process that dies (``BrokenProcessPool``, e.g. an OOM kill) is an
-  infrastructure fault and is retried with exponential backoff + jitter
-  (``REPRO_RETRIES`` times, from :data:`RETRY_BACKOFF_S`); a job that
-  exceeds the per-job timeout (``REPRO_JOB_TIMEOUT`` /
-  ``--job-timeout``) is detected by a watchdog that kills and respawns
-  the pool, resubmitting innocent in-flight jobs at no attempt cost.  Deterministic worker exceptions
-  are never retried -- they would fail identically again.  The engine
-  owns its pool directly: :meth:`ExperimentEngine._run_parallel` is
-  the one parallel path.
+* **Supervision**: no failed job is retried, and a failure is
+  recorded instead of aborting the run.  A worker that raises ends its
+  job ``failed`` with the traceback.  A worker process that dies
+  (``BrokenProcessPool``, e.g. an OOM kill) ends every job in flight on
+  that pool ``failed``: the pool cannot say which worker died.  A job
+  that exceeds the per-job timeout (``REPRO_JOB_TIMEOUT`` /
+  ``--job-timeout``) ends ``timeout``: a watchdog kills and respawns
+  the pool and resubmits the innocent jobs that were in flight beside
+  it.  No failure is cached, and the simulation is deterministic, so
+  re-running the command is the retry.  The engine owns its pool
+  directly: :meth:`ExperimentEngine._run_parallel` is the one parallel
+  path.
 * **Re-running is resuming**: every successful job is put in the
   result cache the moment it completes, so re-running the same command
   after an interrupt or a partial failure serves every finished job
@@ -42,7 +44,7 @@ instant.
 * Observability: per-job wall time and simulated-cycle counters, a
   ``progress(done, total, label)`` callback, and a machine-readable
   manifest (:meth:`ExperimentEngine.write_manifest`) recording config,
-  timings, per-job status/attempts/error, and cache hit/miss counts.
+  timings, per-job status/error, and cache hit/miss counts.
 * **Artifact groups**: jobs that share content-addressed artifacts
   (traces, profiles, prep slices) run leader-first -- the leader
   captures and persists them, then its followers are released to
@@ -62,7 +64,6 @@ import hashlib
 import json
 import os
 import pathlib
-import random
 import secrets
 import time
 import traceback
@@ -82,7 +83,13 @@ from typing import (
     Sequence,
 )
 
-from .settings import RESULTS_DIR, cache_root, check_settings, setting
+from .settings import (
+    RESULTS_DIR,
+    cache_root,
+    check_settings,
+    restored,
+    setting,
+)
 from .store import FileStore
 
 #: Bump when the cached-result layout changes.
@@ -118,12 +125,11 @@ CACHE_SCHEMA = 1
 #: parallel path; v12 drops ``engine.resume``, ``totals.journal_hits``
 #: and v5's ``workers`` block with the run journal (re-running a command
 #: is its resume; each job keeps its ``worker_pid`` and ``artifacts``);
-#: v13 drops ``engine.fault_inject`` with the fault-injection knob.
-MANIFEST_SCHEMA = 13
-
-#: First retry's backoff in seconds for a dead worker or a timeout;
-#: doubled on each later retry, plus up to this much jitter.
-RETRY_BACKOFF_S = 0.5
+#: v13 drops ``engine.fault_inject`` with the fault-injection knob;
+#: v14 drops ``engine.retries``, the totals' count of retries used and
+#: the per-job ``attempts`` with engine retries: no failed job is
+#: retried.
+MANIFEST_SCHEMA = 14
 
 _CODE_VERSION: Optional[str] = None
 
@@ -308,7 +314,7 @@ class _JobState:
 
     __slots__ = (
         "result", "wall_s", "source", "profile", "status", "error",
-        "attempts", "artifacts", "worker_pid",
+        "artifacts", "worker_pid",
     )
 
     def __init__(self) -> None:
@@ -320,7 +326,6 @@ class _JobState:
         #: "pending" -> "ok" | "failed" | "timeout" | "skipped".
         self.status = "pending"
         self.error: Optional[Dict] = None
-        self.attempts = 0
         #: Worker-process artifact-counter movement (from the envelope).
         self.artifacts: Optional[Dict] = None
         self.worker_pid: Optional[int] = None
@@ -328,7 +333,7 @@ class _JobState:
 
 class ExperimentEngine:
     """Schedules experiment jobs over processes, with a result cache in
-    the blob store, per-job fault isolation and retries."""
+    the blob store and per-job fault isolation."""
 
     def __init__(
         self,
@@ -338,7 +343,6 @@ class ExperimentEngine:
         progress: Optional[Callable[[int, int, str], None]] = None,
         run_id: Optional[str] = None,
         job_timeout: Optional[float] = None,
-        retries: Optional[int] = None,
     ) -> None:
         check_settings()
         if jobs is None:
@@ -355,15 +359,11 @@ class ExperimentEngine:
             job_timeout if job_timeout is not None
             else setting("REPRO_JOB_TIMEOUT")
         )
-        self.retries = (
-            retries if retries is not None else setting("REPRO_RETRIES")
-        )
         #: When set (the CLI does), a partial manifest is written here if
         #: a run is interrupted mid-:meth:`map`.
         self.manifest_path: Optional[pathlib.Path] = None
         #: Job results: one digest-verified ``<key>.json`` blob each.
         self._results = FileStore(self.cache_dir)
-        self._rng = random.Random()  # backoff jitter only
         self.reset_stats()
 
     @staticmethod
@@ -446,7 +446,6 @@ class ExperimentEngine:
                 "cache_enabled": self.use_cache,
                 "code_version": code_version(),
                 "run_id": self.run_id,
-                "retries": self.retries,
                 "job_timeout_s": self.job_timeout,
             },
             "totals": {
@@ -463,9 +462,6 @@ class ExperimentEngine:
                 "failed": counts["failed"],
                 "timeout": counts["timeout"],
                 "skipped": counts["skipped"],
-                "retries_used": sum(
-                    max(0, r.get("attempts", 1) - 1) for r in self.records
-                ),
                 "wall_s": self.total_wall_s,
                 "simulated_cycles": self.total_simulated_cycles,
                 "committed_instructions":
@@ -579,14 +575,14 @@ class ExperimentEngine:
         and live in the cache).  A ``"simulated_cycles"`` key, when
         present, feeds the manifest's cycle counter.
 
-        A job whose worker raises, whose process dies, or which exceeds
-        the per-job timeout (after ``retries`` infrastructure retries)
-        yields ``None`` in the returned list instead of aborting the
-        whole call; the corresponding entry of :attr:`records` carries
-        the status and the failure detail.  Every successful job is
-        put in the result cache *as it completes*, so an interrupt or
-        crash loses at most the jobs in flight, and re-running the
-        same call runs only the jobs that did not finish.
+        No failed job is retried.  A job whose worker raises, whose
+        process dies, or which exceeds the per-job timeout yields
+        ``None`` in the returned list instead of aborting the whole
+        call; the corresponding entry of :attr:`records` carries the
+        status and the failure detail.  Every successful job is put in
+        the result cache *as it completes*, so an interrupt or crash
+        loses at most the jobs in flight, and re-running the same call
+        runs only the jobs that did not finish.
 
         On ``KeyboardInterrupt``: pending work is cancelled, the pool
         is shut down without waiting, completed results are already on
@@ -600,14 +596,6 @@ class ExperimentEngine:
         keys = [self._cache_key(worker, p) for p in payloads]
         states = [_JobState() for _ in range(total)]
         progress_done = [0]
-
-        # Workers resolve the artifact store (traces/profiles) through
-        # REPRO_CACHE_DIR; export this engine's root for the duration of
-        # the call so a test engine on a tmp cache_dir keeps its
-        # artifacts there too (pool workers inherit the environment at
-        # spawn, the serial path reads it directly).
-        previous_root = os.environ.get("REPRO_CACHE_DIR")
-        os.environ["REPRO_CACHE_DIR"] = str(self.cache_dir)
 
         def tick(i: int) -> None:
             progress_done[0] += 1
@@ -628,15 +616,23 @@ class ExperimentEngine:
                 pending.append(i)
 
         try:
-            if pending and self.jobs > 1:
-                self._run_parallel(
-                    worker, payloads, labels, keys, states, pending, tick,
-                    groups=groups,
-                )
-            elif pending:
-                self._run_serial(
-                    worker, payloads, labels, keys, states, pending, tick
-                )
+            # Workers resolve the artifact store (traces/profiles)
+            # through REPRO_CACHE_DIR; export this engine's root for the
+            # duration of the call so a test engine on a tmp cache_dir
+            # keeps its artifacts there too (pool workers inherit the
+            # environment at spawn, the serial path reads it directly).
+            with restored("REPRO_CACHE_DIR"):
+                os.environ["REPRO_CACHE_DIR"] = str(self.cache_dir)
+                if pending and self.jobs > 1:
+                    self._run_parallel(
+                        worker, payloads, labels, keys, states, pending,
+                        tick, groups=groups,
+                    )
+                elif pending:
+                    self._run_serial(
+                        worker, payloads, labels, keys, states, pending,
+                        tick,
+                    )
         except KeyboardInterrupt:
             self._finalise(labels, keys, states)
             if self.manifest_path is not None:
@@ -645,11 +641,6 @@ class ExperimentEngine:
                 except OSError:
                     pass
             raise
-        finally:
-            if previous_root is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = previous_root
 
         self._finalise(labels, keys, states)
         return [
@@ -662,7 +653,6 @@ class ExperimentEngine:
     def _absorb(
         self,
         i: int,
-        attempt: int,
         envelope: Dict,
         labels: Sequence[str],
         keys: Sequence[str],
@@ -671,7 +661,6 @@ class ExperimentEngine:
     ) -> None:
         """Fold one worker envelope into the job state; persist it."""
         state = states[i]
-        state.attempts = attempt + 1
         state.wall_s = envelope.get("wall_s", 0.0)
         state.artifacts = envelope.get("artifacts")
         state.worker_pid = envelope.get("worker_pid")
@@ -700,11 +689,6 @@ class ExperimentEngine:
         state = states[i]
         state.status = status
         state.error = error
-        state.attempts = max(1, state.attempts)
-
-    def _backoff_delay(self, attempt: int) -> float:
-        base = RETRY_BACKOFF_S
-        return base * (2 ** attempt) + self._rng.uniform(0, base)
 
     def _run_serial(
         self, worker, payloads, labels, keys, states, pending, tick
@@ -714,7 +698,7 @@ class ExperimentEngine:
         isolated exactly like the pool path."""
         for i in pending:
             envelope = _run_timed(worker, payloads[i])
-            self._absorb(i, 0, envelope, labels, keys, states, tick)
+            self._absorb(i, envelope, labels, keys, states, tick)
 
     def _run_parallel(
         self, worker, payloads, labels, keys, states, pending, tick,
@@ -722,25 +706,24 @@ class ExperimentEngine:
     ) -> None:
         """The supervised ``ProcessPoolExecutor`` path.
 
-        Queue entries are ``(i, attempt, not_before)`` for one payload
-        index ``i``; every submission is one job, and at most
-        ``min(jobs, len(pending))`` futures are outstanding, so a job
-        starts about when it is submitted and its deadline times the
-        run, not the wait.  A settled future is absorbed; a future
-        whose result cannot be read (e.g. the envelope failed to
-        unpickle) is a deterministic failure, never retried; a dead
-        pool (``broken-pool``) or an overrun (``timeout``) is an
-        infrastructure fault, retried with the attempt charged after
-        an exponential-backoff-with-jitter delay.
+        The queue holds payload indices; every submission is one job,
+        and at most ``min(jobs, len(pending))`` futures are outstanding,
+        so a job starts about when it is submitted and its deadline
+        times the run, not the wait.  A settled future is absorbed; a
+        future whose result cannot be read (e.g. the envelope failed to
+        unpickle, or the pool died under it) ends its job ``failed``,
+        and an overrun ends its job ``timeout``.  Nothing is retried.
 
         The pool is spawned lazily, with :func:`_pool_worker_init`,
-        and killed when it breaks (every future on it settles as a
-        ``broken-pool`` fault), when a submit raises (the entry is
-        offered again uncharged) or when the watchdog fires.  The
-        watchdog can only kill whole pools: the overrunning job is
-        charged a ``timeout``, futures that finished meanwhile are
-        absorbed, and still-running innocents go back on the queue
-        uncharged.  The next submit respawns the pool.
+        and killed when it breaks (every future on it fails with
+        ``BrokenProcessPool``: the pool cannot say which worker died),
+        when a submit raises (that job is offered again) or when the
+        watchdog fires.  The watchdog can only kill whole pools: the
+        overrunning job ends ``timeout``, futures that finished
+        meanwhile are absorbed, and still-running innocents go back on
+        the queue -- the engine killed them, they did not fail, and each
+        such requeue follows another job's final ``timeout``, so it
+        cannot loop.  The next submit respawns the pool.
 
         Artifact groups (see :meth:`map`): the first pending member of
         each group enters the queue as leader; the rest wait in
@@ -753,54 +736,41 @@ class ExperimentEngine:
         timeout = self.job_timeout
         poll_s = max(0.01, min(0.1, timeout / 5.0)) if timeout else 0.1
         worker_env = {"REPRO_CACHE_DIR": str(self.cache_dir)}
-        queue: List[tuple] = []
+        queue: List[int] = []
         held: Dict[Any, List[int]] = {}
         leaders: Dict[Any, int] = {}
         for i in pending:
             group = groups[i] if groups is not None else None
             if group is None:
-                queue.append((i, 0, 0.0))
+                queue.append(i)
             elif group not in leaders:
                 leaders[group] = i
-                queue.append((i, 0, 0.0))
+                queue.append(i)
             else:
                 held.setdefault(group, []).append(i)
-        #: future -> (index, attempt, deadline)
+        #: future -> (index, deadline)
         outstanding: Dict[Any, tuple] = {}
         pool: Optional[ProcessPoolExecutor] = None
 
         def settle(future) -> bool:
             """Fold one finished future into its job; True when it
             found the pool dead."""
-            i, attempt, _ = outstanding.pop(future)
+            i, _ = outstanding.pop(future)
             try:
                 envelope = future.result()
-            except (BrokenProcessPool, CancelledError) as exc:
-                self._infra_fault(
-                    queue, i, attempt, "broken-pool", exc, states, tick
-                )
-                return True
             except Exception as exc:
-                states[i].attempts = attempt + 1
                 self._fail(i, "failed", _error_dict(exc), states)
                 tick(i)
-                return False
-            self._absorb(i, attempt, envelope, labels, keys, states, tick)
+                return isinstance(exc, (BrokenProcessPool, CancelledError))
+            self._absorb(i, envelope, labels, keys, states, tick)
             return False
 
         try:
             while queue or outstanding or held:
-                if held:
-                    for group in list(held):
-                        if states[leaders[group]].status != "pending":
-                            queue.extend((i, 0, 0.0) for i in held.pop(group))
-                now = time.monotonic()
-                deferred: List[tuple] = []
-                for entry in queue:
-                    i, attempt, not_before = entry
-                    if not_before > now or len(outstanding) >= max_workers:
-                        deferred.append(entry)
-                        continue
+                for group in list(held):
+                    if states[leaders[group]].status != "pending":
+                        queue.extend(held.pop(group))
+                while queue and len(outstanding) < max_workers:
                     if pool is None:
                         pool = ProcessPoolExecutor(
                             max_workers=max_workers,
@@ -808,25 +778,20 @@ class ExperimentEngine:
                             initargs=(worker_env,),
                         )
                     try:
-                        future = pool.submit(_run_timed, worker, payloads[i])
+                        future = pool.submit(
+                            _run_timed, worker, payloads[queue[0]]
+                        )
                     except Exception:
                         # The pool broke between loops: kill it so its
-                        # futures settle as broken-pool faults, and
-                        # offer this entry again uncharged.
+                        # futures settle as broken-pool failures, and
+                        # offer this job again on a fresh pool.
                         _kill_pool(pool)
                         pool = None
-                        deferred.append(entry)
-                        continue
+                        break
                     deadline = time.monotonic() + timeout if timeout else None
-                    outstanding[future] = (i, attempt, deadline)
-                queue[:] = deferred
+                    outstanding[future] = (queue.pop(0), deadline)
 
                 if not outstanding:
-                    if queue:
-                        wake = min(entry[2] for entry in queue)
-                        time.sleep(
-                            max(0.0, min(wake - time.monotonic(), 0.1))
-                        )
                     continue
 
                 done, _ = wait(
@@ -849,26 +814,23 @@ class ExperimentEngine:
                 now = time.monotonic()
                 expired = {
                     future
-                    for future, (_, _, deadline) in outstanding.items()
+                    for future, (_, deadline) in outstanding.items()
                     if now >= deadline and not future.done()
                 }
                 if not expired:
                     continue
                 for future in list(outstanding):
                     if future in expired:
-                        i, attempt, _ = outstanding.pop(future)
+                        i, _ = outstanding.pop(future)
                         exc = TimeoutError(
-                            f"job {labels[i]!r} exceeded {timeout:g}s "
-                            f"(attempt {attempt})"
+                            f"job {labels[i]!r} exceeded {timeout:g}s"
                         )
-                        self._infra_fault(
-                            queue, i, attempt, "timeout", exc, states, tick
-                        )
+                        self._fail(i, "timeout", _error_dict(exc), states)
+                        tick(i)
                     elif future.done():
                         settle(future)
                     else:
-                        i, attempt, _ = outstanding.pop(future)
-                        queue.append((i, attempt, 0.0))
+                        queue.append(outstanding.pop(future)[0])
                 if pool is not None:
                     _kill_pool(pool)
                     pool = None
@@ -880,18 +842,6 @@ class ExperimentEngine:
             raise
         if pool is not None:
             pool.shutdown(wait=True)
-
-    def _infra_fault(self, queue, i, attempt, kind, exc, states, tick) -> None:
-        """A dead worker process or a timeout: retry with backoff until
-        the attempt budget runs out, then record the final status."""
-        if attempt < self.retries:
-            not_before = time.monotonic() + self._backoff_delay(attempt)
-            queue.append((i, attempt + 1, not_before))
-            return
-        status = "timeout" if kind == "timeout" else "failed"
-        states[i].attempts = attempt + 1
-        self._fail(i, status, _error_dict(exc), states)
-        tick(i)
 
     def _finalise(
         self,
@@ -928,7 +878,6 @@ class ExperimentEngine:
                     else "skipped"
                 ),
                 "status": state.status,
-                "attempts": state.attempts,
                 "error": state.error,
                 "worker_pid": state.worker_pid,
                 "wall_s": wall,

@@ -13,11 +13,12 @@ job.  README's "Configuration" table is :func:`knob_table`'s output.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pathlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
 #: Repo-level results directory (works for the src-layout checkout).
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "results"
@@ -74,9 +75,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("REPRO_CACHE_DIR", None, str,
          "Root of the result cache, traces, prep slices and "
          "profiles; unset means `results/.cache`."),
-    Knob("REPRO_RETRIES", 2, _number(int, 0),
-         "Retries for infrastructure faults, dead workers and "
-         "timeouts (`--retries`)."),
     Knob("REPRO_JOB_TIMEOUT", None, _timeout,
          "Per-job wall-clock limit in seconds, enforced when jobs > 1 "
          "(`--job-timeout`); unset, 0 or less means none."),
@@ -115,6 +113,22 @@ def check_settings() -> None:
             )
         if name in KNOBS:
             setting(name)
+
+
+@contextlib.contextmanager
+def restored(name: str) -> Iterator[None]:
+    """Put knob ``name`` back in the environment as it was when the
+    block began.  The environment is how a value reaches pool workers,
+    so a caller may set the knob inside the block without changing it
+    for the rest of the process."""
+    saved = os.environ.get(name)
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = saved
 
 
 def cache_root(cache_dir: Optional[pathlib.Path] = None) -> pathlib.Path:

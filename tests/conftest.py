@@ -1,11 +1,25 @@
-"""Shared test helpers: small hand-built programs and IR fragments."""
+"""Shared test helpers: small hand-built programs and IR fragments, and
+a per-session store root that keeps tests off ``results/.cache``."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro.experiments.settings import restored
 from repro.ir import FunctionBuilder
 from repro.isa import Instruction, Opcode, assemble
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _session_cache_root(tmp_path_factory):
+    """Root every store a test does not root itself in this session's
+    tmp directory, never in the checkout's ``results/.cache``.  A test's
+    own ``monkeypatch.setenv("REPRO_CACHE_DIR", ...)`` still wins."""
+    with restored("REPRO_CACHE_DIR"):
+        os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("cache"))
+        yield
 
 
 def build_diamond(

@@ -41,14 +41,13 @@ class TestParser:
         assert args.iterations == 100 and args.seeds == 2
 
     def test_robustness_flags(self):
-        args = build_parser().parse_args(
-            ["--job-timeout", "2.5", "--retries", "4", "table2"]
-        )
+        args = build_parser().parse_args(["--job-timeout", "2.5", "table2"])
         assert args.job_timeout == 2.5
-        assert args.retries == 4
         args = build_parser().parse_args(["table2"])
         assert args.job_timeout is None
-        assert args.retries is None
+        # No failed job is retried: re-running the command is the retry.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--retries", "2", "table2"])
         # The local pool is the one execution path: no backend flag.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--backend", "local", "table2"])
@@ -126,7 +125,6 @@ class TestExecution:
         monkeypatch.setattr(
             "repro.experiments.harness.run_seed", crashing_run_seed
         )
-        monkeypatch.setattr("repro.experiments.engine.RETRY_BACKOFF_S", 0.0)
         code = main(
             ["--iterations", "90", "--jobs", "1", "--no-cache",
              "bench", "omnetpp"]
@@ -135,6 +133,17 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "omnetpp: FAILED" in out
         assert "PlannedCrash" in out
+
+    def test_profile_leaves_the_environment_as_it_was(self, monkeypatch):
+        """``--profile`` reaches pool workers through ``REPRO_PROFILE``;
+        once ``main`` returns, a later engine in this process must not
+        profile its jobs."""
+        monkeypatch.setenv("REPRO_PROFILE", "0")  # restored at teardown
+        monkeypatch.delenv("REPRO_PROFILE")
+        argv = ["--profile", "--jobs", "1", "--iterations", "90",
+                "bench", "gcc"]
+        assert main(argv) == 0
+        assert "REPRO_PROFILE" not in os.environ
 
 
 class TestSettingsErrors:
@@ -153,6 +162,7 @@ class TestSettingsErrors:
             ("REPRO_RETRY_BACKOFF", "0"),
             ("REPRO_FAULT_HANG_S", "30"),
             ("REPRO_FAULT_INJECT", "crash:1.0@seed=1"),
+            ("REPRO_RETRIES", "2"),
         ],
     )
     def test_bad_setting_exits_2_with_one_line(self, name, raw, tmp_path):

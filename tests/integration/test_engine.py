@@ -133,33 +133,35 @@ class TestObservability:
             assert "h264ref" in record["label"]
 
     def test_manifest_schema4_health_fields(self, tmp_path):
-        """Schema >= 4 fields: per-job status/attempts/error plus run
-        label, robustness knobs, health totals, artifact counters; the
-        per-job ``worker_pid``; the v9 removal of the plane and
-        batch-dispatch fields; the v11 removal of the backend block;
-        the v12 removal of the run journal's fields and the per-worker
-        block; and the v13 removal of the fault-injection field."""
+        """Schema >= 4 fields: per-job status/error plus run label,
+        the timeout knob, health totals, artifact counters; the per-job
+        ``worker_pid``; the v9 removal of the plane and batch-dispatch
+        fields; the v11 removal of the backend block; the v12 removal
+        of the run journal's fields and the per-worker block; the v13
+        removal of the fault-injection field; and the v14 removal of
+        the retry fields."""
         config = RunConfig.quick()
         engine = ExperimentEngine(
             jobs=1, cache_dir=tmp_path, use_cache=True, run_id="m3",
-            retries=1, job_timeout=30.0,
+            job_timeout=30.0,
         )
         engine.run_benchmark("h264ref", config)
         manifest = engine.manifest(config)
-        assert manifest["schema"] == 13
+        assert manifest["schema"] == 14
         assert "backend" not in manifest
         assert "workers" not in manifest
         block = manifest["engine"]
         assert "backend" not in block
         assert "resume" not in block
         assert block["run_id"] == "m3"
-        assert block["retries"] == 1
+        assert "retries" not in block
         assert block["job_timeout_s"] == 30.0
         assert "fault_inject" not in block
         totals = manifest["totals"]
         assert totals["ok"] == totals["jobs"] == len(config.ref_seeds)
         assert totals["failed"] == totals["timeout"] == 0
-        assert totals["skipped"] == totals["retries_used"] == 0
+        assert totals["skipped"] == 0
+        assert "retries_used" not in totals
         assert totals["quarantined"] == 0
         assert "journal_hits" not in totals
         # v4: per-job artifact counters aggregate into the totals.
@@ -170,7 +172,7 @@ class TestObservability:
         assert "shm_segments_cleaned" not in totals
         for record in manifest["jobs"]:
             assert record["status"] == "ok"
-            assert record["attempts"] == 1
+            assert "attempts" not in record
             assert record["error"] is None
             assert isinstance(record["artifacts"], dict)
             assert isinstance(record["worker_pid"], int)

@@ -1,4 +1,4 @@
-"""Engine robustness under faults: isolation, retries, the result cache.
+"""Engine robustness under faults: isolation, timeouts, the result cache.
 
 Every scenario the supervision layer claims to survive is exercised
 here at quick scale, each fault made by the test itself: a worker
@@ -20,12 +20,6 @@ from repro.experiments import ExperimentEngine, RunConfig
 from repro.experiments.engine import CACHE_SCHEMA, MANIFEST_SCHEMA
 
 pytestmark = pytest.mark.faults
-
-
-@pytest.fixture(autouse=True)
-def _fast_retries(monkeypatch):
-    """No backoff sleeps between retries."""
-    monkeypatch.setattr("repro.experiments.engine.RETRY_BACKOFF_S", 0.0)
 
 
 class PlannedCrash(RuntimeError):
@@ -55,8 +49,8 @@ def _odd_boom_job(payload) -> dict:
 
 def _die_once_job(payload) -> dict:
     """Kills its worker process the first time each payload runs
-    (simulating an OOM kill); succeeds on the retry.  The marker file
-    is how an attempt survives the process death."""
+    (simulating an OOM kill); succeeds when a re-run runs it again.
+    The marker file is how the first run survives the process death."""
     marker_dir, value = payload
     marker = pathlib.Path(marker_dir) / f"{value}.died"
     if not marker.exists():
@@ -74,6 +68,13 @@ def _sleep_job(payload) -> dict:
     return {"value": payload}
 
 
+def _case_job(payload) -> dict:
+    """Runs ``job(argument)`` for a ``(job, argument)`` payload, so one
+    map can mix the jobs above."""
+    job, argument = payload
+    return job(argument)
+
+
 def _planned_crash_job(payload) -> dict:
     """Raises for the payloads in :data:`PLANNED_CRASHES`."""
     if payload in PLANNED_CRASHES:
@@ -89,7 +90,7 @@ def _sidecar(entry: pathlib.Path) -> pathlib.Path:
 class TestWorkerExceptionIsolation:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_raise_is_recorded_not_raised(self, jobs):
-        engine = ExperimentEngine(jobs=jobs, use_cache=False, retries=2)
+        engine = ExperimentEngine(jobs=jobs, use_cache=False)
         results = engine.map(
             _odd_boom_job, [0, 1, 2, 3],
             labels=[f"boom{i}" for i in range(4)],
@@ -100,54 +101,65 @@ class TestWorkerExceptionIsolation:
         failed = engine.failures
         assert len(failed) == 2
         for record in failed:
-            # Deterministic failures are never retried.
-            assert record["attempts"] == 1
             assert record["error"]["type"] == "ValueError"
             assert "odd payload" in record["error"]["message"]
             assert "ValueError" in record["error"]["traceback"]
 
 
 class TestBrokenPool:
-    def test_dead_worker_is_retried_and_succeeds(self, tmp_path):
-        payloads = [(str(tmp_path), i) for i in range(4)]
-        engine = ExperimentEngine(jobs=2, use_cache=False, retries=2)
+    def test_dead_worker_fails_the_jobs_in_flight_only(self):
+        """A dead worker breaks its pool, and the pool cannot say which
+        worker died: the job that died and the one running beside it
+        both fail, and the jobs submitted after run on a fresh pool."""
+        payloads = [
+            (_always_die_job, None),
+            (_sleep_job, 1.0),
+            (_sleep_job, 0.01),
+            (_sleep_job, 0.02),
+        ]
+        engine = ExperimentEngine(jobs=2, use_cache=False)
         results = engine.map(
-            _die_once_job, payloads,
-            labels=[f"die{i}" for i in range(4)],
+            _case_job, payloads, labels=["dies", "beside", "q1", "q2"]
         )
-        assert results == [{"value": i} for i in range(4)]
-        assert all(r["status"] == "ok" for r in engine.records)
-        # Every payload died exactly once, so at least the direct victim
-        # of each pool death carries a charged retry.
-        assert max(r["attempts"] for r in engine.records) >= 2
+        assert results == [None, None, {"value": 0.01}, {"value": 0.02}]
+        assert [r["status"] for r in engine.records] \
+            == ["failed", "failed", "ok", "ok"]
+        for record in engine.failures:
+            assert record["error"]["type"] == "BrokenProcessPool"
 
-    def test_retries_exhausted_records_broken_pool(self):
-        engine = ExperimentEngine(jobs=2, use_cache=False, retries=1)
-        results = engine.map(
-            _always_die_job, [0], labels=["hopeless"]
-        )
-        assert results == [None]
-        (record,) = engine.records
-        assert record["status"] == "failed"
-        assert record["attempts"] == 2  # initial try + 1 retry
-        assert record["error"]["type"] == "BrokenProcessPool"
-
-    def test_mid_batch_death_spares_other_jobs(self, tmp_path):
-        """A pool death must not lose the independent jobs that were
-        merely co-resident in the dying pool."""
-        payloads = [(str(tmp_path), 0), (str(tmp_path), 1)]
-        engine = ExperimentEngine(jobs=2, use_cache=False, retries=3)
-        results = engine.map(
-            _die_once_job, payloads, labels=["a", "b"]
-        )
-        assert results == [{"value": 0}, {"value": 1}]
+    def test_rerun_after_a_dead_worker_runs_only_its_failures(
+        self, tmp_path
+    ):
+        """Nothing that failed is cached, so re-running the same map on
+        the same cache root is the retry: it runs exactly the jobs the
+        pool death took, and the dead worker's job now succeeds."""
+        # Only payload 0 dies, once.  Payload 1 sleeps beside it, so it
+        # is in flight when the pool dies and fails with it; a second
+        # dying payload could still be in the call queue when the pool
+        # died, write no marker, and die again on the re-run.
+        payloads = [
+            (_die_once_job, (str(tmp_path), 0)),
+            (_sleep_job, 5.0),
+            (_sleep_job, 0.01),
+            (_sleep_job, 0.02),
+        ]
+        labels = ["dies-once", "beside", "q1", "q2"]
+        cache = tmp_path / "cache"
+        first = ExperimentEngine(jobs=2, cache_dir=cache, use_cache=True)
+        assert first.map(_case_job, payloads, labels=labels) == [
+            None, None, {"value": 0.01}, {"value": 0.02},
+        ]
+        rerun = ExperimentEngine(jobs=2, cache_dir=cache, use_cache=True)
+        assert rerun.map(_case_job, payloads, labels=labels) == [
+            {"value": 0}, {"value": 5.0}, {"value": 0.01}, {"value": 0.02},
+        ]
+        assert [r["cache"] for r in rerun.records] \
+            == ["miss", "miss", "hit", "hit"]
 
 
 class TestTimeouts:
     def test_watchdog_kills_overrunning_job(self):
-        engine = ExperimentEngine(
-            jobs=2, use_cache=False, retries=0, job_timeout=0.5
-        )
+        engine = ExperimentEngine(jobs=2, use_cache=False, job_timeout=0.5)
         start = time.monotonic()
         results = engine.map(
             _sleep_job, [30.0, 0.05], labels=["slow", "fast"]
@@ -159,25 +171,20 @@ class TestTimeouts:
         assert elapsed < 10.0  # nowhere near the 30s sleep
 
     def test_watchdog_requeues_innocent_in_flight_job(self):
-        """The watchdog kills the whole pool: the job that overran is
-        charged its timeout, and the job still running beside it goes
-        back on the queue uncharged and finishes on the next pool."""
-        engine = ExperimentEngine(
-            jobs=2, use_cache=False, retries=0, job_timeout=2.0
-        )
+        """The watchdog kills the whole pool: the job that overran ends
+        ``timeout``, and the job still running beside it goes back on
+        the queue and finishes on the next pool."""
+        engine = ExperimentEngine(jobs=2, use_cache=False, job_timeout=2.0)
         results = engine.map(
             _sleep_job, [30.0, 1.0, 1.5], labels=["slow", "fast", "beside"]
         )
         assert results == [None, {"value": 1.0}, {"value": 1.5}]
         assert [r["status"] for r in engine.records] \
             == ["timeout", "ok", "ok"]
-        assert [r["attempts"] for r in engine.records] == [1, 1, 1]
 
     def test_injected_hang_hits_the_watchdog(self):
         """Every worker hangs at once: the watchdog times each out."""
-        engine = ExperimentEngine(
-            jobs=2, use_cache=False, retries=0, job_timeout=0.4
-        )
+        engine = ExperimentEngine(jobs=2, use_cache=False, job_timeout=0.4)
         start = time.monotonic()
         results = engine.map(_sleep_job, [30.0, 30.0], labels=["a", "b"])
         elapsed = time.monotonic() - start
@@ -276,7 +283,7 @@ class TestCrashInjectionSmoke:
 
     def test_exactly_the_planned_jobs_fail(self):
         labels = [f"smoke{i}" for i in range(6)]
-        engine = ExperimentEngine(jobs=2, use_cache=False, retries=2)
+        engine = ExperimentEngine(jobs=2, use_cache=False)
         results = engine.map(
             _planned_crash_job, list(range(6)), labels=labels
         )
@@ -287,7 +294,6 @@ class TestCrashInjectionSmoke:
         for record, crashed in zip(engine.records, expected):
             if crashed:
                 assert record["error"]["type"] == "PlannedCrash"
-                assert record["attempts"] == 1  # deterministic: no retry
         assert [r is None for r in results] == expected
 
 
@@ -538,9 +544,7 @@ class TestBenchmarkSweepAcceptance:
         # A monkeypatch reaches a pool worker only through fork; the
         # serial engine runs every job in this process.
         monkeypatch.setattr(harness, "run_seed", crashing_run_seed)
-        engine = ExperimentEngine(
-            jobs=1, cache_dir=tmp_path, use_cache=True, retries=2
-        )
+        engine = ExperimentEngine(jobs=1, cache_dir=tmp_path, use_cache=True)
         outcomes = engine.run_benchmarks(names, config)
         manifest = engine.manifest(config)
         assert manifest["schema"] == MANIFEST_SCHEMA

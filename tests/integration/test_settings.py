@@ -21,7 +21,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 MALFORMED = {
     "REPRO_JOBS": "four",
     "REPRO_CACHE": "disabled",
-    "REPRO_RETRIES": "two",
     "REPRO_JOB_TIMEOUT": "10s",
     "REPRO_PROFILE": "y",
     "REPRO_TRACE_LRU_MB": "1G",
@@ -106,7 +105,6 @@ def test_unknown_name_is_rejected(monkeypatch):
     [
         ("REPRO_JOBS", "0", 1),
         ("REPRO_JOBS", "3", 3),
-        ("REPRO_RETRIES", "-1", 0),
         ("REPRO_JOB_TIMEOUT", "0", None),
         ("REPRO_JOB_TIMEOUT", "-2", None),
         ("REPRO_JOB_TIMEOUT", "1.5", 1.5),
@@ -159,9 +157,9 @@ def test_every_knob_named_in_the_program_is_in_the_table():
 
 
 def test_only_settings_reads_knobs_from_the_environment():
-    """``settings.py`` is the one reader; the engine's save and restore
-    of ``REPRO_CACHE_DIR`` around ``map()`` is the one exception."""
-    allowed = {("src/repro/experiments/engine.py", "REPRO_CACHE_DIR")}
+    """``settings.py`` is the one reader: the engine's export of
+    ``REPRO_CACHE_DIR`` around ``map()`` and the CLI's ``--profile``
+    put the old value back through ``settings.restored``."""
     reads = re.compile(
         r"os\.(?:environ\.get|getenv)\(\s*[\"'](REPRO_[A-Z0-9_]+)"
     )
@@ -170,4 +168,4 @@ def test_only_settings_reads_knobs_from_the_environment():
         for path in _program_files()
         for name in reads.findall(path.read_text())
     }
-    assert found <= allowed, sorted(found - allowed)
+    assert not found, sorted(found)
