@@ -77,7 +77,11 @@ trace-keyed simulation, including the one whose miss captured it,
 fleet exactly one per ``(trace, predictor, config class)`` --
 ``prep_quarantined`` counts corrupt slice blobs sidelined;
 ``walk_diverges`` counts in-order region walks that failed validation
-and were re-run on the reference core;
+and were re-run on the reference core; ``walk_visits`` counts the
+regions those walks visited, and ``walk_misses`` the visits that
+missed the transition memo the process's walks share and stepped the
+region instruction by instruction (``1 - walk_misses / walk_visits``
+is the memo's hit rate);
 ``store_*`` count the durable blob layer underneath (:mod:`.store`):
 fsync'd puts, transient-I/O retries, and digest-verification failures
 (torn transfers quarantined on read).
@@ -99,7 +103,7 @@ from ..uarch import (
     capture_trace,
     collect_branch_trace,
 )
-from ..uarch import replay_vec
+from ..uarch import replay_multi, replay_vec
 from ..uarch.ooo import OutOfOrderCore
 from ..uarch.replay import replay_inorder, replay_ooo
 from ..uarch.replay_multi import WalkDivergence
@@ -121,6 +125,8 @@ _COUNTER_NAMES = (
     "prep_builds",
     "prep_quarantined",
     "walk_diverges",
+    "walk_visits",
+    "walk_misses",
     "btrace_hits",
     "btrace_misses",
     "profile_hits",
@@ -691,8 +697,10 @@ class ArtifactStore:
         captured once, timing-free, under the group's first config:
         a cold axis costs one capture plus one replay per point.  Each
         point then attaches its prep slice and walks the trace's region
-        table, which every point sharing a kernel table reuses.  A walk
-        that fails validation is counted (``walk_diverges``) and that
+        id list, which every point sharing a kernel table reuses; each
+        walk's region visits and memo misses are counted
+        (``walk_visits``, ``walk_misses``).  A walk that fails
+        validation is counted (``walk_diverges``) and that
         point runs on the reference core at the trace's budget, as a
         config without a trace key always does (moving no trace
         counter).  Results are returned in config order and are
@@ -718,6 +726,8 @@ class ArtifactStore:
                 config = configs[index]
                 self._ensure_prep(program, trace, config)
                 self._bump("trace_replays")
+                visits = replay_multi.walk_visits
+                misses = replay_multi.walk_misses
                 try:
                     results[index] = replay_inorder(program, trace, config)
                 except WalkDivergence:
@@ -725,6 +735,8 @@ class ArtifactStore:
                     results[index] = InOrderCore(config).run(
                         program, max_instructions=trace.meta["budget"]
                     )
+                self._bump("walk_visits", replay_multi.walk_visits - visits)
+                self._bump("walk_misses", replay_multi.walk_misses - misses)
         return results
 
     def simulate_ooo(

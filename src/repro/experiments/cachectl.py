@@ -26,8 +26,10 @@ removes the sidecar with it, and a sidecar whose blob is already gone
 Only regular files are ever entries.  :func:`verify` offline
 re-hashes every sidecarred blob and parses every trace and prep slice
 (``repro cache verify``);
-:func:`artifact_counters` reads the hit/miss counters a schema>=4 run
-manifest aggregated.
+:func:`artifact_counters` reads the hit/miss counters the last run
+manifest aggregated, when it is of the schema this code writes
+(:data:`.engine.MANIFEST_SCHEMA`): another schema's counters describe
+a run of other code.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .engine import MANIFEST_SCHEMA
 from .settings import RESULTS_DIR, cache_root
 
 #: section name -> (subdirectory or "" for the cache root, glob pattern).
@@ -363,21 +366,31 @@ def render_verify(report: VerifyReport) -> str:
     return "\n".join(lines)
 
 
-def artifact_counters(
-    manifest_path: Optional[pathlib.Path] = None,
-) -> Optional[Dict[str, int]]:
-    """The ``totals.artifacts`` counters of the last run manifest
-    (schema >= 4), or ``None`` when absent/unreadable/older-schema."""
+def _read_manifest(manifest_path: Optional[pathlib.Path]) -> Optional[Dict]:
+    """The last run manifest, or ``None`` when absent/unreadable."""
     if manifest_path is None:
         manifest_path = RESULTS_DIR / "run_manifest.json"
     try:
         manifest = json.loads(pathlib.Path(manifest_path).read_text())
     except (OSError, ValueError):
         return None
-    if not isinstance(manifest, dict) or manifest.get("schema", 0) < 4:
+    return manifest if isinstance(manifest, dict) else None
+
+
+def _counters(manifest: Optional[Dict]) -> Optional[Dict[str, int]]:
+    if manifest is None or manifest.get("schema") != MANIFEST_SCHEMA:
         return None
     artifacts = manifest.get("totals", {}).get("artifacts")
     return artifacts if isinstance(artifacts, dict) else None
+
+
+def artifact_counters(
+    manifest_path: Optional[pathlib.Path] = None,
+) -> Optional[Dict[str, int]]:
+    """The ``totals.artifacts`` counters of the last run manifest, or
+    ``None`` when it is absent, unreadable or of another schema than
+    :data:`.engine.MANIFEST_SCHEMA`."""
+    return _counters(_read_manifest(manifest_path))
 
 
 def _human(nbytes: int) -> str:
@@ -418,11 +431,18 @@ def render_report(
         f"  {'total':<10} {total_files:>5} files  "
         f"{_human(total_bytes):>10}"
     )
-    counters = artifact_counters(manifest_path)
-    if counters is None:
+    manifest = _read_manifest(manifest_path)
+    counters = _counters(manifest)
+    if manifest is None:
+        lines.append("no artifact counters (no run manifest found)")
+    elif manifest.get("schema") != MANIFEST_SCHEMA:
         lines.append(
-            "no artifact counters (no schema-4 run manifest found)"
+            f"no artifact counters (the run manifest is schema "
+            f"{manifest.get('schema')}; this code writes schema "
+            f"{MANIFEST_SCHEMA})"
         )
+    elif counters is None:
+        lines.append("no artifact counters (the run manifest has none)")
     elif not counters:
         # Cache hits run no job, so an all-hits run moves no counter.
         lines.append(
@@ -430,7 +450,10 @@ def render_report(
             "every job is a cache hit)"
         )
     else:
-        lines.append("last run artifact counters (manifest schema >= 4):")
+        lines.append(
+            f"last run artifact counters (manifest schema "
+            f"{MANIFEST_SCHEMA}):"
+        )
         for name, value in sorted(counters.items()):
             lines.append(f"  {name:<20} {value}")
     return "\n".join(lines)

@@ -128,8 +128,10 @@ CACHE_SCHEMA = 1
 #: v13 drops ``engine.fault_inject`` with the fault-injection knob;
 #: v14 drops ``engine.retries``, the totals' count of retries used and
 #: the per-job ``attempts`` with engine retries: no failed job is
-#: retried.
-MANIFEST_SCHEMA = 14
+#: retried; v15 adds ``walk_visits`` and ``walk_misses`` to the
+#: artifact blocks: the in-order walks' region visits and the visits
+#: that missed the process's shared transition memo.
+MANIFEST_SCHEMA = 15
 
 _CODE_VERSION: Optional[str] = None
 

@@ -47,7 +47,12 @@ from ..core import SelectionConfig, TransformConfig
 from ..ir import lower
 from ..uarch import MachineConfig
 from ..uarch.trace import predictor_id
-from ..workloads import WorkloadSpec, spec_benchmark, suite_benchmarks
+from ..workloads import (
+    WorkloadSpec,
+    release_chase_chains,
+    spec_benchmark,
+    suite_benchmarks,
+)
 
 
 @dataclass
@@ -198,6 +203,10 @@ def prepare_benchmark(
     transform = config.transform if transform is None else transform
     profile = train_profile(spec, config, store, predictor)
     ref = store.build(spec, seed)
+    # The REF build is the chase chains' last reader: a cold call's
+    # TRAIN build read them just before, and a warm call builds no
+    # TRAIN program.
+    release_chase_chains()
     content = json.dumps(
         [fingerprint(spec), config.train_seed, seed, config.max_instructions]
     )
@@ -234,7 +243,7 @@ def run_seed(name: str, seed: int, config: RunConfig) -> Dict:
     width axis runs through the sweep front door
     (:meth:`ArtifactStore.simulate_inorder_sweep`): the first sight of
     a program captures its committed stream timing-free, and every
-    width replays it as its own walk of one shared region table
+    width replays it as its own walk of one shared region id list
     (bit-identical to per-width execute-driven runs).  The engine
     records the job's artifact counter movement in its manifest.
     """

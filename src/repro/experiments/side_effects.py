@@ -158,7 +158,7 @@ def _icache_job(payload) -> dict:
         name, config.ref_seeds[0], config, store
     )
     # One sweep call: one trace lookup, then a replay per geometry
-    # (each on its own prep slice and region table).
+    # (each on its own prep slice and region id list).
     run_32k, run_24k = store.simulate_inorder_sweep(
         baseline.program, [machine_32k, machine_24k],
         max_instructions=config.max_instructions,

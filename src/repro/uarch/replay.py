@@ -17,9 +17,10 @@ in ``tests/uarch`` compare the kernels against it directly.
 
 The fast path precomputes every clock-independent decision once
 (:mod:`.replay_vec`) and leaves one serial kernel per core, run once
-per point.  In-order replay walks the trace's region table
+per point.  In-order replay walks the trace's region id list
 (:mod:`.replay_multi`), built once per kernel table and shared by
-every width, ports and front-end setting.  A walk that fails its
+every width, ports and front-end setting, over a transition memo
+every walk in the process shares.  A walk that fails its
 validation raises :class:`~.replay_multi.WalkDivergence` to the
 caller; the artifact store counts it and runs the reference core.
 

@@ -3,11 +3,12 @@
 Every in-order point replays through one walk of the fused action
 codes (:func:`replay_inorder_multi_stats`, entered through
 :func:`repro.uarch.replay_vec.replay_inorder_stats`).  The walk reads
-a run-length *region* view of the stream that is built once per
-fused kernel table and cached on the trace: ``prep_config_class``
-leaves width, ports, front-end depth and bubbles out of the kernel
-key, so every point of a width/ports/front-end sweep walks the same
-table.
+a run-length *region* view of the stream: per fused kernel table, the
+trace caches the region ids its stream visits, and the regions'
+contents live in tables every walk in the process shares.
+``prep_config_class`` leaves width, ports, front-end depth and
+bubbles out of the kernel key, so every point of a width/ports/
+front-end sweep walks the same region id list.
 
 The trick is that in-order timing is translation-invariant: shift
 every clock-coupled quantity (fetch cycle, scoreboard entries,
@@ -17,16 +18,27 @@ deltas it produces are unchanged.  So the stream is cut into
 (identical code stretches recur constantly in loop-heavy traces), and
 the walk's clock-coupled state between regions is *canonicalised
 relative to its own issue frontier* -- the reg-from-load bit of every
-live scoreboard register included, so the region table is only
-contents and the region-id sequence.  A walk entering an already-seen
-``(region content, canonical state)`` replays the memoised transition
--- an integer dict hit -- instead of re-walking the region instruction
-by instruction; a miss that follows a miss steps the absolute state
-the walk already holds.  The memo key is exact, so the walk's
-accumulators are **bit-identical** to a walk of the whole stream, and
-through it to the execute-driven reference core (:class:`InOrderCore`)
-that the golden suite pins; the equivalence tests in ``tests/uarch``
-and the golden-pinned replays in ``tests/golden`` hold it there.
+live scoreboard register included, so a region is only its contents.
+A walk entering an already-seen ``(region content, canonical state)``
+replays the memoised transition -- an integer dict hit -- instead of
+re-walking the region instruction by instruction; a miss that follows
+a miss steps the absolute state the walk already holds.  The memo key
+is exact (walk constants, canonical state, region content), so the
+walk's accumulators are **bit-identical** to a walk of the whole
+stream, and through it to the execute-driven reference core
+(:class:`InOrderCore`) that the golden suite pins; the equivalence
+tests in ``tests/uarch`` and the golden-pinned replays in
+``tests/golden`` hold it there.
+
+Because the key is exact, a transition one walk stepped holds in
+every other walk, so the interned region contents, the canonical
+states and the memo (one per walk-constants tuple) are per process,
+not per walk: the rungs of a predictor ladder, which differ only
+where their predictors disagree, step most transitions once.  The
+tables are cleared together once their memo entries pass
+``_TABLE_CAP`` (checked before each walk) and whenever a walk fails
+validation; each clear bumps a generation that makes every cached
+region id list rebuild on its next walk.
 
 The walk declines (returns ``None``, and the caller runs the
 reference core) outside the vectorized path's own guards: an
@@ -37,9 +49,10 @@ this module: :class:`MachineConfig` rejects them when built.
 Divergence containment: the walk re-checks cheap invariants
 (non-negative stall accumulators, the width bound
 ``cycles * width >= issued``) and raises :class:`WalkDivergence` on
-violation.  The artifact store catches it per point, counts it
-(``walk_diverges``) and runs that point on the reference core, the
-one independent in-order timing model left.
+violation, after clearing the shared tables so that no transition the
+failed walk stepped outlives it.  The artifact store catches it per
+point, counts it (``walk_diverges``) and runs that point on the
+reference core, the one independent in-order timing model left.
 """
 
 from __future__ import annotations
@@ -79,6 +92,50 @@ _REDIRECTS = frozenset(
 )
 
 
+# ----------------------------------------------------------- shared tables
+
+# The tables every walk in a process shares (see the module docstring):
+#
+#   _signatures  operand tuple (fu, dest, src0, rest) -> signature id
+#   _region_ids  a region's row bytes -> region id
+#   _contents    region id -> the region's 7 column tuples
+#   _walks       walk constants -> (state ids, states, memo)
+#
+# A trace's region layer (``ReplayPrep.regions``) keeps only its
+# occurrence -> region id list, tagged with ``_generation``.  Clearing
+# the tables bumps the generation, so a list built before the clear is
+# rebuilt on its next walk.  Pool workers inherit the tables at fork.
+
+#: Memo entries, summed over every walk-constants tuple, past which the
+#: next walk clears every table before it starts.  A serial warm ladder
+#: pass at bench scale leaves 11,912 entries, and clearing them frees
+#: 11.5 MiB: about 1 KiB per entry, its states, region contents and
+#: intern keys included.  So the cap holds the tables near 32 MiB.
+_TABLE_CAP = 32_768
+
+_signatures: Dict[tuple, int] = {}
+_region_ids: Dict[bytes, int] = {}
+_contents: List[tuple] = []
+_walks: Dict[tuple, tuple] = {}
+_generation = 0
+
+#: Running totals over every walk this process ran: region visits and
+#: memo misses.  ``ArtifactStore.simulate_inorder_sweep`` reports their
+#: movement as the ``walk_visits`` and ``walk_misses`` counters.
+walk_visits = 0
+walk_misses = 0
+
+
+def _clear_tables() -> None:
+    """Drop every shared table together and bump the generation."""
+    global _generation
+    _signatures.clear()
+    _region_ids.clear()
+    _contents.clear()
+    _walks.clear()
+    _generation += 1
+
+
 # ------------------------------------------------------------ region table
 
 #: Fused action code -> whether it ends a region (one lookup cuts the
@@ -87,23 +144,22 @@ _REDIRECT_LUT = np.zeros(256, bool)
 _REDIRECT_LUT[sorted(_REDIRECTS)] = True
 
 
-def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
-    """Cut the fused stream at every redirect and intern region
-    contents.
+def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> List[int]:
+    """Cut the fused stream at every redirect and intern each region's
+    contents into the shared tables.
 
-    Returns the shared (config-independent) region table:
-
-    * ``contents`` -- region id -> 7 column tuples (act, fetch_add,
-      lat, fu, dest, src0, rest) for the region's instructions;
-    * ``rids``     -- occurrence index -> region id, in stream order.
+    Returns the occurrence index -> region id list, in stream order;
+    ``_contents[rid]`` holds region ``rid``'s 7 column tuples (act,
+    fetch_add, lat, fu, dest, src0, rest).
 
     Built from the arrays: a region's key is the bytes of its rows in
     an int32 ``(n, 4)`` table of (action, fetch add, latency, operand
     signature), where the signature interns the base layer's per-pc
-    ``(fu, dest, src0, rest)`` tuple -- so two occurrences share an id
-    exactly when their column tuples are equal, and the tuples are
-    built once per distinct region.  Which registers a load last
-    wrote is walk state (:func:`_canon`), not part of the table.
+    ``(fu, dest, src0, rest)`` tuple -- so two regions, of this stream
+    or any other, share an id exactly when their column tuples are
+    equal, and the tuples are built once per distinct region.  Which
+    registers a load last wrote is walk state (:func:`_canon`), not
+    part of the table.
     """
     act = kernel["act"]
     lat = kernel["lat"]
@@ -119,7 +175,7 @@ def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
     ops_by_pc = base["ops_by_pc"]
     # Two pcs share a signature exactly when their operand tuples are
     # equal.
-    signatures: Dict[tuple, int] = {}
+    signatures = _signatures
     sig_by_pc = np.array(
         [signatures.setdefault(ops, len(signatures)) for ops in ops_by_pc],
         np.int32,
@@ -134,15 +190,15 @@ def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
     buf = rows.tobytes()
     del rows
 
-    intern: Dict[bytes, int] = {}
-    contents: List[tuple] = []
+    region_ids = _region_ids
+    contents = _contents
     rids: List[int] = []
     for s, e in zip(bounds[:-1], bounds[1:]):
         key = buf[s * row_bytes : e * row_bytes]
-        rid = intern.get(key)
+        rid = region_ids.get(key)
         if rid is None:
             rid = len(contents)
-            intern[key] = rid
+            region_ids[key] = rid
             # Regions are never empty, so the transpose yields all four
             # operand columns.
             contents.append(
@@ -154,18 +210,19 @@ def _build_regions(base: Dict, mem: Dict, kernel: Dict) -> Dict:
                 )
             )
         rids.append(rid)
-    return {"contents": contents, "rids": rids}
+    return rids
 
 
-def _regions_for(prepared, trace: Trace):
-    """The shared region table for one fused kernel, cached as its own
-    prep layer under the kernel's key."""
+def _regions_for(prepared, trace: Trace) -> List[int]:
+    """The region id list of one fused kernel, cached as its own prep
+    layer under the kernel's key and rebuilt when the shared tables
+    were cleared after it was built."""
     base, _, mem, kernel, _, kernel_key = prepared
-    regions = trace._prep.regions.get(kernel_key)
-    if regions is None:
-        regions = _build_regions(base, mem, kernel)
-        trace._prep.regions[kernel_key] = regions
-    return regions
+    entry = trace._prep.regions.get(kernel_key)
+    if entry is None or entry[0] != _generation:
+        entry = (_generation, _build_regions(base, mem, kernel))
+        trace._prep.regions[kernel_key] = entry
+    return entry[1]
 
 
 # ----------------------------------------------- canonical state handling
@@ -456,17 +513,24 @@ def replay_inorder_multi_stats(
     ``None`` when the point is outside the vectorized path's guards.
     Raises :class:`WalkDivergence` when the walk fails validation.
     """
+    global walk_visits, walk_misses
     prepared = rv._prepare(program, trace, config, "inorder")
     if prepared is None:
         return None
     base, stream, mem, kernel, btb_misses, _ = prepared
-    regions = _regions_for(prepared, trace)
+    if sum(len(memo) for _, _, memo in _walks.values()) > _TABLE_CAP:
+        _clear_tables()
+    rids = _regions_for(prepared, trace)
+    contents = _contents
 
-    contents = regions["contents"]
-    n_regions = len(contents)
-
-    state_ids: Dict[tuple, int] = {}
-    states: List[tuple] = []
+    consts = _walk_consts(config)
+    tables = _walks.get(consts)
+    if tables is None:
+        tables = _walks[consts] = ({}, [], {})
+    # Transition memo keyed ``(state_id << 32) | region_id``: one int.
+    # Every region a walk interns costs it a miss, so region ids stay
+    # below the memo's size, far below 2**32 under ``_TABLE_CAP``.
+    state_ids, states, memo = tables
 
     def intern_state(c: tuple) -> int:
         cid = state_ids.get(c)
@@ -476,22 +540,19 @@ def replay_inorder_multi_stats(
             states.append(c)
         return cid
 
-    consts = _walk_consts(config)
-    # Transition memo keyed ``state_id * n_regions + region_id``: one
-    # int.
-    memo: Dict[int, tuple] = {}
     cid = intern_state(
         (0, 0, (-1, 0), ((-1, 0),) * 3, (0,) * consts[3], (), ())
     )
-    pi = lc = lus = rst = 0
+    pi = lc = lus = rst = misses = 0
     # The absolute state the previous region left when it was stepped;
     # a memo hit advances only ``pi`` and ``cid``, which leaves it
     # stale, so the next miss materialises a fresh one.
     state = None
-    for rid in regions["rids"]:
-        key = cid * n_regions + rid
+    for rid in rids:
+        key = (cid << 32) | rid
         t = memo.get(key)
         if t is None:
+            misses += 1
             if state is None:
                 state = _materialize(states[cid], pi)
             state, dlus, drst, m, halted = _step_region(
@@ -513,7 +574,15 @@ def replay_inorder_multi_stats(
         if halted:
             break
 
-    _validate(config, lc, lus, rst, base["issued"])
+    # A HALT ends the stream, so every region was visited.
+    walk_visits += len(rids)
+    walk_misses += misses
+    try:
+        _validate(config, lc, lus, rst, base["issued"])
+    except WalkDivergence:
+        # No transition a failed walk stepped outlives it.
+        _clear_tables()
+        raise
 
     n = base["n"]
     return SimStats.from_counts(

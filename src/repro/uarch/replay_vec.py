@@ -179,8 +179,9 @@ class ReplayPrep:
       miss bit per event
     * ``kernels``    -- per (core, stream, geometry, btb_entries): the
       fused action and latency arrays
-    * ``regions``    -- per kernel key: the interned region table
-      every in-order walk of that kernel shares (:mod:`.replay_multi`)
+    * ``regions``    -- per kernel key: the stream's region id list,
+      tagged with the generation of the process-wide region tables it
+      indexes, which every in-order walk shares (:mod:`.replay_multi`)
 
     The four pass layers (``pred_bits`` in live mode, ``ras_bits``,
     ``levels``, ``btbs``) are the only sequential Python loops, and
@@ -194,7 +195,7 @@ class ReplayPrep:
     Latencies and operands stay per-pc tables in ``base`` until a
     layer that reads them per instruction gathers them.  The Python
     lists a layer holds are per-pc tables (one entry per program
-    instruction) and the region table.  The kernels ``tolist()`` what
+    instruction) and the region id list.  The kernels ``tolist()`` what
     they iterate per call and drop it with the call.
     """
 

@@ -25,6 +25,7 @@ from .synthetic import (
     WorkloadSpec,
     build_workload,
     dynamic_instructions_per_iteration,
+    release_chase_chains,
 )
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "generate_outcomes",
     "mcf_pointer_chase",
     "omnetpp_carray_add",
+    "release_chase_chains",
     "site_population",
     "spec_benchmark",
     "suite_benchmarks",

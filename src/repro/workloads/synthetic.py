@@ -110,10 +110,11 @@ def _chase_chains(
     first, so the pair is the same for every input seed: TRAIN and REF
     builds share one pair.  The one reuse is the REF build right after
     the TRAIN build of one ``prepare_benchmark`` call, so the cache
-    holds one pair: a build's words live on in its read-only data
-    segment, and older pairs would pin megabytes no build reads
-    again.  Callers only copy the chains into a data segment; never
-    mutate them.
+    holds one pair, and that call drops it after its REF build
+    (:func:`release_chase_chains`): a build's words live on in its
+    read-only data segment, and a kept pair would pin megabytes no
+    build reads again.  Callers only copy the chains into a data
+    segment; never mutate them.
     """
     rng = random.Random(_stable_hash(name) ^ 0xC0FFEE)
     cond = _chase_chain(COLD_BASE, cond_lines, rng) if cond_lines else {}
@@ -121,6 +122,12 @@ def _chase_chains(
         _chase_chain(_COLD_CHASE_BASE, cold_lines, rng) if cold_lines else {}
     )
     return cond, cold
+
+
+def release_chase_chains() -> None:
+    """Drop the cached chase-chain pair once its last build has copied
+    the words (mcf's pair is two 65,536-line dicts, ~5 MiB)."""
+    _chase_chains.cache_clear()
 
 
 @dataclass

@@ -516,13 +516,17 @@ class TestCacheCtl:
         assert keep.exists()
 
     def test_artifact_counters_reads_schema4(self, tmp_path):
+        """Counters come only from a manifest of the schema this code
+        writes; an older manifest's counters describe other code.
+        (The name predates that rule.)"""
         from repro.experiments import cachectl
+        from repro.experiments.engine import MANIFEST_SCHEMA
 
         path = tmp_path / "m.json"
         path.write_text(
             json.dumps(
                 {
-                    "schema": 4,
+                    "schema": MANIFEST_SCHEMA,
                     "totals": {"artifacts": {"trace_replays": 7}},
                 }
             )
@@ -530,26 +534,53 @@ class TestCacheCtl:
         assert cachectl.artifact_counters(path) == {
             "trace_replays": 7
         }
-        path.write_text(json.dumps({"schema": 3, "totals": {}}))
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": MANIFEST_SCHEMA - 1,
+                    "totals": {"artifacts": {"trace_replays": 7}},
+                }
+            )
+        )
         assert cachectl.artifact_counters(path) is None
         assert cachectl.artifact_counters(tmp_path / "nope.json") is None
 
     def test_report_tells_an_all_hits_run_from_no_manifest(self, tmp_path):
         """A run whose jobs were all cache hits aggregates an empty
         ``totals.artifacts``: that is a run that did no artifact work,
-        not a missing manifest."""
+        not a missing manifest.  A manifest of another schema (the
+        committed sample, say) is named as such, and its counters are
+        not shown as the last run's."""
         from repro.experiments import cachectl
+        from repro.experiments.engine import MANIFEST_SCHEMA
 
         path = tmp_path / "m.json"
         path.write_text(
-            json.dumps({"schema": 12, "totals": {"artifacts": {}}})
+            json.dumps(
+                {"schema": MANIFEST_SCHEMA, "totals": {"artifacts": {}}}
+            )
         )
         report = cachectl.render_report(tmp_path, path)
         assert "last run did no artifact work" in report
-        assert "no schema-4 run manifest" not in report
+        assert "no artifact counters" not in report
         report = cachectl.render_report(tmp_path, tmp_path / "nope.json")
-        assert "no schema-4 run manifest found" in report
+        assert "no artifact counters (no run manifest found)" in report
         assert "last run did no artifact work" not in report
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": 7,
+                    "totals": {"artifacts": {"shm_publishes": 57}},
+                }
+            )
+        )
+        report = cachectl.render_report(tmp_path, path)
+        assert (
+            "no artifact counters (the run manifest is schema 7; this "
+            f"code writes schema {MANIFEST_SCHEMA})"
+        ) in report
+        assert "shm_publishes" not in report
+        assert "last run" not in report
 
     def test_cli_cache_command(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main

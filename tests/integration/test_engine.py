@@ -138,8 +138,13 @@ class TestObservability:
         ``worker_pid``; the v9 removal of the plane and batch-dispatch
         fields; the v11 removal of the backend block; the v12 removal
         of the run journal's fields and the per-worker block; the v13
-        removal of the fault-injection field; and the v14 removal of
-        the retry fields."""
+        removal of the fault-injection field; the v14 removal of the
+        retry fields; and the v15 walk counters."""
+        from repro.uarch import replay_multi
+
+        # Earlier walks in this process may have stepped every
+        # transition already: start the shared memo empty.
+        replay_multi._clear_tables()
         config = RunConfig.quick()
         engine = ExperimentEngine(
             jobs=1, cache_dir=tmp_path, use_cache=True, run_id="m3",
@@ -147,7 +152,7 @@ class TestObservability:
         )
         engine.run_benchmark("h264ref", config)
         manifest = engine.manifest(config)
-        assert manifest["schema"] == 14
+        assert manifest["schema"] == 15
         assert "backend" not in manifest
         assert "workers" not in manifest
         block = manifest["engine"]
@@ -166,6 +171,9 @@ class TestObservability:
         assert "journal_hits" not in totals
         # v4: per-job artifact counters aggregate into the totals.
         assert totals["artifacts"].get("trace_captures", 0) > 0
+        # v15: the walks' region visits, some of them memo hits.
+        art = totals["artifacts"]
+        assert 0 < art["walk_misses"] < art["walk_visits"]
         # v9: fused batch dispatch and the shm plane are gone; the two
         # batch totals stay for older readers and always read 0.
         assert totals["batches"] == totals["batch_points"] == 0

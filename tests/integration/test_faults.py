@@ -498,7 +498,7 @@ class TestFusedDivergence:
     def test_replay_raises_walk_divergence(self, tmp_path, monkeypatch):
         """Outside the store nothing catches a divergence:
         ``replay_inorder`` raises it to the caller."""
-        from repro.uarch import capture_trace, replay_inorder
+        from repro.uarch import capture_trace, replay_inorder, replay_multi
         from repro.uarch.replay_multi import WalkDivergence
 
         config, program, machines = self._sweep_setup(
@@ -511,6 +511,12 @@ class TestFusedDivergence:
         _diverge_every_walk(monkeypatch)
         with pytest.raises(WalkDivergence):
             replay_inorder(program, trace, machine)
+        # The failed walk cleared every shared table before it raised,
+        # so no transition it stepped outlives it.
+        assert not replay_multi._walks
+        assert not replay_multi._contents
+        assert not replay_multi._region_ids
+        assert not replay_multi._signatures
 
 
 class TestBenchmarkSweepAcceptance:

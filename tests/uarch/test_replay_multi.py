@@ -10,11 +10,14 @@ fp2000), for baseline and decomposed programs, under recorded and
 live prediction, a width sweep of per-point walks over one fresh
 trace must reproduce the core's full ``SimStats`` and architectural
 state exactly, with every walk served by the kernel (no decline) and
-every width walking one region table; points on different kernel
+every width walking one region id list; points on different kernel
 tables (another BTB size, a live predictor) each walk their own.  The
 artifact store's sweep over such points lives in
 ``tests/integration/test_artifacts.py``.  It holds the array-built
-region table equal to a per-instruction build from the decoded rows.
+regions, interned into the tables every walk in a process shares,
+equal to a per-instruction build from the decoded rows, and holds
+every walk equal to the core whatever order the process walks its
+points in and however often the capped tables clear.
 And it holds the OOO kernel equal to ``OutOfOrderCore`` at widths 2
 and 8 on the same traces (``test_replay_vectorized.py`` covers its
 window edges and live prediction).
@@ -241,13 +244,25 @@ def _reference_regions(program, trace, mem, kernel):
 
 
 def _assert_region_table_matches_reference(program, trace, machine):
+    """The shared tables already hold other streams' regions: each
+    occurrence's contents equal the reference's, two occurrences share
+    an id exactly when the reference's do, and a second build of the
+    same stream interns nothing new."""
     prepared = replay_vec._prepare(program, trace, machine, "inorder")
     assert prepared is not None
     base, _, mem, kernel, _, _ = prepared
-    table = replay_multi._build_regions(base, mem, kernel)
+    rids = replay_multi._build_regions(base, mem, kernel)
     reference = _reference_regions(program, trace, mem, kernel)
     assert len(reference["rids"]) > 1
-    assert table == reference
+    contents = replay_multi._contents
+    assert [contents[rid] for rid in rids] == [
+        reference["contents"][rid] for rid in reference["rids"]
+    ]
+    pairs = set(zip(rids, reference["rids"]))
+    assert len(pairs) == len(set(rids)) == len(set(reference["rids"]))
+    interned = len(contents)
+    assert replay_multi._build_regions(base, mem, kernel) == rids
+    assert len(contents) == interned
 
 
 @pytest.mark.parametrize("name", _PICKS)
@@ -270,3 +285,79 @@ def test_live_region_table_matches_reference(setup):
             GSharePredictor
         ),
     )
+
+
+# ------------------------------------------------ shared tables per process
+
+
+@pytest.fixture(scope="module")
+def sweep(setup):
+    """Every pick, baseline and decomposed, at widths 2/4/8 under the
+    default predictor and gshare: (program, trace bytes, machine,
+    reference run) per point, each trace captured under its point's
+    predictor."""
+    programs, _ = setup
+    points = []
+    for (name, kind), program in programs.items():
+        for predictor in (None, GSharePredictor):
+            machines = [MachineConfig.paper_default(width=w) for w in _WIDTHS]
+            if predictor is not None:
+                machines = [m.with_predictor(predictor) for m in machines]
+            blob = capture_trace(
+                program, machines[0].predictor_factory, _BUDGET
+            ).to_bytes()
+            for machine in machines:
+                ref = InOrderCore(machine).run(
+                    program, max_instructions=_BUDGET
+                )
+                points.append((program, blob, machine, ref))
+    return points
+
+
+def _walk_points(points, traces):
+    """Walk each point over its trace in ``traces`` (one object per
+    blob, shared by its widths) and hold it to the reference run."""
+    for program, blob, machine, ref in points:
+        trace = traces.get(blob)
+        if trace is None:
+            trace = traces[blob] = Trace.from_bytes(blob)
+        run = replay_inorder(program, trace, machine)
+        assert dataclasses.asdict(run.stats) == dataclasses.asdict(ref.stats)
+        assert run.registers == ref.registers
+        assert run.memory.snapshot() == ref.memory.snapshot()
+
+
+def test_shared_tables_match_core_in_any_order(sweep, kernel_declines):
+    """Every walk in a process shares the memo, so a transition one
+    program, width or predictor stepped is replayed by the others:
+    walked in one order, again over fresh traces (stepping nothing),
+    then from cleared tables in the reverse order, every point equals
+    the reference core."""
+    replay_multi._clear_tables()
+    _walk_points(sweep, {})
+    misses = replay_multi.walk_misses
+    _walk_points(sweep, {})
+    assert replay_multi.walk_misses == misses
+    replay_multi._clear_tables()
+    _walk_points(sweep[::-1], {})
+    assert kernel_declines == [False] * 3 * len(sweep)
+
+
+def test_capped_tables_clear_mid_sweep(sweep, monkeypatch, kernel_declines):
+    """Past the cap the next walk clears every table first; results
+    stay equal, and a region id list built before a clear is rebuilt
+    on its trace's next walk."""
+    monkeypatch.setattr(replay_multi, "_TABLE_CAP", 2_000)
+    replay_multi._clear_tables()
+    generation = replay_multi._generation
+    traces = {}
+    _walk_points(sweep, traces)
+    assert replay_multi._generation >= generation + 2
+    first = traces[sweep[0][1]]
+    [(built, stale)] = first._prep.regions.values()
+    assert built < replay_multi._generation
+    _walk_points(sweep[:1], traces)
+    [(rebuilt, rids)] = first._prep.regions.values()
+    assert rebuilt == replay_multi._generation
+    assert rids is not stale and len(rids) == len(stale)
+    assert kernel_declines == [False] * (len(sweep) + 1)

@@ -89,3 +89,29 @@ def test_chase_cache_leaves_builds_unchanged(name):
         dram = CHASE_WINDOW_LINES["dram"]
         cond, cold_chain = _chase_chains(name, dram, dram)
         assert len(cond) == len(cold_chain) == 65536
+
+
+def test_prepare_benchmark_drops_the_pair(tmp_path, monkeypatch):
+    """A cold ``prepare_benchmark`` reads the pair at its TRAIN build
+    and again at its REF build, then drops it: no pair outlives the
+    call (mcf's would pin two 65,536-line dicts)."""
+    from repro.experiments import harness
+    from repro.experiments.artifacts import ArtifactStore
+
+    released = []
+    release = harness.release_chase_chains
+
+    def counted_release():
+        released.append(_chase_chains.cache_info())
+        release()
+
+    monkeypatch.setattr(harness, "release_chase_chains", counted_release)
+    _chase_chains.cache_clear()
+    config = harness.RunConfig.quick()
+    harness.prepare_benchmark(
+        "mcf", config.ref_seeds[0], config, ArtifactStore(tmp_path)
+    )
+    # The REF build reused the pair the TRAIN build drew.
+    [info] = released
+    assert (info.misses, info.hits) == (1, 1)
+    assert _chase_chains.cache_info().currsize == 0
