@@ -38,7 +38,7 @@ from repro.branchpred import (
 from repro.compiler import compile_baseline, profile_program
 from repro.experiments.artifacts import ArtifactStore
 from repro.ir import lower
-from repro.uarch import MachineConfig, replay_inorder
+from repro.uarch import MachineConfig, replay_inorder, replay_multi
 from repro.workloads import spec_benchmark
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -78,7 +78,9 @@ def _seed_trace(cache_dir):
 
 
 def _fresh_point(cache_dir, program, machine):
-    """One sweep point on a fresh store (new worker/run/host)."""
+    """One sweep point on a fresh store (new worker/run/host), and so
+    with empty walk tables: they are shared by the whole process."""
+    replay_multi._clear_tables()
     store = ArtifactStore(cache_dir=cache_dir)
     result = store.simulate_inorder(
         program, machine, max_instructions=_BUDGET
@@ -90,6 +92,7 @@ def _unprepped_point(cache_dir, program, machine):
     """The same point replaying the stored trace directly: every prep
     layer is rebuilt in-process, and no slice is attached or
     persisted."""
+    replay_multi._clear_tables()
     store = ArtifactStore(cache_dir=cache_dir)
     trace = store.peek_trace(program, machine, max_instructions=_BUDGET)
     return replay_inorder(program, trace, machine), store.counters

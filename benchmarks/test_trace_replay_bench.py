@@ -6,6 +6,11 @@ recorded by the timing-free capture.
 * a snapshot (``results/BENCH_replay_vectorized.json``) of the
   in-order and OOO kernels' walls against the reference cores they
   reproduce, gated at >= 3x for the in-order kernel.
+
+Every in-order replay here starts from cleared walk tables
+(:func:`_walk`): they are shared by the whole process, so without the
+clear every replay after the first would be all memo hits and time no
+region walk at all.
 """
 
 import json
@@ -18,6 +23,7 @@ from repro.uarch import (
     Trace,
     capture_trace,
     replay_inorder,
+    replay_multi,
 )
 from repro.workloads import spec_benchmark
 from repro.compiler import compile_baseline, profile_program
@@ -62,19 +68,27 @@ def _reference_run(program, machine):
     return InOrderCore(machine).run(program, max_instructions=_MICRO_BUDGET)
 
 
+def _walk(program, trace, machine):
+    """One in-order replay from cleared walk tables: it re-interns the
+    trace's regions and steps every transition it meets once."""
+    replay_multi._clear_tables()
+    return replay_inorder(program, trace, machine)
+
+
 def test_trace_replay_simulation(benchmark):
     program, machine = _micro_setup()
     trace = _captured_trace(program, machine)
-    replayed = benchmark(lambda: replay_inorder(program, trace, machine))
+    replayed = benchmark(lambda: _walk(program, trace, machine))
     assert replayed.stats == _reference_run(program, machine).stats
 
 
 def test_replay_vectorized(benchmark):
-    """The vectorized replay kernel (prep amortised across rounds,
-    exactly as a sweep amortises it across its points)."""
+    """The vectorized replay kernel (the trace's prep amortised across
+    rounds, exactly as a sweep amortises it across its points; the
+    region walk is not)."""
     program, machine = _micro_setup()
     trace = _captured_trace(program, machine)
-    replayed = benchmark(lambda: replay_inorder(program, trace, machine))
+    replayed = benchmark(lambda: _walk(program, trace, machine))
     assert replayed.stats == _reference_run(program, machine).stats
 
 
@@ -103,13 +117,13 @@ def test_replay_vectorized_snapshot():
 
     cold_trace = _captured_trace(program, machine)
     start = time.perf_counter()
-    replayed = replay_inorder(program, cold_trace, machine)
+    replayed = _walk(program, cold_trace, machine)
     cold = time.perf_counter() - start
     assert replayed.stats == result.stats
     executed, warm = _interleaved_best(
         [
             lambda: _reference_run(program, machine),
-            lambda: replay_inorder(program, trace, machine),
+            lambda: _walk(program, trace, machine),
         ]
     )
     executed_ooo, warm_ooo = _interleaved_best(
@@ -150,8 +164,10 @@ def test_replay_vectorized_snapshot():
         "note": (
             "warm = replay prep cached on the trace, the steady state "
             "of a sweep replaying one capture across many configs; "
-            "cold pays one precompute pass; warm walls are min-of-7, "
-            "core and replay samples alternating"
+            "cold pays one precompute pass; every in-order replay "
+            "starts from cleared walk tables, so it interns the "
+            "trace's regions and steps their transitions afresh; warm "
+            "walls are min-of-7, core and replay samples alternating"
         ),
     }
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -26,7 +26,7 @@ removes the sidecar with it, and a sidecar whose blob is already gone
 Only regular files are ever entries.  :func:`verify` offline
 re-hashes every sidecarred blob and parses every trace and prep slice
 (``repro cache verify``);
-:func:`artifact_counters` reads the hit/miss counters the last run
+:func:`render_report` also shows the hit/miss counters the last run
 manifest aggregated, when it is of the schema this code writes
 (:data:`.engine.MANIFEST_SCHEMA`): another schema's counters describe
 a run of other code.
@@ -377,22 +377,6 @@ def _read_manifest(manifest_path: Optional[pathlib.Path]) -> Optional[Dict]:
     return manifest if isinstance(manifest, dict) else None
 
 
-def _counters(manifest: Optional[Dict]) -> Optional[Dict[str, int]]:
-    if manifest is None or manifest.get("schema") != MANIFEST_SCHEMA:
-        return None
-    artifacts = manifest.get("totals", {}).get("artifacts")
-    return artifacts if isinstance(artifacts, dict) else None
-
-
-def artifact_counters(
-    manifest_path: Optional[pathlib.Path] = None,
-) -> Optional[Dict[str, int]]:
-    """The ``totals.artifacts`` counters of the last run manifest, or
-    ``None`` when it is absent, unreadable or of another schema than
-    :data:`.engine.MANIFEST_SCHEMA`."""
-    return _counters(_read_manifest(manifest_path))
-
-
 def _human(nbytes: int) -> str:
     value = float(nbytes)
     for unit in ("B", "KiB", "MiB", "GiB"):
@@ -431,9 +415,9 @@ def render_report(
         f"  {'total':<10} {total_files:>5} files  "
         f"{_human(total_bytes):>10}"
     )
-    manifest = _read_manifest(manifest_path)
-    counters = _counters(manifest)
-    if manifest is None:
+    manifest = _read_manifest(manifest_path) or {}
+    counters = manifest.get("totals", {}).get("artifacts")
+    if not manifest:
         lines.append("no artifact counters (no run manifest found)")
     elif manifest.get("schema") != MANIFEST_SCHEMA:
         lines.append(
@@ -441,8 +425,6 @@ def render_report(
             f"{manifest.get('schema')}; this code writes schema "
             f"{MANIFEST_SCHEMA})"
         )
-    elif counters is None:
-        lines.append("no artifact counters (the run manifest has none)")
     elif not counters:
         # Cache hits run no job, so an all-hits run moves no counter.
         lines.append(

@@ -203,10 +203,12 @@ def prepare_benchmark(
     transform = config.transform if transform is None else transform
     profile = train_profile(spec, config, store, predictor)
     ref = store.build(spec, seed)
-    # The REF build is the chase chains' last reader: a cold call's
-    # TRAIN build read them just before, and a warm call builds no
-    # TRAIN program.
-    release_chase_chains()
+    if seed == config.ref_seeds[-1]:
+        # Every REF build reads the chase-chain pair, and the engine
+        # runs a benchmark's seeds in ``config.ref_seeds`` order, so
+        # the pair stays for the next seed's build and goes after the
+        # last seed's.
+        release_chase_chains()
     content = json.dumps(
         [fingerprint(spec), config.train_seed, seed, config.max_instructions]
     )

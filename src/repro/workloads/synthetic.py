@@ -108,13 +108,14 @@ def _chase_chains(
 
     Both shuffles draw from one RNG seeded by the name alone, cond
     first, so the pair is the same for every input seed: TRAIN and REF
-    builds share one pair.  The one reuse is the REF build right after
-    the TRAIN build of one ``prepare_benchmark`` call, so the cache
-    holds one pair, and that call drops it after its REF build
-    (:func:`release_chase_chains`): a build's words live on in its
-    read-only data segment, and a kept pair would pin megabytes no
-    build reads again.  Callers only copy the chains into a data
-    segment; never mutate them.
+    builds share one pair.  Its reuses are the REF build right after
+    the TRAIN build of one ``prepare_benchmark`` call and the next REF
+    seed's build, so the cache holds one pair, and
+    ``prepare_benchmark`` drops it after the build of the config's
+    last REF seed (:func:`release_chase_chains`): a build's words live
+    on in its read-only data segment, and a kept pair would pin
+    megabytes no build reads again.  Callers only copy the chains into
+    a data segment; never mutate them.
     """
     rng = random.Random(_stable_hash(name) ^ 0xC0FFEE)
     cond = _chase_chain(COLD_BASE, cond_lines, rng) if cond_lines else {}

@@ -516,34 +516,29 @@ class TestCacheCtl:
         assert keep.exists()
 
     def test_artifact_counters_reads_schema4(self, tmp_path):
-        """Counters come only from a manifest of the schema this code
-        writes; an older manifest's counters describe other code.
-        (The name predates that rule.)"""
+        """``repro cache`` shows counters only from a manifest of the
+        schema this code writes; an older manifest's counters describe
+        other code.  (The name predates that rule.)"""
         from repro.experiments import cachectl
         from repro.experiments.engine import MANIFEST_SCHEMA
 
         path = tmp_path / "m.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": MANIFEST_SCHEMA,
-                    "totals": {"artifacts": {"trace_replays": 7}},
-                }
+        for schema in (MANIFEST_SCHEMA, MANIFEST_SCHEMA - 1):
+            path.write_text(
+                json.dumps(
+                    {
+                        "schema": schema,
+                        "totals": {"artifacts": {"trace_replays": 7}},
+                    }
+                )
             )
-        )
-        assert cachectl.artifact_counters(path) == {
-            "trace_replays": 7
-        }
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": MANIFEST_SCHEMA - 1,
-                    "totals": {"artifacts": {"trace_replays": 7}},
-                }
-            )
-        )
-        assert cachectl.artifact_counters(path) is None
-        assert cachectl.artifact_counters(tmp_path / "nope.json") is None
+            report = cachectl.render_report(tmp_path, path)
+            shown = schema == MANIFEST_SCHEMA
+            assert (
+                f"last run artifact counters (manifest schema "
+                f"{MANIFEST_SCHEMA}):" in report
+            ) == shown
+            assert ("trace_replays" in report) == shown
 
     def test_report_tells_an_all_hits_run_from_no_manifest(self, tmp_path):
         """A run whose jobs were all cache hits aggregates an empty

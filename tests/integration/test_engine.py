@@ -192,6 +192,28 @@ class TestObservability:
         )
         assert not (tmp_path / "runs").exists()
 
+    def test_rerun_walks_from_the_shared_memo(self, tmp_path):
+        """Every walk in a process shares one transition memo: a second
+        in-process run of the same benchmark (result cache off, so
+        every job replays again) visits the same regions and steps no
+        transition again.  With a memo per walk it would miss as often
+        as the first run."""
+        from repro.uarch import replay_multi
+
+        replay_multi._clear_tables()
+        config = RunConfig.quick()
+        runs = []
+        for run_id in ("w1", "w2"):
+            engine = ExperimentEngine(
+                jobs=1, cache_dir=tmp_path, use_cache=False, run_id=run_id,
+            )
+            engine.run_benchmark("h264ref", config)
+            runs.append(engine.manifest(config)["totals"]["artifacts"])
+        first, second = runs
+        assert 0 < first["walk_misses"] < first["walk_visits"]
+        assert second["walk_visits"] == first["walk_visits"]
+        assert second.get("walk_misses", 0) == 0
+
     def test_manifest_reports_simulated_kips(self, tmp_path):
         config = RunConfig.quick()
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path, use_cache=True)

@@ -92,9 +92,13 @@ def test_chase_cache_leaves_builds_unchanged(name):
 
 
 def test_prepare_benchmark_drops_the_pair(tmp_path, monkeypatch):
-    """A cold ``prepare_benchmark`` reads the pair at its TRAIN build
-    and again at its REF build, then drops it: no pair outlives the
-    call (mcf's would pin two 65,536-line dicts)."""
+    """Every REF build reads the pair: a cold ``prepare_benchmark``
+    at its TRAIN build and again at its REF build, the next seed's
+    call at its REF build.  The call for the config's last REF seed
+    drops it, so no pair outlives the benchmark (mcf's would pin two
+    65,536-line dicts)."""
+    from dataclasses import replace
+
     from repro.experiments import harness
     from repro.experiments.artifacts import ArtifactStore
 
@@ -107,11 +111,13 @@ def test_prepare_benchmark_drops_the_pair(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "release_chase_chains", counted_release)
     _chase_chains.cache_clear()
-    config = harness.RunConfig.quick()
-    harness.prepare_benchmark(
-        "mcf", config.ref_seeds[0], config, ArtifactStore(tmp_path)
-    )
-    # The REF build reused the pair the TRAIN build drew.
+    config = replace(harness.RunConfig.quick(), ref_seeds=(1, 2))
+    store = ArtifactStore(tmp_path)
+    harness.prepare_benchmark("mcf", 1, config, store)
+    assert not released
+    assert _chase_chains.cache_info().currsize == 1
+    harness.prepare_benchmark("mcf", 2, config, store)
+    # Seed 2's REF build reused the pair seed 1's TRAIN build drew.
     [info] = released
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 2)
     assert _chase_chains.cache_info().currsize == 0
